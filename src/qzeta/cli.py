@@ -422,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.prec < 16:
+        print("invalid input: --prec must be >= 16", file=sys.stderr)
+        return EXIT_INVALID
     try:
         code, report, csv_rows = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

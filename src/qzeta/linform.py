@@ -31,15 +31,16 @@ from math import factorial
 
 from mpmath import mp, mpf
 
-from .qcomb import PhiProduct, QFrac, alpha_weight, cyclotomic, d_poly, qpoch
+from .qcomb import QFrac, alpha_weight, d_poly, qpoch
 from .series import (
     DEFAULT_PREC,
-    GUARD_BITS,
     DivergenceError,
     FractionRing,
     UPolyRing,
     pf_extract,
+    pf_reconstruct,
     sum_with_tail,
+    tmul_linear,
     working_prec,
 )
 from .upoly import UPoly, format_rat
@@ -47,10 +48,8 @@ from .upoly import UPoly, format_rat
 
 __all__ = [
     "Params",
-    "TRatFunc",
     "PFTable",
     "LinearFormReport",
-    "build_R",
     "partial_fractions",
     "reconstruction_check",
     "kernel_symmetry_check",
@@ -105,102 +104,29 @@ class Params:
         """u-exponent of the normalizing monomial q^(-(A-2r)n/4)."""
         return -(self.A - 2 * self.r) * self.n // 2
 
-    @property
-    def degree_gap(self) -> int:
-        """deg(numerator) - deg(denominator) of the kernel, always < 0."""
-        return -self.A - (self.A - 2 * self.r) * self.n // 2
-
 
 # ----------------------------------------------------------------------
-# The kernel R(T) as an exact rational function of T.
-
-def _t_mul_linear(coeffs: list, qe, ring) -> list:
-    """Multiply a dense T-polynomial by (1 - qe*T)."""
-    new = list(coeffs) + [ring.zero]
-    for i, c in enumerate(coeffs):
-        if c:
-            new[i + 1] = new[i + 1] - qe * c
-    return new
-
+# The kernel numerator as a dense T-polynomial.
 
 def _hat_numerator(A: int, r: int, n: int, ring) -> list:
     """Dense T-coefficients of the integer-power kernel numerator
 
         (q;q)_n^(A-2r) * prod_{i=1..rn} (1 - q^(-i) T)
-                       * prod_{i=n+1..n+rn} (1 - q^i T) * T^((A-2r)n/2).
+                       * prod_{i=n+1..n+rn} (1 - q^i T) * T^((A-2r)n/2);
+
+    the kernel R_hat(T) is this over (T;q)_{n+1}^A.
     """
     coeffs = [ring.one]
     for i in range(1, r * n + 1):
-        coeffs = _t_mul_linear(coeffs, ring.qpow(-i), ring)
+        coeffs = tmul_linear(coeffs, ring.qpow(-i))
     for i in range(n + 1, n + r * n + 1):
-        coeffs = _t_mul_linear(coeffs, ring.qpow(i), ring)
+        coeffs = tmul_linear(coeffs, ring.qpow(i))
     poch = ring.one
     for i in range(1, n + 1):
         poch = poch * (ring.one - ring.qpow(i))
-    scal = ring.one
-    for _ in range(A - 2 * r):
-        scal = scal * poch
-    coeffs = [scal * c for c in coeffs]
+    scal = poch ** (A - 2 * r)
     shift = (A - 2 * r) * n // 2
-    return [ring.zero] * shift + coeffs
-
-
-def _t_den_coeffs(A: int, n: int) -> list:
-    """Dense T-coefficients of ((T;q)_{n+1})^A over UPoly."""
-    ring = UPolyRing
-    base = [ring.one]
-    for i in range(0, n + 1):
-        base = _t_mul_linear(base, ring.qpow(i), ring)
-    out = [ring.one]
-    for _ in range(A):
-        new = [ring.zero] * (len(out) + len(base) - 1)
-        for i, a in enumerate(out):
-            if not a:
-                continue
-            for j, b in enumerate(base):
-                if b:
-                    new[i + j] = new[i + j] + a * b
-        out = new
-    return out
-
-
-@dataclass(frozen=True)
-class TRatFunc:
-    """A rational function of T: dense numerator/denominator coefficient
-    tuples whose entries are exact UPoly Laurent polynomials in u."""
-
-    num: tuple
-    den: tuple
-
-    def degree_gap(self) -> int:
-        return (len(self.num) - 1) - (len(self.den) - 1)
-
-    def eval_mp(self, q0: Fraction, t0):
-        """Numeric value at u = sqrt(q0) (q0 > 0) and T = t0."""
-        u0 = mp.sqrt(mpf(q0.numerator) / q0.denominator)
-        nv = mpf(0)
-        dv = mpf(0)
-        tp = mpf(1)
-        for c in self.num:
-            nv += c.eval_mp(q0, u0) * tp
-            tp *= t0
-        tp = mpf(1)
-        for c in self.den:
-            dv += c.eval_mp(q0, u0) * tp
-            tp *= t0
-        return nv / dv
-
-
-def build_R(params: Params) -> TRatFunc:
-    """The kernel R(T), exact in u and T, normalizing monomial included."""
-    A, r, n = params.A, params.r, params.n
-    hat = _hat_numerator(A, r, n, UPolyRing)
-    pref = UPoly.u_power(params.prefactor_u)
-    num = tuple(c * pref for c in hat)
-    den = tuple(_t_den_coeffs(A, n))
-    rat = TRatFunc(num, den)
-    assert rat.degree_gap() == params.degree_gap, "kernel degree bookkeeping is off"
-    return rat
+    return [ring.zero] * shift + [scal * c for c in coeffs]
 
 
 # ----------------------------------------------------------------------
@@ -261,83 +187,10 @@ def reconstruction_check(params: Params) -> bool:
     """Exact identity: the partial fractions re-sum to the kernel.
 
     Done on the integer-power kernel (the normalizing monomial scales
-    both sides identically).  With L the lcm of the reduced coefficient
-    denominators, the identity becomes a pure Laurent-polynomial one:
-
-        L * Nhat(T) = sum_j quot_j^A * [sum_s n_{s,j} (1 - q^j T)^(A-s)]
-
-    where quot_j = (T;q)_{n+1}/(1 - q^j T) and n_{s,j} is the coefficient
-    numerator rescaled to the common denominator, num * expand(L / den).
-    """
+    both sides identically), at pole order A."""
     A, n = params.A, params.n
-    table = partial_fractions(params)
-    nhat = _hat_numerator(A, params.r, n, UPolyRing)
-    lden = PhiProduct()
-    for j in range(n + 1):
-        for s in range(1, A + 1):
-            lden = lden.lcm(table.dhat[j][s].den)
-    lpoly = lden.expand()
-    lhs = [c * lpoly for c in nhat]
-
-    big = [UPoly.one()]
-    for i in range(n + 1):
-        big = _t_mul_linear(big, UPoly.q_power(i), UPolyRing)
-    # big = (T;q)_{n+1}; per j remove (1 - q^j T) once, then raise to A.
-    total: list = [UPoly.zero()]
-    for j in range(n + 1):
-        qj = UPoly.q_power(j)
-        quot = [UPoly.zero()] * (len(big) - 1)
-        quot[0] = big[0]
-        for i in range(1, len(big) - 1):
-            quot[i] = big[i] + qj * quot[i - 1]
-        assert (big[-1] + qj * quot[-1]).is_zero(), "pole factor does not divide"
-        others = [UPoly.one()]
-        for _ in range(A):
-            new = [UPoly.zero()] * (len(others) + len(quot) - 1)
-            for a_i, a in enumerate(others):
-                if not a:
-                    continue
-                for b_i, b in enumerate(quot):
-                    if b:
-                        new[a_i + b_i] = new[a_i + b_i] + a * b
-            others = new
-        # sum_s n_{s,j} * (1 - q^j T)^(A-s), T-degree < A
-        srow = [UPoly.zero()] * A
-        pole_pow = [UPoly.one()]
-        for _ in range(A - 1):
-            pole_pow = _t_mul_linear(pole_pow, qj, UPolyRing)
-        # pole_pow currently (1 - q^j T)^(A-1); walk down by synthetic division
-        for s in range(1, A + 1):
-            v = table.dhat[j][s]
-            coeff = v.num * lden.cofactor(v.den).expand()
-            if coeff:
-                for i, p in enumerate(pole_pow):
-                    if p:
-                        srow[i] = srow[i] + coeff * p
-            if s < A:
-                nxt = [UPoly.zero()] * (len(pole_pow) - 1)
-                nxt[0] = pole_pow[0]
-                for i in range(1, len(pole_pow) - 1):
-                    nxt[i] = pole_pow[i] + qj * nxt[i - 1]
-                if len(pole_pow) > 1:
-                    assert (pole_pow[-1] + qj * nxt[-1]).is_zero()
-                pole_pow = nxt
-        term = [UPoly.zero()] * (len(srow) + len(others) - 1)
-        for a_i, a in enumerate(srow):
-            if not a:
-                continue
-            for b_i, b in enumerate(others):
-                if b:
-                    term[a_i + b_i] = term[a_i + b_i] + a * b
-        if len(term) > len(total):
-            total = total + [UPoly.zero()] * (len(term) - len(total))
-        for i, t in enumerate(term):
-            total[i] = total[i] + t
-    if len(lhs) < len(total):
-        lhs = lhs + [UPoly.zero()] * (len(total) - len(lhs))
-    elif len(total) < len(lhs):
-        total = total + [UPoly.zero()] * (len(lhs) - len(total))
-    return all((a - b).is_zero() for a, b in zip(lhs, total))
+    numer = _hat_numerator(A, params.r, n, UPolyRing)
+    return pf_reconstruct(numer, partial_fractions(params).dhat, n + 1, A)
 
 
 def kernel_symmetry_check(params: Params) -> bool:
@@ -353,7 +206,7 @@ def kernel_symmetry_check(params: Params) -> bool:
     def assemble(scalar: UPoly, mono_u: int, exps: list) -> list:
         coeffs = [ring.one]
         for e in exps:
-            coeffs = _t_mul_linear(coeffs, ring.qpow(e), ring)
+            coeffs = tmul_linear(coeffs, ring.qpow(e))
         pre = scalar * UPoly.u_power(mono_u)
         shift = (A - 2 * r) * n // 2
         return [UPoly.zero()] * shift + [pre * c for c in coeffs]
@@ -431,49 +284,17 @@ def p1_at_one_check(params: Params) -> bool:
     return total.reduced().is_zero()
 
 
-class _QFracOps:
-    """Exact field operations for the symbolic assembly."""
-
-    zero = staticmethod(QFrac.zero)
-
-    @staticmethod
-    def mul_qpow(x: QFrac, e: int) -> QFrac:
-        return x.mul_qpow(e)
-
-    @staticmethod
-    def div_omq(x: QFrac, m: int, p: int) -> QFrac:
-        return x.div_one_minus_qpow(m, p)
-
-    @staticmethod
-    def qpow(e: int) -> QFrac:
-        return QFrac(UPoly.q_power(e))
+# perfbench/tracer.py labels _assemble_eps calls by this name.
+_FractionOps = FractionRing
 
 
-class _FractionOps:
-    """Same operations specialized at an exact rational q0."""
-
-    def __init__(self, q0: Fraction):
-        self.q0 = Fraction(q0)
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def mul_qpow(self, x: Fraction, e: int) -> Fraction:
-        return x * self.q0 ** e
-
-    def div_omq(self, x: Fraction, m: int, p: int) -> Fraction:
-        return x / (1 - self.q0 ** m) ** p
-
-    def qpow(self, e: int) -> Fraction:
-        return self.q0 ** e
-
-
-def _assemble_eps(dval, A: int, n: int, eps: int, ops):
+def _assemble_eps(dval, A: int, n: int, eps: int, ring):
     """Symmetrized coefficients from hat partial-fraction values.
 
-    dval[j][s] are the hat coefficients in any exact field with the ops
-    protocol.  Returns (P0_eps, {s: P_s_eps}, extras) in the same field,
-    hat-normalized.  The building blocks:
+    dval[j][s] are the hat coefficients in the fraction field of one of
+    the two exact rings (UPolyRing: QFrac; FractionRing: Fraction).
+    Returns (P0_eps, {s: P_s_eps}) in that field, hat-normalized.  The
+    building blocks:
 
       Pk1[k]   = sum_j dval[j][k] q^(-j)                (value at z = 1)
       dP1      = sum_j j dval[j][1] q^(-j)              (z-derivative at 1)
@@ -485,32 +306,33 @@ def _assemble_eps(dval, A: int, n: int, eps: int, ops):
       P0_eps   = P0_plain + (-1)^eps (P0_inv + dP1)
       P_s_eps  = sum_{k=s..A} alpha(k, s) Pk1[k]   for s = eps mod 2, s >= 2
     """
-    zero = ops.zero
+    zero = dval[0][1] * 0
+    qpow, div_omq = ring.qpow, ring.div_one_minus_qpow
     pk1 = {}
     for k in range(1, A + 1):
-        acc = zero()
+        acc = zero
         for j in range(n + 1):
-            acc = acc + ops.mul_qpow(dval[j][k], -j)
+            acc = acc + dval[j][k] * qpow(-j)
         pk1[k] = acc
-    dp1 = zero()
+    dp1 = zero
     for j in range(1, n + 1):
-        dp1 = dp1 + j * ops.mul_qpow(dval[j][1], -j)
+        dp1 = dp1 + j * (dval[j][1] * qpow(-j))
 
-    p0_plain = zero()
+    p0_plain = zero
     for s in range(1, A + 1):
-        g = zero()
+        g = zero
         for j in range(1, n + 1):
-            g = g + ops.div_omq(ops.qpow(j), j, s)
-            p0_plain = p0_plain - ops.mul_qpow(dval[j][s], -j) * g
+            g = g + div_omq(qpow(j), j, s)
+            p0_plain = p0_plain - dval[j][s] * qpow(-j) * g
 
-    p0_inv = zero()
+    p0_inv = zero
     for s in range(1, A + 1):
         sgn = -1 if s % 2 else 1
-        h = zero()
+        h = zero
         for m in range(1, n + 1):
-            h = h + ops.div_omq(ops.qpow(m * (s - 1)), m, s)
+            h = h + div_omq(qpow(m * (s - 1)), m, s)
             j = n - m
-            p0_inv = p0_inv - sgn * ops.mul_qpow(dval[j][s], -j) * h
+            p0_inv = p0_inv - sgn * (dval[j][s] * qpow(-j)) * h
 
     flip = -1 if eps else 1
     p0 = p0_plain + flip * (p0_inv + dp1)
@@ -518,19 +340,18 @@ def _assemble_eps(dval, A: int, n: int, eps: int, ops):
     for s in range(2, A + 1):
         if s % 2 != eps % 2:
             continue
-        acc = zero()
+        acc = zero
         for k in range(s, A + 1):
             acc = acc + alpha_weight(k, s) * pk1[k]
         ps[s] = acc
-    extras = {"Pk1": pk1, "dP1": dp1, "P0_plain": p0_plain, "P0_inv": p0_inv}
-    return p0, ps, extras
+    return p0, ps
 
 
 @lru_cache(maxsize=None)
 def _p_eps_hat(A: int, r: int, n: int, eps: int):
     table = _pf_table(A, r, n)
     dval = [{s: table.dhat[j][s] for s in range(1, A + 1)} for j in range(n + 1)]
-    p0, ps, _ = _assemble_eps(dval, A, n, eps, _QFracOps)
+    p0, ps = _assemble_eps(dval, A, n, eps, UPolyRing)
     return p0.reduced(), {s: v.reduced() for s, v in ps.items()}
 
 
@@ -568,17 +389,17 @@ def _pf_values(A: int, r: int, n: int, q0: Fraction):
 def P_eps_values_hat(A: int, r: int, n: int, eps: int, q0: Fraction):
     """Exact Fractions: hat P0^[eps] and {s: hat Ps^[eps]} at q = q0."""
     dval = _pf_values(A, r, n, q0)
-    p0, ps, _ = _assemble_eps(dval, A, n, eps, _FractionOps(q0))
+    p0, ps = _assemble_eps(dval, A, n, eps, FractionRing(q0))
     return p0, tuple(sorted(ps.items()))
 
 
 # ----------------------------------------------------------------------
 # Numeric series with certified tails.
 
-def _check_q0(q0: Fraction) -> Fraction:
+def _check_q0(q0) -> Fraction:
     q0 = Fraction(q0)
-    if not abs(q0) < 1:
-        raise ValueError(f"need |q0| < 1, got {q0}")
+    if not 0 < abs(q0) < 1:
+        raise ValueError(f"need 0 < |q0| < 1, got {q0}")
     return q0
 
 
@@ -663,8 +484,6 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
     """
     A, r, n, eps = params.A, params.r, params.n, params.eps
     q0 = _check_q0(q0)
-    if q0 == 0:
-        raise ValueError("q0 must be nonzero")
     if A == 2 and eps == 1:
         return mpf(0)  # the bracket 1 + (-1) q^0 vanishes identically
     with mp.workprec(working_prec(prec)):
@@ -972,7 +791,7 @@ def denominator_conjecture_probe(params: Params) -> dict:
 class LinearFormReport:
     params: Params
     q0: Fraction
-    P: dict              # s -> RatFunc (true normalization), s = 0 and parity s
+    P: dict              # s -> reduced QFrac (true normalization), s = 0 and parity s
     S_value: object      # mpf
     zeta_values: dict    # s -> mpf
     residual: object     # mpf
@@ -986,7 +805,9 @@ class LinearFormReport:
             "params": {"A": self.params.A, "r": self.params.r, "n": self.params.n},
             "q": format_rat(self.q0),
             "eps": self.params.eps,
-            "P": [{"s": s, **rf.to_json()} for s, rf in sorted(self.P.items())],
+            "P": [{"s": s, "num": f.num.to_json(),
+                   "den": {str(l): m for l, m in sorted(f.den.e.items())}}
+                  for s, f in sorted(self.P.items())],
             "residual": mp.nstr(self.residual, 25),
             "denom_pass": self.denom_pass,
             "witness": self.witness,
@@ -1016,7 +837,7 @@ def linear_form_report(params: Params, q0: Fraction,
     return LinearFormReport(
         params=params,
         q0=q0,
-        P={s: f.to_ratfunc() for s, f in forms.items()},
+        P=forms,
         S_value=res["S_hat"],
         zeta_values=res["zeta"],
         residual=res["residual"],

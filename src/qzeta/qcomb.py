@@ -255,9 +255,6 @@ class PhiProduct:
     def degree_q(self) -> int:
         return sum(totient(l) * m for l, m in self.e.items())
 
-    def max_index(self) -> int:
-        return max(self.e) if self.e else 0
-
     def __eq__(self, other):
         return isinstance(other, PhiProduct) and self.e == other.e
 
@@ -307,10 +304,6 @@ class QFrac:
     @classmethod
     def one(cls) -> "QFrac":
         return cls(UPoly.one())
-
-    @classmethod
-    def from_upoly(cls, p: UPoly) -> "QFrac":
-        return cls(p)
 
     @classmethod
     def from_fraction(cls, v) -> "QFrac":
@@ -414,12 +407,6 @@ class QFrac:
         if b != 0:
             raise ValueError("value involves sqrt(q0); use eval_pair")
         return a
-
-    def to_ratfunc(self):
-        from .upoly import RatFunc
-
-        red = self.reduced()
-        return RatFunc(red.num, red.den.expand(), reduce=False)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -6,11 +6,12 @@ bits, a fixed reserve of guard bits, and scale-aware working precision so
 that residuals of badly cancelling combinations are still certified at
 the requested tolerance.
 
-The exact half is a small toolkit of truncated power-series operations
-that is deliberately generic: coefficients may be UPoly (symbolic q) or
-Fraction (specialized q), since both rings support + - * and integer
-scalars.  The partial-fraction extractor built on top of it is shared by
-the main linear-form kernel and the weight-3 kernel.
+The exact half is one T-polynomial layer (tmul, tmul_linear, tdiv_linear,
+tpow) that is deliberately generic, and one exact-ring protocol with two
+rings: UPolyRing (symbolic q) and FractionRing (q specialized to a
+rational q0).  The partial-fraction extractor and its reconstruction
+check, built on top of them, are shared by the main linear-form kernel
+and the weight-3 kernel.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .upoly import ExactArithError, RatFunc, UPoly
+from .qcomb import PhiProduct, QFrac
+from .upoly import ExactArithError, ExactDivisionError, UPoly
 
 
 DEFAULT_PREC = 256
@@ -72,16 +74,19 @@ def sum_with_tail(terms, ratio_bound, tol, max_terms: int = 200000):
 
 
 # ----------------------------------------------------------------------
-# Exact truncated series over a generic coefficient ring.
+# Dense T-polynomials over a generic coefficient ring: ascending
+# coefficient lists whose entries support + - * and integer scalars.
 
-def tseries_mul(a: list, b: list, order: int, zero) -> list:
-    out = [zero] * order
+def tmul(a: list, b: list, order: int | None = None) -> list:
+    """a(T) * b(T), or its residue mod T^order (padded to order terms)."""
+    size = len(a) + len(b) - 1 if order is None else order
+    out = [a[0] * 0] * size
     for i, ai in enumerate(a):
-        if i >= order:
+        if i >= size:
             break
         if not ai:
             continue
-        top = min(order - i, len(b))
+        top = min(size - i, len(b))
         for j in range(top):
             bj = b[j]
             if bj:
@@ -89,24 +94,81 @@ def tseries_mul(a: list, b: list, order: int, zero) -> list:
     return out
 
 
-def geometric_inverse_power(c_ratio, order: int, power: int, one):
-    """Series of (1 - c X)^(-power) mod X^order: sum C(power-1+k, k) c^k X^k."""
-    out = []
-    cur = one
-    for k in range(order):
-        out.append(comb(power - 1 + k, k) * cur)
-        cur = cur * c_ratio
+def tmul_linear(a: list, c) -> list:
+    """a(T) * (1 - c T)."""
+    return [a[0]] + [a[i] - c * a[i - 1] for i in range(1, len(a))] + [-(c * a[-1])]
+
+
+def tdiv_linear(a: list, c) -> list:
+    """Exact quotient a(T) / (1 - c T); ExactDivisionError on a remainder."""
+    out = [a[0]]
+    for x in a[1:]:
+        out.append(x + c * out[-1])
+    if out.pop():
+        raise ExactDivisionError(f"1 - ({c!r}) T does not divide")
     return out
 
+
+def tpow(a: list, k: int) -> list:
+    """a(T)^k by repeated multiplication."""
+    out = [a[0] ** 0]
+    for _ in range(k):
+        out = tmul(out, a)
+    return out
+
+
+# ----------------------------------------------------------------------
+# The exact-ring protocol.  pf_extract and the coefficient assembly in
+# linform run unchanged over either ring:
+#     one, zero               -- units of the coefficient ring
+#     qpow(m)                 -- the element q^m, m any integer
+#     divexact(a, b)          -- a / b, known to be exact
+#     div_one_minus_qpow(x, m, p) -- x / (1 - q^m)^p in the fraction field
+# UPolyRing is the symbolic ring Q[u, 1/u] (fractions are QFrac, with
+# cyclotomic denominators); FractionRing(q0) specializes q = q0.
+
+class UPolyRing:
+    one = UPoly.one()
+    zero = UPoly.zero()
+
+    @staticmethod
+    def qpow(m: int) -> UPoly:
+        return UPoly.q_power(m)
+
+    @staticmethod
+    def divexact(a: UPoly, b: UPoly) -> UPoly:
+        return a.divexact(b)
+
+    @staticmethod
+    def div_one_minus_qpow(x, m: int, p: int) -> QFrac:
+        return (x if isinstance(x, QFrac) else QFrac(x)).div_one_minus_qpow(m, p)
+
+
+class FractionRing:
+    def __init__(self, q0: Fraction):
+        self.q0 = Fraction(q0)
+        self.one = Fraction(1)
+        self.zero = Fraction(0)
+
+    def qpow(self, m: int) -> Fraction:
+        return self.q0 ** m
+
+    @staticmethod
+    def divexact(a: Fraction, b: Fraction) -> Fraction:
+        return a / b
+
+    def div_one_minus_qpow(self, x: Fraction, m: int, p: int) -> Fraction:
+        return x / (1 - self.q0 ** m) ** p
+
+
+# ----------------------------------------------------------------------
+# Partial fractions over poles of equal order at T = q^(-j).
 
 def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
     """Partial fractions of numer(T) / prod_{i=0}^{pole_count-1} (1 - q^i T)^order.
 
-    numer_T: dense T-coefficients (ring elements, ascending).
-    ring: object with attributes/methods
-        one          -- multiplicative unit of the coefficient ring
-        zero         -- additive unit
-        qpow(m)      -- the ring element q^m (m any integer)
+    numer_T: dense T-coefficients (ring elements, ascending); ring: one of
+    the two rings above (one, zero, qpow and divexact are used).
 
     Returns (dhat, bases) where dhat[j][s] for s in 1..order is the
     numerator of the coefficient of 1/(1 - q^j T)^s and bases[j] is the
@@ -162,7 +224,7 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
             for k in range(order):
                 fac.append(comb(order, k) * ompows[order - k] * qmk)
                 qmk = qmk * qm
-            pv = tseries_mul(pv, fac, order, zero)
+            pv = tmul(pv, fac, order)
         cpows = [one]
         for _ in range(order):
             cpows.append(cpows[-1] * cbase)
@@ -179,71 +241,46 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
         # sum_{t+u = order-s} n_t f_u / c^(order+u) =
         #     [sum_t n_t c^t f_(order-s-t)] / c^(2*order-s).
         h = [s[t] * cpows[t] if s[t] else zero for t in range(order)]
-        hf = tseries_mul(h, f, order, zero)
+        hf = tmul(h, f, order)
         dhat.append({sdx: hf[order - sdx] for sdx in range(1, order + 1)})
         bases.append(tuple(offs))
     return dhat, bases
 
 
-class UPolyRing:
-    one = UPoly.one()
-    zero = UPoly.zero()
+def pf_reconstruct(numer, rows, pole_count: int, order: int) -> bool:
+    """Exact identity: partial fractions re-sum to their kernel,
 
-    @staticmethod
-    def qpow(m: int) -> UPoly:
-        return UPoly.q_power(m)
+        numer(T) / prod_{j<pole_count} (1 - q^j T)^order
+            = sum_j sum_{s=1..order} rows[j][s] / (1 - q^j T)^s,
 
-    @staticmethod
-    def divexact(a: UPoly, b: UPoly) -> UPoly:
-        return a.divexact(b)
+    with numer dense UPoly T-coefficients and rows[j][s] QFrac.  With L
+    the lcm of the row denominators it is a Laurent-polynomial identity:
 
+        L * numer(T) = sum_j quot_j^order * sum_s n_{s,j} (1 - q^j T)^(order-s)
 
-class FractionRing:
-    def __init__(self, q0: Fraction):
-        self.q0 = Fraction(q0)
-        self.one = Fraction(1)
-        self.zero = Fraction(0)
-
-    def qpow(self, m: int) -> Fraction:
-        return self.q0 ** m
-
-    @staticmethod
-    def divexact(a: Fraction, b: Fraction) -> Fraction:
-        return a / b
-
-
-def series_shift(num_T: list, den_T: list, center, order: int) -> list:
-    """Taylor coefficients of (num/den)(center + X) up to X^order, exact.
-
-    num_T, den_T: dense T-coefficient lists of UPoly (or RatFunc) entries.
-    center: UPoly.  The center must not be a pole: den(center) != 0.
-    Coefficients come back as RatFunc.
+    where quot_j = (T;q)_{pole_count} / (1 - q^j T) and n_{s,j} is the row
+    numerator rescaled to L, num * expand(L / den).
     """
-    def shifted(coeffs):
-        out = [RatFunc.from_upoly(UPoly.zero()) for _ in range(order + 1)]
-        for c in reversed(coeffs):
-            cr = c if isinstance(c, RatFunc) else RatFunc.from_upoly(c)
-            # out = out * (center + X) + c
-            new = [RatFunc.from_upoly(UPoly.zero()) for _ in range(order + 1)]
-            for i, v in enumerate(out):
-                if v.is_zero():
-                    continue
-                new[i] = new[i] + v * center
-                if i + 1 <= order:
-                    new[i + 1] = new[i + 1] + v
-            new[0] = new[0] + cr
-            out = new
-        return out
-
-    ns = shifted(num_T)
-    ds = shifted(den_T)
-    if ds[0].is_zero():
-        raise ZeroDivisionError("series center is a pole of the denominator")
-    inv0 = RatFunc.from_upoly(UPoly.one()) / ds[0]
-    out = []
-    for k in range(order + 1):
-        acc = ns[k]
-        for i in range(k):
-            acc = acc - out[i] * ds[k - i]
-        out.append(acc * inv0)
-    return out
+    lden = PhiProduct()
+    for row in rows:
+        for v in row.values():
+            lden = lden.lcm(v.den)
+    lpoly = lden.expand()
+    diff = [c * lpoly for c in numer]
+    big = [UPoly.one()]
+    for j in range(pole_count):
+        big = tmul_linear(big, UPoly.q_power(j))
+    for j, row in enumerate(rows):
+        qj = UPoly.q_power(j)
+        # sum_s n_s (1 - q^j T)^(order-s), by Horner in (1 - q^j T)
+        nums = [row[s].num * lden.cofactor(row[s].den).expand()
+                for s in range(1, order + 1)]
+        srow = nums[:1]
+        for n_s in nums[1:]:
+            srow = tmul_linear(srow, qj)
+            srow[0] = srow[0] + n_s
+        term = tmul(srow, tpow(tdiv_linear(big, qj), order))
+        diff += [UPoly.zero()] * (len(term) - len(diff))
+        for i, t in enumerate(term):
+            diff[i] = diff[i] - t
+    return not any(diff)

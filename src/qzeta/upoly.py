@@ -421,178 +421,3 @@ class UPoly:
                 bits.append(f"{v}*u^{e}")
         return "UPoly(" + " + ".join(bits) + ")"
 
-
-def _dense(p: UPoly):
-    lo = p.min_exp()
-    out = [Fraction(0)] * (p.max_exp() - lo + 1)
-    for e, v in p.c.items():
-        out[e - lo] = Fraction(v)
-    return lo, out
-
-
-def _poly_mod(a: list, b: list) -> list:
-    """Remainder of dense coefficient lists (ascending), b[-1] != 0."""
-    a = a[:]
-    db, da = len(b) - 1, len(a) - 1
-    lead = b[-1]
-    while da >= db and any(a):
-        while a and not a[-1]:
-            a.pop()
-            da = len(a) - 1
-        if da < db or not a:
-            break
-        f = a[-1] / lead
-        off = da - db
-        for i in range(db + 1):
-            a[off + i] -= f * b[i]
-        a.pop()
-        da = len(a) - 1
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic gcd over Q[u], ignoring monomial factors (Laurent content)."""
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    _, da = _dense(a)
-    _, db = _dense(b)
-    while db and any(db):
-        da, db = db, _poly_mod(da, db)
-    lead = da[-1]
-    return UPoly({i: v / lead for i, v in enumerate(da) if v})
-
-
-class RatFunc:
-    """Rational function in u, kept in canonical reduced form.
-
-    Canonical means: numerator and denominator share no polynomial factor,
-    the denominator is a polynomial in u with nonzero constant term, and
-    its lowest-degree coefficient equals 1 (monomial freedom is pushed to
-    the numerator, which may be a genuine Laurent polynomial).
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UPoly, den: UPoly | None = None, reduce: bool = True):
-        if den is None:
-            den = UPoly.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = UPoly()
-            self.den = UPoly.one()
-            return
-        if reduce:
-            g = upoly_gcd(num, den)
-            if g.max_exp() - g.min_exp() > 0:
-                num = num.divexact(g)
-                den = den.divexact(g)
-        # normalize: den a polynomial with constant term, lowest coeff 1
-        shift = den.min_exp()
-        den = den.shift_u(-shift)
-        num = num.shift_u(-shift)
-        low = Fraction(den.c[den.min_exp()])
-        if low != 1:
-            inv = 1 / low
-            den = den * inv
-            num = num * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_upoly(cls, p: UPoly) -> "RatFunc":
-        return cls(p, UPoly.one(), reduce=False)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == UPoly.one()
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_upoly(UPoly.const(other))
-        if isinstance(other, UPoly):
-            other = RatFunc.from_upoly(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_upoly(UPoly.const(other))
-        elif isinstance(other, UPoly):
-            other = RatFunc.from_upoly(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * other, self.den, reduce=False)
-        if isinstance(other, UPoly):
-            other = RatFunc.from_upoly(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return RatFunc(self.num * (Fraction(1) / Fraction(other)), self.den, reduce=False)
-        if isinstance(other, UPoly):
-            other = RatFunc.from_upoly(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_upoly(UPoly.const(other))
-        if isinstance(other, UPoly):
-            other = RatFunc.from_upoly(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def subst_inv(self) -> "RatFunc":
-        return RatFunc(self.num.subst_inv(), self.den.subst_inv())
-
-    def eval_pair(self, q0: Fraction):
-        na, nb = self.num.eval_pair(q0)
-        da, db = self.den.eval_pair(q0)
-        if db == 0:
-            if da == 0:
-                raise PoleError(f"evaluation at a pole q0 = {q0}")
-            return na / da, nb / da
-        # rationalize (da + db*sqrt(q0))
-        d = da * da - Fraction(q0) * db * db
-        if d == 0:
-            raise PoleError(f"evaluation at a pole q0 = {q0}")
-        return (na * da - Fraction(q0) * nb * db) / d, (nb * da - na * db) / d
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"

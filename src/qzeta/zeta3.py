@@ -29,14 +29,16 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .asymptotics import SlopeEstimate, _make_estimate, log_abs_fraction
-from .linform import Params, S_eps_hat_numeric, zeta_q
-from .qcomb import PhiProduct, QFrac, cyclotomic, d_poly
+from .linform import Params, S_eps_hat_numeric, _check_q0, zeta_q
+from .qcomb import QFrac, cyclotomic, d_poly
 from .series import (
     DEFAULT_PREC,
     FractionRing,
     UPolyRing,
     pf_extract,
+    pf_reconstruct,
     sum_with_tail,
+    tmul_linear,
     working_prec,
 )
 from .upoly import UPoly
@@ -66,13 +68,7 @@ def _w_numerator(n: int, ring) -> list:
     coeffs = [ring.one]
     for _ in range(2):
         for i in range(n):
-            qe = ring.qpow(i - n)
-            new = [ring.zero] * (len(coeffs) + 1)
-            for t, c in enumerate(coeffs):
-                if c:
-                    new[t] = new[t] + c
-                    new[t + 1] = new[t + 1] - qe * c
-            coeffs = new
+            coeffs = tmul_linear(coeffs, ring.qpow(i - n))
     return coeffs
 
 
@@ -128,62 +124,10 @@ def _z3_values(n: int, q0: Fraction):
 
 
 def zeta3_reconstruction_check(n: int) -> bool:
-    """Exact identity: the order-2 partial fractions re-sum to W_n.
-
-    Same clearing strategy as the main kernel: with L the lcm of the
-    reduced denominators, compare  L * numer(T)  against
-    sum_j quot_j^2 [na_j + nb_j (1 - q^j T)]  coefficientwise, where
-    quot_j = (T;q)_{n+1}/(1 - q^j T)."""
+    """Exact identity: the order-2 partial fractions re-sum to W_n."""
     ker = zeta3_partial_fractions(n)
-    numer = _w_numerator(n, UPolyRing)
-    lden = PhiProduct()
-    for v in list(ker.a) + list(ker.b):
-        lden = lden.lcm(v.den)
-    lpoly = lden.expand()
-    lhs = [c * lpoly for c in numer]
-
-    big = [UPoly.one()]
-    for i in range(n + 1):
-        qe = UPoly.q_power(i)
-        new = [UPoly.zero()] * (len(big) + 1)
-        for t, c in enumerate(big):
-            new[t] = new[t] + c
-            new[t + 1] = new[t + 1] - qe * c
-        big = new
-    total = [UPoly.zero()]
-    for j in range(n + 1):
-        qj = UPoly.q_power(j)
-        quot = [UPoly.zero()] * (len(big) - 1)
-        quot[0] = big[0]
-        for i in range(1, len(big) - 1):
-            quot[i] = big[i] + qj * quot[i - 1]
-        assert (big[-1] + qj * quot[-1]).is_zero(), "pole factor does not divide"
-        na = ker.a[j].num * lden.cofactor(ker.a[j].den).expand()
-        nb = ker.b[j].num * lden.cofactor(ker.b[j].den).expand()
-        srow = [na + nb, -(qj * nb)]   # na + nb (1 - q^j T)
-        sq = [UPoly.zero()] * (2 * len(quot) - 1)
-        for ai, av in enumerate(quot):
-            if not av:
-                continue
-            for bi, bv in enumerate(quot):
-                if bv:
-                    sq[ai + bi] = sq[ai + bi] + av * bv
-        term = [UPoly.zero()] * (len(srow) + len(sq) - 1)
-        for ai, av in enumerate(srow):
-            if not av:
-                continue
-            for bi, bv in enumerate(sq):
-                if bv:
-                    term[ai + bi] = term[ai + bi] + av * bv
-        if len(term) > len(total):
-            total = total + [UPoly.zero()] * (len(term) - len(total))
-        for i, t in enumerate(term):
-            total[i] = total[i] + t
-    if len(lhs) < len(total):
-        lhs = lhs + [UPoly.zero()] * (len(total) - len(lhs))
-    elif len(total) < len(lhs):
-        total = total + [UPoly.zero()] * (len(lhs) - len(total))
-    return all((x - y).is_zero() for x, y in zip(lhs, total))
+    rows = [{1: b, 2: a} for a, b in zip(ker.a, ker.b)]
+    return pf_reconstruct(_w_numerator(n, UPolyRing), rows, n + 1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -227,13 +171,6 @@ def zeta3_form_values(n: int, q0: Fraction):
 
 # ----------------------------------------------------------------------
 # Numeric series with certified tails.
-
-def _check_q0(q0) -> Fraction:
-    q0 = Fraction(q0)
-    if not 0 < abs(q0) < 1:
-        raise ValueError(f"need 0 < |q0| < 1, got {q0}")
-    return q0
-
 
 def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     """The ball-type series; terms for k <= n vanish identically."""

@@ -48,6 +48,21 @@ def test_invalid_input_exits_2(capsys, argv):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("linform", "--A", "4", "--r", "1", "--n", "2", "--q", "0"),
+     "invalid input: need 0 < |q0| < 1, got 0"),
+    (("linform", "--A", "4", "--r", "1", "--n", "2", "--q", "1/3", "--prec", "0"),
+     "invalid input: --prec must be >= 16"),
+    (("zeta3", "--n", "2", "--q", "1/3", "--prec", "15"),
+     "invalid input: --prec must be >= 16"),
+])
+def test_invalid_input_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_delta_reference_value(capsys):
     code, out, _ = run(capsys, "delta", "--A", "12", "--r", "2")
     assert code == 0

@@ -1,6 +1,7 @@
 """Kernel partial fractions, linear-form coefficients, symmetrized
 series, and the exact denominator machinery."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,12 @@ from qzeta.linform import (
     S_eps_hat_numeric,
     S_eps_numeric,
     S_tilde_numeric,
-    build_R,
+    _hat_numerator,
     d_symmetry_check,
     denominator_check,
     identity_residual,
     kernel_symmetry_check,
+    linear_form_report,
     p1_at_one_check,
     p_reciprocity_check,
     partial_fractions,
@@ -29,8 +31,8 @@ from qzeta.linform import (
     transform_check,
     zeta_q,
 )
-from qzeta.qcomb import QFrac, divisor_power_sum
-from qzeta.series import working_prec
+from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
+from qzeta.series import UPolyRing, working_prec
 from qzeta.upoly import UPoly
 
 SMALL = [(4, 1, 0), (4, 1, 1), (4, 1, 3), (6, 1, 2), (6, 2, 2), (2, 1, 2)]
@@ -60,22 +62,19 @@ def test_n0_partial_fractions_are_trivial():
 
 
 def test_kernel_matches_direct_evaluation():
-    # build_R as a T-rational object matches the defining product at a point
-    p = Params(4, 2, 2)          # A = 2r: no monomial, plain rational values
-    rat = build_R(p)
+    # the hat numerator matches the defining product at a point; A != 2r,
+    # so the (q;q)_n^(A-2r) factor and the T-shift are exercised
     q0, t0 = Fraction(1, 3), Fraction(5, 7)
-    A, r, n = p.A, p.r, p.n
-    num = Fraction(1)
-    for i in range(r * n):
-        num *= (1 - q0 ** (-r * n + i) * t0) * (1 - q0 ** (n + 1 + i) * t0)
-    den = Fraction(1)
-    for i in range(n + 1):
-        den *= (1 - q0 ** i * t0) ** A
-
-    def eval_poly(coeffs):
-        return sum(c.eval_fraction(q0) * t0 ** i for i, c in enumerate(coeffs))
-
-    assert eval_poly(rat.num) / eval_poly(rat.den) == num / den
+    for A, r, n in ((4, 1, 2), (6, 1, 3), (6, 2, 1)):
+        coeffs = _hat_numerator(A, r, n, UPolyRing)
+        assert len(coeffs) - 1 == (A - 2 * r) * n // 2 + 2 * r * n
+        got = sum(c.eval_fraction(q0) * t0 ** i for i, c in enumerate(coeffs))
+        want = t0 ** ((A - 2 * r) * n // 2)
+        for i in range(1, n + 1):
+            want *= (1 - q0 ** i) ** (A - 2 * r)
+        for i in range(r * n):
+            want *= (1 - q0 ** (-r * n + i) * t0) * (1 - q0 ** (n + 1 + i) * t0)
+        assert got == want, (A, r, n)
 
 
 @pytest.mark.parametrize("A,r,n", SMALL)
@@ -197,6 +196,14 @@ def test_s_tilde_equals_hat_series():
             assert abs(a - b) < mpf(2) ** -120, n
 
 
+def test_series_reject_q0_zero():
+    with pytest.raises(ValueError, match="0 < \\|q0\\| < 1"):
+        S_tilde_numeric(Params(4, 1, 1), Fraction(0))
+    with pytest.raises(ValueError, match="0 < \\|q0\\| < 1"):
+        identity_residual(Params(4, 1, 1), Fraction(0))
+    assert zeta_q(3, Fraction(0)) == 0
+
+
 def test_transform_check_small():
     q0 = Fraction(1, 3)
     for A, r, n in ((4, 1, 1), (4, 1, 2)):
@@ -225,3 +232,16 @@ def test_denominator_check_small(A, r, n):
         assert res["pass"], res
         for s, row in res["per_s"].items():
             assert row["ok"], (s, row)
+
+
+def test_linear_form_report_json():
+    p = Params(4, 1, 2, 1)
+    rep = linear_form_report(p, Fraction(1, 3), 128)
+    data = json.loads(json.dumps(rep.to_json()))
+    assert data["denom_pass"] is True
+    forms = P_eps(p)
+    assert sorted(e["s"] for e in data["P"]) == sorted(forms)
+    for entry in data["P"]:
+        den = PhiProduct({int(l): m for l, m in entry["den"].items()})
+        got = QFrac(UPoly.from_json(entry["num"]), den)
+        assert got.num == forms[entry["s"]].num and got.den == forms[entry["s"]].den

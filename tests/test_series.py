@@ -1,24 +1,27 @@
-"""Certified series summation, truncated-series helpers, and the
-independent Taylor-shift oracle."""
+"""Certified series summation, the T-polynomial helpers, and the
+partial-fraction extractor against an independent Taylor-shift oracle."""
 
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from qzeta.qcomb import QFrac
 from qzeta.series import (
     DivergenceError,
     FractionRing,
     PrecisionError,
     UPolyRing,
-    geometric_inverse_power,
     pf_extract,
-    series_shift,
+    pf_reconstruct,
     sum_with_tail,
-    tseries_mul,
+    tdiv_linear,
+    tmul,
+    tmul_linear,
+    tpow,
     working_prec,
 )
-from qzeta.upoly import RatFunc, UPoly
+from qzeta.upoly import ExactDivisionError, UPoly
 
 ERDOS_BORWEIN = "1.6066951524152917637833015231909245804805796715057564357"
 
@@ -67,46 +70,67 @@ def test_working_prec_adds_guard_and_scale():
     assert working_prec(128, 100) >= working_prec(128) + 100
 
 
-def test_tseries_mul_truncates():
+def test_tmul_truncates():
     a = [1, 2, 3]
     b = [4, 5]
     # (1 + 2x + 3x^2)(4 + 5x) = 4 + 13x + 22x^2 + 15x^3, truncated at order 3
-    assert tseries_mul(a, b, 3, 0) == [4, 13, 22]
+    assert tmul(a, b, 3) == [4, 13, 22]
+    assert tmul(a, b) == [4, 13, 22, 15]
+    # truncation past the full degree pads with zeros
+    assert tmul(a, b, 6) == [4, 13, 22, 15, 0, 0]
 
 
-def test_geometric_inverse_power():
-    # (1 - cX)^-2 = 1 + 2cX + 3c^2X^2 + ...
-    c = Fraction(1, 3)
-    got = geometric_inverse_power(c, 4, 2, Fraction(1))
-    assert got == [Fraction(1), Fraction(2, 3), Fraction(3, 9), Fraction(4, 27)]
+def test_tmul_linear_and_exact_division_roundtrip():
+    c = Fraction(2, 3)
+    a = [Fraction(1), Fraction(-5), Fraction(0), Fraction(7, 2)]
+    prod = tmul_linear(a, c)
+    assert prod == tmul(a, [Fraction(1), -c])
+    assert tdiv_linear(prod, c) == a
+    # symbolic coefficients: (1 - qT)(1 + uT) / (1 - qT)
+    q = UPoly.q_power(1)
+    sym = [UPoly.one(), UPoly.u_power(1)]
+    assert tdiv_linear(tmul_linear(sym, q), q) == sym
 
 
-def test_series_shift_against_direct_expansion():
-    # f(T) = (1 + T) / (1 - 2T); expand around T = 3 by hand:
-    # f(3 + X) = (4 + X)/(-5 - 2X); coefficients checked exactly.
-    num = [UPoly.one(), UPoly.one()]
-    den = [UPoly.one(), UPoly.const(-2)]
-    center = UPoly.const(3)
-    out = series_shift(num, den, center, 2)
-    f0 = Fraction(4, -5)
-    f1 = Fraction(1 * (-5) - 4 * (-2), 25)          # (num' den - num den')/den^2
-    x = Fraction(3)
-    # second derivative of (1+T)/(1-2T): 4*3/(1-2T)^3
-    f2 = Fraction(12) / (1 - 2 * x) ** 3 / 2
-    vals = []
-    for r in out:
-        assert isinstance(r, RatFunc)
-        vals.append(r.num.eval_fraction(Fraction(1, 2))
-                    / r.den.eval_fraction(Fraction(1, 2)))
-    # entries are constants here (no q dependence), so evaluation is exact
-    assert vals == [f0, f1, f2]
+def test_tdiv_linear_rejects_non_divisor():
+    # 1 + T is not divisible by 1 - 2T; neither is a nonzero constant
+    with pytest.raises(ExactDivisionError):
+        tdiv_linear([Fraction(1), Fraction(1)], Fraction(2))
+    with pytest.raises(ExactDivisionError):
+        tdiv_linear([Fraction(3)], Fraction(2))
+    assert tdiv_linear([Fraction(0)], Fraction(2)) == []
 
 
-def test_series_shift_rejects_pole_center():
-    num = [UPoly.one()]
-    den = [UPoly.one(), UPoly.const(-1)]      # 1 - T
-    with pytest.raises(ZeroDivisionError):
-        series_shift(num, den, UPoly.one(), 2)
+def test_tpow():
+    # (1 - 2T)^3 = 1 - 6T + 12T^2 - 8T^3
+    assert tpow([1, -2], 3) == [1, -6, 12, -8]
+    assert tpow([Fraction(1, 2), 1], 0) == [1]
+    a = [UPoly.one(), -UPoly.q_power(1)]
+    assert tpow(a, 2) == tmul(a, a)
+
+
+def _w1_rows_and_numer():
+    """W_1(T) = (1 - q^-1 T)^2 / ((1 - T)(1 - qT))^2 and its order-2 rows."""
+    numer = tpow([UPoly.one(), -UPoly.q_power(-1)], 2)
+    rows, bases = pf_extract(numer, 2, 2, UPolyRing)
+    out = []
+    for row, offs in zip(rows, bases):
+        out.append({s: UPolyRing.div_one_minus_qpow(row[s], offs[0], 4 - s).reduced()
+                    for s in (1, 2)})
+    return numer, out
+
+
+def test_pf_reconstruct_accepts_extracted_rows():
+    numer, rows = _w1_rows_and_numer()
+    assert pf_reconstruct(numer, rows, 2, 2)
+
+
+def test_pf_reconstruct_rejects_corrupted_row():
+    numer, rows = _w1_rows_and_numer()
+    for j, s in ((0, 1), (1, 2)):
+        bad = [dict(row) for row in rows]
+        bad[j][s] = bad[j][s] + QFrac(UPoly.q_power(1))
+        assert not pf_reconstruct(numer, bad, 2, 2), (j, s)
 
 
 def _pf_fraction_oracle(numer, pole_count, order, q0):

@@ -1,19 +1,12 @@
 """Laurent-polynomial ring in u (u^2 = q): axioms, exact division,
-multiplication strategies, rational-function canonicalization."""
+multiplication strategies, substitutions and serialization."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzeta.upoly import (
-    ExactDivisionError,
-    RatFunc,
-    UPoly,
-    format_rat,
-    parse_rat,
-    upoly_gcd,
-)
+from qzeta.upoly import ExactDivisionError, UPoly, format_rat, parse_rat
 
 coeffs = st.integers(min_value=-30, max_value=30)
 exps = st.integers(min_value=-8, max_value=8)
@@ -152,32 +145,6 @@ def test_parse_and_format_rat():
     for bad in ("0.5", "1e-3", "2.", ".3"):
         with pytest.raises(ValueError):
             parse_rat(bad)
-
-
-@settings(max_examples=40, deadline=None)
-@given(upolys(), upolys(allow_zero=False), upolys(allow_zero=False))
-def test_ratfunc_canonical_equality(a, b, c):
-    # a/b == (a*c)/(b*c) after reduction
-    assert RatFunc(a, b) == RatFunc(a * c, b * c)
-
-
-@settings(max_examples=40, deadline=None)
-@given(upolys(), upolys(allow_zero=False), upolys(), upolys(allow_zero=False))
-def test_ratfunc_field_ops(a, b, c, d):
-    x = RatFunc(a, b)
-    y = RatFunc(c, d)
-    assert x + y == RatFunc(a * d + c * b, b * d)
-    assert x * y == RatFunc(a * c, b * d)
-    assert (x - x).is_zero()
-
-
-@settings(max_examples=30, deadline=None)
-@given(upolys(allow_zero=False), upolys(allow_zero=False), upolys(allow_zero=False))
-def test_gcd_divides_common_multiple(a, b, c):
-    g = upoly_gcd(a * c, b * c)
-    # c divides the gcd of (ac, bc)
-    (g.divexact(upoly_gcd(g, c)))   # no exception: gcd(g, c) divides g
-    assert (a * c).divexact(g) * g == a * c
 
 
 def test_q_power_and_u_power():
