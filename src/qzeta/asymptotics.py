@@ -25,6 +25,7 @@ from .linform import (
     Params,
     P_eps_values_hat,
     S_eps_numeric,
+    _check_q0,
 )
 from .qcomb import cyclotomic
 from .series import DEFAULT_PREC, PrecisionError, working_prec
@@ -58,7 +59,7 @@ def log_abs_fraction(x: Fraction) -> mpf:
 
 def _log_inv_q(q0: Fraction) -> mpf:
     """L = log|1/q0| > 0 for 0 < |q0| < 1."""
-    return -log_abs_fraction(q0)
+    return -log_abs_fraction(_check_q0(q0))
 
 
 def fit_limit(points) -> float:

@@ -2,7 +2,8 @@
 
 Every verification in the library is exposed as a subcommand with
 machine-readable output (json, csv, or pretty text).  q is always an
-exact rational string like "1/3" (decimals are rejected), n-ranges are
+exact rational string like "1/3" (decimals are rejected; a negative one
+may follow --q as a separate word, "--q -1/2"), n-ranges are
 written "a..b", and the default working precision comes from the
 QZETA_PREC environment variable when set.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -419,9 +421,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_NEGATIVE_RAT = re.compile(r"-\d+(/\d+)?")
+
+
+def _join_negative_q(argv: list) -> list:
+    """argparse takes '-1/2' after --q for an option; pass it as --q=-1/2."""
+    out = []
+    i = 0
+    while i < len(argv):
+        if (argv[i] == "--q" and i + 1 < len(argv)
+                and _NEGATIVE_RAT.fullmatch(argv[i + 1])):
+            out.append("--q=" + argv[i + 1])
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_q(sys.argv[1:] if argv is None else list(argv)))
     if args.prec < 16:
         print("invalid input: --prec must be >= 16", file=sys.stderr)
         return EXIT_INVALID

@@ -124,6 +124,7 @@ class CycloCache:
     def __init__(self):
         self._phi = {}
         self._dn = [UPoly.one()]
+        self._products = {}
 
     def phi(self, l: int) -> UPoly:
         if l < 1:
@@ -146,6 +147,17 @@ class CycloCache:
             m = len(self._dn)
             self._dn.append(self._dn[m - 1] * self.phi(m))
         return self._dn[n]
+
+    def product(self, exps: dict) -> UPoly:
+        """prod_l Phi_l(q)^m over exps = {l: m}."""
+        key = tuple(sorted(exps.items()))
+        got = self._products.get(key)
+        if got is None:
+            got = UPoly.one()
+            for l, m in key:
+                got = got * self.phi(l) ** m
+            self._products[key] = got
+        return got
 
 
 _CYCLO = CycloCache()
@@ -241,10 +253,7 @@ class PhiProduct:
         return PhiProduct(out)
 
     def expand(self) -> UPoly:
-        out = UPoly.one()
-        for l in sorted(self.e):
-            out = out * cyclotomic(l) ** self.e[l]
-        return out
+        return _CYCLO.product(self.e)
 
     def eval_fraction(self, q0: Fraction) -> Fraction:
         out = Fraction(1)

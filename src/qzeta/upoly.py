@@ -2,19 +2,41 @@
 
 Everything downstream works over the field Q(q^(1/2)).  We represent it
 concretely as Laurent polynomials in a variable u with u^2 = q, so a
-monomial q^(e/2) is stored as the u-exponent e.  Coefficients are exact
-rationals (Python int or fractions.Fraction; integers are kept as int so
-that the common all-integer case stays fast).
+monomial q^(e/2) is stored as the u-exponent e.
 
-UPoly is immutable in spirit: no method mutates the receiver, and the
-coefficient dict must not be touched from outside.  That makes every
+A UPoly is a dense integer polynomial over one denominator, held in four
+fields:
+
+- ``lo``, the lowest u-exponent;
+- ``st``, the stride: the gap between consecutive stored exponents;
+- ``v``, the list of int coefficients of u^lo, u^(lo+st), u^(lo+2*st), ...;
+- ``den``, the common denominator, a positive int.
+
+The value is sum_i v[i] * u^(lo + st*i) / den.  The form is canonical, so
+equal values have equal fields: both ends of ``v`` are nonzero, ``den`` is
+coprime to the content of ``v``, and the stride is 2 when every term has
+the parity of ``lo``, otherwise 1.  Every q-polynomial has stride 2, and
+so does any q-polynomial times u^k; stride 1 appears only when both
+parities of u-exponent occur.  Zero is ``v == []`` with lo = 0, st = 2,
+den = 1.
+
+Every product is one integer convolution: a row update for small
+operands, Kronecker substitution (one big-int multiply, with linear-time
+packing) above a fixed size.  Exact division is ascending synthetic
+division on the integer lists, done as running sums when the divisor is
+a binomial with unit coefficients.
+
+UPoly is immutable: no method mutates the receiver or a list it shares,
+and the fields must not be touched from outside.  That makes every
 function in the package safe to call from concurrent code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate, cycle, repeat
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 
 
 class ExactArithError(Exception):
@@ -47,204 +69,309 @@ def format_rat(x) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def _norm_coeff(c):
-    # keep exact ints as int; Fractions with denominator 1 collapse to int
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+# ----------------------------------------------------------------------
+# Integer convolution.
+
+# Kronecker substitution turns a convolution into one integer multiply,
+# which CPython does subquadratically; below this many coefficient
+# products the row update is faster.
+_KRONECKER_CUTOFF = 1024
 
 
-# Kronecker substitution: packing a dense integer-coefficient polynomial
-# into one big int turns convolution into a single integer multiply, which
-# CPython does subquadratically.  Worth it once the naive dict convolution
-# would exceed a few thousand coefficient multiplies.
-_KRONECKER_CUTOFF = 4096
+def _biased_slots(n: int, w: int) -> int:
+    """The integer whose n slots of w bytes each hold 2^(8w-1)."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(a: list, w: int, half: int) -> int:
+    """sum_i a[i] * 2^(8w*i), through one bytes.join of biased slots."""
+    data = b"".join(map(int.to_bytes, map(half.__add__, a), repeat(w), repeat("little")))
+    return int.from_bytes(data, "little") - _biased_slots(len(a), w)
 
 
 def _kronecker_mul(a: list, b: list) -> list:
-    bits_a = max(abs(x).bit_length() for x in a if x)
-    bits_b = max(abs(x).bit_length() for x in b if x)
-    width = bits_a + bits_b + min(len(a), len(b)).bit_length() + 2
-    pa = 0
+    """Product of two int lists by Kronecker substitution.
+
+    Each list is packed into one integer with slots of w bytes.  A product
+    coefficient is a sum of at most min(len(a), len(b)) products, so the
+    slot width below bounds it by half = 2^(8w-1) in absolute value; after
+    adding half to every slot all digits are nonnegative and the product
+    is read back by one to_bytes and one slice pass.
+    """
+    n = len(a) + len(b) - 1
+    bits = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+            + min(len(a), len(b)).bit_length() + 1)
+    w = (bits + 7) // 8
+    half = 1 << (8 * w - 1)
+    prod = _pack(a, w, half) * _pack(b, w, half) + _biased_slots(n, w)
+    try:
+        data = prod.to_bytes(n * w, "little")
+    except OverflowError:
+        raise ExactArithError("kronecker decode failed") from None
+    return [int.from_bytes(data[i:i + w], "little") - half
+            for i in range(0, n * w, w)]
+
+
+def _conv(a: list, b: list) -> list:
+    """Product of two nonempty int lists."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) * len(b) >= _KRONECKER_CUTOFF:
+        return _kronecker_mul(a, b)
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
     for i, x in enumerate(a):
         if x:
-            pa += x << (i * width)
-    pb = 0
-    for i, x in enumerate(b):
-        if x:
-            pb += x << (i * width)
-    prod = pa * pb
-    out = []
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    for _ in range(len(a) + len(b) - 1):
-        digit = prod & mask
-        if digit >= half:
-            digit -= 1 << width
-        prod = (prod - digit) >> width
-        out.append(digit)
-    assert prod == 0, "kronecker decode failed"
+            out[i:i + lb] = map(add, out[i:i + lb], map(x.__mul__, b))
     return out
+
+
+def _spread(v: list, st: int) -> list:
+    """The coefficient list v of stride st at stride 1 (v itself if st is 1)."""
+    if st == 1:
+        return v
+    out = [0] * (2 * len(v) - 1)
+    out[::2] = v
+    return out
+
+
+def _divide(num: list, d: list) -> tuple:
+    """Exact quotient of the int list num by the int list d, as an int
+    list and a denominator.
+
+    Ascending synthetic division, each quotient coefficient from a dot
+    product with the ones before it: in ints when d[0] is +-1, otherwise
+    in Fractions.  Raises ExactDivisionError on a nonzero remainder.
+    """
+    lead, tail = d[0], d[1:]
+    lt = len(tail)
+    qlen = len(num) - lt
+    unit = lead in (1, -1)
+    if unit and lt and tail[-1] in (1, -1) and not any(tail[:-1]):
+        return _divide_binomial(num, lead, tail[-1], lt), 1
+    rt = tail[::-1]
+    # quot[lt + i] is the quotient's coefficient i; lt zeros pad each end
+    quot = [0] * (len(num) + lt)
+    for i in range(qlen):
+        c = num[i] - sum(map(mul, rt, quot[i:i + lt]))
+        quot[i + lt] = c * lead if unit else Fraction(c, lead)
+    if any(num[i] - sum(map(mul, rt, quot[i:i + lt])) for i in range(qlen, len(num))):
+        raise ExactDivisionError("nonzero remainder")
+    quot = quot[lt:lt + qlen]
+    if unit:
+        return quot, 1
+    qden = lcm(*(f.denominator for f in quot))
+    return [f.numerator * (qden // f.denominator) for f in quot], qden
+
+
+def _divide_binomial(num: list, a: int, b: int, g: int) -> list:
+    """Exact quotient of num by a + b*x^g with a, b in {1, -1}.
+
+    Such divisors (Phi_1, Phi_2, 1 - q^m) are most of the trial divisions.
+    The quotient obeys quot[i] = a*num[i] - a*b*quot[i-g], a running sum
+    along each residue class mod g (with alternating signs when a*b = 1),
+    which itertools.accumulate computes without a Python-level loop.
+    """
+    qlen = len(num) - g
+    quot = [0] * qlen
+    for r in range(min(g, qlen)):
+        seq = num[r:qlen:g]
+        if a == -1:
+            seq = map(neg, seq)
+        if a * b == -1:
+            quot[r:qlen:g] = accumulate(seq)
+        else:
+            quot[r:qlen:g] = map(mul, accumulate(map(mul, seq, cycle((1, -1)))),
+                                 cycle((1, -1)))
+    # quot * (a + b x^g) equals num below qlen by construction
+    if any(num[i] - b * quot[i - g] if i >= g else num[i]
+           for i in range(qlen, len(num))):
+        raise ExactDivisionError("nonzero remainder")
+    return quot
+
+
+# ----------------------------------------------------------------------
+
+def _canon(p: "UPoly", lo: int, st: int, v: list, den: int) -> "UPoly":
+    """Fill p with the canonical form of sum_i v[i] u^(lo+st*i) / den.
+
+    v is an int list the caller hands over; den > 0.
+    """
+    if not any(v):
+        lo, st, v, den = 0, 2, [], 1
+    else:
+        i, j = 0, len(v)
+        while not v[i]:
+            i += 1
+        while not v[j - 1]:
+            j -= 1
+        if i or j < len(v):
+            v = v[i:j]
+            lo += st * i
+        if st == 1 and not any(v[1::2]):
+            v = v[::2]
+            st = 2
+        if den != 1:
+            g = gcd(den, *v)
+            if g != 1:
+                v = [x // g for x in v]
+                den //= g
+    p.lo, p.st, p.v, p.den = lo, st, v, den
+    return p
+
+
+def _norm(lo: int, st: int, v: list, den: int = 1) -> "UPoly":
+    return _canon(UPoly.__new__(UPoly), lo, st, v, den)
 
 
 class UPoly:
     """Laurent polynomial in u (u^2 = q) with exact rational coefficients."""
 
-    __slots__ = ("c",)
+    __slots__ = ("lo", "st", "v", "den")
 
     def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = _norm_coeff(v)
-                if v:
-                    d[int(e)] = v
-        self.c = d
+        """Build from a dict {u_exp: coefficient}; coefficients are anything
+        Fraction() accepts exactly."""
+        terms = {int(e): Fraction(c) for e, c in (coeffs or {}).items() if c}
+        if not terms:
+            _canon(self, 0, 2, [], 1)
+            return
+        lo = min(terms)
+        den = lcm(*(c.denominator for c in terms.values()))
+        v = [0] * (max(terms) - lo + 1)
+        for e, c in terms.items():
+            v[e - lo] = c.numerator * (den // c.denominator)
+        _canon(self, lo, 1, v, den)
 
     # --- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "UPoly":
-        return cls()
+        return _norm(0, 2, [])
 
     @classmethod
     def one(cls) -> "UPoly":
-        return cls({0: 1})
+        return _norm(0, 2, [1])
 
     @classmethod
     def const(cls, v) -> "UPoly":
-        return cls({0: Fraction(v)})
+        v = Fraction(v)
+        return _norm(0, 2, [v.numerator], v.denominator)
 
     @classmethod
     def q_power(cls, e: int) -> "UPoly":
         """The monomial q^e as a UPoly (u-exponent 2e)."""
-        return cls({2 * e: 1})
+        return _norm(2 * e, 2, [1])
 
     @classmethod
     def u_power(cls, e: int) -> "UPoly":
-        return cls({e: 1})
+        return _norm(e, 2, [1])
 
     # --- predicates and shape ------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.v
 
     def __bool__(self) -> bool:
-        return bool(self.c)
+        return bool(self.v)
 
     def min_exp(self) -> int:
-        if not self.c:
+        if not self.v:
             raise ValueError("zero polynomial has no exponents")
-        return min(self.c)
+        return self.lo
 
     def max_exp(self) -> int:
-        if not self.c:
+        if not self.v:
             raise ValueError("zero polynomial has no exponents")
-        return max(self.c)
+        return self.lo + self.st * (len(self.v) - 1)
 
     def only_even_exponents(self) -> bool:
-        return all(e % 2 == 0 for e in self.c)
+        return not self.v or (self.st == 2 and self.lo % 2 == 0)
 
     def coefficients_integral(self) -> bool:
-        return all(isinstance(v, int) or v.denominator == 1 for v in self.c.values())
+        return self.den == 1
 
     def num_terms(self) -> int:
-        return len(self.c)
+        return len(self.v) - self.v.count(0)
 
-    def coeff(self, e: int):
-        return Fraction(self.c.get(e, 0))
+    def coeff(self, e: int) -> Fraction:
+        k, r = divmod(e - self.lo, self.st)
+        if r or not 0 <= k < len(self.v):
+            return Fraction(0)
+        return Fraction(self.v[k], self.den)
+
+    def terms(self) -> list:
+        """The nonzero terms as (u_exp, Fraction) pairs, ascending in u_exp."""
+        lo, st, den = self.lo, self.st, self.den
+        return [(lo + st * i, Fraction(x, den)) for i, x in enumerate(self.v) if x]
 
     # --- ring operations ------------------------------------------------
 
+    def _combine(self, other: "UPoly", op) -> "UPoly":
+        """self op other for op in (add, sub)."""
+        va, vb = self.v, other.v
+        den = self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            va = list(map((other.den // g).__mul__, va))
+            vb = list(map((den // g).__mul__, vb))
+            den = den // g * other.den
+        if self.st == 2 and other.st == 2 and (self.lo - other.lo) % 2 == 0:
+            st = 2
+        else:
+            st, va, vb = 1, _spread(va, self.st), _spread(vb, other.st)
+        lo = min(self.lo, other.lo)
+        ia, ib = (self.lo - lo) // st, (other.lo - lo) // st
+        out = [0] * max(ia + len(va), ib + len(vb))
+        out[ia:ia + len(va)] = va
+        out[ib:ib + len(vb)] = map(op, out[ib:ib + len(vb)], vb)
+        return _norm(lo, st, out, den)
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly({0: other})
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        out = dict(self.c)
-        for e, v in other.c.items():
-            s = out.get(e, 0) + v
-            s = _norm_coeff(s)
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        res = UPoly.__new__(UPoly)
-        res.c = out
-        return res
+        if type(other) is not UPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = UPoly.const(other)
+        if not other.v:
+            return self
+        if not self.v:
+            return other
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = UPoly.__new__(UPoly)
-        res.c = {e: -v for e, v in self.c.items()}
-        return res
+        return _norm(self.lo, self.st, [-x for x in self.v], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly({0: other})
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not UPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = UPoly.const(other)
+        if not other.v:
+            return self
+        if not self.v:
+            return -other
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
-            if not other:
-                return UPoly()
-            res = UPoly.__new__(UPoly)
-            res.c = {e: _norm_coeff(v * other) for e, v in self.c.items()}
-            return res
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        if not self.c or not other.c:
-            return UPoly()
-        if len(self.c) * len(other.c) >= _KRONECKER_CUTOFF:
-            return self._mul_kronecker(other)
-        out = {}
-        a, b = self.c, other.c
-        if len(a) > len(b):
-            a, b = b, a
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                s = out.get(e, 0) + va * vb
-                out[e] = s
-        res = UPoly.__new__(UPoly)
-        res.c = {e: _norm_coeff(v) for e, v in out.items() if v}
-        return res
+        if type(other) is not UPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return _norm(self.lo, self.st, list(map(other.numerator.__mul__, self.v)),
+                         self.den * other.denominator)
+        if not self.v or not other.v:
+            return UPoly.zero()
+        if self.st == 2 and other.st == 2:
+            st, va, vb = 2, self.v, other.v
+        else:
+            st, va, vb = 1, _spread(self.v, self.st), _spread(other.v, other.st)
+        return _norm(self.lo + other.lo, st, _conv(va, vb), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def _mul_kronecker(self, other: "UPoly") -> "UPoly":
-        lo_a, lo_b = self.min_exp(), other.min_exp()
-        da = [0] * (self.max_exp() - lo_a + 1)
-        scale_a = 1
-        for v in self.c.values():
-            if isinstance(v, Fraction):
-                scale_a = lcm(scale_a, v.denominator)
-        for e, v in self.c.items():
-            da[e - lo_a] = int(v * scale_a) if isinstance(v, Fraction) else v * scale_a
-        db = [0] * (other.max_exp() - lo_b + 1)
-        scale_b = 1
-        for v in other.c.values():
-            if isinstance(v, Fraction):
-                scale_b = lcm(scale_b, v.denominator)
-        for e, v in other.c.items():
-            db[e - lo_b] = int(v * scale_b) if isinstance(v, Fraction) else v * scale_b
-        dense = _kronecker_mul(da, db)
-        scale = scale_a * scale_b
-        lo = lo_a + lo_b
-        out = {}
-        for i, v in enumerate(dense):
-            if v:
-                out[lo + i] = _norm_coeff(Fraction(v, scale)) if scale != 1 else v
-        res = UPoly.__new__(UPoly)
-        res.c = out
-        return res
 
     def __pow__(self, k: int):
         if k < 0:
@@ -260,47 +387,42 @@ class UPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly({0: other})
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        if len(self.c) != len(other.c):
-            return False
-        for e, v in self.c.items():
-            if e not in other.c or other.c[e] != v:
-                return False
-        return True
+        if type(other) is not UPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = UPoly.const(other)
+        return (self.lo == other.lo and self.st == other.st
+                and self.den == other.den and self.v == other.v)
 
     def __hash__(self):
-        return hash(frozenset((e, Fraction(v)) for e, v in self.c.items()))
+        # a constant hashes as its value, since it compares equal to it
+        if self.lo == 0 and len(self.v) <= 1:
+            return hash(Fraction(self.v[0], self.den) if self.v else 0)
+        return hash((self.lo, self.st, self.den, tuple(self.v)))
 
     # --- substitutions and evaluation ------------------------------------
 
     def shift_u(self, k: int) -> "UPoly":
         """Multiply by u^k."""
-        res = UPoly.__new__(UPoly)
-        res.c = {e + k: v for e, v in self.c.items()}
-        return res
+        if not self.v:
+            return self
+        return _norm(self.lo + k, self.st, self.v, self.den)
 
     def subst_inv(self) -> "UPoly":
         """Substitute u -> 1/u (hence q -> 1/q)."""
-        res = UPoly.__new__(UPoly)
-        res.c = {-e: v for e, v in self.c.items()}
-        return res
+        if not self.v:
+            return self
+        return _norm(-self.max_exp(), self.st, self.v[::-1], self.den)
 
     def even_odd_parts(self):
         """Split into (even, odd) with self = even + u * odd, both in q only."""
-        ev, od = {}, {}
-        for e, v in self.c.items():
-            if e % 2 == 0:
-                ev[e] = v
-            else:
-                od[e - 1] = v
-        pe = UPoly.__new__(UPoly)
-        pe.c = ev
-        po = UPoly.__new__(UPoly)
-        po.c = od
-        return pe, po
+        if self.st == 2:
+            if self.lo % 2 == 0:
+                return self, UPoly.zero()
+            return UPoly.zero(), self.shift_u(-1)
+        j = self.lo % 2            # v[j] is the lowest even-exponent slot
+        return (_norm(self.lo + j, 2, self.v[j::2], self.den),
+                _norm(self.lo - j, 2, self.v[1 - j::2], self.den))
 
     def eval_fraction(self, q0: Fraction) -> Fraction:
         """Exact evaluation at q = q0.  Requires only even u-exponents."""
@@ -312,11 +434,11 @@ class UPoly:
     def eval_pair(self, q0: Fraction):
         """Exact evaluation at q = q0 as (a, b) meaning a + b*sqrt(q0)."""
         q0 = Fraction(q0)
-        if q0 == 0 and self.c and self.min_exp() < 0:
+        if q0 == 0 and self.v and self.lo < 0:
             raise PoleError("evaluation at q0 = 0 with negative exponents")
         a = Fraction(0)
         b = Fraction(0)
-        for e, v in self.c.items():
+        for e, v in self.terms():
             half, rem = divmod(e, 2)
             if rem == 0:
                 a += v * q0 ** half
@@ -342,77 +464,37 @@ class UPoly:
 
     def divexact(self, other: "UPoly") -> "UPoly":
         """Exact division; raises ExactDivisionError on nonzero remainder."""
-        if other.is_zero():
+        if not other.v:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return UPoly()
-        lo_s, lo_o = self.min_exp(), other.min_exp()
-        hi_s, hi_o = self.max_exp(), other.max_exp()
-        if hi_s - lo_s < hi_o - lo_o:
+        if not self.v:
+            return UPoly.zero()
+        # An exact quotient of two stride-2 polynomials has stride 2 too
+        # (a quotient with both parities would give a product with both).
+        if self.st == 2 and other.st == 2:
+            st, num, d = 2, self.v, other.v
+        else:
+            st, num, d = 1, _spread(self.v, self.st), _spread(other.v, other.st)
+        if len(num) < len(d):
             raise ExactDivisionError("degree too small for exact division")
-        # When both operands live on a parity lattice (all exponent offsets
-        # even), an exact quotient lives on the lattice too, so divide with
-        # stride 2: half-length arrays, identical exactness semantics.
-        step = 1 if (any((e - lo_s) % 2 for e in self.c)
-                     or any((e - lo_o) % 2 for e in other.c)) else 2
-        den = [other.c.get(lo_o + step * i, 0)
-               for i in range((hi_o - lo_o) // step + 1)]
-        num = [self.c.get(lo_s + step * i, 0)
-               for i in range((hi_s - lo_s) // step + 1)]
-        qlen = len(num) - len(den) + 1
-        lead = den[0]
-        lo = lo_s - lo_o
-        if (lead in (1, -1)
-                and all(type(v) is int for v in num)
-                and all(type(v) is int for v in den)):
-            # ascending synthetic division stays in the integers
-            nz = [(k, dk) for k, dk in enumerate(den) if dk and k]
-            quot = [0] * qlen
-            for i in range(qlen):
-                cur = num[i]
-                if cur:
-                    f = cur if lead == 1 else -cur
-                    quot[i] = f
-                    num[i] = 0
-                    for k, dk in nz:
-                        num[i + k] -= f * dk
-            if any(num):
-                raise ExactDivisionError("nonzero remainder")
-            return UPoly({lo + step * i: v for i, v in enumerate(quot) if v})
-        den = [Fraction(v) for v in den]
-        num = [Fraction(v) for v in num]
-        nz = [(k, dk) for k, dk in enumerate(den) if dk and k]
-        lead = den[0]
-        quot = [Fraction(0)] * qlen
-        for i in range(qlen):
-            cur = num[i]
-            if cur:
-                f = cur / lead
-                quot[i] = f
-                num[i] = 0
-                for k, dk in nz:
-                    num[i + k] -= f * dk
-        if any(num):
-            raise ExactDivisionError("nonzero remainder")
-        return UPoly({lo + step * i: v for i, v in enumerate(quot) if v})
+        quot, qden = _divide(num, d)
+        if other.den != 1:
+            quot = list(map(other.den.__mul__, quot))
+        return _norm(self.lo - other.lo, st, quot, self.den * qden)
 
     # --- serialization ------------------------------------------------------
 
     def to_json(self) -> list:
-        return [
-            {"u_exp": e, "coeff": format_rat(self.c[e])} for e in sorted(self.c)
-        ]
+        return [{"u_exp": e, "coeff": format_rat(c)} for e, c in self.terms()]
 
     @classmethod
     def from_json(cls, records) -> "UPoly":
         return cls({int(r["u_exp"]): parse_rat(r["coeff"]) for r in records})
 
     def __repr__(self):
-        if not self.c:
+        if not self.v:
             return "UPoly(0)"
         bits = []
-        for e in sorted(self.c):
-            v = self.c[e]
+        for e, v in self.terms():
             if e == 0:
                 bits.append(f"{v}")
             elif e % 2 == 0:
@@ -420,4 +502,3 @@ class UPoly:
             else:
                 bits.append(f"{v}*u^{e}")
         return "UPoly(" + " + ".join(bits) + ")"
-

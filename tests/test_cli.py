@@ -55,12 +55,29 @@ def test_invalid_input_exits_2(capsys, argv):
      "invalid input: --prec must be >= 16"),
     (("zeta3", "--n", "2", "--q", "1/3", "--prec", "15"),
      "invalid input: --prec must be >= 16"),
+    (("slope-S", "--A", "4", "--r", "1", "--q", "0", "--n", "2..4"),
+     "invalid input: need 0 < |q0| < 1, got 0"),
+    (("slope-P", "--A", "4", "--r", "1", "--eps", "0", "--q", "0", "--n", "2..4"),
+     "invalid input: need 0 < |q0| < 1, got 0"),
+    (("slope-D", "--A", "4", "--r", "1", "--q", "0", "--n", "2..4"),
+     "invalid input: need 0 < |q0| < 1, got 0"),
+    (("slope-D", "--A", "4", "--r", "1", "--q", "1", "--n", "2..4"),
+     "invalid input: need 0 < |q0| < 1, got 1"),
 ])
 def test_invalid_input_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.strip() == message
+
+
+def test_negative_q_as_separate_word(capsys):
+    head = ("linform", "--A", "4", "--r", "1", "--n", "2")
+    code1, out1, err1 = run(capsys, *head, "--q", "-1/2")
+    code2, out2, _ = run(capsys, *head, "--q=-1/2")
+    assert code1 == code2 == 0, err1
+    assert out1 == out2
+    assert json.loads(out1)["residual_pass"] is True
 
 
 def test_delta_reference_value(capsys):

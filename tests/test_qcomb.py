@@ -49,15 +49,15 @@ def test_cyclotomic_known_values():
     assert cyclotomic(2) == UPoly({2: 1, 0: 1})                       # q + 1
     assert cyclotomic(6) == UPoly({4: 1, 2: -1, 0: 1})                # q^2-q+1
     # first index with a coefficient outside {0, +-1}
-    assert any(abs(v) > 1 for v in cyclotomic(105).c.values())
+    assert any(abs(v) > 1 for _, v in cyclotomic(105).terms())
 
 
 def test_cyclotomic_palindromic_above_one():
     for l in range(2, 40):
         p = cyclotomic(l)
         lo, hi = p.min_exp(), p.max_exp()
-        for e, v in p.c.items():
-            assert p.c.get(lo + hi - e) == v, l
+        for e, v in p.terms():
+            assert p.coeff(lo + hi - e) == v, l
 
 
 def test_d_poly_is_cyclotomic_product():

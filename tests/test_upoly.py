@@ -2,11 +2,20 @@
 multiplication strategies, substitutions and serialization."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qzeta.upoly import ExactDivisionError, UPoly, format_rat, parse_rat
+from qzeta.upoly import (
+    _KRONECKER_CUTOFF,
+    ExactDivisionError,
+    UPoly,
+    _conv,
+    _kronecker_mul,
+    format_rat,
+    parse_rat,
+)
 
 coeffs = st.integers(min_value=-30, max_value=30)
 exps = st.integers(min_value=-8, max_value=8)
@@ -32,10 +41,36 @@ def upolys(draw, max_terms=6, allow_zero=True, fractions=False):
 
 def naive_mul(a: UPoly, b: UPoly) -> UPoly:
     out = {}
-    for e1, c1 in a.c.items():
-        for e2, c2 in b.c.items():
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return UPoly(out)
+
+
+def naive_conv(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def fields(p: UPoly) -> tuple:
+    return (p.lo, p.st, p.den, p.v)
+
+
+def assert_canonical(p: UPoly):
+    """The invariants the representation promises (see the upoly docstring)."""
+    assert all(type(x) is int for x in p.v)
+    assert type(p.den) is int and p.den > 0
+    if not p.v:
+        assert fields(p) == (0, 2, 1, [])
+        return
+    assert p.v[0] and p.v[-1]
+    assert gcd(p.den, *p.v) == 1
+    exps = [e for e, _ in p.terms()]
+    both_parities = len({e % 2 for e in exps}) == 2
+    assert p.st == (1 if both_parities else 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -55,6 +90,92 @@ def test_ring_axioms(a, b, c):
 @given(upolys(max_terms=10), upolys(max_terms=10))
 def test_mul_matches_naive(a, b):
     assert a * b == naive_mul(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(upolys(fractions=True), upolys(fractions=True),
+       st.fractions(min_value=-5, max_value=5).filter(bool))
+def test_equal_values_have_equal_fields_and_hashes(a, b, k):
+    built = [
+        (a * b, naive_mul(a, b)),
+        ((a + b) - b, a),
+        (a * k * (1 / k), a),
+        (a * k, UPoly({e: c * k for e, c in a.terms()})),
+    ]
+    for x, y in built:
+        assert_canonical(x)
+        assert_canonical(y)
+        assert fields(x) == fields(y)
+        assert x == y and hash(x) == hash(y)
+
+
+mixed = st.builds(UPoly, st.dictionaries(exps, coeffs, min_size=2)).filter(
+    lambda p: p.st == 1)
+qpolys = st.builds(UPoly, st.dictionaries(st.integers(-4, 4).map(lambda e: 2 * e),
+                                          coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed, qpolys, st.integers(-3, 3))
+def test_mixed_parity_times_q_polynomial(a, b, k):
+    # stride 1 (both parities) against stride 2, also after a shift by u^k
+    for bb in (b, b.shift_u(k)):
+        prod = a * bb
+        assert_canonical(prod)
+        assert prod == naive_mul(a, bb)
+        if bb:
+            assert prod.st == 1
+            assert prod.divexact(bb) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mixed, qpolys, qpolys.map(lambda p: p.shift_u(1))))
+def test_even_odd_parts_on_both_strides(p):
+    ev, od = p.even_odd_parts()
+    for part in (ev, od):
+        assert_canonical(part)
+        assert part.only_even_exponents()
+    assert ev + UPoly.u_power(1) * od == p
+
+
+def int_lists(max_len):
+    entries = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+    body = st.lists(entries, min_size=1, max_size=max_len)
+    pad = st.integers(min_value=0, max_value=2)
+    return st.builds(lambda z0, v, z1: [0] * z0 + v + [0] * z1, pad, body, pad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_lists(64), int_lists(64))
+def test_kronecker_mul_matches_naive_convolution(a, b):
+    # sizes reach both sides of the cutoff between row update and packing
+    assert _kronecker_mul(a, b) == naive_conv(a, b)
+    assert _conv(a, b) == naive_conv(a, b)
+
+
+def test_convolution_on_both_sides_of_cutoff():
+    m = isqrt(_KRONECKER_CUTOFF)
+    for la, lb in ((1, 1), (1, 300), (m - 1, m), (m, m), (m + 1, 2 * m)):
+        a = [(-1) ** i * (i + 1) << 299 for i in range(la)]
+        b = [(-1) ** (i // 3) * (7 * i - 5) for i in range(lb)]
+        assert _conv(a, b) == naive_conv(a, b)
+        assert _kronecker_mul(a, b) == naive_conv(a, b)
+
+
+def test_constant_hashes_as_its_value():
+    for c in (3, Fraction(-2, 7), 0):
+        assert UPoly.const(c) == c
+        assert hash(UPoly.const(c)) == hash(c)
+        assert c in {UPoly.const(c)}
+        assert UPoly.const(c) in {c}
+    assert UPoly.u_power(2) != 1
+
+
+def test_terms_ascending_with_fraction_values():
+    p = UPoly({5: 2, -3: Fraction(2, 3), 0: 0, 1: -1})
+    assert p.terms() == [(-3, Fraction(2, 3)), (1, Fraction(-1)), (5, Fraction(2))]
+    assert all(type(c) is Fraction for _, c in p.terms())
+    assert UPoly.zero().terms() == []
 
 
 def test_kronecker_path_on_large_operands():
@@ -96,6 +217,17 @@ def test_divexact_int_fast_path_even_stride():
     # mixed parity falls back to stride 1
     c = UPoly({1: 2, 2: 1})
     assert (a * c).divexact(c) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(upolys(fractions=True), st.sampled_from((1, -1)), st.sampled_from((1, -1)),
+       st.integers(1, 5), exps)
+def test_divexact_by_unit_binomial(a, s0, s1, m, k):
+    # u^k (s0 + s1 u^m): stride 2 for even m, stride 1 for odd m
+    b = UPoly({k: s0, k + m: s1})
+    assert (a * b).divexact(b) == a
+    with pytest.raises(ExactDivisionError):
+        (a * b + UPoly.u_power(k)).divexact(b)
 
 
 def test_divexact_rejects_non_divisor():
