@@ -39,6 +39,7 @@ from .series import (
     UPolyRing,
     pf_extract,
     pf_reconstruct,
+    pf_values,
     sum_with_tail,
     tmul_linear,
     working_prec,
@@ -374,20 +375,13 @@ def P_eps(params: Params) -> dict:
 def _pf_values(A: int, r: int, n: int, q0: Fraction):
     """Hat partial-fraction values at an exact rational q0 (fast path)."""
     ring = FractionRing(q0)
-    numer = _hat_numerator(A, r, n, ring)
-    rows, bases = pf_extract(numer, n + 1, A, ring)
-    vals = []
-    for j in range(n + 1):
-        base = Fraction(1)
-        for m in bases[j]:
-            base *= 1 - q0 ** m
-        vals.append({s: rows[j][s] / base ** (2 * A - s) for s in range(1, A + 1)})
-    return tuple(vals)
+    return tuple(pf_values(_hat_numerator(A, r, n, ring), n + 1, A, ring))
 
 
 @lru_cache(maxsize=None)
 def P_eps_values_hat(A: int, r: int, n: int, eps: int, q0: Fraction):
     """Exact Fractions: hat P0^[eps] and {s: hat Ps^[eps]} at q = q0."""
+    Params(A, r, n, eps)  # validates (A, r, n, eps) before any arithmetic
     dval = _pf_values(A, r, n, q0)
     p0, ps = _assemble_eps(dval, A, n, eps, FractionRing(q0))
     return p0, tuple(sorted(ps.items()))

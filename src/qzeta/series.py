@@ -17,7 +17,7 @@ and the weight-3 kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from mpmath import mpf
 
@@ -124,6 +124,8 @@ def tpow(a: list, k: int) -> list:
 #     qpow(m)                 -- the element q^m, m any integer
 #     divexact(a, b)          -- a / b, known to be exact
 #     div_one_minus_qpow(x, m, p) -- x / (1 - q^m)^p in the fraction field
+#     pole_shifts(numer, count, order) -- numer(q^-j (1 - V)) mod V^order
+#                                for every pole j < count
 # UPolyRing is the symbolic ring Q[u, 1/u] (fractions are QFrac, with
 # cyclotomic denominators); FractionRing(q0) specializes q = q0.
 
@@ -143,6 +145,28 @@ class UPolyRing:
     def div_one_minus_qpow(x, m: int, p: int) -> QFrac:
         return (x if isinstance(x, QFrac) else QFrac(x)).div_one_minus_qpow(m, p)
 
+    @staticmethod
+    def pole_shifts(numer_T: list, pole_count: int, order: int) -> list:
+        """numer(q^-j (1 - V)) mod V^order for j < pole_count, by Horner
+        in (1 - V)."""
+        zero = UPoly.zero()
+        out = []
+        for j in range(pole_count):
+            qj = UPoly.q_power(-j)
+            s = [zero] * order
+            for cval in reversed(numer_T):
+                new = [zero] * order
+                for i, si in enumerate(s):
+                    if si:
+                        t = qj * si
+                        new[i] = new[i] + t
+                        if i + 1 < order:
+                            new[i + 1] = new[i + 1] - t
+                new[0] = new[0] + cval
+                s = new
+            out.append(s)
+        return out
+
 
 class FractionRing:
     def __init__(self, q0: Fraction):
@@ -160,15 +184,77 @@ class FractionRing:
     def div_one_minus_qpow(self, x: Fraction, m: int, p: int) -> Fraction:
         return x / (1 - self.q0 ** m) ** p
 
+    def pole_shifts(self, numer_T: list, pole_count: int, order: int) -> list:
+        """The same shifts in integers, with no gcd inside the loop.
+
+        With q0 = a/b, N = D * numer (D the lcm of its denominators) and
+        top = len(numer) - 1,
+
+            D a^(j*top) numer(q0^-j (1 - V))
+                = sum_i N_i b^(j*i) a^(j*(top-i)) (1 - V)^i,
+
+        a homogeneous Horner pass per pole; each of the order output
+        coefficients becomes one Fraction at the end.
+        """
+        a, b = self.q0.numerator, self.q0.denominator
+        den = lcm(*(c.denominator for c in numer_T))
+        nums = [c.numerator * (den // c.denominator) for c in numer_T]
+        top = len(nums) - 1
+        out = []
+        for j in range(pole_count):
+            aj, bj = a ** j, b ** j
+            h = [0] * order
+            apow = 1                      # a^(j*(top-i)) at step i
+            for n_i in reversed(nums):
+                # h <- h b^j (1 - V) mod V^order + N_i a^(j*(top-i))
+                for t in range(order - 1, 0, -1):
+                    h[t] = (h[t] - h[t - 1]) * bj
+                h[0] = h[0] * bj + n_i * apow
+                apow *= aj
+            scale = den * a ** (j * top)
+            out.append([Fraction(x, scale) for x in h])
+        return out
+
 
 # ----------------------------------------------------------------------
 # Partial fractions over poles of equal order at T = q^(-j).
 
+def _pole_bases(ring, pole_count: int) -> list:
+    """c_j = prod_{i != j} (1 - q^(i-j)) for each pole j < pole_count, from
+    prefix products over m = -1, -2, ... and m = 1, 2, ...."""
+    below, above = [ring.one], [ring.one]
+    for m in range(1, pole_count):
+        below.append(below[-1] * (ring.one - ring.qpow(-m)))
+        above.append(above[-1] * (ring.one - ring.qpow(m)))
+    return [below[j] * above[pole_count - 1 - j] for j in range(pole_count)]
+
+
+def _pole_factor_prefixes(ring, offsets, order: int) -> list:
+    """Prefix products, mod V^order, of g_m(V) = ((1 - q^m) + q^m V)^order
+    over the offsets m in the given sequence; entry k holds the product
+    of the first k factors."""
+    one = ring.one
+    out = [[one] + [ring.zero] * (order - 1)]
+    for m in offsets:
+        qm = ring.qpow(m)
+        om = one - qm
+        ompows = [one]
+        for _ in range(order):
+            ompows.append(ompows[-1] * om)
+        fac = []
+        qmk = one
+        for k in range(order):
+            fac.append(comb(order, k) * ompows[order - k] * qmk)
+            qmk = qmk * qm
+        out.append(tmul(out[-1], fac, order))
+    return out
+
+
 def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
     """Partial fractions of numer(T) / prod_{i=0}^{pole_count-1} (1 - q^i T)^order.
 
-    numer_T: dense T-coefficients (ring elements, ascending); ring: one of
-    the two rings above (one, zero, qpow and divexact are used).
+    numer_T: dense T-coefficients (ring elements, ascending, at least
+    one); ring: one of the two rings above.
 
     Returns (dhat, bases) where dhat[j][s] for s in 1..order is the
     numerator of the coefficient of 1/(1 - q^j T)^s and bases[j] is the
@@ -179,52 +265,25 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
     Writing V = 1 - q^j T, the product of (numer / other poles) evaluated
     at T = q^(-j)(1 - V) is regular at V = 0 and its V^(order-s)
     coefficient is exactly the sought d-coefficient, with no sign
-    bookkeeping.  The other-poles product P(V) = prod ((1-q^m) + q^m V)^order
-    is inverted as a power series over the base c = prod (1 - q^m): with
+    bookkeeping.  The numerator shifts come from ring.pole_shifts.  The
+    other-poles product P(V) = prod ((1-q^m) + q^m V)^order and its base
+    c = prod (1 - q^m) are one product each of a prefix over
+    m = -1, -2, ..., -j and one over m = 1, 2, ..., pole_count-1-j.  P is
+    inverted as a power series over c: with
     1/P = sum_k f_k / c^(order+k) V^k the f_k are polynomials satisfying
         f_0 = 1,  c^order f_k = -sum_{t=1..k} p_t f_{k-t} c^t,
     one exact division by c^order per coefficient; every denominator stays
     a known product of (1 - q^m) factors.
     """
     one, zero = ring.one, ring.zero
+    shifts = ring.pole_shifts(numer_T, pole_count, order)
+    cbases = _pole_bases(ring, pole_count)
+    below = _pole_factor_prefixes(ring, range(-1, -pole_count, -1), order)
+    above = _pole_factor_prefixes(ring, range(1, pole_count), order)
     dhat = []
     bases = []
-    for j in range(pole_count):
-        qj = ring.qpow(-j)
-        # numer(q^-j (1 - V)) mod V^order, by Horner in (1 - V)
-        s = [zero] * order
-        for cval in reversed(numer_T):
-            new = [zero] * order
-            for i, si in enumerate(s):
-                if si:
-                    t = qj * si
-                    new[i] = new[i] + t
-                    if i + 1 < order:
-                        new[i + 1] = new[i + 1] - t
-            new[0] = new[0] + cval
-            s = new
-        # P(V) = prod_{i != j} ((1 - q^m) + q^m V)^order mod V^order,
-        # c = prod_{i != j} (1 - q^m)
-        pv = [one] + [zero] * (order - 1)
-        cbase = one
-        offs = []
-        for i in range(pole_count):
-            if i == j:
-                continue
-            m = i - j
-            offs.append(m)
-            qm = ring.qpow(m)
-            om = one - qm
-            cbase = cbase * om
-            ompows = [one]
-            for _ in range(order):
-                ompows.append(ompows[-1] * om)
-            fac = []
-            qmk = one
-            for k in range(order):
-                fac.append(comb(order, k) * ompows[order - k] * qmk)
-                qmk = qmk * qm
-            pv = tmul(pv, fac, order)
+    for j, (s, cbase) in enumerate(zip(shifts, cbases)):
+        pv = tmul(below[j], above[pole_count - 1 - j], order)
         cpows = [one]
         for _ in range(order):
             cpows.append(cpows[-1] * cbase)
@@ -243,8 +302,18 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
         h = [s[t] * cpows[t] if s[t] else zero for t in range(order)]
         hf = tmul(h, f, order)
         dhat.append({sdx: hf[order - sdx] for sdx in range(1, order + 1)})
-        bases.append(tuple(offs))
+        bases.append(tuple(range(-j, 0)) + tuple(range(1, pole_count - j)))
     return dhat, bases
+
+
+def pf_values(numer_T, pole_count: int, order: int, ring) -> list:
+    """The partial-fraction coefficients themselves, over a ring whose
+    division is cheap (FractionRing): row j maps s to
+    dhat[j][s] / c_j^(2*order - s), with pf_extract's rows and c_j the
+    product of (1 - q^m) over pole j's offsets."""
+    dhat, _ = pf_extract(numer_T, pole_count, order, ring)
+    return [{s: row[s] / c ** (2 * order - s) for s in range(1, order + 1)}
+            for row, c in zip(dhat, _pole_bases(ring, pole_count))]
 
 
 def pf_reconstruct(numer, rows, pole_count: int, order: int) -> bool:

@@ -37,6 +37,7 @@ from .series import (
     UPolyRing,
     pf_extract,
     pf_reconstruct,
+    pf_values,
     sum_with_tail,
     tmul_linear,
     working_prec,
@@ -111,16 +112,8 @@ def zeta3_partial_fractions(n: int) -> Zeta3Kernel:
 def _z3_values(n: int, q0: Fraction):
     """(a[j](q0), b[j](q0)) exact Fractions via the specialized extractor."""
     ring = FractionRing(q0)
-    numer = _w_numerator(n, ring)
-    rows, bases = pf_extract(numer, n + 1, 2, ring)
-    av, bv = [], []
-    for j in range(n + 1):
-        base = Fraction(1)
-        for m in bases[j]:
-            base *= 1 - q0 ** m
-        av.append(rows[j][2] / base ** 2)
-        bv.append(rows[j][1] / base ** 3)
-    return tuple(av), tuple(bv)
+    rows = pf_values(_w_numerator(n, ring), n + 1, 2, ring)
+    return tuple(row[2] for row in rows), tuple(row[1] for row in rows)
 
 
 def zeta3_reconstruction_check(n: int) -> bool:
@@ -172,8 +165,14 @@ def zeta3_form_values(n: int, q0: Fraction):
 # ----------------------------------------------------------------------
 # Numeric series with certified tails.
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     """The ball-type series; terms for k <= n vanish identically."""
+    _check_n(n)
     q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec, 4 * n)):
         if tol is None:
@@ -231,6 +230,7 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
 
         q^(n(n+1)) sum_{k>n} q^k W_n(q^k) [1 + q^k (W'/W)(q^k)].
     """
+    _check_n(n)
     q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec, 4 * n)):
         if tol is None:
@@ -297,6 +297,7 @@ def zeta3_identity_residual(n: int, q0, prec: int = DEFAULT_PREC) -> dict:
     sum.  Working precision is raised by the bit-size of the exact
     coefficients so the stated tolerance survives the cancellation.
     """
+    _check_n(n)
     q0 = _check_q0(q0)
     a_val, b_val = zeta3_form_values(n, q0)
     scale = max(_frac_bits(a_val), _frac_bits(b_val))

@@ -2,10 +2,12 @@
 partial-fraction extractor against an independent Taylor-shift oracle."""
 
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import pytest
 from mpmath import mp, mpf
 
+from qzeta.linform import _hat_numerator
 from qzeta.qcomb import QFrac
 from qzeta.series import (
     DivergenceError,
@@ -22,6 +24,7 @@ from qzeta.series import (
     working_prec,
 )
 from qzeta.upoly import ExactDivisionError, UPoly
+from qzeta.zeta3 import _w_numerator
 
 ERDOS_BORWEIN = "1.6066951524152917637833015231909245804805796715057564357"
 
@@ -198,13 +201,37 @@ def test_pf_extract_against_shift_oracle():
             assert got == oracle[j][s], (j, s)
 
 
-def test_pf_extract_symbolic_matches_fraction_ring():
-    q0 = Fraction(1, 3)
-    numer_u = [UPoly.one(), UPoly({2: -1})]         # 1 - qT
-    numer_f = [Fraction(1), -q0]
-    rows_u, bases_u = pf_extract(numer_u, 2, 3, UPolyRing)
-    rows_f, bases_f = pf_extract(numer_f, 2, 3, FractionRing(q0))
+def _one_minus_qT(ring):
+    return [ring.one, -ring.qpow(1)]
+
+
+# (numerator builder over a ring, pole count, order)
+_CROSS_RING_KERNELS = {
+    "1-qT": (_one_minus_qT, 2, 3),
+    **{f"hat-{A}-{r}-{n}": (partial(_hat_numerator, A, r, n), n + 1, A)
+       for A, r, n in [(4, 1, 0), (4, 1, 1), (4, 1, 5), (6, 2, 0), (6, 2, 2)]},
+    **{f"w-{n}": (partial(_w_numerator, n), n + 1, 2) for n in (0, 1, 6)},
+}
+
+
+@lru_cache(maxsize=None)
+def _symbolic_rows(kernel):
+    numer, poles, order = _CROSS_RING_KERNELS[kernel]
+    return pf_extract(numer(UPolyRing), poles, order, UPolyRing)
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 3), Fraction(2, 3), Fraction(-222, 499),
+                                Fraction(147, 499), Fraction(-9, 10)], ids=str)
+@pytest.mark.parametrize("kernel", list(_CROSS_RING_KERNELS))
+def test_pf_extract_symbolic_matches_fraction_ring(kernel, q0):
+    """FractionRing(q0) rows are the UPolyRing rows evaluated at q0, on both
+    kernels and at points whose numerator is not 1 (so every power of it
+    in the integer pole shift is exercised)."""
+    numer, poles, order = _CROSS_RING_KERNELS[kernel]
+    ring = FractionRing(q0)
+    rows_u, bases_u = _symbolic_rows(kernel)
+    rows_f, bases_f = pf_extract(numer(ring), poles, order, ring)
     assert bases_u == bases_f
-    for j in range(2):
-        for s in (1, 2, 3):
+    for j in range(poles):
+        for s in range(1, order + 1):
             assert rows_u[j][s].eval_fraction(q0) == rows_f[j][s], (j, s)
