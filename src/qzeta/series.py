@@ -148,17 +148,16 @@ class UPolyRing:
     @staticmethod
     def pole_shifts(numer_T: list, pole_count: int, order: int) -> list:
         """numer(q^-j (1 - V)) mod V^order for j < pole_count, by Horner
-        in (1 - V)."""
+        in (1 - V); the factor q^-j is a shift of the u-exponents."""
         zero = UPoly.zero()
         out = []
         for j in range(pole_count):
-            qj = UPoly.q_power(-j)
             s = [zero] * order
             for cval in reversed(numer_T):
                 new = [zero] * order
                 for i, si in enumerate(s):
                     if si:
-                        t = qj * si
+                        t = si.shift_u(-2 * j)      # q^-j si
                         new[i] = new[i] + t
                         if i + 1 < order:
                             new[i + 1] = new[i + 1] - t
