@@ -203,6 +203,7 @@ def slope_D(A: int, r: int, q0: Fraction, n_range,
     A sum_l log |Phi_l(1/q0)| — so no huge polynomial is expanded.  The
     standalone d_n slope against (3/pi^2) L rides along in extras.
     """
+    Params(A, r, 0)  # validates (A, r)
     q0 = Fraction(q0)
     L = _log_inv_q(q0)
     with mp.workprec(working_prec(prec)):
@@ -235,16 +236,9 @@ def slope_D(A: int, r: int, q0: Fraction, n_range,
 # ----------------------------------------------------------------------
 # The dimension bound delta(A, r).
 
-def _validate_ar(A: int, r: int) -> None:
-    if A < 2 or A % 2:
-        raise ValueError(f"A must be a positive even integer, got {A}")
-    if not 1 <= r <= A // 2:
-        raise ValueError(f"need 1 <= r <= A/2, got r={r}, A={A}")
-
-
 def delta(A: int, r: int, prec: int = DEFAULT_PREC) -> mpf:
     """delta(A, r) = (4rA + A - 4r^2) / ((24/pi^2 + 2) A + 8 r^2)."""
-    _validate_ar(A, r)
+    Params(A, r, 0)  # validates (A, r)
     with mp.workprec(working_prec(prec)):
         pi2 = mp.pi**2
         return mpf(4 * r * A + A - 4 * r * r) / ((24 / pi2 + 2) * A
@@ -269,7 +263,7 @@ def delta_exact_pair(A: int, r: int):
     with Fraction entries.  This is the zero-tolerance side of the
     recombination check.
     """
-    _validate_ar(A, r)
+    Params(A, r, 0)  # validates (A, r)
     num = (Fraction(4 * r * A + A - 4 * r * r), Fraction(0))
     den = (Fraction(2 * A + 8 * r * r), Fraction(24 * A))
     return num, den
@@ -294,7 +288,7 @@ def verify_delta_recombination(A: int, r: int) -> bool:
     must equal delta(A, r) as a rational function of x.  Cross-multiplied
     over Q[x], checked coefficientwise.
     """
-    _validate_ar(A, r)
+    Params(A, r, 0)  # validates (A, r)
     alpha_s = (Fraction(-r * (A - 2 * r), 2), Fraction(0))
     cbound = (Fraction(A + 4 * r * r, 8), Fraction(0))
     dslope = (Fraction(A, 8) + Fraction(r * r, 2), Fraction(3 * A))

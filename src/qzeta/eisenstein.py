@@ -21,9 +21,9 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .linform import zeta_q
+from .linform import _check_q0, zeta_q
 from .qcomb import bernoulli, divisor_power_sum
-from .series import DEFAULT_PREC, sum_with_tail, working_prec
+from .series import DEFAULT_PREC, sum_with_tail, tmul, working_prec
 
 __all__ = [
     "InconsistentSystemError",
@@ -67,15 +67,8 @@ class QExpansion:
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         N = min(self.order, other.order)
-        out = [Fraction(0)] * (N + 1)
-        for i, a in enumerate(self.coeffs[: N + 1]):
-            if not a:
-                continue
-            for j in range(N + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QExpansion(self.weight + other.weight, tuple(out))
+        return QExpansion(self.weight + other.weight,
+                          tuple(tmul(self.coeffs, other.coeffs, N + 1)))
 
     def __pow__(self, k: int) -> "QExpansion":
         if k < 0:
@@ -253,9 +246,7 @@ def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     sigma_{2s-1}(k) <= zeta(2s-1) k^(2s-1) gives the term-ratio bound
     |q0| zeta(2s-1) (1 + 1/k)^(2s-1), decreasing in k.
     """
-    q0 = Fraction(q0)
-    if not 0 < abs(q0) < 1:
-        raise ValueError(f"need 0 < |q0| < 1, got {q0}")
+    q0 = _check_q0(q0)
     e = 2 * s - 1
     zb = _zeta_upper(e) if e >= 2 else 1.0
     with mp.workprec(working_prec(prec)):

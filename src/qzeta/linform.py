@@ -39,7 +39,6 @@ from .series import (
     UPolyRing,
     pf_extract,
     pf_reconstruct,
-    pf_values,
     sum_with_tail,
     tmul_linear,
     working_prec,
@@ -165,19 +164,9 @@ class PFTable:
 
 @lru_cache(maxsize=None)
 def _pf_table(A: int, r: int, n: int) -> PFTable:
-    numer = _hat_numerator(A, r, n, UPolyRing)
-    rows, bases = pf_extract(numer, n + 1, A, UPolyRing)
-    qrows = []
-    for j in range(n + 1):
-        row = {}
-        for s in range(1, A + 1):
-            v = QFrac(rows[j][s])
-            for m in bases[j]:
-                v = v.div_one_minus_qpow(m, 2 * A - s)
-            row[s] = v.reduced()
-        qrows.append(row)
+    rows = pf_extract(_hat_numerator(A, r, n, UPolyRing), n + 1, A, UPolyRing)
     pref = -(A - 2 * r) * n // 2
-    return PFTable(A, r, n, pref, tuple(qrows))
+    return PFTable(A, r, n, pref, tuple(rows))
 
 
 def partial_fractions(params: Params) -> PFTable:
@@ -350,9 +339,7 @@ def _assemble_eps(dval, A: int, n: int, eps: int, ring):
 
 @lru_cache(maxsize=None)
 def _p_eps_hat(A: int, r: int, n: int, eps: int):
-    table = _pf_table(A, r, n)
-    dval = [{s: table.dhat[j][s] for s in range(1, A + 1)} for j in range(n + 1)]
-    p0, ps = _assemble_eps(dval, A, n, eps, UPolyRing)
+    p0, ps = _assemble_eps(_pf_table(A, r, n).dhat, A, n, eps, UPolyRing)
     return p0.reduced(), {s: v.reduced() for s, v in ps.items()}
 
 
@@ -375,7 +362,7 @@ def P_eps(params: Params) -> dict:
 def _pf_values(A: int, r: int, n: int, q0: Fraction):
     """Hat partial-fraction values at an exact rational q0 (fast path)."""
     ring = FractionRing(q0)
-    return tuple(pf_values(_hat_numerator(A, r, n, ring), n + 1, A, ring))
+    return tuple(pf_extract(_hat_numerator(A, r, n, ring), n + 1, A, ring))
 
 
 @lru_cache(maxsize=None)
@@ -680,14 +667,17 @@ def D_exponent(A: int, r: int, n: int) -> Fraction:
             - Fraction(r * r * n * n, 2) + Fraction(r * n, 2) - (A - 1) * n)
 
 
+def _clearing_poly(A: int, r: int, n: int, power: int) -> UPoly:
+    """(A-1)! q^E d_n(1/q)^power with E = D_exponent; exact UPoly in u."""
+    u_exp = 2 * D_exponent(A, r, n)
+    assert u_exp.denominator == 1, "denominator monomial must be a u-power"
+    return (UPoly.const(factorial(A - 1)) * UPoly.u_power(int(u_exp))
+            * d_poly(n).subst_inv() ** power)
+
+
 def D_n(params: Params) -> UPoly:
     """(A-1)! q^E d_n(1/q)^A with E = D_exponent; exact UPoly in u."""
-    A, n = params.A, params.n
-    ex = D_exponent(A, params.r, n)
-    u_exp = 2 * ex
-    assert u_exp.denominator == 1, "denominator monomial must be a u-power"
-    dinv = d_poly(n).subst_inv()
-    return UPoly.const(factorial(A - 1)) * UPoly.u_power(int(u_exp)) * dinv ** A
+    return _clearing_poly(params.A, params.r, params.n, params.A)
 
 
 def _clearing_check(poly_q: UPoly, forms: dict) -> dict:
@@ -737,9 +727,7 @@ def denominator_sharpness_probe(params: Params) -> dict:
     A, n = params.A, params.n
     if n < 1:
         raise ValueError("sharpness probe needs n >= 1")
-    ex = D_exponent(A, params.r, n)
-    shaved = (UPoly.const(factorial(A - 1)) * UPoly.u_power(int(2 * ex))
-              * d_poly(n).subst_inv() ** (A - 1) * d_poly(n - 1).subst_inv())
+    shaved = _clearing_poly(A, params.r, n, A - 1) * d_poly(n - 1).subst_inv()
     results = _clearing_check(shaved, P_eps(params))
     return {
         "params": params,
@@ -759,9 +747,7 @@ def denominator_conjecture_probe(params: Params) -> dict:
     outcome is recorded, not asserted.
     """
     A, r, n = params.A, params.r, params.n
-    ex = D_exponent(A, r, n)
-    dtilde = (UPoly.const(factorial(A - 1)) * UPoly.u_power(int(2 * ex))
-              * d_poly(n).subst_inv() ** (A - 1))
+    dtilde = _clearing_poly(A, r, n, A - 1)
     per_eps = {}
     for eps in (0, 1):
         forms = P_eps(Params(A, r, n, eps))

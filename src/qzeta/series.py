@@ -126,6 +126,9 @@ def tpow(a: list, k: int) -> list:
 #     div_one_minus_qpow(x, m, p) -- x / (1 - q^m)^p in the fraction field
 #     pole_shifts(numer, count, order) -- numer(q^-j (1 - V)) mod V^order
 #                                for every pole j < count
+#     div_pole_base(x, c, j, count, p) -- x / c^p in the fraction field,
+#                                c = prod_{i != j, i < count} (1 - q^(i-j))
+#                                the base of pole j, as pf_extract builds it
 # UPolyRing is the symbolic ring Q[u, 1/u] (fractions are QFrac, with
 # cyclotomic denominators); FractionRing(q0) specializes q = q0.
 
@@ -165,6 +168,19 @@ class UPolyRing:
                 s = new
             out.append(s)
         return out
+
+    @staticmethod
+    def div_pole_base(x: UPoly, c: UPoly, j: int, pole_count: int, p: int) -> QFrac:
+        """x / c^p, reduced, from the factored base rather than c itself:
+        with k = pole_count - 1 - j,
+
+            c = prod_{m=1..j} (1 - q^-m) prod_{m=1..k} (1 - q^m)
+              = (-1)^k q^(-j(j+1)/2) prod_d Phi_d^(floor(j/d) + floor(k/d)).
+        """
+        k = pole_count - 1 - j
+        den = PhiProduct({d: p * (j // d + k // d) for d in range(1, max(j, k) + 1)})
+        num = x.shift_u(j * (j + 1) * p)
+        return QFrac(-num if k * p % 2 else num, den).reduced()
 
 
 class FractionRing:
@@ -214,6 +230,11 @@ class FractionRing:
             out.append([Fraction(x, scale) for x in h])
         return out
 
+    @staticmethod
+    def div_pole_base(x: Fraction, c: Fraction, j: int, pole_count: int,
+                      p: int) -> Fraction:
+        return x / c ** p
+
 
 # ----------------------------------------------------------------------
 # Partial fractions over poles of equal order at T = q^(-j).
@@ -249,17 +270,17 @@ def _pole_factor_prefixes(ring, offsets, order: int) -> list:
     return out
 
 
-def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
+def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
     """Partial fractions of numer(T) / prod_{i=0}^{pole_count-1} (1 - q^i T)^order.
 
     numer_T: dense T-coefficients (ring elements, ascending, at least
     one); ring: one of the two rings above.
 
-    Returns (dhat, bases) where dhat[j][s] for s in 1..order is the
-    numerator of the coefficient of 1/(1 - q^j T)^s and bases[j] is the
-    tuple of offsets m = i - j over the other poles i; the true
-    coefficient is
-        dhat[j][s] / prod_m (1 - q^m)^(2*order - s).
+    Returns rows: rows[j][s] for s in 1..order is the coefficient of
+    1/(1 - q^j T)^s in the ring's fraction field (a reduced QFrac over
+    UPolyRing, a Fraction over FractionRing).  It is found as a numerator
+    over c_j^(2*order - s), c_j = prod_{i != j} (1 - q^(i-j)), and that
+    one division is ring.div_pole_base.
 
     Writing V = 1 - q^j T, the product of (numer / other poles) evaluated
     at T = q^(-j)(1 - V) is regular at V = 0 and its V^(order-s)
@@ -279,8 +300,7 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
     cbases = _pole_bases(ring, pole_count)
     below = _pole_factor_prefixes(ring, range(-1, -pole_count, -1), order)
     above = _pole_factor_prefixes(ring, range(1, pole_count), order)
-    dhat = []
-    bases = []
+    rows = []
     for j, (s, cbase) in enumerate(zip(shifts, cbases)):
         pv = tmul(below[j], above[pole_count - 1 - j], order)
         cpows = [one]
@@ -300,19 +320,10 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> tuple[list, list]:
         #     [sum_t n_t c^t f_(order-s-t)] / c^(2*order-s).
         h = [s[t] * cpows[t] if s[t] else zero for t in range(order)]
         hf = tmul(h, f, order)
-        dhat.append({sdx: hf[order - sdx] for sdx in range(1, order + 1)})
-        bases.append(tuple(range(-j, 0)) + tuple(range(1, pole_count - j)))
-    return dhat, bases
-
-
-def pf_values(numer_T, pole_count: int, order: int, ring) -> list:
-    """The partial-fraction coefficients themselves, over a ring whose
-    division is cheap (FractionRing): row j maps s to
-    dhat[j][s] / c_j^(2*order - s), with pf_extract's rows and c_j the
-    product of (1 - q^m) over pole j's offsets."""
-    dhat, _ = pf_extract(numer_T, pole_count, order, ring)
-    return [{s: row[s] / c ** (2 * order - s) for s in range(1, order + 1)}
-            for row, c in zip(dhat, _pole_bases(ring, pole_count))]
+        rows.append({sdx: ring.div_pole_base(hf[order - sdx], cbase, j, pole_count,
+                                             2 * order - sdx)
+                     for sdx in range(1, order + 1)})
+    return rows
 
 
 def pf_reconstruct(numer, rows, pole_count: int, order: int) -> bool:

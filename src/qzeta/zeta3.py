@@ -37,7 +37,6 @@ from .series import (
     UPolyRing,
     pf_extract,
     pf_reconstruct,
-    pf_values,
     sum_with_tail,
     tmul_linear,
     working_prec,
@@ -92,27 +91,16 @@ class Zeta3Kernel:
 
 @lru_cache(maxsize=None)
 def zeta3_partial_fractions(n: int) -> Zeta3Kernel:
-    numer = _w_numerator(n, UPolyRing)
-    rows, bases = pf_extract(numer, n + 1, 2, UPolyRing)
-    a = []
-    b = []
-    for j in range(n + 1):
-        row = {}
-        for s in (1, 2):
-            v = QFrac(rows[j][s])
-            for m in bases[j]:
-                v = v.div_one_minus_qpow(m, 4 - s)
-            row[s] = v.reduced()
-        a.append(row[2])
-        b.append(row[1])
-    return Zeta3Kernel(n, tuple(a), tuple(b))
+    rows = pf_extract(_w_numerator(n, UPolyRing), n + 1, 2, UPolyRing)
+    return Zeta3Kernel(n, tuple(row[2] for row in rows),
+                       tuple(row[1] for row in rows))
 
 
 @lru_cache(maxsize=None)
 def _z3_values(n: int, q0: Fraction):
     """(a[j](q0), b[j](q0)) exact Fractions via the specialized extractor."""
     ring = FractionRing(q0)
-    rows = pf_values(_w_numerator(n, ring), n + 1, 2, ring)
+    rows = pf_extract(_w_numerator(n, ring), n + 1, 2, ring)
     return tuple(row[2] for row in rows), tuple(row[1] for row in rows)
 
 
@@ -126,6 +114,29 @@ def zeta3_reconstruction_check(n: int) -> bool:
 # ----------------------------------------------------------------------
 # The exact linear-form coefficients A_n, B_n.
 
+def _z3_assemble(a, b, n: int, ring):
+    """(A_n, B_n) of zeta3_form from the order-2 partial fractions a[j],
+    b[j] in the fraction field of either exact ring.  The inner k-sums
+    are the running sums
+
+        G_3(j) = sum_{k=1..j} q^k (1 + q^k)/(1-q^k)^3,
+        G_2(j) = sum_{k=1..j} q^k /(1-q^k)^2,
+
+    so B_n = sum_{j=1..n} q^(-j) (a_j G_3(j) + b_j G_2(j)).
+    """
+    qpow, div_omq = ring.qpow, ring.div_one_minus_qpow
+    a_total = zero = a[0] * 0
+    for j, aj in enumerate(a):
+        a_total = a_total + aj * qpow(-j)
+    b_total = g3 = g2 = zero
+    for j in range(1, n + 1):
+        qj = qpow(j)
+        g3 = g3 + div_omq(qj + qpow(2 * j), j, 3)
+        g2 = g2 + div_omq(qj, j, 2)
+        b_total = b_total + (a[j] * g3 + b[j] * g2) * qpow(-j)
+    return a_total, b_total
+
+
 @lru_cache(maxsize=None)
 def zeta3_form(n: int):
     """(A_n, B_n) as reduced QFrac:
@@ -135,16 +146,7 @@ def zeta3_form(n: int):
                                         + b_j q^(k-j) /(1-q^k)^2 ].
     """
     ker = zeta3_partial_fractions(n)
-    a_total = QFrac(UPoly.zero())
-    for j, aj in enumerate(ker.a):
-        a_total = a_total + aj.mul_qpow(-j)
-    b_total = QFrac(UPoly.zero())
-    for j in range(1, n + 1):
-        for k in range(1, j + 1):
-            ta = (ker.a[j] * QFrac(UPoly.one() + UPoly.q_power(k))
-                  ).mul_qpow(k - j).div_one_minus_qpow(k, 3)
-            tb = ker.b[j].mul_qpow(k - j).div_one_minus_qpow(k, 2)
-            b_total = b_total + ta + tb
+    a_total, b_total = _z3_assemble(ker.a, ker.b, n, UPolyRing)
     return a_total.reduced(), b_total.reduced()
 
 
@@ -152,14 +154,7 @@ def zeta3_form(n: int):
 def zeta3_form_values(n: int, q0: Fraction):
     """(A_n(q0), B_n(q0)) exact Fractions (fast specialized route)."""
     av, bv = _z3_values(n, q0)
-    a_total = sum(av[j] * q0 ** (-j) for j in range(n + 1))
-    b_total = Fraction(0)
-    for j in range(1, n + 1):
-        for k in range(1, j + 1):
-            qk = q0 ** k
-            b_total += av[j] * q0 ** (k - j) * (1 + qk) / (1 - qk) ** 3
-            b_total += bv[j] * q0 ** (k - j) / (1 - qk) ** 2
-    return a_total, b_total
+    return _z3_assemble(av, bv, n, FractionRing(q0))
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +461,7 @@ def zeta3_report(n: int, q0, prec: int = DEFAULT_PREC) -> dict:
     }
     if q0 > 0:
         ident = zeta3_identity_residual(n, q0, prec)
-        probe = dbar_probe([n] if n else [0], q0 if q0 > 0 else Fraction(1, 2))
+        probe = dbar_probe([n], q0)
         row = probe["rows"][0]
         out.update({
             "A_num": str(ident["A"].numerator),

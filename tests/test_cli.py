@@ -69,6 +69,12 @@ def test_invalid_input_exits_2(capsys, argv):
      "invalid input: need 1 <= r <= A/2, got r=3, A=4"),
     (("zeta3", "--n", "-1", "--q", "1/3"),
      "invalid input: n must be >= 0, got -1"),
+    (("slope-D", "--A", "5", "--r", "1", "--q", "1/2", "--n", "2..4"),
+     "invalid input: A must be an even integer >= 2, got 5"),
+    (("slope-D", "--A", "4", "--r", "3", "--q", "1/2", "--n", "2..4"),
+     "invalid input: need 1 <= r <= A/2, got r=3, A=4"),
+    (("delta", "--A", "7", "--r", "1"),
+     "invalid input: A must be an even integer >= 2, got 7"),
 ])
 def test_invalid_input_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -47,7 +47,7 @@ def test_residue_sum_vanishes(n):
     assert zeta3_partial_fractions(n).residue_sum().is_zero()
 
 
-@pytest.mark.parametrize("n", (1, 2, 4))
+@pytest.mark.parametrize("n", (0, 1, 2, 4, 6))
 @pytest.mark.parametrize("q0", (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)))
 def test_form_symbolic_matches_specialized(n, q0):
     a_sym, b_sym = zeta3_form(n)
