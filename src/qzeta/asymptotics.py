@@ -247,6 +247,7 @@ def delta(A: int, r: int, prec: int = DEFAULT_PREC) -> mpf:
 
 def delta_best_r(A: int, prec: int = DEFAULT_PREC):
     """Exhaustive scan of r in 1..A/2; returns (r_best, delta(A, r_best))."""
+    Params(A, 1, 0)  # validates A before the scan, which is empty for A < 2
     best = None
     for r in range(1, A // 2 + 1):
         v = delta(A, r, prec)

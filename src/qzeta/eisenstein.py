@@ -235,24 +235,26 @@ def zetaq_even_in_basis(s: int, n_solve: int | None = None,
 # ----------------------------------------------------------------------
 # Certified numeric evaluation.
 
-def _zeta_upper(e: int) -> float:
-    """A float upper bound for zeta(e), e >= 2."""
-    return float(mp.zeta(e)) * (1 + 1e-12)
+def _zeta_upper(e: int) -> mpf:
+    """An upper bound for zeta(e), e >= 2, at the working precision."""
+    return mp.fmul(mp.zeta(e), 1 + mpf(2) ** (16 - mp.prec), rounding="u")
 
 
 def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """E_{2s}(q0) for rational |q0| < 1, certified truncation.
 
     sigma_{2s-1}(k) <= zeta(2s-1) k^(2s-1) gives the term-ratio bound
-    |q0| zeta(2s-1) (1 + 1/k)^(2s-1), decreasing in k.
+    |q0| zeta(2s-1) (1 + 1/k)^(2s-1), decreasing in k to |q0| zeta(2s-1).
+    The bound is rounded up from the exact |q0| and (1 + 1/k)^(2s-1).
     """
     q0 = _check_q0(q0)
     e = 2 * s - 1
-    zb = _zeta_upper(e) if e >= 2 else 1.0
     with mp.workprec(working_prec(prec)):
         tol = mpf(2) ** (-prec)
         q = mpf(q0.numerator) / q0.denominator
-        aq = abs(float(q0))
+        zb = _zeta_upper(e) if e >= 2 else mpf(1)
+        lead = mp.fmul(mp.fdiv(abs(q0.numerator), q0.denominator, rounding="u"),
+                       zb, rounding="u")
 
         def terms():
             k = 1
@@ -262,11 +264,11 @@ def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
 
         def ratio(idx):
             k = idx + 1
-            r = aq * zb * (1 + 1 / k) ** e
-            return r if r < 1 else None
+            return mp.fmul(lead, mp.fdiv((k + 1) ** e, k ** e, rounding="u"),
+                           rounding="u")
 
         c = -Fraction(4 * s) / bernoulli(2 * s)
-        tail = sum_with_tail(terms(), ratio, tol / 2)
+        tail = sum_with_tail(terms(), ratio, tol / 2, limit=lead)
         return 1 + mpf(c.numerator) / c.denominator * tail
 
 

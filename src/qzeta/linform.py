@@ -385,12 +385,7 @@ def _check_q0(q0) -> Fraction:
 
 
 def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
-    """zeta_q(s) = sum_k k^(s-1) q0^k / (1 - q0^k), certified tail.
-
-    The ratio of consecutive terms is bounded by ((k+1)/k)^(s-1) |q0|
-    (1+|q0|^k)/(1-|q0|^(k+1)), which is decreasing in k, so it is a valid
-    geometric bound for the whole tail.
-    """
+    """zeta_q(s) = sum_k k^(s-1) q0^k / (1 - q0^k), certified tail."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     q0 = Fraction(q0)
@@ -400,22 +395,32 @@ def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     with mp.workprec(working_prec(prec)):
         if tol is None:
             tol = mpf(2) ** (-(prec + 8))
-        qm = mpf(q0.numerator) / q0.denominator
-        aq = abs(qm)
+        terms, bound, limit = _zeta_q_series(s, mpf(q0.numerator) / q0.denominator)
+        return +sum_with_tail(terms, bound, tol, limit=limit)
 
-        def terms():
-            qk = mpf(1)
-            k = 1
-            while True:
-                qk *= qm
-                yield mpf(k) ** (s - 1) * qk / (1 - qk)
-                k += 1
 
-        def bound(i):
-            k = i + 1
-            return (mpf(k + 1) / k) ** (s - 1) * aq * (1 + aq ** k) / (1 - aq ** (k + 1))
+def _zeta_q_series(s: int, qm):
+    """The terms of zeta_q(s) at q = qm, their ratio bound and its limit.
 
-        return +sum_with_tail(terms(), bound, tol)
+    The ratio of consecutive terms is bounded by ((k+1)/k)^(s-1) |q0|
+    (1+|q0|^k)/(1-|q0|^(k+1)), which decreases in k to |q0|, so it is a
+    valid geometric bound for the whole tail.  k^(s-1) is an exact int.
+    """
+    aq = abs(qm)
+
+    def terms():
+        qk = mpf(1)
+        k = 1
+        while True:
+            qk *= qm
+            yield k ** (s - 1) * qk / (1 - qk)
+            k += 1
+
+    def bound(i):
+        k = i + 1
+        return (mpf(k + 1) / k) ** (s - 1) * aq * (1 + aq ** k) / (1 - aq ** (k + 1))
+
+    return terms(), bound, aq
 
 
 class _QPowers:
@@ -444,9 +449,15 @@ def _rho_hat(A: int, r: int, n: int, k: int, qp: _QPowers):
     return val / pole ** A
 
 
+def _rho_lead(A: int, r: int, n: int, aq):
+    """|q|^((A-2r)n/2+1): the k -> oo limit of _rho_envelope."""
+    return aq ** ((A - 2 * r) * n // 2 + 1)
+
+
 def _rho_envelope(A: int, r: int, n: int, aq):
-    """Decreasing-in-k bound on |rho_{k+1}/rho_k|, valid for the whole tail."""
-    lead = aq ** ((A - 2 * r) * n // 2 + 1)
+    """Decreasing-in-k bound on |rho_{k+1}/rho_k|, valid for the whole tail;
+    each factor after the lead is >= 1."""
+    lead = _rho_lead(A, r, n, aq)
 
     def env(k: int):
         return (lead * (1 + aq ** (k + n + 1 + r * n)) / (1 - aq ** (k - r * n))
@@ -490,7 +501,7 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
                 b *= (1 + aq ** (half * (n + 2 * k + 2))) / (1 - aq ** (half * (n + 2 * k)))
             return b
 
-        return +sum_with_tail(terms(), bound, tol)
+        return +sum_with_tail(terms(), bound, tol, limit=_rho_lead(A, r, n, aq))
 
 
 def S_eps_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
@@ -544,7 +555,7 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
             return (env(k) * aq ** ex
                     * (1 + aq ** (2 * k + n + 2)) / (1 - aq ** (2 * k + n)))
 
-        return +sum_with_tail(terms(), bound, tol)
+        return +sum_with_tail(terms(), bound, tol, limit=_rho_lead(A, r, n, aq) * aq ** ex)
 
 
 def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
@@ -571,6 +582,7 @@ def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
 
         if qv < 1:
             env0 = _rho_envelope(A, r, n, qm)
+            lead = _rho_lead(A, r, n, qm)
 
             def bound(i):
                 return env0(r * n + 1 + i) * zi
@@ -591,7 +603,7 @@ def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
                 zk *= zi
                 k += 1
 
-        return +sum_with_tail(terms(), bound, tol)
+        return +sum_with_tail(terms(), bound, tol, limit=lead * zi)
 
 
 def transform_check(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:

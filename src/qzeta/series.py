@@ -30,7 +30,7 @@ GUARD_BITS = 32
 
 
 class DivergenceError(ExactArithError):
-    """Series terms stopped decreasing; the sum cannot be certified."""
+    """The ratio bound never drops below 1; no tail can be certified."""
 
 
 class PrecisionError(ExactArithError):
@@ -44,30 +44,40 @@ def working_prec(prec: int, scale_log2: float = 0.0) -> int:
     return prec + GUARD_BITS + extra
 
 
-def sum_with_tail(terms, ratio_bound, tol, max_terms: int = 200000):
+def sum_with_tail(terms, ratio_bound, tol, *, limit=None,
+                  max_terms: int = 1000000):
     """Sum terms with a certified geometric tail bound.
 
-    terms: iterable of mpf values.  ratio_bound: a constant r < 1 with
-    |t_{k+1}| <= r |t_k| eventually, or a callable k -> bound valid for
-    all later indices.  Summation stops once |t_k| * r/(1-r) < tol.
-    Non-decreasing |t_k| beyond a cutoff raises DivergenceError.
+    terms: iterable of mpf values.  ratio_bound: a constant r with
+    |t_{j+1}| <= r |t_j| for all j, or a callable k -> r_k with
+    |t_{j+1}| <= r_k |t_j| for all j >= k.  Summation stops at the first
+    k with 0 <= r_k < 1 and |t_k| * r_k/(1-r_k) < tol.
+
+    limit: the k -> oo limit of a callable ratio_bound, which must
+    decrease to it, so limit <= r_k for every k (a constant is its own
+    limit).  While |t_k| >= 2 tol (1-limit)/limit the stop test cannot
+    pass, so r_k is not evaluated there; the stop index is the same as
+    with r_k evaluated on every term.  limit >= 1 raises DivergenceError
+    before any term is taken: the bound can never certify a tail.
+    Reaching max_terms raises PrecisionError.
     """
+    if limit is None:
+        if callable(ratio_bound):
+            raise ValueError("a callable ratio_bound needs its limit")
+        limit = ratio_bound
+    if limit >= 1:
+        raise DivergenceError(f"ratio bound limit {float(limit):.6g} >= 1; "
+                              "no certified tail")
+    gate = 2 * tol * (1 - limit) / limit if limit > 0 else mpf("inf")
+    bound = ratio_bound if callable(ratio_bound) else (lambda k: ratio_bound)
     total = mpf(0)
-    prev_abs = None
-    grow = 0
     for k, t in enumerate(terms):
         total += t
         ta = abs(t)
-        r = ratio_bound(k) if callable(ratio_bound) else ratio_bound
-        if r is not None and 0 <= r < 1 and ta * r / (1 - r) < tol:
-            return total
-        if prev_abs is not None and ta >= prev_abs and ta > tol:
-            grow += 1
-            if grow > 64:
-                raise DivergenceError("terms stopped decreasing; no certified tail")
-        else:
-            grow = 0
-        prev_abs = ta
+        if ta < gate:
+            r = bound(k)
+            if 0 <= r < 1 and ta * r / (1 - r) < tol:
+                return total
         if k >= max_terms:
             raise PrecisionError(f"no certified tail after {max_terms} terms")
     return total

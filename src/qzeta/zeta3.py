@@ -197,9 +197,9 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
                  * (1 + aq ** (k + 1)) / (1 - aq ** (k - n))
                  * (1 + aq ** (k + 2 * n + 1)) / (1 - aq ** (k + n + 1))
                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 4)
-            return float(r) if r < 1 else None
+            return float(r)
 
-        return poch ** 2 * sum_with_tail(terms(), ratio, tol / 2)
+        return poch ** 2 * sum_with_tail(terms(), ratio, tol / 2, limit=aq ** (n + 1))
 
 
 def _w_log_deriv_bracket(n: int, q, k: int):
@@ -249,14 +249,14 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
             k = n + 1 + idx
             g0, g1 = bracket_bound(k), bracket_bound(k + 1)
             if g0 >= 1:
-                return None
+                return mp.inf
             r = (aq
                  * ((1 + aq ** (k + 1)) / (1 - aq ** (k - n))) ** 2
                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 2
                  * (1 + g1) / (1 - g0))
-            return float(r) if r < 1 else None
+            return float(r)
 
-        total = sum_with_tail(terms(), ratio, tol / 2)
+        total = sum_with_tail(terms(), ratio, tol / 2, limit=aq)
         return q ** (n * (n + 1)) * total
 
 

@@ -56,6 +56,12 @@ def test_delta_rejects_bad_parameters(A, r):
         delta(A, r)
 
 
+@pytest.mark.parametrize("A", [0, -4])
+def test_delta_best_r_rejects_bad_A(A):
+    with pytest.raises(ValueError, match="A must be an even integer"):
+        delta_best_r(A)
+
+
 def test_delta_best_r_matches_exhaustive_scan():
     for A in (4, 8, 12, 20):
         r_best, v_best = delta_best_r(A)

@@ -195,6 +195,31 @@ def test_eisenstein_value_matches_plain_partial_sum():
         assert abs(eisenstein_value(2, q0, 120) - brute) < mpf(2) ** -110
 
 
+def _e4_e6_lambert(q0, prec):
+    """E_4 and E_6 at q0 by the other route, E_2s = 1 - (4s/B_2s) zeta_q(2s)."""
+    return 1 + 240 * zeta_q(4, q0, prec), 1 - 504 * zeta_q(6, q0, prec)
+
+
+@pytest.mark.parametrize("s,q0", [(6, Fraction(9, 10)), (6, Fraction(-9, 10)),
+                                  (8, Fraction(-9, 10)), (4, Fraction(95, 100)),
+                                  (4, Fraction(97, 100))])
+def test_eisenstein_value_near_one_matches_e4_e6(s, q0):
+    # E_2s with s = 4, 6, 8 near |q| = 1: each bound limit is below 1
+    val = eisenstein_value(s, q0)
+    with mp.workprec(288):
+        e4, e6 = _e4_e6_lambert(q0, 256)
+        if s == 4:
+            ref = e4 ** 2
+        elif s == 6:
+            ref = (441 * e4 ** 3 + 250 * e6 ** 2) / 691
+        else:
+            expr = express_in_E4_E6(16, eisenstein_expansion(8, 42))
+            ref = mp.fsum(mpf(row["c"].numerator) / row["c"].denominator
+                          * e4 ** row["a"] * e6 ** row["b"]
+                          for row in expr["basis"])
+        assert abs(val - ref) < abs(ref) * mpf(10) ** -40
+
+
 def test_eisenstein_value_validation():
     for bad in (0, 1, Fraction(3, 2)):
         with pytest.raises(ValueError):

@@ -160,6 +160,39 @@ def test_zeta_q_negative_base():
         assert abs(val - mpf(approx.numerator) / approx.denominator) < mpf(2) ** -60
 
 
+def _lambert_zeta_q(s: int, q0: Fraction):
+    """sum_m sigma_{s-1}(m) q0^m, summed until a majorant tail is below
+    2^-220 of the sum: sigma_{s-1}(m) <= zeta(s-1) m^(s-1) <= 2 m^(s-1)."""
+    q = mpf(q0.numerator) / q0.denominator
+    aq = abs(q)
+    total, qm, m = mpf(0), mpf(1), 0
+    while True:
+        m += 1
+        qm *= q
+        total += divisor_power_sum(m, s - 1) * qm
+        rho = aq * (mpf(m + 1) / m) ** (s - 1)
+        if rho < 1 and 2 * m ** (s - 1) * aq ** m * rho / (1 - rho) < abs(total) * mpf(2) ** -220:
+            return total
+
+
+@pytest.mark.parametrize("s,q0", [(4, Fraction(97, 100)), (3, Fraction(99, 100)),
+                                  (4, Fraction(99, 100))])
+def test_zeta_q_near_one_matches_lambert_route(s, q0):
+    # converging sums near q = 1 certify: no DivergenceError
+    val = zeta_q(s, q0)
+    with mp.workprec(working_prec(256)):
+        ref = _lambert_zeta_q(s, q0)
+        assert abs(val - ref) < abs(ref) * mpf(10) ** -40
+
+
+def test_zeta_q_q_999_certifies_at_default_precision():
+    # about 2 * 10^5 terms, within the default max_terms
+    q0 = Fraction(999, 1000)
+    val = zeta_q(2, q0)
+    low = zeta_q(2, q0, 64)
+    assert abs(val - low) < abs(val) * mpf(2) ** -60
+
+
 @pytest.mark.parametrize("eps", (0, 1))
 def test_identity_residual_small(eps):
     for q0 in (Fraction(1, 2), Fraction(-1, 2)):

@@ -5,9 +5,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qzeta.linform import _hat_numerator
+from qzeta.linform import _hat_numerator, _zeta_q_series
 from qzeta.qcomb import QFrac
 from qzeta.series import (
     DivergenceError,
@@ -50,22 +51,96 @@ def test_callable_ratio_bound():
         # sum k / 2^k = 2; ratio (k+1)/(2k) decreasing, valid for the tail
         val = sum_with_tail((mpf(k) / mpf(2) ** k for k in range(1, 10 ** 6)),
                             lambda idx: (idx + 2) / (2 * (idx + 1)),
-                            mpf(2) ** -90)
+                            mpf(2) ** -90, limit=0.5)
         assert abs(val - 2) < mpf(2) ** -88
 
 
 def test_divergence_detected():
+    taken = []
+
+    def ones():
+        while True:
+            taken.append(1)
+            yield mpf(1)
+
     with mp.workprec(working_prec(64)):
         with pytest.raises(DivergenceError):
-            sum_with_tail((mpf(1) for _ in range(10 ** 6)), None, mpf(2) ** -50)
+            sum_with_tail(ones(), 1, mpf(2) ** -50)
+        with pytest.raises(DivergenceError):
+            sum_with_tail(ones(), lambda k: 1 + mpf(1) / (k + 1), mpf(2) ** -50,
+                          limit=1)
+    assert taken == []
+
+
+def test_callable_ratio_bound_needs_limit():
+    with pytest.raises(ValueError):
+        sum_with_tail(iter([mpf(1)]), lambda k: 0.5, mpf(2) ** -50)
 
 
 def test_max_terms_exhaustion():
     with mp.workprec(working_prec(64)):
-        # decreasing terms but never a usable ratio bound
+        # decreasing terms with a valid bound r < 1, but certifying the
+        # tail to 2^-50 takes about 5 * 10^7 terms
+        r = 1 - mpf(2) ** -20
         with pytest.raises(PrecisionError):
-            sum_with_tail((1 / mpf(k) for k in range(1, 10 ** 6)),
-                          None, mpf(2) ** -50, max_terms=500)
+            sum_with_tail((r ** k for k in range(10 ** 6)), r, mpf(2) ** -50,
+                          max_terms=500)
+
+
+def _stop_every_term(terms, bound, tol):
+    """The stop test of sum_with_tail with the bound evaluated on every
+    term: (sum, terms taken)."""
+    total = mpf(0)
+    for k, t in enumerate(terms):
+        total += t
+        r = bound(k)
+        if 0 <= r < 1 and abs(t) * r / (1 - r) < tol:
+            return total, k + 1
+    raise AssertionError("terms ran out")
+
+
+def _gated_zeta_q_sum(s, q0, prec):
+    """sum_with_tail on the zeta_q series: (sum, terms taken, bound calls)."""
+    calls = taken = 0
+    with mp.workprec(working_prec(prec)):
+        terms, bound, limit = _zeta_q_series(s, mpf(q0.numerator) / q0.denominator)
+
+        def counted_terms():
+            nonlocal taken
+            for t in terms:
+                taken += 1
+                yield t
+
+        def counted_bound(k):
+            nonlocal calls
+            calls += 1
+            return bound(k)
+
+        val = sum_with_tail(counted_terms(), counted_bound, mpf(2) ** -(prec + 8),
+                            limit=limit)
+    return val, taken, calls
+
+
+@st.composite
+def _q0s(draw):
+    den = draw(st.integers(min_value=2, max_value=100))
+    num = draw(st.integers(min_value=1, max_value=den - 1))
+    return Fraction(num * draw(st.sampled_from((1, -1))), den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_q0s(), st.integers(min_value=1, max_value=6), st.sampled_from((64, 256)))
+def test_gated_stop_matches_bound_on_every_term(q0, s, prec):
+    val, taken, _ = _gated_zeta_q_sum(s, q0, prec)
+    with mp.workprec(working_prec(prec)):
+        terms, bound, _ = _zeta_q_series(s, mpf(q0.numerator) / q0.denominator)
+        ref, ref_taken = _stop_every_term(terms, bound, mpf(2) ** -(prec + 8))
+    assert (val._mpf_, taken) == (ref._mpf_, ref_taken)
+
+
+def test_gate_skips_the_bound_near_one():
+    _, taken, calls = _gated_zeta_q_sum(2, Fraction(9816, 10007), 256)
+    assert calls < taken / 100
 
 
 def test_working_prec_adds_guard_and_scale():
