@@ -9,8 +9,8 @@ formulas.  E_2 is computed but has an empty basis (it is quasimodular
 only) and is never used in expressions.
 
 All expansion arithmetic is dense truncated multiplication over exact
-rationals.  Numeric evaluation of an expansion at rational |q0| < 1
-carries a certified tail bound from sigma_e(k) <= zeta(e) k^e.
+rationals.  Numeric evaluation of E_{2s} at rational 0 < |q0| < 1 goes
+through the certified sum zeta_q(2s, q0).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 
 from .linform import _check_q0, zeta_q
 from .qcomb import bernoulli, divisor_power_sum
-from .series import DEFAULT_PREC, sum_with_tail, tmul, working_prec
+from .series import DEFAULT_PREC, tmul, working_prec
 
 __all__ = [
     "InconsistentSystemError",
@@ -235,41 +235,23 @@ def zetaq_even_in_basis(s: int, n_solve: int | None = None,
 # ----------------------------------------------------------------------
 # Certified numeric evaluation.
 
-def _zeta_upper(e: int) -> mpf:
-    """An upper bound for zeta(e), e >= 2, at the working precision."""
-    return mp.fmul(mp.zeta(e), 1 + mpf(2) ** (16 - mp.prec), rounding="u")
-
-
 def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
-    """E_{2s}(q0) for rational |q0| < 1, certified truncation.
+    """E_{2s}(q0) = 1 - (4s/B_{2s}) zeta_q(2s, q0) for rational 0 < |q0| < 1,
+    certified truncation.
 
-    sigma_{2s-1}(k) <= zeta(2s-1) k^(2s-1) gives the term-ratio bound
-    |q0| zeta(2s-1) (1 + 1/k)^(2s-1), decreasing in k to |q0| zeta(2s-1).
-    The bound is rounded up from the exact |q0| and (1 + 1/k)^(2s-1).
+    The Lambert form zeta_q(2s) = sum_k k^(2s-1) q0^k/(1 - q0^k) has a
+    ratio bound that falls to |q0| < 1, so it certifies for every q0 the
+    expansion accepts.  Its tail tolerance is 2^(-prec-1)/|4s/B_{2s}|,
+    so the truncation error of E_{2s} stays below 2^(-prec-1).
     """
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
     q0 = _check_q0(q0)
-    e = 2 * s - 1
+    c = -Fraction(4 * s) / bernoulli(2 * s)
     with mp.workprec(working_prec(prec)):
-        tol = mpf(2) ** (-prec)
-        q = mpf(q0.numerator) / q0.denominator
-        zb = _zeta_upper(e) if e >= 2 else mpf(1)
-        lead = mp.fmul(mp.fdiv(abs(q0.numerator), q0.denominator, rounding="u"),
-                       zb, rounding="u")
-
-        def terms():
-            k = 1
-            while True:
-                yield divisor_power_sum(k, e) * q ** k
-                k += 1
-
-        def ratio(idx):
-            k = idx + 1
-            return mp.fmul(lead, mp.fdiv((k + 1) ** e, k ** e, rounding="u"),
-                           rounding="u")
-
-        c = -Fraction(4 * s) / bernoulli(2 * s)
-        tail = sum_with_tail(terms(), ratio, tol / 2, limit=lead)
-        return 1 + mpf(c.numerator) / c.denominator * tail
+        # 2^(-prec-1) / |c|, rounded down from the exact rational
+        tol = mp.fdiv(c.denominator, abs(c.numerator) << (prec + 1), rounding="d")
+        return 1 + mpf(c.numerator) / c.denominator * zeta_q(2 * s, q0, prec, tol)
 
 
 def zetaq_even_consistency(s: int = 4, q0=Fraction(1, 3),

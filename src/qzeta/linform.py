@@ -35,6 +35,7 @@ from .qcomb import QFrac, alpha_weight, d_poly, qpoch
 from .series import (
     DEFAULT_PREC,
     DivergenceError,
+    FactorMemo,
     FractionRing,
     UPolyRing,
     pf_extract,
@@ -436,17 +437,40 @@ class _QPowers:
         return self.p[e]
 
 
-def _rho_hat(A: int, r: int, n: int, k: int, qp: _QPowers):
-    """q^k R_hat(q^k) by direct product: the integer-power kernel summand."""
-    val = qp.get(k * ((A - 2 * r) * n // 2 + 1))
-    for i in range(1, n + 1):
-        val *= (1 - qp.get(i)) ** (A - 2 * r)
-    for i in range(r * n):
-        val *= (1 - qp.get(k - r * n + i)) * (1 - qp.get(k + n + 1 + i))
-    pole = mpf(1)
-    for i in range(n + 1):
-        pole *= 1 - qp.get(k + i)
-    return val / pole ** A
+def _rho_hat_terms(A: int, r: int, n: int, qp: _QPowers):
+    """(k, q^k R_hat(q^k)) for k = rn+1, rn+2, ...: the integer-power
+    kernel summand by direct product,
+
+        q^(k((A-2r)n/2+1)) prod_{i=1..n} (1 - q^i)^(A-2r)
+            prod_{i<rn} (1 - q^(k-rn+i)) (1 - q^(k+n+1+i))
+            / (prod_{i<=n} (1 - q^(k+i)))^A,
+
+    multiplied in that order.  The k-free powers (1 - q^i)^(A-2r) are
+    computed once, and the factors that depend on k only through a shift,
+    1 - q^m and the numerator pair (1 - q^m)(1 - q^(m+n+1+rn)), come from
+    per-sum memos; each is the mpf the product would compute in place, so
+    every term is bit-identical to building it from scratch.
+    """
+    rn = r * n
+    lead = (A - 2 * r) * n // 2 + 1
+    poch = [(1 - qp.get(i)) ** (A - 2 * r) for i in range(1, n + 1)]
+    omq = FactorMemo(lambda m: 1 - qp.get(m))
+    pair = FactorMemo(lambda m: omq(m) * omq(m + n + 1 + rn))
+    k = rn + 1
+    while True:
+        val = qp.get(k * lead)
+        for f in poch:
+            val *= f
+        for m in range(k - rn, k):
+            val *= pair(m)
+        pole = mpf(1)
+        for m in range(k, k + n + 1):
+            pole *= omq(m)
+        yield k, val / pole ** A
+        # term k+1 reads pair(k+1-rn..k) and omq(k..k+n+rn+1)
+        pair.drop_below(k + 1 - rn)
+        omq.drop_below(k)
+        k += 1
 
 
 def _rho_lead(A: int, r: int, n: int, aq):
@@ -488,11 +512,8 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
         half = A // 2 - 1
 
         def terms():
-            k = r * n + 1
-            while True:
-                br = 1 + (-1) ** eps * qp.get(half * (n + 2 * k))
-                yield _rho_hat(A, r, n, k, qp) * br
-                k += 1
+            for k, rho in _rho_hat_terms(A, r, n, qp):
+                yield rho * (1 + (-1) ** eps * qp.get(half * (n + 2 * k)))
 
         def bound(i):
             k = r * n + 1 + i
@@ -544,11 +565,9 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
         ex = A // 2 - 2
 
         def terms():
-            k = r * n + 1
-            while True:
+            for k, rho in _rho_hat_terms(A, r, n, qp):
                 extra = qp.get(k * ex) if ex >= 0 else 1 / qp.get(k * (-ex))
-                yield _rho_hat(A, r, n, k, qp) * extra * (1 - qp.get(2 * k + n))
-                k += 1
+                yield rho * extra * (1 - qp.get(2 * k + n))
 
         def bound(i):
             k = r * n + 1 + i
@@ -596,12 +615,10 @@ def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
                         / (1 - mp.power(qm, -(k + n + 1))) ** (A + 1))
 
         def terms():
-            k = r * n + 1
-            zk = zi ** k
-            while True:
-                yield _rho_hat(A, r, n, k, qp) * pref * zk
+            zk = zi ** (r * n + 1)
+            for _, rho in _rho_hat_terms(A, r, n, qp):
+                yield rho * pref * zk
                 zk *= zi
-                k += 1
 
         return +sum_with_tail(terms(), bound, tol, limit=lead * zi)
 

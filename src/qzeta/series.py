@@ -17,7 +17,7 @@ and the weight-3 kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, inf, lcm
 
 from mpmath import mpf
 
@@ -68,19 +68,63 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit=None,
     if limit >= 1:
         raise DivergenceError(f"ratio bound limit {float(limit):.6g} >= 1; "
                               "no certified tail")
-    gate = 2 * tol * (1 - limit) / limit if limit > 0 else mpf("inf")
+    gate = mpf(2 * tol * (1 - limit) / limit if limit > 0 else "inf")
+    # A nonzero finite mpf (sign, man, exp, bc) lies in [2^(top-1), 2^top),
+    # top = exp + bc, so |t| < gate is decided by comparing tops unless
+    # they are equal; a zero term (man == 0) takes the exact comparison.
+    gsign, gman, gexp, gbc = gate._mpf_
+    if gman and not gsign:
+        gtop = gexp + gbc
+    else:  # gate is +inf, zero or negative
+        gtop = inf if gate > 0 else -inf
     bound = ratio_bound if callable(ratio_bound) else (lambda k: ratio_bound)
     total = mpf(0)
     for k, t in enumerate(terms):
         total += t
-        ta = abs(t)
-        if ta < gate:
+        _, man, exp, bc = t._mpf_
+        top = exp + bc
+        if (top < gtop) if man and top != gtop else (abs(t) < gate):
+            ta = abs(t)
             r = bound(k)
             if 0 <= r < 1 and ta * r / (1 - r) < tol:
                 return total
         if k >= max_terms:
             raise PrecisionError(f"no certified tail after {max_terms} terms")
     return total
+
+
+class FactorMemo:
+    """Per-sum memo of a factor f(m) that depends on the summation index
+    only through the exponent m.
+
+    memo(m) computes f(m) on first use and returns the stored value after
+    that, so a term built from memo values is bit-identical to one that
+    calls f in place.  drop_below(m) forgets every key below m: a sum whose
+    terms read a sliding window of exponents keeps O(window) values, not
+    O(terms).
+    """
+
+    __slots__ = ("f", "vals", "low")
+
+    def __init__(self, f):
+        self.f = f
+        self.vals = {}
+        self.low = None
+
+    def __call__(self, m: int):
+        v = self.vals.get(m)
+        if v is None:
+            v = self.vals[m] = self.f(m)
+        return v
+
+    def __len__(self) -> int:
+        return len(self.vals)
+
+    def drop_below(self, m: int) -> None:
+        low = min(self.vals, default=m) if self.low is None else self.low
+        for j in range(low, m):
+            self.vals.pop(j, None)
+        self.low = max(low, m)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ clearing A_n and B_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,7 @@ from .linform import Params, S_eps_hat_numeric, _check_q0, zeta_q
 from .qcomb import QFrac, cyclotomic, d_poly
 from .series import (
     DEFAULT_PREC,
+    FactorMemo,
     FractionRing,
     UPolyRing,
     pf_extract,
@@ -178,16 +180,23 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
         for i in range(1, n + 1):
             poch *= 1 - q ** i
 
+        # factors shifted with k, each computed once per sum
+        omq = FactorMemo(lambda m: 1 - q ** m)
+        pair = FactorMemo(lambda m: omq(m) * omq(m + 2 * n + 1))
+
         def terms():
             k = n + 1
             while True:
                 t = (1 - q ** (2 * k + n)) * q ** (k * (n + 1))
-                for i in range(n):
-                    t *= (1 - q ** (k - n + i)) * (1 - q ** (1 + k + n + i))
+                for m in range(k - n, k):
+                    t *= pair(m)  # (1 - q^(k-n+i)) (1 - q^(1+k+n+i))
                 den = mpf(1)
-                for i in range(n + 1):
-                    den *= 1 - q ** (k + i)
+                for m in range(k, k + n + 1):
+                    den *= omq(m)
                 yield t / den ** 4
+                # term k+1 reads pair(k+1-n..k) and omq(k..k+2n+1)
+                pair.drop_below(k + 1 - n)
+                omq.drop_below(k)
                 k += 1
 
         def ratio(idx):
@@ -197,26 +206,41 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
                  * (1 + aq ** (k + 1)) / (1 - aq ** (k - n))
                  * (1 + aq ** (k + 2 * n + 1)) / (1 - aq ** (k + n + 1))
                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 4)
-            return float(r)
+            return math.nextafter(float(r), math.inf)
 
         return poch ** 2 * sum_with_tail(terms(), ratio, tol / 2, limit=aq ** (n + 1))
 
 
-def _w_log_deriv_bracket(n: int, q, k: int):
+def _bracket_factors(q) -> FactorMemo:
+    """Per-sum memo m -> (q^m, (1 - q^m)^2, 2 q^m/(1 - q^m)), the factors
+    of _w_log_deriv_bracket at the exponent m."""
+    def factors(m):
+        qm = q ** m
+        f = 1 - qm
+        return qm, f * f, 2 * qm / f
+
+    return FactorMemo(factors)
+
+
+def _w_log_deriv_bracket(n: int, q, k: int, memo: FactorMemo | None = None):
     """W_n(q^k) and the bracket 1 + T W'/W at T = q^k, k > n.
 
     W'/W = -2 sum_{i<n} q^(i-n)/(1 - q^(i-n) T) + 2 sum_{i<=n} q^i/(1 - q^i T);
-    each accumulated term below already carries the factor T = q^k."""
+    each accumulated term below already carries the factor T = q^k.  memo
+    is a _bracket_factors(q) shared by the terms of one sum; it reads the
+    exponents k-n..k+n."""
+    if memo is None:
+        memo = _bracket_factors(q)
     w = mpf(1)
     s = mpf(0)
-    for i in range(n):
-        f = 1 - q ** (k - n + i)
-        w *= f * f
-        s -= 2 * q ** (k - n + i) / f
-    for i in range(n + 1):
-        f = 1 - q ** (k + i)
-        w /= f * f
-        s += 2 * q ** (k + i) / f
+    for m in range(k - n, k):
+        _, ff, g = memo(m)
+        w *= ff
+        s -= g
+    for m in range(k, k + n + 1):
+        _, ff, g = memo(m)
+        w /= ff
+        s += g
     return w, 1 + s
 
 
@@ -233,11 +257,14 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
         q = mpf(q0.numerator) / q0.denominator
         aq = abs(q)
 
+        memo = _bracket_factors(q)
+
         def terms():
             k = n + 1
             while True:
-                w, br = _w_log_deriv_bracket(n, q, k)
-                yield q ** k * w * br
+                w, br = _w_log_deriv_bracket(n, q, k, memo)
+                yield memo(k)[0] * w * br  # memo(k)[0] is q ** k
+                memo.drop_below(k + 1 - n)
                 k += 1
 
         def bracket_bound(k):
@@ -254,7 +281,7 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
                  * ((1 + aq ** (k + 1)) / (1 - aq ** (k - n))) ** 2
                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 2
                  * (1 + g1) / (1 - g0))
-            return float(r)
+            return math.nextafter(float(r), math.inf)
 
         total = sum_with_tail(terms(), ratio, tol / 2, limit=aq)
         return q ** (n * (n + 1)) * total

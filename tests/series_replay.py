@@ -1,0 +1,71 @@
+"""Helpers for checking the certified series term by term: replay one
+sum over reference terms, record the factor memos a sum creates, and
+draw rational points q0."""
+
+from contextlib import contextmanager
+from fractions import Fraction
+
+import pytest
+from hypothesis import strategies as st
+
+from qzeta.series import FactorMemo
+
+NEAR_ONE = (Fraction(9666, 10007), Fraction(9816, 10007))
+
+
+@st.composite
+def q0s(draw):
+    """q0 = +-a/b with 1 <= a < b <= 100."""
+    den = draw(st.integers(min_value=2, max_value=100))
+    num = draw(st.integers(min_value=1, max_value=den - 1))
+    return Fraction(num * draw(st.sampled_from((1, -1))), den)
+
+
+def replayed(module, call, ref_terms):
+    """call() takes one certified sum through module.sum_with_tail; that sum
+    is replayed with the same ratio bound, tol, limit and precision over
+    ref_terms().  Returns (sum _mpf_, terms taken) of the call and of the
+    replay."""
+    real = module.sum_with_tail
+    runs = []
+
+    def run(terms, bound, tol, limit):
+        taken = 0
+
+        def counted():
+            nonlocal taken
+            for t in terms:
+                taken += 1
+                yield t
+
+        val = real(counted(), bound, tol, limit=limit)
+        runs.append((val._mpf_, taken))
+        return val
+
+    def spy(terms, bound, tol, *, limit):
+        val = run(terms, bound, tol, limit)
+        run(ref_terms(), bound, tol, limit)  # still at the caller's precision
+        return val
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "sum_with_tail", spy)
+        call()
+    return runs
+
+
+@contextmanager
+def recorded_memos(module):
+    """Within the block, every FactorMemo that module creates is appended
+    to the yielded list."""
+    memos = []
+
+    class Recorded(FactorMemo):
+        __slots__ = ()
+
+        def __init__(self, f):
+            super().__init__(f)
+            memos.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "FactorMemo", Recorded)
+        yield memos

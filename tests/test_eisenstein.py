@@ -220,10 +220,26 @@ def test_eisenstein_value_near_one_matches_e4_e6(s, q0):
         assert abs(val - ref) < abs(ref) * mpf(10) ** -40
 
 
+@pytest.mark.parametrize("s,q0", [(2, Fraction(9, 10)), (2, Fraction(-9, 10)),
+                                  (3, Fraction(97, 100))])
+def test_eisenstein_value_where_the_divisor_bound_diverged(s, q0):
+    # |q0| zeta(2s-1) >= 1 here, where a bound sigma_e(k) <= zeta(e) k^e
+    # cannot certify; check E_4^2 = E_8 and E_4 E_6 = E_10
+    with mp.workprec(288):
+        e4 = eisenstein_value(2, q0)
+        if s == 2:
+            val, ref = e4 ** 2, eisenstein_value(4, q0)
+        else:
+            val, ref = e4 * eisenstein_value(3, q0), eisenstein_value(5, q0)
+        assert abs(val - ref) < abs(ref) * mpf(10) ** -40
+
+
 def test_eisenstein_value_validation():
     for bad in (0, 1, Fraction(3, 2)):
         with pytest.raises(ValueError):
             eisenstein_value(2, bad)
+    with pytest.raises(ValueError):
+        eisenstein_value(0, Fraction(1, 3))
 
 
 @pytest.mark.parametrize("s", (4, 6))

@@ -5,8 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+from qzeta import linform
 from qzeta.linform import (
     D_exponent,
     D_n,
@@ -18,6 +20,8 @@ from qzeta.linform import (
     S_eps_hat_numeric,
     S_eps_numeric,
     S_tilde_numeric,
+    S_z_numeric,
+    _QPowers,
     _hat_numerator,
     d_symmetry_check,
     denominator_check,
@@ -34,6 +38,7 @@ from qzeta.linform import (
 from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
 from qzeta.series import UPolyRing, working_prec
 from qzeta.upoly import UPoly
+from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
 
 SMALL = [(4, 1, 0), (4, 1, 1), (4, 1, 3), (6, 1, 2), (6, 2, 2), (2, 1, 2)]
 
@@ -198,6 +203,88 @@ def test_identity_residual_small(eps):
     for q0 in (Fraction(1, 2), Fraction(-1, 2)):
         res = identity_residual(Params(4, 1, 2, eps), q0, 256)
         assert res["residual"] < mpf(10) ** -40
+
+
+# ----------------------------------------------------------------------
+# The memoized kernel summands against the per-term products they replace.
+
+def _ref_rho_hat(A, r, n, k, qp):
+    """q^k R_hat(q^k) with every factor rebuilt for this k."""
+    val = qp.get(k * ((A - 2 * r) * n // 2 + 1))
+    for i in range(1, n + 1):
+        val *= (1 - qp.get(i)) ** (A - 2 * r)
+    for i in range(r * n):
+        val *= (1 - qp.get(k - r * n + i)) * (1 - qp.get(k + n + 1 + i))
+    pole = mpf(1)
+    for i in range(n + 1):
+        pole *= 1 - qp.get(k + i)
+    return val / pole ** A
+
+
+def _ref_terms(kind, A, r, n, eps, qv, zv):
+    """The per-term generators of S_eps_hat_numeric ("eps"),
+    S_tilde_numeric ("tilde") and S_z_numeric ("z")."""
+    qm = mpf(qv.numerator) / qv.denominator
+    qp = _QPowers(qm)
+    k = r * n + 1
+    if kind == "z":
+        pref = mp.power(qm, -mpf((A - 2 * r) * n) / 4)
+        zi = mpf(zv.denominator) / zv.numerator
+        zk = zi ** k
+    while True:
+        if kind == "eps":
+            br = 1 + (-1) ** eps * qp.get((A // 2 - 1) * (n + 2 * k))
+            yield _ref_rho_hat(A, r, n, k, qp) * br
+        elif kind == "tilde":
+            ex = A // 2 - 2
+            extra = qp.get(k * ex) if ex >= 0 else 1 / qp.get(k * (-ex))
+            yield _ref_rho_hat(A, r, n, k, qp) * extra * (1 - qp.get(2 * k + n))
+        else:
+            yield _ref_rho_hat(A, r, n, k, qp) * pref * zk
+            zk *= zi
+        k += 1
+
+
+MEMO_PARAMS = ([(4, 1, n) for n in range(4)] + [(6, 1, n) for n in range(2)]
+               + [(6, 2, n) for n in range(2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("eps", "tilde", "z", "zinv")), st.sampled_from(MEMO_PARAMS),
+       st.sampled_from((0, 1)), q0s(), st.sampled_from((64, 160)))
+@example("eps", (4, 1, 3), 1, NEAR_ONE[1], 160)
+@example("tilde", (6, 1, 1), 0, NEAR_ONE[0], 64)
+@example("z", (6, 2, 1), 0, NEAR_ONE[0], 64)
+@example("zinv", (4, 1, 2), 0, NEAR_ONE[1], 64)
+def test_memoized_kernel_terms_are_bit_identical(kind, akn, eps, q0, prec):
+    A, r, n = akn
+    p = Params(A, r, n, eps)
+    if kind == "eps":
+        qv, zv = q0, None
+        call = lambda: S_eps_hat_numeric(p, q0, prec)
+    elif kind == "tilde":
+        qv, zv = q0, None
+        call = lambda: S_tilde_numeric(p, q0, prec)
+    else:  # the two sums of transform_check
+        q0 = abs(q0)
+        qv, zv = (q0, q0 ** (2 - A)) if kind == "z" else (1 / q0, Fraction(1))
+        call = lambda: S_z_numeric(p, qv, zv, prec)
+    ref_kind = "z" if kind == "zinv" else kind
+    got, ref = replayed(linform, call,
+                         lambda: _ref_terms(ref_kind, A, r, n, eps, qv, zv))
+    assert got == ref
+
+
+def test_kernel_memos_stay_a_window_near_one():
+    A, r, n, q0 = 4, 1, 3, NEAR_ONE[1]
+    with recorded_memos(linform) as memos:
+        got, ref = replayed(
+            linform, lambda: S_eps_hat_numeric(Params(A, r, n, 0), q0),
+            lambda: _ref_terms("eps", A, r, n, 0, q0, None))
+    assert got == ref
+    assert got[1] > 1000  # terms taken
+    assert len(memos) == 2  # 1 - q^m and the numerator pairs
+    assert all(len(m) <= n + r * n + 2 for m in memos)
 
 
 def test_s_numeric_normalizations():

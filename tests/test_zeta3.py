@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+from qzeta import zeta3
 from qzeta.linform import zeta_q
 from qzeta.zeta3 import (
     ball_matches_symmetrized,
@@ -21,6 +23,7 @@ from qzeta.zeta3 import (
     zeta3_report,
 )
 from qzeta.zeta3 import _w_log_deriv_bracket
+from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +115,75 @@ def test_log_derivative_bracket_finite_difference():
         wp = (w_at(t0 * (1 + h)) - w_at(t0 * (1 - h))) / (2 * h * t0)
         fd = 1 + t0 * wp / w
         assert abs(br - fd) < mpf(2) ** -100
+
+
+# ----------------------------------------------------------------------
+# The memoized summands against the per-term products they replace.
+
+def _ref_ball_terms(n, q):
+    k = n + 1
+    while True:
+        t = (1 - q ** (2 * k + n)) * q ** (k * (n + 1))
+        for i in range(n):
+            t *= (1 - q ** (k - n + i)) * (1 - q ** (1 + k + n + i))
+        den = mpf(1)
+        for i in range(n + 1):
+            den *= 1 - q ** (k + i)
+        yield t / den ** 4
+        k += 1
+
+
+def _ref_bracket(n, q, k):
+    w = mpf(1)
+    s = mpf(0)
+    for i in range(n):
+        f = 1 - q ** (k - n + i)
+        w *= f * f
+        s -= 2 * q ** (k - n + i) / f
+    for i in range(n + 1):
+        f = 1 - q ** (k + i)
+        w /= f * f
+        s += 2 * q ** (k + i) / f
+    return w, 1 + s
+
+
+def _ref_bgn_terms(n, q):
+    k = n + 1
+    while True:
+        w, br = _ref_bracket(n, q, k)
+        yield q ** k * w * br
+        k += 1
+
+
+SERIES = {"ball": (qball_numeric, _ref_ball_terms),
+          "bgn": (qbgn_numeric, _ref_bgn_terms)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SERIES)), st.integers(min_value=0, max_value=6),
+       q0s(), st.sampled_from((64, 128)))
+@example("ball", 6, NEAR_ONE[0], 128)
+@example("ball", 1, NEAR_ONE[1], 64)
+@example("bgn", 0, NEAR_ONE[0], 128)
+@example("bgn", 6, NEAR_ONE[1], 64)
+def test_memoized_series_terms_are_bit_identical(kind, n, q0, prec):
+    fn, ref = SERIES[kind]
+    got, want = replayed(
+        zeta3, lambda: fn(n, q0, prec),
+        lambda: ref(n, mpf(q0.numerator) / q0.denominator))
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", SERIES)
+def test_series_memos_stay_a_window_near_one(kind):
+    n, q0 = 4, NEAR_ONE[1]
+    fn, ref = SERIES[kind]
+    with recorded_memos(zeta3) as memos:
+        got, want = replayed(zeta3, lambda: fn(n, q0, 64),
+                             lambda: ref(n, mpf(q0.numerator) / q0.denominator))
+    assert got == want
+    assert got[1] > 300  # terms taken
+    assert memos and all(len(m) <= 2 * n + 2 for m in memos)
 
 
 # ----------------------------------------------------------------------
