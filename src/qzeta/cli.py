@@ -46,12 +46,7 @@ from .linform import (
 )
 from .series import DEFAULT_PREC, DivergenceError, PrecisionError
 from .upoly import format_rat, parse_rat
-from .zeta3 import (
-    dbar_probe,
-    qball_numeric,
-    qbgn_numeric,
-    zeta3_identity_residual,
-)
+from .zeta3 import zeta3_report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -61,11 +56,18 @@ EXIT_PRECISION = 3
 _DIGITS = 30   # fixed digit count for all float output: determinism
 
 
-def _default_prec() -> int:
-    try:
-        return int(os.environ["QZETA_PREC"])
-    except (KeyError, ValueError):
+def _env_prec() -> int:
+    """The working precision when --prec is absent: QZETA_PREC if set."""
+    text = os.environ.get("QZETA_PREC")
+    if text is None:
         return DEFAULT_PREC
+    try:
+        prec = int(text)
+    except ValueError:
+        prec = 0
+    if prec < 16:
+        raise ValueError(f"QZETA_PREC must be an integer >= 16, got {text!r}")
+    return prec
 
 
 def _parse_nrange(text: str) -> range:
@@ -107,22 +109,21 @@ def _emit(report: dict, fmt: str, out, csv_rows=None) -> None:
     else:
         text = "".join(f"{k}: {v}\n" for k, v in _pretty_lines(report))
     if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _flatten_rows(report, prefix=""):
-    rows = [("key", "value")] if not prefix else []
-    for k, v in sorted(_jsonable(report).items()):
-        key = f"{prefix}{k}"
-        if isinstance(v, dict):
-            rows.extend(_flatten_rows(v, prefix=f"{key}."))
-        elif isinstance(v, list):
-            rows.append((key, ";".join(json.dumps(x) for x in v)))
-        else:
-            rows.append((key, v))
+def _flatten_rows(report):
+    rows = [("key", "value")]
+    for key, v in _pretty_lines(report):
+        if isinstance(v, list):
+            v = ";".join(json.dumps(x) for x in v)
+        rows.append((key, v))
     return rows
 
 
@@ -234,34 +235,10 @@ def _cmd_delta_const(args):
 
 
 def _cmd_zeta3(args):
-    q0 = parse_rat(args.q)
+    rep = zeta3_report(args.n, parse_rat(args.q), args.prec)
+    rep["command"] = "zeta3"
     tol = mpf(10) ** (-args.tol)
-    ball = qball_numeric(args.n, q0, args.prec)
-    bgn = qbgn_numeric(args.n, q0, args.prec)
-    diff = abs(ball - bgn)
-    ok = diff < tol
-    rep = {
-        "command": "zeta3",
-        "n": args.n,
-        "q": format_rat(q0),
-        "ball": ball,
-        "bgn": bgn,
-        "diff": diff,
-    }
-    if q0 > 0:
-        ident = zeta3_identity_residual(args.n, q0, args.prec)
-        probe = dbar_probe([args.n], q0)
-        row = probe["rows"][0]
-        ok = ok and ident["residual"] < tol
-        rep.update({
-            "A_num": str(ident["A"].numerator),
-            "A_den": str(ident["A"].denominator),
-            "B_num": str(ident["B"].numerator),
-            "B_den": str(ident["B"].denominator),
-            "residual": ident["residual"],
-            "dbar_m": row["m"],
-            "dbar_slope": row["slope"],
-        })
+    ok = rep["diff"] < tol and rep.get("residual", 0) < tol
     return (EXIT_PASS if ok else EXIT_FAIL), rep, None
 
 
@@ -330,8 +307,8 @@ def _cmd_denom_probe(args):
 # ----------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prec", type=int, default=_default_prec(),
-                   help="working precision in bits (env QZETA_PREC)")
+    p.add_argument("--prec", type=int, default=None,
+                   help=f"working precision in bits (default: env QZETA_PREC, else {DEFAULT_PREC})")
     p.add_argument("--format", choices=("json", "csv", "pretty"),
                    default="json")
     p.add_argument("--out", default=None, help="write output to this path")
@@ -442,18 +419,20 @@ def _join_negative_q(argv: list) -> list:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_join_negative_q(sys.argv[1:] if argv is None else list(argv)))
-    if args.prec < 16:
+    if args.prec is not None and args.prec < 16:
         print("invalid input: --prec must be >= 16", file=sys.stderr)
         return EXIT_INVALID
     try:
+        if args.prec is None:
+            args.prec = _env_prec()
         code, report, csv_rows = args.func(args)
+        _emit(report, args.format, args.out, csv_rows)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (PrecisionError, DivergenceError) as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    _emit(report, args.format, args.out, csv_rows)
     return code
 
 

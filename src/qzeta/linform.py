@@ -138,9 +138,8 @@ class PFTable:
     """Exact partial-fraction coefficients of the kernel.
 
     dhat[j][s] is the QFrac coefficient of 1/(1 - q^j T)^s for the
-    integer-power kernel (normalizing monomial stripped); d(s, j) and
-    c(s, j) restore the monomial and give the two standard conventions
-    d_{s,j} and c_{s,j} = (-1)^s q^(-js) ... with d = (-1)^s q^(js) c.
+    integer-power kernel (normalizing monomial stripped); d(s, j)
+    restores the monomial, giving d_{s,j}.
     """
 
     A: int
@@ -152,15 +151,6 @@ class PFTable:
     def d(self, s: int, j: int) -> QFrac:
         v = self.dhat[j][s]
         return QFrac(v.num.shift_u(self.prefactor_u), v.den)
-
-    def c(self, s: int, j: int) -> QFrac:
-        v = self.d(s, j).mul_qpow(-j * s)
-        return -v if s % 2 else v
-
-    def entries(self):
-        for j in range(self.n + 1):
-            for s in range(1, self.A + 1):
-                yield s, j, self.d(s, j)
 
 
 @lru_cache(maxsize=None)

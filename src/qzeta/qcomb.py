@@ -23,38 +23,26 @@ from .upoly import ExactDivisionError, UPoly
 # Stirling numbers (unsigned, first kind) and the weights relating the
 # symmetrized polynomial values to q-zeta coefficients.
 
-class StirlingTable:
-    """Triangular cache of unsigned Stirling numbers of the first kind.
+@lru_cache(maxsize=None)
+def _stirling_row(n: int) -> tuple:
+    """Unsigned Stirling numbers of the first kind c(n, j), j = 0..n.
 
     c(N, j) counts permutations of N elements with j cycles and satisfies
-    c(N+1, j) = c(N, j-1) + N*c(N, j), with c(1, 1) = 1.  Equivalently
+    c(N+1, j) = c(N, j-1) + N*c(N, j), with c(0, 0) = 1.  Equivalently
     x(x+1)...(x+N-1) = sum_j c(N, j) x^j.
     """
-
-    def __init__(self):
-        self._rows = [None, {1: 1}]
-
-    def value(self, n: int, j: int) -> int:
-        if n < 1:
-            raise ValueError("Stirling index n must be >= 1")
-        while len(self._rows) <= n:
-            m = len(self._rows) - 1
-            prev = self._rows[m]
-            row = {}
-            for jj in range(1, m + 2):
-                row[jj] = prev.get(jj - 1, 0) + m * prev.get(jj, 0)
-            self._rows.append(row)
-        row = self._rows[n]
-        if j < 1 or j > n:
-            raise ValueError(f"Stirling index j={j} out of range 1..{n}")
-        return row.get(j, 0)
-
-
-_STIRLING = StirlingTable()
+    row = [1]
+    for m in range(n):
+        row = [m * a + b for a, b in zip(row + [0], [0] + row)]
+    return tuple(row)
 
 
 def stirling_first(n: int, j: int) -> int:
-    return _STIRLING.value(n, j)
+    if n < 1:
+        raise ValueError("Stirling index n must be >= 1")
+    if j < 1 or j > n:
+        raise ValueError(f"Stirling index j={j} out of range 1..{n}")
+    return _stirling_row(n)[j]
 
 
 def alpha_weight(s: int, j: int) -> Fraction:
@@ -81,22 +69,6 @@ def bernoulli(m: int) -> Fraction:
 # ----------------------------------------------------------------------
 # Divisor sums (shared with the modular-forms module).
 
-def divisor_power_sum(k: int, e: int) -> int:
-    """sigma_e(k) = sum of d^e over divisors d of k."""
-    if k < 1:
-        raise ValueError("divisor sum needs k >= 1")
-    total = 0
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            total += d ** e
-            other = k // d
-            if other != d:
-                total += other ** e
-        d += 1
-    return total
-
-
 @lru_cache(maxsize=None)
 def _divisors(m: int) -> tuple:
     out = []
@@ -110,65 +82,44 @@ def _divisors(m: int) -> tuple:
     return tuple(sorted(out))
 
 
+def divisor_power_sum(k: int, e: int) -> int:
+    """sigma_e(k) = sum of d^e over divisors d of k."""
+    if k < 1:
+        raise ValueError("divisor sum needs k >= 1")
+    return sum(d ** e for d in _divisors(k))
+
+
 # ----------------------------------------------------------------------
 # Cyclotomic polynomials and the products d_n = prod_{l<=n} Phi_l.
 
-class CycloCache:
-    """Cyclotomic polynomials Phi_l(q) and prefix products, memoized.
-
-    Phi_l is computed by exact division: Phi_l = (q^l - 1) / prod_{d|l, d<l} Phi_d.
-    The cache is grown on demand; all returned polynomials are shared and
-    must be treated as immutable.
-    """
-
-    def __init__(self):
-        self._phi = {}
-        self._dn = [UPoly.one()]
-        self._products = {}
-
-    def phi(self, l: int) -> UPoly:
-        if l < 1:
-            raise ValueError("cyclotomic index must be >= 1")
-        got = self._phi.get(l)
-        if got is not None:
-            return got
-        num = UPoly({2 * l: 1, 0: -1})  # q^l - 1
-        for d in _divisors(l):
-            if d < l:
-                num = num.divexact(self.phi(d))
-        self._phi[l] = num
-        return num
-
-    def d_poly(self, n: int) -> UPoly:
-        """d_n(q) = prod_{l=1}^{n} Phi_l(q)."""
-        if n < 0:
-            raise ValueError("d_n needs n >= 0")
-        while len(self._dn) <= n:
-            m = len(self._dn)
-            self._dn.append(self._dn[m - 1] * self.phi(m))
-        return self._dn[n]
-
-    def product(self, exps: dict) -> UPoly:
-        """prod_l Phi_l(q)^m over exps = {l: m}."""
-        key = tuple(sorted(exps.items()))
-        got = self._products.get(key)
-        if got is None:
-            got = UPoly.one()
-            for l, m in key:
-                got = got * self.phi(l) ** m
-            self._products[key] = got
-        return got
-
-
-_CYCLO = CycloCache()
-
-
+@lru_cache(maxsize=None)
 def cyclotomic(l: int) -> UPoly:
-    return _CYCLO.phi(l)
+    """Phi_l(q) = (q^l - 1) / prod_{d|l, d<l} Phi_d, by exact division.
+
+    The returned polynomial is shared and must be treated as immutable."""
+    if l < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    num = UPoly({2 * l: 1, 0: -1})  # q^l - 1
+    for d in _divisors(l):
+        if d < l:
+            num = num.divexact(cyclotomic(d))
+    return num
+
+
+@lru_cache(maxsize=None)
+def _phi_product(key: tuple) -> UPoly:
+    """prod_l Phi_l(q)^m over key = sorted ((l, m), ...)."""
+    got = UPoly.one()
+    for l, m in key:
+        got = got * cyclotomic(l) ** m
+    return got
 
 
 def d_poly(n: int) -> UPoly:
-    return _CYCLO.d_poly(n)
+    """d_n(q) = prod_{l=1}^{n} Phi_l(q)."""
+    if n < 0:
+        raise ValueError("d_n needs n >= 0")
+    return _phi_product(tuple((l, 1) for l in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +204,7 @@ class PhiProduct:
         return PhiProduct(out)
 
     def expand(self) -> UPoly:
-        return _CYCLO.product(self.e)
+        return _phi_product(tuple(sorted(self.e.items())))
 
     def eval_fraction(self, q0: Fraction) -> Fraction:
         out = Fraction(1)

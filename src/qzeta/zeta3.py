@@ -222,15 +222,13 @@ def _bracket_factors(q) -> FactorMemo:
     return FactorMemo(factors)
 
 
-def _w_log_deriv_bracket(n: int, q, k: int, memo: FactorMemo | None = None):
+def _w_log_deriv_bracket(n: int, q, k: int, memo: FactorMemo):
     """W_n(q^k) and the bracket 1 + T W'/W at T = q^k, k > n.
 
     W'/W = -2 sum_{i<n} q^(i-n)/(1 - q^(i-n) T) + 2 sum_{i<=n} q^i/(1 - q^i T);
     each accumulated term below already carries the factor T = q^k.  memo
     is a _bracket_factors(q) shared by the terms of one sum; it reads the
     exponents k-n..k+n."""
-    if memo is None:
-        memo = _bracket_factors(q)
     w = mpf(1)
     s = mpf(0)
     for m in range(k - n, k):
@@ -425,7 +423,6 @@ def bgn_slope(n_range, q0=Fraction(1, 2), prec: int = DEFAULT_PREC) -> SlopeEsti
         raise ValueError("needs q0 in (0, 1): log q appears unsquared")
     pts = []
     with mp.workprec(working_prec(prec)):
-        z3 = zeta_q(3, q0, prec)
         logq = mp.log(mpf(q0.numerator) / q0.denominator)
         for n in sorted(n_range):
             if n < 1:
@@ -475,29 +472,23 @@ def classical_ball(n: int, prec: int = 64, tol=None) -> mpf:
 # Consolidated report.
 
 def zeta3_report(n: int, q0, prec: int = DEFAULT_PREC) -> dict:
-    """Machine-readable summary for one (n, q0)."""
+    """Machine-readable summary for one (n, q0): the series pair and their
+    difference, and for q0 > 0 the exact A_n, B_n, the identity residual
+    and the dbar probe row.  Values are mpf (None for a missing slope)."""
     q0 = _check_q0(q0)
     ball = qball_numeric(n, q0, prec)
     bgn = qbgn_numeric(n, q0, prec)
-    out = {
-        "n": n,
-        "q": str(q0),
-        "ball": mp.nstr(ball, 25),
-        "bgn": mp.nstr(bgn, 25),
-        "diff": mp.nstr(abs(ball - bgn), 6),
-    }
+    out = {"n": n, "q": str(q0), "ball": ball, "bgn": bgn, "diff": abs(ball - bgn)}
     if q0 > 0:
         ident = zeta3_identity_residual(n, q0, prec)
-        probe = dbar_probe([n], q0)
-        row = probe["rows"][0]
+        row = dbar_probe([n], q0)["rows"][0]
         out.update({
             "A_num": str(ident["A"].numerator),
             "A_den": str(ident["A"].denominator),
             "B_num": str(ident["B"].numerator),
             "B_den": str(ident["B"].denominator),
-            "residual": mp.nstr(ident["residual"], 6),
+            "residual": ident["residual"],
             "dbar_m": row["m"],
-            "dbar_slope": None if row["slope"] is None
-            else mp.nstr(row["slope"], 10),
+            "dbar_slope": row["slope"],
         })
     return out

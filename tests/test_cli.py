@@ -159,6 +159,31 @@ def test_csv_format(capsys):
     assert "," in lines[1] and "." in lines[1]
 
 
+@pytest.mark.parametrize("argv,lines", [
+    (("delta", "--A", "12", "--r", "2"),
+     ["key,value",
+      "A,12",
+      "best_delta,1.0800593919950511878624865858",
+      "best_r,2",
+      "command,delta",
+      "delta,1.0800593919950511878624865858",
+      "exceeds_one,True",
+      "r,2"]),
+    # a list field: its items are JSON, joined by ";"
+    (("eisenstein", "--weight", "12", "--verify", "42"),
+     ["key,value",
+      'basis,{"a": 3, "b": 0, "c": "441/691"};{"a": 0, "b": 2, "c": "250/691"}',
+      "command,eisenstein",
+      "solved_on,2",
+      "verified_to,42",
+      "weight,12"]),
+])
+def test_csv_flattened_report(capsys, argv, lines):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == lines
+
+
 def test_pretty_format(capsys):
     code, out, _ = run(capsys, "delta", "--A", "4", "--r", "1",
                        "--format", "pretty")
@@ -181,3 +206,28 @@ def test_prec_env_default(monkeypatch, capsys):
                        "--q", "1/2", "--tol", "10")
     assert code == 0
     assert json.loads(out)["prec"] == 77
+
+
+def test_out_unwritable_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "delta", "--A", "12", "--r", "2",
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"invalid input: cannot write {path}: No such file or directory"
+
+
+@pytest.mark.parametrize("value", ["abc", "8"])
+def test_prec_env_invalid_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("QZETA_PREC", value)
+    code, out, err = run(capsys, "delta", "--A", "12", "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"invalid input: QZETA_PREC must be an integer >= 16, got {value!r}"
+
+
+def test_prec_flag_overrides_env(monkeypatch, capsys):
+    monkeypatch.setenv("QZETA_PREC", "abc")
+    code, out, _ = run(capsys, "delta", "--A", "12", "--r", "2", "--prec", "64")
+    assert code == 0
+    assert json.loads(out)["exceeds_one"] is True

@@ -1,0 +1,100 @@
+"""Source hygiene of the package, checked with the standard-library ast:
+no local variable is assigned and never read, and no import goes unused.
+
+Names starting with "_" are exempt, as are `from __future__` imports and
+the re-exports of the package's __init__.py.  A name listed in a module's
+__all__ counts as used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qzeta"
+MODULES = sorted(SRC.glob("*.py"))
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    """The nodes of func's body outside nested functions and classes."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _loaded(tree) -> set:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def unused_locals(tree) -> list:
+    """(function, name) for each local assigned in a function and read
+    nowhere in it, nested functions included."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_nodes(func))
+        declared = {name for node in own
+                    if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        stored = {node.id for node in own
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        read = _loaded(func)
+        found.extend((func.name, name) for name in sorted(stored - read - declared)
+                     if not name.startswith("_"))
+    return found
+
+
+def unused_imports(tree) -> list:
+    """Imported names that the module never reads and does not list in
+    __all__."""
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            exported |= {elt.value for elt in node.value.elts
+                         if isinstance(elt, ast.Constant)}
+    used = _loaded(tree) | exported
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and not name.startswith("_"):
+                    found.append(name)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals_or_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    problems = [f"local {name!r} in {func}() is never read"
+                for func, name in unused_locals(tree)]
+    if path.name != "__init__.py":
+        problems += [f"import {name!r} is never used" for name in unused_imports(tree)]
+    assert not problems, problems
+
+
+def test_checker_flags_dead_names():
+    tree = ast.parse(
+        "import os\n"
+        "from math import pi, tau\n"
+        "__all__ = ['tau']\n"
+        "def f(x):\n"
+        "    dead = x + 1\n"
+        "    live = 2\n"
+        "    _skip = 3\n"
+        "    def g():\n"
+        "        return live\n"
+        "    return g\n")
+    assert unused_locals(tree) == [("f", "dead")]
+    assert unused_imports(tree) == ["os", "pi"]

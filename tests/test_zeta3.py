@@ -22,7 +22,7 @@ from qzeta.zeta3 import (
     zeta3_reconstruction_check,
     zeta3_report,
 )
-from qzeta.zeta3 import _w_log_deriv_bracket
+from qzeta.zeta3 import _bracket_factors, _w_log_deriv_bracket
 from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
 
 
@@ -109,7 +109,7 @@ def test_log_derivative_bracket_finite_difference():
             return num / den
 
         t0 = q ** k
-        w, br = _w_log_deriv_bracket(n, q, k)
+        w, br = _w_log_deriv_bracket(n, q, k, _bracket_factors(q))
         assert abs(w - w_at(t0)) < mpf(2) ** -230
         h = mpf(2) ** -60
         wp = (w_at(t0 * (1 + h)) - w_at(t0 * (1 - h))) / (2 * h * t0)
@@ -245,5 +245,6 @@ def test_report_schema():
                 "B_num", "B_den", "residual", "dbar_m", "dbar_slope"):
         assert key in rep
     assert rep["dbar_m"] == 3
+    assert all(isinstance(rep[key], mpf) for key in ("ball", "bgn", "diff", "residual"))
     neg = zeta3_report(2, Fraction(-1, 3), 96)
     assert "residual" not in neg and "diff" in neg
