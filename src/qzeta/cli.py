@@ -425,6 +425,8 @@ def main(argv=None) -> int:
     try:
         if args.prec is None:
             args.prec = _env_prec()
+        if getattr(args, "tol", 1) < 1:
+            raise ValueError(f"--tol must be >= 1, got {args.tol}")
         code, report, csv_rows = args.func(args)
         _emit(report, args.format, args.out, csv_rows)
     except (ValueError, ZeroDivisionError) as exc:

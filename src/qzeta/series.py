@@ -6,23 +6,24 @@ bits, a fixed reserve of guard bits, and scale-aware working precision so
 that residuals of badly cancelling combinations are still certified at
 the requested tolerance.
 
-The exact half is one T-polynomial layer (tmul, tmul_linear, tdiv_linear,
-tpow) that is deliberately generic, and one exact-ring protocol with two
-rings: UPolyRing (symbolic q) and FractionRing (q specialized to a
-rational q0).  The partial-fraction extractor and its reconstruction
-check, built on top of them, are shared by the main linear-form kernel
+The exact half is one T-polynomial layer (tmul, tmul_linear) that is
+deliberately generic, and one exact-ring protocol with two rings:
+UPolyRing (symbolic q) and FractionRing (q specialized to a rational
+q0).  The partial-fraction extractor and its reconstruction check, which
+re-sums the rows pole by pole, are shared by the main linear-form kernel
 and the weight-3 kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, inf, lcm
 
 from mpmath import mpf
 
 from .qcomb import PhiProduct, QFrac
-from .upoly import ExactArithError, ExactDivisionError, UPoly
+from .upoly import ExactArithError, UPoly
 
 
 DEFAULT_PREC = 256
@@ -151,24 +152,6 @@ def tmul(a: list, b: list, order: int | None = None) -> list:
 def tmul_linear(a: list, c) -> list:
     """a(T) * (1 - c T)."""
     return [a[0]] + [a[i] - c * a[i - 1] for i in range(1, len(a))] + [-(c * a[-1])]
-
-
-def tdiv_linear(a: list, c) -> list:
-    """Exact quotient a(T) / (1 - c T); ExactDivisionError on a remainder."""
-    out = [a[0]]
-    for x in a[1:]:
-        out.append(x + c * out[-1])
-    if out.pop():
-        raise ExactDivisionError(f"1 - ({c!r}) T does not divide")
-    return out
-
-
-def tpow(a: list, k: int) -> list:
-    """a(T)^k by repeated multiplication."""
-    out = [a[0] ** 0]
-    for _ in range(k):
-        out = tmul(out, a)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -387,33 +370,46 @@ def pf_reconstruct(numer, rows, pole_count: int, order: int) -> bool:
             = sum_j sum_{s=1..order} rows[j][s] / (1 - q^j T)^s,
 
     with numer dense UPoly T-coefficients and rows[j][s] QFrac.  With L
-    the lcm of the row denominators it is a Laurent-polynomial identity:
+    the lcm of the row denominators and g_i = (1 - q^i T)^order it is a
+    Laurent-polynomial identity:
 
-        L * numer(T) = sum_j quot_j^order * sum_s n_{s,j} (1 - q^j T)^(order-s)
+        L * numer(T) = sum_j srow_j * prod_{i != j} g_i,
+        srow_j = sum_s n_{s,j} (1 - q^j T)^(order-s),
 
-    where quot_j = (T;q)_{pole_count} / (1 - q^j T) and n_{s,j} is the row
-    numerator rescaled to L, num * expand(L / den).
+    where n_{s,j} is the row numerator rescaled to L, num * expand(L / den).
+    The right side is re-summed pole by pole,
+
+        acc <- acc * g_j + srow_j * P,    P <- P * g_j,
+
+    and the T^k coefficient of g_j is the monomial C(order,k) (-1)^k q^(jk),
+    so only srow_j * P multiplies UPoly by UPoly.
     """
     lden = PhiProduct()
     for row in rows:
         for v in row.values():
             lden = lden.lcm(v.den)
     lpoly = lden.expand()
-    diff = [c * lpoly for c in numer]
-    big = [UPoly.one()]
+
+    def times_g(a: list, j: int) -> list:
+        out = [UPoly.zero()] * (len(a) + order)
+        for k in range(order + 1):
+            ck = comb(order, k) * (-1) ** k
+            for i, x in enumerate(a):
+                if x:
+                    out[i + k] = out[i + k] + x.shift_u(2 * j * k) * ck
+        return out
+
+    acc, big = [UPoly.zero()], [UPoly.one()]
     for j in range(pole_count):
-        big = tmul_linear(big, UPoly.q_power(j))
-    for j, row in enumerate(rows):
-        qj = UPoly.q_power(j)
-        # sum_s n_s (1 - q^j T)^(order-s), by Horner in (1 - q^j T)
-        nums = [row[s].num * lden.cofactor(row[s].den).expand()
+        # srow_j by Horner in (1 - q^j T)
+        nums = [rows[j][s].num * lden.cofactor(rows[j][s].den).expand()
                 for s in range(1, order + 1)]
         srow = nums[:1]
         for n_s in nums[1:]:
-            srow = tmul_linear(srow, qj)
+            srow = tmul_linear(srow, UPoly.q_power(j))
             srow[0] = srow[0] + n_s
-        term = tmul(srow, tpow(tdiv_linear(big, qj), order))
-        diff += [UPoly.zero()] * (len(term) - len(diff))
-        for i, t in enumerate(term):
-            diff[i] = diff[i] - t
-    return not any(diff)
+        acc = [a + t for a, t in zip_longest(times_g(acc, j), tmul(srow, big),
+                                             fillvalue=UPoly.zero())]
+        big = times_g(big, j)
+    lhs = [c * lpoly for c in numer]
+    return not any(a - b for a, b in zip_longest(lhs, acc, fillvalue=UPoly.zero()))

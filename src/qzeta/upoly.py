@@ -33,6 +33,7 @@ function in the package safe to call from concurrent code.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate, cycle, repeat
 from math import gcd, lcm
@@ -52,14 +53,10 @@ class ExactDivisionError(ExactArithError):
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse an exact rational string 'p/q' or 'p'.  Decimals are rejected."""
-    s = text.strip()
-    if "." in s or "e" in s.lower():
+    """Parse 'p/q' or 'p': optional sign, ASCII digits, nonzero '/digits'."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", text.strip()):
         raise ValueError(f"expected an exact rational like '1/3', got {text!r}")
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    return Fraction(text.strip())
 
 
 def format_rat(x) -> str:

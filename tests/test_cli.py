@@ -75,6 +75,15 @@ def test_invalid_input_exits_2(capsys, argv):
      "invalid input: need 1 <= r <= A/2, got r=3, A=4"),
     (("delta", "--A", "7", "--r", "1"),
      "invalid input: A must be an even integer >= 2, got 7"),
+    *[(("linform", "--A", "4", "--r", "1", "--n", "2", "--q", q),
+       f"invalid input: expected an exact rational like '1/3', got {q!r}")
+      for q in ("1/0", "abc", "1/3/4", "", "1_0/3")],
+    (("zeta3", "--n", "2", "--q", "1/0"),
+     "invalid input: expected an exact rational like '1/3', got '1/0'"),
+    (("linform", "--A", "4", "--r", "1", "--n", "2", "--q", "1/3", "--tol", "-5"),
+     "invalid input: --tol must be >= 1, got -5"),
+    (("zeta3", "--n", "2", "--q", "1/3", "--tol", "-5"),
+     "invalid input: --tol must be >= 1, got -5"),
 ])
 def test_invalid_input_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)

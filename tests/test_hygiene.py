@@ -1,9 +1,13 @@
 """Source hygiene of the package, checked with the standard-library ast:
-no local variable is assigned and never read, and no import goes unused.
+no local variable is assigned and never read, no import goes unused, and
+no module-level function or class is dead.
 
-Names starting with "_" are exempt, as are `from __future__` imports and
-the re-exports of the package's __init__.py.  A name listed in a module's
-__all__ counts as used.
+For locals and imports, names starting with "_" are exempt, as are
+`from __future__` imports and the re-exports of the package's
+__init__.py; a name listed in a module's __all__ counts as used.  A
+module-level function or class is dead when no module of the package
+reads it (as a name or an attribute), no module lists it in __all__, and
+__init__.py does not import it.
 """
 
 import ast
@@ -51,9 +55,8 @@ def unused_locals(tree) -> list:
     return found
 
 
-def unused_imports(tree) -> list:
-    """Imported names that the module never reads and does not list in
-    __all__."""
+def _exported(tree) -> set:
+    """The names a literal module-level __all__ lists."""
     exported = set()
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -61,7 +64,13 @@ def unused_imports(tree) -> list:
                 and isinstance(node.value, (ast.List, ast.Tuple))):
             exported |= {elt.value for elt in node.value.elts
                          if isinstance(elt, ast.Constant)}
-    used = _loaded(tree) | exported
+    return exported
+
+
+def unused_imports(tree) -> list:
+    """Imported names that the module never reads and does not list in
+    __all__."""
+    used = _loaded(tree) | _exported(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -72,6 +81,22 @@ def unused_imports(tree) -> list:
                 if name not in used and not name.startswith("_"):
                     found.append(name)
     return found
+
+
+def dead_definitions(trees: dict) -> list:
+    """(module, name) for each module-level function or class that no
+    module in trees (file name -> ast) reads or lists in __all__ and
+    trees["__init__.py"] does not import."""
+    read = set()
+    for tree in trees.values():
+        read |= _loaded(tree) | _exported(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {alias.name for node in ast.walk(trees["__init__.py"])
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return [(name, node.name) for name, tree in sorted(trees.items())
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -98,3 +123,33 @@ def test_checker_flags_dead_names():
         "    return g\n")
     assert unused_locals(tree) == [("f", "dead")]
     assert unused_imports(tree) == ["os", "pi"]
+
+
+def test_no_dead_definitions():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    dead = dead_definitions(trees)
+    assert not dead, [f"{module}: {name} is never read" for module, name in dead]
+
+
+def test_checker_flags_dead_definitions():
+    trees = {
+        "__init__.py": ast.parse("from .a import exported\n"),
+        "a.py": ast.parse(
+            "def exported(): pass\n"
+            "def helper(): pass\n"
+            "def dead(): pass\n"
+            "def _dead_private(): pass\n"
+            "def public(): pass\n"
+            "__all__ = ['public']\n"
+            "class Used: pass\n"
+            "class Dead:\n"
+            "    def method(self): pass\n"),
+        "b.py": ast.parse(
+            "from . import a\n"
+            "from .a import Used\n"
+            "def g():\n"
+            "    return a.helper(), Used().method()\n"),
+    }
+    assert dead_definitions(trees) == [
+        ("a.py", "dead"), ("a.py", "_dead_private"), ("a.py", "Dead"), ("b.py", "g")]

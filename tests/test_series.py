@@ -18,13 +18,11 @@ from qzeta.series import (
     pf_extract,
     pf_reconstruct,
     sum_with_tail,
-    tdiv_linear,
     tmul,
     tmul_linear,
-    tpow,
     working_prec,
 )
-from qzeta.upoly import ExactDivisionError, UPoly
+from qzeta.upoly import UPoly
 from qzeta.zeta3 import _w_numerator
 
 ERDOS_BORWEIN = "1.6066951524152917637833015231909245804805796715057564357"
@@ -163,33 +161,18 @@ def test_tmul_linear_and_exact_division_roundtrip():
     a = [Fraction(1), Fraction(-5), Fraction(0), Fraction(7, 2)]
     prod = tmul_linear(a, c)
     assert prod == tmul(a, [Fraction(1), -c])
-    assert tdiv_linear(prod, c) == a
+    # exact division by 1 - cT: times 1/(1 - cT) = sum_k c^k T^k, truncated
+    assert tmul(prod, [c ** k for k in range(len(a))], len(a)) == a
     # symbolic coefficients: (1 - qT)(1 + uT) / (1 - qT)
     q = UPoly.q_power(1)
     sym = [UPoly.one(), UPoly.u_power(1)]
-    assert tdiv_linear(tmul_linear(sym, q), q) == sym
-
-
-def test_tdiv_linear_rejects_non_divisor():
-    # 1 + T is not divisible by 1 - 2T; neither is a nonzero constant
-    with pytest.raises(ExactDivisionError):
-        tdiv_linear([Fraction(1), Fraction(1)], Fraction(2))
-    with pytest.raises(ExactDivisionError):
-        tdiv_linear([Fraction(3)], Fraction(2))
-    assert tdiv_linear([Fraction(0)], Fraction(2)) == []
-
-
-def test_tpow():
-    # (1 - 2T)^3 = 1 - 6T + 12T^2 - 8T^3
-    assert tpow([1, -2], 3) == [1, -6, 12, -8]
-    assert tpow([Fraction(1, 2), 1], 0) == [1]
-    a = [UPoly.one(), -UPoly.q_power(1)]
-    assert tpow(a, 2) == tmul(a, a)
+    assert tmul(tmul_linear(sym, q), [UPoly.one(), q], 2) == sym
 
 
 def _w1_rows_and_numer():
     """W_1(T) = (1 - q^-1 T)^2 / ((1 - T)(1 - qT))^2 and its order-2 rows."""
-    numer = tpow([UPoly.one(), -UPoly.q_power(-1)], 2)
+    factor = [UPoly.one(), -UPoly.q_power(-1)]
+    numer = tmul(factor, factor)
     return numer, pf_extract(numer, 2, 2, UPolyRing)
 
 
@@ -198,12 +181,40 @@ def test_pf_reconstruct_accepts_extracted_rows():
     assert pf_reconstruct(numer, rows, 2, 2)
 
 
-def test_pf_reconstruct_rejects_corrupted_row():
-    numer, rows = _w1_rows_and_numer()
-    for j, s in ((0, 1), (1, 2)):
-        bad = [dict(row) for row in rows]
-        bad[j][s] = bad[j][s] + QFrac(UPoly.q_power(1))
-        assert not pf_reconstruct(numer, bad, 2, 2), (j, s)
+# (numerator, pole count, order) of real kernels: the linear form's
+# integer-power kernel at (A, r, n), with n + 1 poles of order A, and the
+# weight-3 kernel W_n, with n + 1 poles of order 2.
+_KERNELS = {
+    "linform-4-1-2": lambda: (_hat_numerator(4, 1, 2, UPolyRing), 3, 4),
+    "linform-6-2-1": lambda: (_hat_numerator(6, 2, 1, UPolyRing), 2, 6),
+    "zeta3-3": lambda: (_w_numerator(3, UPolyRing), 4, 2),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_pf_reconstruct_rejects_corrupted_row(kernel):
+    numer, pole_count, order = _KERNELS[kernel]()
+    rows = pf_extract(numer, pole_count, order, UPolyRing)
+    assert pf_reconstruct(numer, rows, pole_count, order)
+    for j in range(pole_count):
+        for s in range(1, order + 1):
+            bad = [dict(row) for row in rows]
+            bad[j][s] = bad[j][s] + QFrac(UPoly.q_power(1))
+            assert not pf_reconstruct(numer, bad, pole_count, order), (j, s)
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_pf_reconstruct_rejects_polynomial_part(kernel):
+    """numer + T^top with top >= pole_count * order: the kernel gains a
+    nonzero polynomial part, which no sum of principal parts gives, with
+    either the rows of the old numerator or the rows extracted anew."""
+    numer, pole_count, order = _KERNELS[kernel]()
+    rows = pf_extract(numer, pole_count, order, UPolyRing)
+    for top in (pole_count * order, pole_count * order + 1):
+        grown = numer + [UPoly.zero()] * (top - len(numer)) + [UPoly.one()]
+        assert not pf_reconstruct(grown, rows, pole_count, order), top
+        grown_rows = pf_extract(grown, pole_count, order, UPolyRing)
+        assert not pf_reconstruct(grown, grown_rows, pole_count, order), top
 
 
 def _pf_fraction_oracle(numer, pole_count, order, q0):

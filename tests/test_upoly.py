@@ -274,7 +274,10 @@ def test_parse_and_format_rat():
     assert parse_rat(" 1/3 ") == Fraction(1, 3)
     assert format_rat(Fraction(3, 4)) == "3/4"
     assert format_rat(Fraction(5)) == "5"
-    for bad in ("0.5", "1e-3", "2.", ".3"):
+    assert parse_rat("+2/6") == Fraction(1, 3)
+    assert parse_rat("-0") == 0
+    for bad in ("0.5", "1e-3", "2.", ".3", "1/0", "1/00", "abc", "1/3/4", "",
+                "1_0/3", "1/-3", "- 1", "\u0661/\u0663", "1//3", "/3", "3/"):
         with pytest.raises(ValueError):
             parse_rat(bad)
 
