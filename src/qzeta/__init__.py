@@ -34,7 +34,6 @@ from .series import (
     working_prec,
 )
 from .linform import (
-    LinearFormReport,
     Params,
     D_exponent,
     D_n,

@@ -119,6 +119,15 @@ class SlopeEstimate:
         }
 
 
+def _slope_ns(n_range) -> list:
+    """The n of a slope range, checked before any work: every n >= 1."""
+    ns = list(n_range)
+    low = min(ns, default=1)
+    if low < 1:
+        raise ValueError(f"slope needs n >= 1, got {low}")
+    return ns
+
+
 def _make_estimate(label, pts, target, extras=None) -> SlopeEstimate:
     fitted = mpf(fit_limit(pts))
     last = mpf(pts[-1][1])
@@ -137,15 +146,14 @@ def slope_S(A: int, r: int, eps: int, q0: Fraction, n_range,
     series is identically zero for eps = 1 there and the limit statement
     requires a nonzero value).
     """
+    ns = _slope_ns(n_range)
     q0 = Fraction(q0)
     if A == 2 * r:
         raise ValueError("A = 2r excluded: the slope target degenerates to 0")
     target = -Fraction(r * (A - 2 * r), 2) * _log_inv_q(q0)
     pts = []
     with mp.workprec(working_prec(prec)):
-        for n in n_range:
-            if n < 1:
-                continue
+        for n in ns:
             v = S_eps_numeric(Params(A, r, n, eps), q0, prec)
             if v == 0:
                 raise PrecisionError(f"series value vanished at n={n}; "
@@ -165,15 +173,14 @@ def slope_P(A: int, r: int, eps: int, q0: Fraction, n_range,
     violations beyond `margin` (expected none; the fitted limit is
     expected to approach the bound from below).
     """
+    ns = _slope_ns(n_range)
     q0 = Fraction(q0)
     bound = Fraction(A + 4 * r * r, 8) * _log_inv_q(q0)
     pts = []
     samples = {}
     violations = []
     with mp.workprec(working_prec(prec)):
-        for n in n_range:
-            if n < 1:
-                continue
+        for n in ns:
             p0, ps = P_eps_values_hat(A, r, n, eps, q0)
             # true normalization: q0^(-(A-2r)n/4) times the hat value
             pref = Fraction(-(A - 2 * r) * n, 4) * log_abs_fraction(q0)
@@ -203,6 +210,7 @@ def slope_D(A: int, r: int, q0: Fraction, n_range,
     A sum_l log |Phi_l(1/q0)| — so no huge polynomial is expanded.  The
     standalone d_n slope against (3/pi^2) L rides along in extras.
     """
+    ns = _slope_ns(n_range)
     Params(A, r, 0)  # validates (A, r)
     q0 = Fraction(q0)
     L = _log_inv_q(q0)
@@ -217,9 +225,7 @@ def slope_D(A: int, r: int, q0: Fraction, n_range,
         d_pts = []
         acc = mpf(0)  # log |d_n(1/q0)| accumulated over cyclotomic factors
         n_prev = 0
-        for n in sorted(n_range):
-            if n < 1:
-                continue
+        for n in sorted(ns):
             for l in range(n_prev + 1, n + 1):
                 acc += log_abs_fraction(cyclotomic(l).eval_fraction(qinv))
             n_prev = n
@@ -320,12 +326,10 @@ def delta_asymptotic_constant(prec: int = DEFAULT_PREC):
         return const, u_star
 
 
-def delta_constant_grid_max(prec: int = DEFAULT_PREC, lo: float = 0.05,
-                            hi: float = 4.0, grid: int = 4000,
-                            refine_iters: int = 200) -> mpf:
+def delta_constant_grid_max(prec: int = DEFAULT_PREC) -> mpf:
     """Independent numeric maximization of f(u) = 4u/(24/pi^2 + 2 + 8u^2):
-    coarse grid scan then golden-section refinement.  Oracle for the
-    closed form."""
+    a scan of 4000 steps over [0.05, 4] then at most 200 golden-section
+    steps.  Oracle for the closed form."""
     with mp.workprec(working_prec(prec)):
         pi2 = mp.pi**2
         c = 24 / pi2 + 2
@@ -333,8 +337,9 @@ def delta_constant_grid_max(prec: int = DEFAULT_PREC, lo: float = 0.05,
         def f(u):
             return 4 * u / (c + 8 * u * u)
 
-        lo_m, hi_m = mpf(lo), mpf(hi)
-        step = (hi_m - lo_m) / grid
+        grid = 4000
+        lo_m = mpf(0.05)
+        step = (mpf(4) - lo_m) / grid
         best_i = max(range(grid + 1), key=lambda i: f(lo_m + i * step))
         a = lo_m + max(best_i - 1, 0) * step
         b = lo_m + min(best_i + 1, grid) * step
@@ -342,7 +347,7 @@ def delta_constant_grid_max(prec: int = DEFAULT_PREC, lo: float = 0.05,
         c1 = b - invphi * (b - a)
         c2 = a + invphi * (b - a)
         f1, f2 = f(c1), f(c2)
-        for _ in range(refine_iters):
+        for _ in range(200):
             if f1 < f2:
                 a, c1, f1 = c1, c2, f2
                 c2 = a + invphi * (b - a)

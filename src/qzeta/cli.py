@@ -42,7 +42,7 @@ from .linform import (
     denominator_check,
     denominator_conjecture_probe,
     denominator_sharpness_probe,
-    identity_residual,
+    linear_form_report,
 )
 from .series import DEFAULT_PREC, DivergenceError, PrecisionError
 from .upoly import format_rat, parse_rat
@@ -70,16 +70,19 @@ def _env_prec() -> int:
     return prec
 
 
+_NRANGE = re.compile(r"([+-]?[0-9]+)(?:\.\.([+-]?[0-9]+))?")
+
+
 def _parse_nrange(text: str) -> range:
-    s = text.strip()
-    if ".." in s:
-        lo, hi = s.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return range(lo, hi + 1)
-    v = int(s)
-    return range(v, v + 1)
+    """'a..b' (inclusive) or a single 'a'; signed ASCII decimal integers."""
+    m = _NRANGE.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"expected an n range like '2..40', got {text!r}")
+    lo = int(m[1])
+    hi = lo if m[2] is None else int(m[2])
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _num(x) -> str:
@@ -136,44 +139,22 @@ def _pretty_lines(report, prefix=""):
             yield key, v
 
 
-def _slope_report(est, extra=None) -> dict:
-    rep = est.to_json()
-    if extra:
-        rep.update(extra)
-    return rep
-
-
 # ----------------------------------------------------------------------
 # Subcommand implementations.  Each returns (exit_code, report, csv_rows).
 
 def _cmd_linform(args):
-    params = Params(args.A, args.r, args.n, args.eps)
-    q0 = parse_rat(args.q)
-    res = identity_residual(params, q0, args.prec)
-    den = denominator_check(params)
-    tol = mpf(10) ** (-args.tol)
-    ok_res = res["residual"] < tol
-    report = {
-        "command": "linform",
-        "A": args.A, "r": args.r, "n": args.n, "eps": args.eps,
-        "q": format_rat(q0),
-        "prec": args.prec,
-        "tol_exponent": args.tol,
-        "residual": res["residual"],
-        "residual_pass": bool(ok_res),
-        "denominator_pass": bool(den["pass"]),
-        "P0": res["P0_hat"],
-        "P": {s: v for s, v in res["P_hat"].items()},
-        "working_prec": res["working_prec"],
-    }
-    code = EXIT_PASS if (ok_res and den["pass"]) else EXIT_FAIL
-    return code, report, None
+    rep = linear_form_report(Params(args.A, args.r, args.n, args.eps),
+                             parse_rat(args.q), args.prec)
+    ok_res = bool(rep["residual"] < mpf(10) ** (-args.tol))
+    rep.update(command="linform", tol_exponent=args.tol, residual_pass=ok_res)
+    code = EXIT_PASS if (ok_res and rep["denominator_pass"]) else EXIT_FAIL
+    return code, rep, None
 
 
 def _cmd_slope_s(args):
     q0 = parse_rat(args.q)
     est = slope_S(args.A, args.r, args.eps, q0, _parse_nrange(args.n), args.prec)
-    rep = _slope_report(est, {"command": "slope-S"})
+    rep = {**est.to_json(), "command": "slope-S"}
     code = EXIT_PASS
     if args.max_gap is not None and float(est.rel_gap) > args.max_gap:
         code = EXIT_FAIL
@@ -185,11 +166,8 @@ def _cmd_slope_p(args):
     est = slope_P(args.A, args.r, args.eps, q0, _parse_nrange(args.n),
                   args.prec, margin=args.margin)
     violations = est.extras["violations"]
-    rep = _slope_report(est, {
-        "command": "slope-P",
-        "margin": args.margin,
-        "violations": violations,
-    })
+    rep = {**est.to_json(), "command": "slope-P", "margin": args.margin,
+           "violations": violations}
     return (EXIT_PASS if not violations else EXIT_FAIL), rep, list(est.to_csv_rows())
 
 
@@ -198,7 +176,7 @@ def _cmd_slope_d(args):
     est = slope_D(args.A, args.r, q0, _parse_nrange(args.n), args.prec)
     tgt = mpf(est.target)
     last_gap = abs(mpf(est.last) - tgt) / abs(tgt)
-    rep = _slope_report(est, {"command": "slope-D", "last_gap": last_gap})
+    rep = {**est.to_json(), "command": "slope-D", "last_gap": last_gap}
     code = EXIT_PASS
     if args.max_gap is not None and float(last_gap) > args.max_gap:
         code = EXIT_FAIL
@@ -255,15 +233,7 @@ def _cmd_eisenstein(args):
     except InconsistentSystemError as exc:
         rep = {"command": "eisenstein", "weight": weight, "error": str(exc)}
         return EXIT_FAIL, rep, None
-    rep = {
-        "command": "eisenstein",
-        "weight": expr["weight"],
-        "basis": [{"a": row["a"], "b": row["b"], "c": format_rat(row["c"])}
-                  for row in expr["basis"]],
-        "solved_on": expr["solved_on"],
-        "verified_to": expr["verified_to"],
-    }
-    return EXIT_PASS, rep, None
+    return EXIT_PASS, {**expr, "command": "eisenstein"}, None
 
 
 def _cmd_denom_probe(args):

@@ -44,13 +44,12 @@ from .series import (
     tmul_linear,
     working_prec,
 )
-from .upoly import UPoly, format_rat
+from .upoly import UPoly
 
 
 __all__ = [
     "Params",
     "PFTable",
-    "LinearFormReport",
     "partial_fractions",
     "reconstruction_check",
     "kernel_symmetry_check",
@@ -178,31 +177,19 @@ def kernel_symmetry_check(params: Params) -> bool:
     """Exact identity R(q^n T; 1/q) = R(T; q).
 
     Both sides share the same denominator factor set {1 - q^i T}, so the
-    check compares the two numerator coefficient lists, each built
-    independently from its own formula (base 1/q and argument q^n T on
-    the left)."""
+    check compares the two numerator coefficient lists: the left side is
+    built from its own formula (base 1/q and argument q^n T), the right
+    side is the kernel numerator that the partial fractions expand, with
+    the normalizing monomial restored."""
     A, r, n = params.A, params.r, params.n
-    ring = UPolyRing
-
-    def assemble(scalar: UPoly, mono_u: int, exps: list) -> list:
-        coeffs = [ring.one]
-        for e in exps:
-            coeffs = tmul_linear(coeffs, ring.qpow(e))
-        pre = scalar * UPoly.u_power(mono_u)
-        shift = (A - 2 * r) * n // 2
-        return [UPoly.zero()] * shift + [pre * c for c in coeffs]
-
-    base_inv = UPoly.q_power(-1)
-    lhs = assemble(
-        qpoch(base_inv, n, base="1/q") ** (A - 2 * r),
-        (A - 2 * r) * n // 2 + n * n * (A - 2 * r),
-        [n + i for i in range(1, r * n + 1)] + [n - i for i in range(n + 1, n + r * n + 1)],
-    )
-    rhs = assemble(
-        qpoch(UPoly.q_power(1), n, base="q") ** (A - 2 * r),
-        -(A - 2 * r) * n // 2,
-        [-i for i in range(1, r * n + 1)] + [i for i in range(n + 1, n + r * n + 1)],
-    )
+    coeffs = [UPolyRing.one]
+    for e in ([n + i for i in range(1, r * n + 1)]
+              + [n - i for i in range(n + 1, n + r * n + 1)]):
+        coeffs = tmul_linear(coeffs, UPolyRing.qpow(e))
+    pre = (qpoch(UPoly.q_power(-1), n, base="1/q") ** (A - 2 * r)
+           * UPoly.u_power((A - 2 * r) * n // 2 + n * n * (A - 2 * r)))
+    lhs = [UPoly.zero()] * ((A - 2 * r) * n // 2) + [pre * c for c in coeffs]
+    rhs = [c.shift_u(params.prefactor_u) for c in _hat_numerator(A, r, n, UPolyRing)]
     return len(lhs) == len(rhs) and all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
 
@@ -220,26 +207,12 @@ def d_symmetry_check(params: Params) -> bool:
 # The z-polynomials P_s(z) and the symmetrized coefficients P_s^[eps].
 
 def P_z(params: Params, s: int) -> list:
-    """Coefficient list (in z) of P_s(z), QFrac entries, monomial included.
-
-    For 1 <= s <= A: P_s(z) = sum_j d_{s,j} q^(-j) z^j, degree n.
-    For s = 0:       P_0(z) = -sum_{s,j} sum_{k=1..j} d_{s,j} q^(k-j)
-                               z^(j-k) / (1-q^k)^s, degree n-1.
-    """
+    """Coefficient list (in z) of P_s(z), QFrac entries, monomial included:
+    P_s(z) = sum_j d_{s,j} q^(-j) z^j, degree n, for 1 <= s <= A."""
+    if not 1 <= s <= params.A:
+        raise ValueError(f"s must be in 1..{params.A}, got {s}")
     table = partial_fractions(params)
-    n, A = params.n, params.A
-    if 1 <= s <= A:
-        return [table.d(s, j).mul_qpow(-j) for j in range(n + 1)]
-    if s != 0:
-        raise ValueError(f"s must be in 0..{A}, got {s}")
-    out = [QFrac.zero() for _ in range(max(n, 1))]
-    for sig in range(1, A + 1):
-        for j in range(1, n + 1):
-            dj = table.d(sig, j)
-            for k in range(1, j + 1):
-                t = dj.mul_qpow(k - j).div_one_minus_qpow(k, sig)
-                out[j - k] = out[j - k] - t
-    return out
+    return [table.d(s, j).mul_qpow(-j) for j in range(params.n + 1)]
 
 
 def p_reciprocity_check(params: Params, s: int) -> bool:
@@ -247,8 +220,6 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
 
     Coefficientwise: q^(-n) * c_{n-i}(1/q) = c_i(q) for the z-coefficients
     c_j of P_s."""
-    if not 1 <= s <= params.A:
-        raise ValueError(f"s must be in 1..{params.A}, got {s}")
     coeffs = P_z(params, s)
     n = params.n
     return all(
@@ -480,8 +451,7 @@ def _rho_envelope(A: int, r: int, n: int, aq):
     return env
 
 
-def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
-                      tol=None) -> mpf:
+def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
     """The symmetrized kernel series, integer-power normalization:
 
         sum_{k > rn} q^k R_hat(q^k) (1 + (-1)^eps q^((A/2-1)(n+2k))).
@@ -493,8 +463,7 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
     if A == 2 and eps == 1:
         return mpf(0)  # the bracket 1 + (-1) q^0 vanishes identically
     with mp.workprec(working_prec(prec)):
-        if tol is None:
-            tol = mpf(2) ** (-(prec + 8))
+        tol = mpf(2) ** (-(prec + 8))
         qm = mpf(q0.numerator) / q0.denominator
         aq = abs(qm)
         qp = _QPowers(qm)
@@ -529,8 +498,7 @@ def S_eps_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf
         return +(mp.power(qm, mpf(ex.numerator) / ex.denominator) * hat)
 
 
-def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
-                    tol=None) -> mpf:
+def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
     """The alternative very-well-poised series (integer q-powers only):
 
         (q;q)_n^(A-2r) sum_{k>rn} (1 - q^(2k+n))
@@ -546,8 +514,7 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
         raise DivergenceError(
             f"alternative series needs (A-2r)n/2 + A/2 - 1 >= 1, got {gap}")
     with mp.workprec(working_prec(prec)):
-        if tol is None:
-            tol = mpf(2) ** (-(prec + 8))
+        tol = mpf(2) ** (-(prec + 8))
         qm = mpf(q0.numerator) / q0.denominator
         aq = abs(qm)
         qp = _QPowers(qm)
@@ -568,7 +535,7 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC,
 
 
 def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
-                prec: int = DEFAULT_PREC, tol=None) -> mpf:
+                prec: int = DEFAULT_PREC) -> mpf:
     """sum_{k > rn} q^k R(q^k; q) z^(-k) for positive rational q and z.
 
     q > 1 is allowed: the terms still decay geometrically because the
@@ -581,8 +548,7 @@ def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
     if qv <= 0 or qv == 1 or zv <= 0:
         raise ValueError("need rational q > 0, q != 1, z > 0")
     with mp.workprec(working_prec(prec)):
-        if tol is None:
-            tol = mpf(2) ** (-(prec + 8))
+        tol = mpf(2) ** (-(prec + 8))
         qm = mpf(qv.numerator) / qv.denominator
         zi = mpf(zv.denominator) / zv.numerator
         # exact quarter-power monomial q^(-(A-2r)n/4)
@@ -784,64 +750,26 @@ def denominator_conjecture_probe(params: Params) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Reports.
-
-@dataclass
-class LinearFormReport:
-    params: Params
-    q0: Fraction
-    P: dict              # s -> reduced QFrac (true normalization), s = 0 and parity s
-    S_value: object      # mpf
-    zeta_values: dict    # s -> mpf
-    residual: object     # mpf
-    residual_hat: object
-    denom_pass: bool
-    witness: list        # per-s summaries
-    working_prec: int
-
-    def to_json(self) -> dict:
-        return {
-            "params": {"A": self.params.A, "r": self.params.r, "n": self.params.n},
-            "q": format_rat(self.q0),
-            "eps": self.params.eps,
-            "P": [{"s": s, "num": f.num.to_json(),
-                   "den": {str(l): m for l, m in sorted(f.den.e.items())}}
-                  for s, f in sorted(self.P.items())],
-            "residual": mp.nstr(self.residual, 25),
-            "denom_pass": self.denom_pass,
-            "witness": self.witness,
-        }
-
+# Report.
 
 def linear_form_report(params: Params, q0: Fraction,
-                       prec: int = DEFAULT_PREC) -> LinearFormReport:
-    """Complete verification at one (params, q0): exact coefficients, the
-    numeric identity residual, and the exact denominator check."""
+                       prec: int = DEFAULT_PREC) -> dict:
+    """Complete verification at one (params, q0): the numeric identity
+    residual, the exact denominator check and the hat coefficients at q0.
+
+    Values are ints, Fractions and mpf; `qzeta linform` prints this dict
+    with its command, tolerance exponent and residual verdict added.  The
+    symbolic coefficients and the clearing witnesses are P_eps and
+    denominator_check."""
     q0 = _check_q0(q0)
-    forms = P_eps(params)
     res = identity_residual(params, q0, prec)
-    den = denominator_check(params)
-    witness = []
-    for s, v in sorted(den["per_s"].items()):
-        w = v["witness"]
-        witness.append({
-            "s": s,
-            "ok": v["ok"],
-            "reason": v["reason"],
-            "terms": w.num_terms() if w is not None else None,
-            "max_q_exp": (w.max_exp() // 2) if w is not None and not w.is_zero() else None,
-        })
-    # true S = q0^(-(A-2r)n/4) * hat S; report magnitude consistently with
-    # the residual normalization (real for q0 > 0, |.| otherwise).
-    return LinearFormReport(
-        params=params,
-        q0=q0,
-        P=forms,
-        S_value=res["S_hat"],
-        zeta_values=res["zeta"],
-        residual=res["residual"],
-        residual_hat=res["residual_hat"],
-        denom_pass=den["pass"],
-        witness=witness,
-        working_prec=res["working_prec"],
-    )
+    return {
+        "A": params.A, "r": params.r, "n": params.n, "eps": params.eps,
+        "q": q0,
+        "prec": prec,
+        "residual": res["residual"],
+        "denominator_pass": denominator_check(params)["pass"],
+        "P0": res["P0_hat"],
+        "P": res["P_hat"],
+        "working_prec": res["working_prec"],
+    }

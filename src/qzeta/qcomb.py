@@ -224,21 +224,6 @@ class PhiProduct:
         return "PhiProduct(" + " ".join(f"Phi_{l}^{m}" for l, m in sorted(self.e.items())) + ")"
 
 
-def one_minus_qpow_factored(m: int):
-    """Factor (1 - q^m), m != 0, as sign * q^shift * prod_{d | |m|} Phi_d.
-
-    Returns (sign, q_shift, PhiProduct).  For m > 0 the factorization is
-    -(q^m - 1); for m < 0 it is q^m (q^|m| - 1) after clearing the negative
-    power.
-    """
-    if m == 0:
-        raise ValueError("1 - q^0 is zero")
-    phis = PhiProduct({d: 1 for d in _divisors(abs(m))})
-    if m > 0:
-        return -1, 0, phis
-    return 1, m, phis
-
-
 class QFrac:
     """Fraction num / prod Phi_l(q)^e with num a UPoly numerator.
 
@@ -316,10 +301,16 @@ class QFrac:
         return QFrac(self.num.shift_u(2 * e), self.den)
 
     def div_one_minus_qpow(self, m: int, power: int = 1) -> "QFrac":
-        """Divide by (1 - q^m)^power using the cyclotomic factorization."""
-        sign, shift, phis = one_minus_qpow_factored(m)
-        num = self.num.shift_u(-2 * shift * power)
-        if sign == -1 and power % 2 == 1:
+        """Divide by (1 - q^m)^power, m != 0, using the cyclotomic
+        factorization: 1 - q^m = -(q^m - 1) for m > 0 and q^m (q^|m| - 1)
+        for m < 0, with q^|m| - 1 = prod_{d | |m|} Phi_d."""
+        if m == 0:
+            raise ValueError("1 - q^0 is zero")
+        phis = PhiProduct({d: 1 for d in _divisors(abs(m))})
+        num = self.num
+        if m < 0:
+            num = num.shift_u(-2 * m * power)
+        elif power % 2 == 1:
             num = -num
         den = self.den
         for _ in range(power):

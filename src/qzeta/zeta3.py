@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .asymptotics import SlopeEstimate, _make_estimate, log_abs_fraction
+from .asymptotics import SlopeEstimate, _make_estimate, _slope_ns, log_abs_fraction
 from .linform import Params, S_eps_hat_numeric, _check_q0, zeta_q
 from .qcomb import QFrac, cyclotomic, d_poly
 from .series import (
@@ -167,13 +167,11 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be >= 0, got {n}")
 
 
-def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
+def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """The ball-type series; terms for k <= n vanish identically."""
     _check_n(n)
     q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec, 4 * n)):
-        if tol is None:
-            tol = mpf(2) ** (-prec)
         q = mpf(q0.numerator) / q0.denominator
         aq = abs(q)
         poch = mpf(1)   # (q;q)_n
@@ -208,7 +206,8 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 4)
             return math.nextafter(float(r), math.inf)
 
-        return poch ** 2 * sum_with_tail(terms(), ratio, tol / 2, limit=aq ** (n + 1))
+        return poch ** 2 * sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1),
+                                         limit=aq ** (n + 1))
 
 
 def _bracket_factors(q) -> FactorMemo:
@@ -242,7 +241,7 @@ def _w_log_deriv_bracket(n: int, q, k: int, memo: FactorMemo):
     return w, 1 + s
 
 
-def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
+def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """The derivative-type series, log q cancelled analytically:
 
         q^(n(n+1)) sum_{k>n} q^k W_n(q^k) [1 + q^k (W'/W)(q^k)].
@@ -250,8 +249,6 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     _check_n(n)
     q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec, 4 * n)):
-        if tol is None:
-            tol = mpf(2) ** (-prec)
         q = mpf(q0.numerator) / q0.denominator
         aq = abs(q)
 
@@ -281,7 +278,7 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC, tol=None) -> mpf:
                  * (1 + g1) / (1 - g0))
             return math.nextafter(float(r), math.inf)
 
-        total = sum_with_tail(terms(), ratio, tol / 2, limit=aq)
+        total = sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1), limit=aq)
         return q ** (n * (n + 1)) * total
 
 
@@ -362,10 +359,10 @@ def _laurent_integral_after(form: QFrac, clearer: UPoly):
     return True, w.max_exp() // 2
 
 
-def dbar_probe(n_values, q0=Fraction(1, 2), max_m: int = 4) -> dict:
+def dbar_probe(n_values, q0=Fraction(1, 2)) -> dict:
     """Minimal cyclotomic clearing of the weight-3 form coefficients.
 
-    For each n, finds the smallest m <= max_m with d_n(1/q)^m A_n and
+    For each n, finds the smallest m <= 4 with d_n(1/q)^m A_n and
     d_n(1/q)^m B_n Laurent with integer coefficients, and the exponent
     shift e = -max positive power so q^e d_n(1/q)^m puts both in Z[1/q].
     Reports the growth of log|q0^e d_n(1/q0)^m| / n^2 in both
@@ -382,7 +379,7 @@ def dbar_probe(n_values, q0=Fraction(1, 2), max_m: int = 4) -> dict:
             a_n, b_n = zeta3_form(n)
             dinv = d_poly(n).subst_inv()
             found = None
-            for m in range(max_m + 1):
+            for m in range(5):
                 clearer = dinv ** m if m else UPoly.one()
                 ok_a, ea = _laurent_integral_after(a_n, clearer)
                 ok_b, eb = _laurent_integral_after(b_n, clearer)
@@ -418,15 +415,14 @@ def dbar_probe(n_values, q0=Fraction(1, 2), max_m: int = 4) -> dict:
 
 def bgn_slope(n_range, q0=Fraction(1, 2), prec: int = DEFAULT_PREC) -> SlopeEstimate:
     """(1/n^2) log |log q * (A_n zeta_q(3) - B_n)| at q = q0, target 0."""
+    ns = _slope_ns(n_range)
     q0 = _check_q0(q0)
     if q0 < 0:
         raise ValueError("needs q0 in (0, 1): log q appears unsquared")
     pts = []
     with mp.workprec(working_prec(prec)):
         logq = mp.log(mpf(q0.numerator) / q0.denominator)
-        for n in sorted(n_range):
-            if n < 1:
-                continue
+        for n in sorted(ns):
             a_val, b_val = zeta3_form_values(n, q0)
             scale = max(_frac_bits(a_val), _frac_bits(b_val))
             with mp.workprec(working_prec(prec, scale)):
@@ -442,13 +438,12 @@ def bgn_slope(n_range, q0=Fraction(1, 2), prec: int = DEFAULT_PREC) -> SlopeEsti
 # ----------------------------------------------------------------------
 # Classical degeneration oracle.
 
-def classical_ball(n: int, prec: int = 64, tol=None) -> mpf:
+def classical_ball(n: int, prec: int = 64) -> mpf:
     """n!^2 sum_{k>n} (2k+n) (k-n)_n (k+n+1)_n / (k)_{n+1}^4, summed
     directly with an integral-comparison tail bound (terms decay like
     k^(-2n-3))."""
     with mp.workprec(working_prec(prec)):
-        if tol is None:
-            tol = mpf(2) ** (-prec)
+        tol = mpf(2) ** (-prec)
         total = mpf(0)
         k = n + 1
         p = 2 * n + 3

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from qzeta.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -84,6 +87,12 @@ def test_invalid_input_exits_2(capsys, argv):
      "invalid input: --tol must be >= 1, got -5"),
     (("zeta3", "--n", "2", "--q", "1/3", "--tol", "-5"),
      "invalid input: --tol must be >= 1, got -5"),
+    *[(("slope-S", "--A", "4", "--r", "1", "--q", "1/2", "--n", n),
+       f"invalid input: expected an n range like '2..40', got {n!r}")
+      for n in ("abc", "1_0")],
+    *[((cmd, "--A", "4", "--r", "1", "--q", "1/2", "--n=-3..2"),
+       "invalid input: slope needs n >= 1, got -3")
+      for cmd in ("slope-S", "slope-P", "slope-D")],
 ])
 def test_invalid_input_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -240,3 +249,23 @@ def test_prec_flag_overrides_env(monkeypatch, capsys):
     code, out, _ = run(capsys, "delta", "--A", "12", "--r", "2", "--prec", "64")
     assert code == 0
     assert json.loads(out)["exceeds_one"] is True
+
+
+# ----------------------------------------------------------------------
+# README commands against the recorded benchmark output
+
+def _readme_commands():
+    """The qzeta lines of README's "Command line" block, comments dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:]
+            for line in block.splitlines() if line.startswith("qzeta ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_match_golden(monkeypatch, capsys, argv):
+    monkeypatch.delenv("QZETA_PREC", raising=False)
+    want = (ROOT / "perfbench" / "golden" / f"{argv[0]}.out").read_text(encoding="ascii")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qzeta import linform
+from qzeta.cli import _jsonable, main
 from qzeta.linform import (
     D_exponent,
     D_n,
@@ -35,7 +36,7 @@ from qzeta.linform import (
     transform_check,
     zeta_q,
 )
-from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
+from qzeta.qcomb import QFrac, divisor_power_sum
 from qzeta.series import UPolyRing, working_prec
 from qzeta.upoly import UPoly
 from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
@@ -354,14 +355,16 @@ def test_denominator_check_small(A, r, n):
             assert row["ok"], (s, row)
 
 
-def test_linear_form_report_json():
-    p = Params(4, 1, 2, 1)
-    rep = linear_form_report(p, Fraction(1, 3), 128)
-    data = json.loads(json.dumps(rep.to_json()))
-    assert data["denom_pass"] is True
-    forms = P_eps(p)
-    assert sorted(e["s"] for e in data["P"]) == sorted(forms)
-    for entry in data["P"]:
-        den = PhiProduct({int(l): m for l, m in entry["den"].items()})
-        got = QFrac(UPoly.from_json(entry["num"]), den)
-        assert got.num == forms[entry["s"]].num and got.den == forms[entry["s"]].den
+def test_linear_form_report_json(monkeypatch, capsys):
+    """`qzeta linform` prints the library report plus its verdict fields."""
+    monkeypatch.delenv("QZETA_PREC", raising=False)
+    q0 = Fraction(1, 3)
+    rep = linear_form_report(Params(4, 1, 2, 1), q0, 256)
+    assert main(["linform", "--A", "4", "--r", "1", "--n", "2", "--q", "1/3"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {**_jsonable(rep), "command": "linform",
+                       "tol_exponent": 40, "residual_pass": True}
+    assert isinstance(rep["residual"], mpf) and rep["q"] == q0
+    p0, ps = P_eps_values_hat(4, 1, 2, 1, q0)
+    assert rep["P0"] == p0
+    assert rep["P"] == dict(ps)

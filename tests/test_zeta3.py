@@ -228,6 +228,11 @@ def test_bgn_slope_rejects_negative_q():
         bgn_slope(range(2, 6), Fraction(-1, 2))
 
 
+def test_bgn_slope_rejects_n_below_one():
+    with pytest.raises(ValueError, match=r"^slope needs n >= 1, got -3$"):
+        bgn_slope(range(-3, 3), Fraction(1, 2))
+
+
 # ----------------------------------------------------------------------
 # input validation and reporting
 
