@@ -31,12 +31,7 @@ from .asymptotics import (
     slope_P,
     slope_S,
 )
-from .eisenstein import (
-    InconsistentSystemError,
-    eisenstein_expansion,
-    express_in_E4_E6,
-    monomial_basis,
-)
+from .eisenstein import InconsistentSystemError, express_in_E4_E6
 from .linform import (
     Params,
     denominator_check,
@@ -221,17 +216,10 @@ def _cmd_zeta3(args):
 
 
 def _cmd_eisenstein(args):
-    weight = args.weight
-    pairs = monomial_basis(weight)
-    if not pairs:
-        raise ValueError(f"weight {weight} has an empty E_4/E_6 basis")
-    n_solve = args.solve if args.solve is not None else len(pairs)
-    n_verify = args.verify if args.verify is not None else n_solve + 40
-    target = eisenstein_expansion(weight // 2, n_verify)
     try:
-        expr = express_in_E4_E6(weight, target, n_solve, n_verify)
+        expr = express_in_E4_E6(args.weight, n_solve=args.solve, n_verify=args.verify)
     except InconsistentSystemError as exc:
-        rep = {"command": "eisenstein", "weight": weight, "error": str(exc)}
+        rep = {"command": "eisenstein", "weight": args.weight, "error": str(exc)}
         return EXIT_FAIL, rep, None
     return EXIT_PASS, {**expr, "command": "eisenstein"}, None
 

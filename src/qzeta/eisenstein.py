@@ -160,7 +160,7 @@ def _solve_exact(rows, rhs):
     return sol
 
 
-def express_in_E4_E6(weight: int, target: QExpansion,
+def express_in_E4_E6(weight: int, target: QExpansion | None = None,
                      n_solve: int | None = None,
                      n_verify: int | None = None) -> dict:
     """Exact coefficients c_{a,b} with target = sum c_{a,b} E_4^a E_6^b.
@@ -168,21 +168,22 @@ def express_in_E4_E6(weight: int, target: QExpansion,
     Solves the linear system on coefficients 0..n_solve (default: the
     number of basis monomials, one more equation than unknowns), then
     verifies every coefficient up to n_verify (default n_solve + 40)
-    exactly.  Any inconsistency raises InconsistentSystemError.
+    exactly.  The default target is E_weight itself, expanded to
+    n_verify.  Any inconsistency raises InconsistentSystemError.
     """
     if weight < 4:
         raise ValueError("weight must be >= 4")
-    if target.weight != weight:
-        raise ValueError(f"target has weight {target.weight}, wanted {weight}")
-    pairs = monomial_basis(weight)
-    if not pairs:
-        raise ValueError(f"weight {weight} has an empty E_4/E_6 basis")
+    pairs = monomial_basis(weight)  # nonempty for every even weight >= 4
     if n_solve is None:
         n_solve = len(pairs)
     if n_verify is None:
         n_verify = n_solve + 40
     if not (n_verify > n_solve >= len(pairs)):
         raise ValueError("need n_verify > n_solve >= number of basis pairs")
+    if target is None:
+        target = eisenstein_expansion(weight // 2, n_verify)
+    if target.weight != weight:
+        raise ValueError(f"target has weight {target.weight}, wanted {weight}")
     if target.order < n_verify:
         raise ValueError(
             f"target truncated at {target.order}, need {n_verify}")
@@ -215,13 +216,7 @@ def zetaq_even_in_basis(s: int, n_solve: int | None = None,
     """
     if s < 4 or s % 2:
         raise ValueError("need even s >= 4")
-    pairs = monomial_basis(s)
-    if n_solve is None:
-        n_solve = len(pairs)
-    if n_verify is None:
-        n_verify = n_solve + 40
-    target = eisenstein_expansion(s // 2, n_verify)
-    expr = express_in_E4_E6(s, target, n_solve, n_verify)
+    expr = express_in_E4_E6(s, n_solve=n_solve, n_verify=n_verify)
     factor = bernoulli(s) / (2 * s)
     return {
         "s": s,

@@ -116,17 +116,12 @@ def _hat_numerator(A: int, r: int, n: int, ring) -> list:
 
     the kernel R_hat(T) is this over (T;q)_{n+1}^A.
     """
-    coeffs = [ring.one]
-    for i in range(1, r * n + 1):
-        coeffs = tmul_linear(coeffs, ring.qpow(-i))
-    for i in range(n + 1, n + r * n + 1):
-        coeffs = tmul_linear(coeffs, ring.qpow(i))
     poch = ring.one
     for i in range(1, n + 1):
         poch = poch * (ring.one - ring.qpow(i))
-    scal = poch ** (A - 2 * r)
+    exps = [-i for i in range(1, r * n + 1)] + list(range(n + 1, n + r * n + 1))
     shift = (A - 2 * r) * n // 2
-    return [ring.zero] * shift + [scal * c for c in coeffs]
+    return [ring.zero] * shift + ring.linear_product(exps, poch ** (A - 2 * r))
 
 
 # ----------------------------------------------------------------------
@@ -257,46 +252,21 @@ def _assemble_eps(dval, A: int, n: int, eps: int, ring):
                  (the q -> 1/q half, rewritten with positive powers)
       P0_eps   = P0_plain + (-1)^eps (P0_inv + dP1)
       P_s_eps  = sum_{k=s..A} alpha(k, s) Pk1[k]   for s = eps mod 2, s >= 2
+
+    The sums over j come from ring.pole_sums; over FractionRing they are
+    integers over one denominator, and each output is one Fraction.
     """
-    zero = dval[0][1] * 0
-    qpow, div_omq = ring.qpow, ring.div_one_minus_qpow
-    pk1 = {}
-    for k in range(1, A + 1):
-        acc = zero
-        for j in range(n + 1):
-            acc = acc + dval[j][k] * qpow(-j)
-        pk1[k] = acc
-    dp1 = zero
-    for j in range(1, n + 1):
-        dp1 = dp1 + j * (dval[j][1] * qpow(-j))
-
-    p0_plain = zero
-    for s in range(1, A + 1):
-        g = zero
-        for j in range(1, n + 1):
-            g = g + div_omq(qpow(j), j, s)
-            p0_plain = p0_plain - dval[j][s] * qpow(-j) * g
-
-    p0_inv = zero
-    for s in range(1, A + 1):
-        sgn = -1 if s % 2 else 1
-        h = zero
-        for m in range(1, n + 1):
-            h = h + div_omq(qpow(m * (s - 1)), m, s)
-            j = n - m
-            p0_inv = p0_inv - sgn * (dval[j][s] * qpow(-j)) * h
-
+    sums = ring.pole_sums(dval, n, A)
+    pk1 = {k: sums.at_one(k) for k in range(1, A + 1)}
+    dp1 = sums.at_one(1, derivative=True)
+    p0_plain = sums.cumulative({s: (-1, (1,), s) for s in range(1, A + 1)})
+    p0_inv = sums.cumulative({s: (1 if s % 2 else -1, (s - 1,), s)
+                              for s in range(1, A + 1)}, reverse=True)
     flip = -1 if eps else 1
     p0 = p0_plain + flip * (p0_inv + dp1)
-    ps = {}
-    for s in range(2, A + 1):
-        if s % 2 != eps % 2:
-            continue
-        acc = zero
-        for k in range(s, A + 1):
-            acc = acc + alpha_weight(k, s) * pk1[k]
-        ps[s] = acc
-    return p0, ps
+    ps = {s: sum(alpha_weight(k, s) * pk1[k] for k in range(s, A + 1))
+          for s in range(2, A + 1) if s % 2 == eps % 2}
+    return sums.value(p0), {s: sums.value(v) for s, v in ps.items()}
 
 
 @lru_cache(maxsize=None)

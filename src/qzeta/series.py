@@ -17,17 +17,18 @@ and the weight-3 kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb, inf, lcm
+from itertools import accumulate, zip_longest
+from math import comb, gcd, inf, lcm, prod
 
 from mpmath import mpf
 
 from .qcomb import PhiProduct, QFrac
-from .upoly import ExactArithError, UPoly
+from .upoly import ExactArithError, ExactDivisionError, UPoly
 
 
 DEFAULT_PREC = 256
 GUARD_BITS = 32
+MAX_TERMS = 1000000     # the most terms a certified sum takes
 
 
 class DivergenceError(ExactArithError):
@@ -46,7 +47,7 @@ def working_prec(prec: int, scale_log2: float = 0.0) -> int:
 
 
 def sum_with_tail(terms, ratio_bound, tol, *, limit=None,
-                  max_terms: int = 1000000):
+                  max_terms: int = MAX_TERMS):
     """Sum terms with a certified geometric tail bound.
 
     terms: iterable of mpf values.  ratio_bound: a constant r with
@@ -155,21 +156,35 @@ def tmul_linear(a: list, c) -> list:
 
 
 # ----------------------------------------------------------------------
-# The exact-ring protocol.  pf_extract and the coefficient assembly in
-# linform run unchanged over either ring:
+# The exact-ring protocol.  pf_extract, the kernel numerators and the
+# coefficient assembly in linform and zeta3 run unchanged over either
+# ring:
 #     one, zero               -- units of the coefficient ring
 #     qpow(m)                 -- the element q^m, m any integer
+#     linear_product(exps, scalar) -- the dense T-coefficients of
+#                                scalar * prod_{e in exps} (1 - q^e T)
+#     pole_factor(m)          -- (1 - q^m, q^m) for m != 0, both times a
+#                                scale that depends on m only
 #     divexact(a, b)          -- a / b, known to be exact
-#     div_one_minus_qpow(x, m, p) -- x / (1 - q^m)^p in the fraction field
-#     pole_shifts(numer, count, order) -- numer(q^-j (1 - V)) mod V^order
-#                                for every pole j < count
-#     div_pole_base(x, c, j, count, p) -- x / c^p in the fraction field,
-#                                c = prod_{i != j, i < count} (1 - q^(i-j))
-#                                the base of pole j, as pf_extract builds it
+#     pole_shifts(numer, count, order) -- for every pole j < count, a pair
+#                                (scale, numer(q^-j (1 - V)) mod V^order
+#                                times scale)
+#     div_pole_base(h, scale, c, j, count, order) -- the row
+#                                {s: h[order - s] / (scale c^(2 order - s))},
+#                                s = 1..order, in the fraction field; c is
+#                                prod_{i != j, i < count} (1 - q^(i-j)), the
+#                                base of pole j, as pf_extract builds it
+#     pole_sums(rows, n, top) -- the sums over the poles j = 0..n that
+#                                linform and zeta3 assemble their
+#                                coefficients from, dividing by powers of
+#                                (1 - q^k) up to the top-th (see below)
 # UPolyRing is the symbolic ring Q[u, 1/u] (fractions are QFrac, with
 # cyclotomic denominators); FractionRing(q0) specializes q = q0.
 
 class UPolyRing:
+    """Every element is exact, so no scale is tracked: pole_factor has
+    scale one and the shift scales are None."""
+
     one = UPoly.one()
     zero = UPoly.zero()
 
@@ -178,12 +193,20 @@ class UPolyRing:
         return UPoly.q_power(m)
 
     @staticmethod
-    def divexact(a: UPoly, b: UPoly) -> UPoly:
-        return a.divexact(b)
+    def linear_product(exps, scalar=None) -> list:
+        coeffs = [UPolyRing.one]
+        for e in exps:
+            coeffs = tmul_linear(coeffs, UPoly.q_power(e))
+        return coeffs if scalar is None else [scalar * c for c in coeffs]
 
     @staticmethod
-    def div_one_minus_qpow(x, m: int, p: int) -> QFrac:
-        return (x if isinstance(x, QFrac) else QFrac(x)).div_one_minus_qpow(m, p)
+    def pole_factor(m: int) -> tuple:
+        qm = UPoly.q_power(m)
+        return UPolyRing.one - qm, qm
+
+    @staticmethod
+    def divexact(a: UPoly, b: UPoly) -> UPoly:
+        return a.divexact(b)
 
     @staticmethod
     def pole_shifts(numer_T: list, pole_count: int, order: int) -> list:
@@ -203,52 +226,95 @@ class UPolyRing:
                             new[i + 1] = new[i + 1] - t
                 new[0] = new[0] + cval
                 s = new
-            out.append(s)
+            out.append((None, s))
         return out
 
     @staticmethod
-    def div_pole_base(x: UPoly, c: UPoly, j: int, pole_count: int, p: int) -> QFrac:
-        """x / c^p, reduced, from the factored base rather than c itself:
-        with k = pole_count - 1 - j,
+    def div_pole_base(h: list, scale, c: UPoly, j: int, pole_count: int,
+                      order: int) -> dict:
+        """Each h[order - s] / c^p, p = 2 order - s, reduced, from the
+        factored base rather than c itself: with k = pole_count - 1 - j,
 
             c = prod_{m=1..j} (1 - q^-m) prod_{m=1..k} (1 - q^m)
               = (-1)^k q^(-j(j+1)/2) prod_d Phi_d^(floor(j/d) + floor(k/d)).
         """
         k = pole_count - 1 - j
-        den = PhiProduct({d: p * (j // d + k // d) for d in range(1, max(j, k) + 1)})
-        num = x.shift_u(j * (j + 1) * p)
-        return QFrac(-num if k * p % 2 else num, den).reduced()
+        row = {}
+        for s in range(1, order + 1):
+            p = 2 * order - s
+            den = PhiProduct({d: p * (j // d + k // d) for d in range(1, max(j, k) + 1)})
+            num = h[order - s].shift_u(j * (j + 1) * p)
+            row[s] = QFrac(-num if k * p % 2 else num, den).reduced()
+        return row
+
+    @staticmethod
+    def pole_sums(rows, n: int, top: int):
+        return _SymbolicPoleSums(rows, n)
 
 
 class FractionRing:
+    """q specialized to a rational q0 = a/b, in integers.
+
+    Inside pf_extract every element is an integer that stands for itself
+    over a denominator known in advance: pole_factor(m) is over b^m for
+    m > 0 and over a^|m| for m < 0, and pole j's shifted numerator is
+    over its scale D a^(j top).  The base of pole j is then an integer
+    C_j = prod_{m<=j} (a^m - b^m) prod_{m<=k} (b^m - a^m) over
+    a^(j(j+1)/2) b^(k(k+1)/2), k = count - 1 - j.  C_j is prime to a and
+    b, so divexact is an exact integer division, and div_pole_base puts
+    the known powers of a and b back and builds one Fraction per
+    coefficient.  linear_product and pole_sums also work in integers and
+    build one Fraction per output.
+    """
+
+    one, zero = 1, 0
+
     def __init__(self, q0: Fraction):
         self.q0 = Fraction(q0)
-        self.one = Fraction(1)
-        self.zero = Fraction(0)
+        self.a, self.b = self.q0.numerator, self.q0.denominator
 
     def qpow(self, m: int) -> Fraction:
         return self.q0 ** m
 
-    @staticmethod
-    def divexact(a: Fraction, b: Fraction) -> Fraction:
-        return a / b
+    def linear_product(self, exps, scalar=None) -> list:
+        """The factors homogenized: 1 - q^e T is (b^e - a^e T)/b^e for
+        e >= 0 and (a^-e - b^-e T)/a^-e for e < 0."""
+        a, b = self.a, self.b
+        coeffs, den = [1], 1
+        for e in exps:
+            lo, hi = (b ** e, a ** e) if e >= 0 else (a ** -e, b ** -e)
+            coeffs = ([lo * coeffs[0]]
+                      + [lo * c - hi * prev for prev, c in zip(coeffs, coeffs[1:])]
+                      + [-hi * coeffs[-1]])
+            den *= lo
+        scalar = Fraction(1 if scalar is None else scalar)
+        return [Fraction(scalar.numerator * c, scalar.denominator * den) for c in coeffs]
 
-    def div_one_minus_qpow(self, x: Fraction, m: int, p: int) -> Fraction:
-        return x / (1 - self.q0 ** m) ** p
+    def pole_factor(self, m: int) -> tuple:
+        a, b = self.a, self.b
+        if m > 0:
+            return b ** m - a ** m, a ** m
+        return a ** -m - b ** -m, b ** -m
+
+    @staticmethod
+    def divexact(x: int, y: int) -> int:
+        quo, rem = divmod(x, y)
+        if rem:
+            raise ExactDivisionError("nonzero remainder")
+        return quo
 
     def pole_shifts(self, numer_T: list, pole_count: int, order: int) -> list:
-        """The same shifts in integers, with no gcd inside the loop.
+        """The shifts in integers, with no gcd.
 
-        With q0 = a/b, N = D * numer (D the lcm of its denominators) and
+        With N = D * numer (D the lcm of its denominators) and
         top = len(numer) - 1,
 
             D a^(j*top) numer(q0^-j (1 - V))
                 = sum_i N_i b^(j*i) a^(j*(top-i)) (1 - V)^i,
 
-        a homogeneous Horner pass per pole; each of the order output
-        coefficients becomes one Fraction at the end.
+        a homogeneous Horner pass per pole, over scale D a^(j*top).
         """
-        a, b = self.q0.numerator, self.q0.denominator
+        a, b = self.a, self.b
         den = lcm(*(c.denominator for c in numer_T))
         nums = [c.numerator * (den // c.denominator) for c in numer_T]
         top = len(nums) - 1
@@ -263,14 +329,127 @@ class FractionRing:
                     h[t] = (h[t] - h[t - 1]) * bj
                 h[0] = h[0] * bj + n_i * apow
                 apow *= aj
-            scale = den * a ** (j * top)
-            out.append([Fraction(x, scale) for x in h])
+            out.append((den * a ** (j * top), h))
         return out
 
+    def div_pole_base(self, h: list, scale: int, c: int, j: int, pole_count: int,
+                      order: int) -> dict:
+        """In pf_extract, h[m] is over scale (a^(j(j+1)/2) b^(k(k+1)/2))^m and
+        c over a^(j(j+1)/2) b^(k(k+1)/2), so h[m] / c^p is the integer
+        h[m] lift over scale C^p, lift = (a^(j(j+1)/2) b^(k(k+1)/2))^order
+        (p - m = order).  lift and scale are cancelled first, so each
+        Fraction reduces smaller integers."""
+        k = pole_count - 1 - j
+        lift = (self.a ** (j * (j + 1) // 2) * self.b ** (k * (k + 1) // 2)) ** order
+        common = gcd(lift, scale)
+        lift, scale = lift // common, scale // common
+        row = {}
+        cpow = c ** order
+        for s in range(order, 0, -1):
+            row[s] = Fraction(h[order - s] * lift, scale * cpow)
+            cpow *= c
+        return row
+
+    def pole_sums(self, rows, n: int, top: int):
+        return _PointPoleSums(self.a, self.b, rows, n, top)
+
+
+# ----------------------------------------------------------------------
+# Sums over the poles.  rows[j][s], j = 0..n, are partial-fraction values
+# in the fraction field of a ring.  Both classes give
+#     at_one(s)             sum_j d_j q^-j, with d_j = rows[j][s]: the
+#                           z-polynomial sum_j d_j q^-j z^j at z = 1
+#     at_one(s, derivative=True)   sum_j j d_j q^-j, its z-derivative there
+#     cumulative(terms, reverse)   sum over s in terms of
+#                           sign sum_j d_j q^-j W(j),
+#                           W(j) = sum_{k=1..j} sum_{e in exps} q^(ek)/(1 - q^k)^p,
+#                           k <= n - j instead with reverse, where
+#                           (sign, exps, p) = terms[s] and 0 <= e <= p
+#     value(x)              the fraction-field value of such a sum
+# and the sums add and take integer multiples as they are.
+
+class _SymbolicPoleSums:
+    """QFrac sums, term by term in the order of the loops, unreduced."""
+
+    def __init__(self, rows, n: int):
+        self.rows, self.n = rows, n
+        self.zero = rows[0][1] * 0
+
+    def at_one(self, s: int, derivative: bool = False):
+        acc = self.zero
+        for j, row in enumerate(self.rows):
+            if derivative and not j:
+                continue
+            t = row[s] * UPoly.q_power(-j)
+            acc = acc + (j * t if derivative else t)
+        return acc
+
+    def cumulative(self, terms: dict, reverse: bool = False):
+        n, acc = self.n, self.zero
+        for s, (sign, exps, p) in terms.items():
+            w = self.zero
+            for k in range(1, n + 1):
+                num = UPoly.q_power(exps[0] * k)
+                for e in exps[1:]:
+                    num = num + UPoly.q_power(e * k)
+                w = w + QFrac(num).div_one_minus_qpow(k, p)
+                j = n - k if reverse else k
+                t = self.rows[j][s] * UPoly.q_power(-j) * w
+                acc = acc + t if sign > 0 else acc - t
+        return acc
+
     @staticmethod
-    def div_pole_base(x: Fraction, c: Fraction, j: int, pole_count: int,
-                      p: int) -> Fraction:
-        return x / c ** p
+    def value(x):
+        return x
+
+
+class _PointPoleSums:
+    """Integer sums at q0 = a/b over one denominator.
+
+    The rows are brought once to L, the lcm of their denominators, and
+    d_j q^-j becomes the integer X_j = d_j L b^j a^(n-j) over L a^n.
+    Every sum is an integer over L a^n Q^top, Q = prod_{k=1..n} (b^k - a^k),
+    and value builds its one Fraction.  In cumulative the two sums are
+    swapped, sum_j X_j W(j) = sum_k w_k T_k with T_k the sum of X_j over
+    the j that reach k, and each w_k = sum_e a^(ek) b^((p-e)k) / (b^k - a^k)^p
+    is taken over Q^p by one running product.
+    """
+
+    def __init__(self, a: int, b: int, rows, n: int, top: int):
+        self.a, self.b, self.n, self.top = a, b, n, top
+        lden = lcm(*(v.denominator for row in rows for v in row.values()))
+        self.cols = {s: [row[s].numerator * (lden // row[s].denominator) * b ** j * a ** (n - j)
+                         for j, row in enumerate(rows)]
+                     for s in rows[0]}
+        self.omq = [b ** k - a ** k for k in range(n + 1)]
+        self.qn = prod(self.omq[1:])
+        self.den = lden * a ** n * self.qn ** top
+
+    def at_one(self, s: int, derivative: bool = False) -> int:
+        col = self.cols[s]
+        total = sum(j * x for j, x in enumerate(col)) if derivative else sum(col)
+        return total * self.qn ** self.top
+
+    def cumulative(self, terms: dict, reverse: bool = False) -> int:
+        a, b, n = self.a, self.b, self.n
+        out = 0
+        for s, (sign, exps, p) in terms.items():
+            col = self.cols[s]
+            if reverse:     # T_k = sum_{j <= n-k} X_j
+                reach = list(accumulate(col))[::-1]
+            else:           # T_k = sum_{j >= k} X_j
+                reach = list(accumulate(reversed(col)))[::-1]
+            acc, dprod = 0, 1
+            for k in range(1, n + 1):
+                dk = self.omq[k] ** p
+                wk = sum(a ** (e * k) * b ** ((p - e) * k) for e in exps)
+                acc = acc * dk + reach[k] * wk * dprod
+                dprod *= dk
+            out += sign * acc * self.qn ** (self.top - p)
+        return out
+
+    def value(self, x: int) -> Fraction:
+        return Fraction(x, self.den)
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +460,8 @@ def _pole_bases(ring, pole_count: int) -> list:
     prefix products over m = -1, -2, ... and m = 1, 2, ...."""
     below, above = [ring.one], [ring.one]
     for m in range(1, pole_count):
-        below.append(below[-1] * (ring.one - ring.qpow(-m)))
-        above.append(above[-1] * (ring.one - ring.qpow(m)))
+        below.append(below[-1] * ring.pole_factor(-m)[0])
+        above.append(above[-1] * ring.pole_factor(m)[0])
     return [below[j] * above[pole_count - 1 - j] for j in range(pole_count)]
 
 
@@ -293,8 +472,7 @@ def _pole_factor_prefixes(ring, offsets, order: int) -> list:
     one = ring.one
     out = [[one] + [ring.zero] * (order - 1)]
     for m in offsets:
-        qm = ring.qpow(m)
-        om = one - qm
+        om, qm = ring.pole_factor(m)
         ompows = [one]
         for _ in range(order):
             ompows.append(ompows[-1] * om)
@@ -311,7 +489,7 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
     """Partial fractions of numer(T) / prod_{i=0}^{pole_count-1} (1 - q^i T)^order.
 
     numer_T: dense T-coefficients (ring elements, ascending, at least
-    one); ring: one of the two rings above.
+    one; Fractions over FractionRing); ring: one of the two rings above.
 
     Returns rows: rows[j][s] for s in 1..order is the coefficient of
     1/(1 - q^j T)^s in the ring's fraction field (a reduced QFrac over
@@ -330,7 +508,9 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
     1/P = sum_k f_k / c^(order+k) V^k the f_k are polynomials satisfying
         f_0 = 1,  c^order f_k = -sum_{t=1..k} p_t f_{k-t} c^t,
     one exact division by c^order per coefficient; every denominator stays
-    a known product of (1 - q^m) factors.
+    a known product of (1 - q^m) factors.  Over FractionRing each of these
+    is an integer over a power of a and b that depends on j alone (see
+    FractionRing), so the loop below is integer arithmetic.
     """
     one, zero = ring.one, ring.zero
     shifts = ring.pole_shifts(numer_T, pole_count, order)
@@ -338,7 +518,7 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
     below = _pole_factor_prefixes(ring, range(-1, -pole_count, -1), order)
     above = _pole_factor_prefixes(ring, range(1, pole_count), order)
     rows = []
-    for j, (s, cbase) in enumerate(zip(shifts, cbases)):
+    for j, ((scale, s), cbase) in enumerate(zip(shifts, cbases)):
         pv = tmul(below[j], above[pole_count - 1 - j], order)
         cpows = [one]
         for _ in range(order):
@@ -356,10 +536,8 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
         # sum_{t+u = order-s} n_t f_u / c^(order+u) =
         #     [sum_t n_t c^t f_(order-s-t)] / c^(2*order-s).
         h = [s[t] * cpows[t] if s[t] else zero for t in range(order)]
-        hf = tmul(h, f, order)
-        rows.append({sdx: ring.div_pole_base(hf[order - sdx], cbase, j, pole_count,
-                                             2 * order - sdx)
-                     for sdx in range(1, order + 1)})
+        rows.append(ring.div_pole_base(tmul(h, f, order), scale, cbase, j,
+                                       pole_count, order))
     return rows
 
 

@@ -34,13 +34,14 @@ from .linform import Params, S_eps_hat_numeric, _check_q0, zeta_q
 from .qcomb import QFrac, cyclotomic, d_poly
 from .series import (
     DEFAULT_PREC,
+    MAX_TERMS,
     FactorMemo,
     FractionRing,
+    PrecisionError,
     UPolyRing,
     pf_extract,
     pf_reconstruct,
     sum_with_tail,
-    tmul_linear,
     working_prec,
 )
 from .upoly import UPoly
@@ -67,11 +68,7 @@ __all__ = [
 
 def _w_numerator(n: int, ring) -> list:
     """Dense T-coefficients of (q^(-n) T; q)_n^2 over the given ring."""
-    coeffs = [ring.one]
-    for _ in range(2):
-        for i in range(n):
-            coeffs = tmul_linear(coeffs, ring.qpow(i - n))
-    return coeffs
+    return ring.linear_product([i - n for i in range(n)] * 2)
 
 
 @dataclass(frozen=True)
@@ -126,17 +123,10 @@ def _z3_assemble(a, b, n: int, ring):
 
     so B_n = sum_{j=1..n} q^(-j) (a_j G_3(j) + b_j G_2(j)).
     """
-    qpow, div_omq = ring.qpow, ring.div_one_minus_qpow
-    a_total = zero = a[0] * 0
-    for j, aj in enumerate(a):
-        a_total = a_total + aj * qpow(-j)
-    b_total = g3 = g2 = zero
-    for j in range(1, n + 1):
-        qj = qpow(j)
-        g3 = g3 + div_omq(qj + qpow(2 * j), j, 3)
-        g2 = g2 + div_omq(qj, j, 2)
-        b_total = b_total + (a[j] * g3 + b[j] * g2) * qpow(-j)
-    return a_total, b_total
+    sums = ring.pole_sums([{1: bj, 2: aj} for aj, bj in zip(a, b)], n, 3)
+    a_total = sums.at_one(2)
+    b_total = sums.cumulative({2: (1, (1, 2), 3), 1: (1, (1,), 2)})
+    return sums.value(a_total), sums.value(b_total)
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +431,28 @@ def bgn_slope(n_range, q0=Fraction(1, 2), prec: int = DEFAULT_PREC) -> SlopeEsti
 def classical_ball(n: int, prec: int = 64) -> mpf:
     """n!^2 sum_{k>n} (2k+n) (k-n)_n (k+n+1)_n / (k)_{n+1}^4, summed
     directly with an integral-comparison tail bound (terms decay like
-    k^(-2n-3))."""
+    k^(-2n-3)).
+
+    The sum stops at the first k with 2 t_k k/(p-1) < 2^-prec, p = 2n+3.
+    Bounding each factor of t_k gives
+
+        2 t_k k/(p-1) >= B(k) = 4 k^2 (k-n)^n / ((p-1) (k+n)^(3n+4)),
+
+    and B rises then falls on k > n (the numerator of its log-derivative
+    is -(2n+2) k^2 + 4n(n+1) k - 2n^2), so if B(n+1) and B(n+MAX_TERMS)
+    are both >= 2^-prec the stop test cannot pass within MAX_TERMS terms,
+    the cap of sum_with_tail, and PrecisionError is raised before any
+    term.  Reaching the cap otherwise raises it too.
+    """
+    _check_n(n)
+
+    def cannot_stop(k):     # B(k) >= 2^-prec, in integers
+        return (4 * k * k * (k - n) ** n << prec) >= (2 * n + 2) * (k + n) ** (3 * n + 4)
+
+    last = n + MAX_TERMS
+    if cannot_stop(n + 1) and cannot_stop(last):
+        raise PrecisionError(f"classical_ball({n}, {prec}) needs more than "
+                             f"{MAX_TERMS} terms")
     with mp.workprec(working_prec(prec)):
         tol = mpf(2) ** (-prec)
         total = mpf(0)
@@ -459,6 +470,8 @@ def classical_ball(n: int, prec: int = 64) -> mpf:
             # sum_{j>k} j^-p <= k^(1-p)/(p-1); terms ~ c k^-p
             if t * k / (p - 1) * 2 < tol:
                 break
+            if k >= last:
+                raise PrecisionError(f"no certified tail after {MAX_TERMS} terms")
             k += 1
         return mpf(mp.factorial(n)) ** 2 * total
 

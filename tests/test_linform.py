@@ -39,6 +39,7 @@ from qzeta.linform import (
 from qzeta.qcomb import QFrac, divisor_power_sum
 from qzeta.series import UPolyRing, working_prec
 from qzeta.upoly import UPoly
+import point_oracle
 from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
 
 SMALL = [(4, 1, 0), (4, 1, 1), (4, 1, 3), (6, 1, 2), (6, 2, 2), (2, 1, 2)]
@@ -124,6 +125,33 @@ def test_symbolic_and_specialized_coefficients_agree():
                     assert forms[s].eval_fraction(q0) == v, s
 
 
+# The integer point path against the Fraction-per-operation reference.
+POINT_GRID = (
+    [(4, 1, n, Fraction(1, 2)) for n in (*range(7), 20, 40)]
+    + [(6, r, n, q0) for r in (1, 2) for n in range(5)
+       for q0 in (Fraction(-224, 499), Fraction(147, 499), Fraction(2, 3),
+                  Fraction(-9, 10), Fraction(9668, 10007))]
+    + [(12, 2, n, Fraction(1, 2)) for n in (0, 3, 12)])
+
+
+def _check_point_path(A, r, n, q0):
+    assert linform._pf_values(A, r, n, q0) == point_oracle.pf_values(A, r, n, q0)
+    for eps in (0, 1):
+        assert (P_eps_values_hat(A, r, n, eps, q0)
+                == point_oracle.p_eps_values_hat(A, r, n, eps, q0)), eps
+
+
+@pytest.mark.parametrize("A,r,n,q0", POINT_GRID, ids=str)
+def test_point_values_match_fraction_reference(A, r, n, q0):
+    _check_point_path(A, r, n, q0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(4, 1), (6, 1), (6, 2)]), st.integers(0, 3), q0s())
+def test_point_values_match_fraction_reference_anywhere(ar, n, q0):
+    _check_point_path(*ar, n, q0)
+
+
 def test_parity_structure_of_forms():
     # eps = 1: only odd zeta indices >= 3; eps = 0: only even >= 2
     for A, r, n in ((4, 1, 3), (6, 1, 2), (6, 2, 2)):
@@ -166,23 +194,42 @@ def test_zeta_q_negative_base():
         assert abs(val - mpf(approx.numerator) / approx.denominator) < mpf(2) ** -60
 
 
+def _divisor_sums(e: int, size: int) -> list:
+    """sigma_e(m) for m <= size, by a sieve."""
+    sig = [0] * (size + 1)
+    for d in range(1, size + 1):
+        de = d ** e
+        for m in range(d, size + 1, d):
+            sig[m] += de
+    return sig
+
+
 def _lambert_zeta_q(s: int, q0: Fraction):
     """sum_m sigma_{s-1}(m) q0^m, summed until a majorant tail is below
-    2^-220 of the sum: sigma_{s-1}(m) <= zeta(s-1) m^(s-1) <= 2 m^(s-1)."""
+    2^-220 of the sum: sigma_{s-1}(m) <= d(m) m^(s-1) <= 2 m^s, d(m) the
+    number of divisors of m, and the majorant's term ratio
+    |q0| ((m+1)/m)^s falls with m."""
     q = mpf(q0.numerator) / q0.denominator
     aq = abs(q)
+    sig = [0]
     total, qm, m = mpf(0), mpf(1), 0
     while True:
         m += 1
+        if m >= len(sig):
+            sig = _divisor_sums(s - 1, 2 * len(sig) + 1024)
         qm *= q
-        total += divisor_power_sum(m, s - 1) * qm
-        rho = aq * (mpf(m + 1) / m) ** (s - 1)
-        if rho < 1 and 2 * m ** (s - 1) * aq ** m * rho / (1 - rho) < abs(total) * mpf(2) ** -220:
+        total += sig[m] * qm
+        if m % 64:
+            continue    # the stop test, on every 64th term only
+        rho = aq * (mpf(m + 1) / m) ** s
+        if rho < 1 and 2 * mpf(m) ** s * aq ** m * rho / (1 - rho) < abs(total) * mpf(2) ** -220:
             return total
 
 
 @pytest.mark.parametrize("s,q0", [(4, Fraction(97, 100)), (3, Fraction(99, 100)),
-                                  (4, Fraction(99, 100))])
+                                  (4, Fraction(99, 100))]
+                         + [(s, q0) for s in (1, 5, 6)
+                            for q0 in (Fraction(-9, 10), Fraction(99, 100))])
 def test_zeta_q_near_one_matches_lambert_route(s, q0):
     # converging sums near q = 1 certify: no DivergenceError
     val = zeta_q(s, q0)

@@ -1,5 +1,6 @@
 """Tests for the weight-3 series pair and its exact decomposition."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from qzeta.zeta3 import (
     zeta3_reconstruction_check,
     zeta3_report,
 )
+from qzeta.series import PrecisionError
 from qzeta.zeta3 import _bracket_factors, _w_log_deriv_bracket
+import point_oracle
 from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
 
 
@@ -57,6 +60,18 @@ def test_form_symbolic_matches_specialized(n, q0):
     a_val, b_val = zeta3_form_values(n, q0)
     assert a_sym.eval_fraction(q0) == a_val
     assert b_sym.eval_fraction(q0) == b_val
+
+
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("q0", (Fraction(1, 3), Fraction(-222, 499)), ids=str)
+def test_form_values_match_fraction_reference(n, q0):
+    assert zeta3_form_values(n, q0) == point_oracle.zeta3_form_values(n, q0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), q0s())
+def test_form_values_match_fraction_reference_anywhere(n, q0):
+    assert zeta3_form_values(n, q0) == point_oracle.zeta3_form_values(n, q0)
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +208,23 @@ def test_classical_series_at_n0_is_two_zeta3():
     # n = 0 terms decay like k^-3, so keep the certified tolerance modest
     with mp.workprec(96):
         assert abs(classical_ball(0, 24) - 2 * mp.zeta(3)) < mpf(2) ** -22
+
+
+@pytest.mark.parametrize("n,prec,mpf_", [
+    (0, 24, (0, 10827165908118463, -52, 54)),
+    (2, 64, (0, 24976676012969140597753900001, -106, 95))])
+def test_classical_ball_values_are_unchanged_by_the_term_cap(n, prec, mpf_):
+    assert classical_ball(n, prec)._mpf_ == mpf_
+
+
+def test_classical_ball_raises_at_once_past_the_term_cap():
+    # n = 0 needs about 2^(prec/2) terms: some 4 * 10^9 at prec 64
+    t0 = time.perf_counter()
+    with pytest.raises(PrecisionError):
+        classical_ball(0, 64)
+    with pytest.raises(PrecisionError):
+        classical_ball(1, 400)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_classical_degeneration_error_decreases():
