@@ -146,14 +146,16 @@ def _cmd_linform(args):
     return code, rep, None
 
 
+def _gap_exit(gap, max_gap) -> int:
+    """The --max-gap rule: fail when a limit is set and the gap exceeds it."""
+    return EXIT_FAIL if max_gap is not None and float(gap) > max_gap else EXIT_PASS
+
+
 def _cmd_slope_s(args):
     q0 = parse_rat(args.q)
     est = slope_S(args.A, args.r, args.eps, q0, _parse_nrange(args.n), args.prec)
     rep = {**est.to_json(), "command": "slope-S"}
-    code = EXIT_PASS
-    if args.max_gap is not None and float(est.rel_gap) > args.max_gap:
-        code = EXIT_FAIL
-    return code, rep, list(est.to_csv_rows())
+    return _gap_exit(est.rel_gap, args.max_gap), rep, list(est.to_csv_rows())
 
 
 def _cmd_slope_p(args):
@@ -172,10 +174,7 @@ def _cmd_slope_d(args):
     tgt = mpf(est.target)
     last_gap = abs(mpf(est.last) - tgt) / abs(tgt)
     rep = {**est.to_json(), "command": "slope-D", "last_gap": last_gap}
-    code = EXIT_PASS
-    if args.max_gap is not None and float(last_gap) > args.max_gap:
-        code = EXIT_FAIL
-    return code, rep, list(est.to_csv_rows())
+    return _gap_exit(last_gap, args.max_gap), rep, list(est.to_csv_rows())
 
 
 def _cmd_delta(args):

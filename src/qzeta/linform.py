@@ -41,7 +41,6 @@ from .series import (
     pf_extract,
     pf_reconstruct,
     sum_with_tail,
-    tmul_linear,
     working_prec,
 )
 from .upoly import UPoly
@@ -177,10 +176,8 @@ def kernel_symmetry_check(params: Params) -> bool:
     side is the kernel numerator that the partial fractions expand, with
     the normalizing monomial restored."""
     A, r, n = params.A, params.r, params.n
-    coeffs = [UPolyRing.one]
-    for e in ([n + i for i in range(1, r * n + 1)]
-              + [n - i for i in range(n + 1, n + r * n + 1)]):
-        coeffs = tmul_linear(coeffs, UPolyRing.qpow(e))
+    coeffs = UPolyRing.linear_product([n + i for i in range(1, r * n + 1)]
+                                      + [n - i for i in range(n + 1, n + r * n + 1)])
     pre = (qpoch(UPoly.q_power(-1), n, base="1/q") ** (A - 2 * r)
            * UPoly.u_power((A - 2 * r) * n // 2 + n * n * (A - 2 * r)))
     lhs = [UPoly.zero()] * ((A - 2 * r) * n // 2) + [pre * c for c in coeffs]
@@ -224,11 +221,11 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
 
 
 def p1_at_one_check(params: Params) -> bool:
-    """Exact vanishing P_1(1; q) = sum_j d_{1,j} q^(-j) = 0."""
-    total = QFrac.zero()
-    for c in P_z(params, 1):
-        total = total + c
-    return total.reduced().is_zero()
+    """Exact vanishing P_1(1; q) = sum_j d_{1,j} q^(-j) = 0, summed over
+    the hat rows (the normalizing monomial does not change whether it
+    vanishes)."""
+    sums = UPolyRing.pole_sums(partial_fractions(params).dhat, params.n, params.A)
+    return sums.at_one(1).is_zero()
 
 
 # perfbench/tracer.py labels _assemble_eps calls by this name.
@@ -299,7 +296,8 @@ def _pf_values(A: int, r: int, n: int, q0: Fraction):
 
 @lru_cache(maxsize=None)
 def P_eps_values_hat(A: int, r: int, n: int, eps: int, q0: Fraction):
-    """Exact Fractions: hat P0^[eps] and {s: hat Ps^[eps]} at q = q0."""
+    """Exact Fractions: hat P0^[eps] and {s: hat Ps^[eps]} at q = q0;
+    q0 = 0, 1 and -1 raise ValueError."""
     Params(A, r, n, eps)  # validates (A, r, n, eps) before any arithmetic
     dval = _pf_values(A, r, n, q0)
     p0, ps = _assemble_eps(dval, A, n, eps, FractionRing(q0))

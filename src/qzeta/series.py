@@ -210,23 +210,16 @@ class UPolyRing:
 
     @staticmethod
     def pole_shifts(numer_T: list, pole_count: int, order: int) -> list:
-        """numer(q^-j (1 - V)) mod V^order for j < pole_count, by Horner
-        in (1 - V); the factor q^-j is a shift of the u-exponents."""
-        zero = UPoly.zero()
+        """numer(q^-j (1 - V)) mod V^order for j < pole_count: its V^t
+        coefficient is (-1)^t sum_i C(i, t) q^(-ji) numer_i, and the factor
+        q^(-ji) is a shift of the u-exponents."""
         out = []
         for j in range(pole_count):
-            s = [zero] * order
-            for cval in reversed(numer_T):
-                new = [zero] * order
-                for i, si in enumerate(s):
-                    if si:
-                        t = si.shift_u(-2 * j)      # q^-j si
-                        new[i] = new[i] + t
-                        if i + 1 < order:
-                            new[i + 1] = new[i + 1] - t
-                new[0] = new[0] + cval
-                s = new
-            out.append((None, s))
+            shifted = [c.shift_u(-2 * j * i) for i, c in enumerate(numer_T)]
+            out.append((None, [sum((comb(i, t) * (-1) ** t * c
+                                    for i, c in enumerate(shifted[t:], t) if c),
+                                   UPoly.zero())
+                               for t in range(order)]))
         return out
 
     @staticmethod
@@ -264,13 +257,16 @@ class FractionRing:
     b, so divexact is an exact integer division, and div_pole_base puts
     the known powers of a and b back and builds one Fraction per
     coefficient.  linear_product and pole_sums also work in integers and
-    build one Fraction per output.
+    build one Fraction per output.  q0 = 0, 1 and -1 raise ValueError:
+    there some q0^m or 1 - q0^m, m != 0, is not a unit.
     """
 
     one, zero = 1, 0
 
     def __init__(self, q0: Fraction):
         self.q0 = Fraction(q0)
+        if self.q0 in (0, 1, -1):
+            raise ValueError(f"need q0 other than 0, 1 and -1, got {self.q0}")
         self.a, self.b = self.q0.numerator, self.q0.denominator
 
     def qpow(self, m: int) -> Fraction:
@@ -455,24 +451,15 @@ class _PointPoleSums:
 # ----------------------------------------------------------------------
 # Partial fractions over poles of equal order at T = q^(-j).
 
-def _pole_bases(ring, pole_count: int) -> list:
-    """c_j = prod_{i != j} (1 - q^(i-j)) for each pole j < pole_count, from
-    prefix products over m = -1, -2, ... and m = 1, 2, ...."""
-    below, above = [ring.one], [ring.one]
-    for m in range(1, pole_count):
-        below.append(below[-1] * ring.pole_factor(-m)[0])
-        above.append(above[-1] * ring.pole_factor(m)[0])
-    return [below[j] * above[pole_count - 1 - j] for j in range(pole_count)]
-
-
-def _pole_factor_prefixes(ring, offsets, order: int) -> list:
-    """Prefix products, mod V^order, of g_m(V) = ((1 - q^m) + q^m V)^order
-    over the offsets m in the given sequence; entry k holds the product
-    of the first k factors."""
+def _pole_factor_prefixes(ring, offsets, order: int) -> tuple:
+    """Prefix products over the offsets m in the given sequence of 1 - q^m
+    and, mod V^order, of g_m(V) = ((1 - q^m) + q^m V)^order; entry k of
+    each list holds the product of the first k factors."""
     one = ring.one
-    out = [[one] + [ring.zero] * (order - 1)]
+    bases, out = [one], [[one] + [ring.zero] * (order - 1)]
     for m in offsets:
         om, qm = ring.pole_factor(m)
+        bases.append(bases[-1] * om)
         ompows = [one]
         for _ in range(order):
             ompows.append(ompows[-1] * om)
@@ -482,7 +469,7 @@ def _pole_factor_prefixes(ring, offsets, order: int) -> list:
             fac.append(comb(order, k) * ompows[order - k] * qmk)
             qmk = qmk * qm
         out.append(tmul(out[-1], fac, order))
-    return out
+    return bases, out
 
 
 def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
@@ -514,11 +501,11 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
     """
     one, zero = ring.one, ring.zero
     shifts = ring.pole_shifts(numer_T, pole_count, order)
-    cbases = _pole_bases(ring, pole_count)
-    below = _pole_factor_prefixes(ring, range(-1, -pole_count, -1), order)
-    above = _pole_factor_prefixes(ring, range(1, pole_count), order)
+    cbelow, below = _pole_factor_prefixes(ring, range(-1, -pole_count, -1), order)
+    cabove, above = _pole_factor_prefixes(ring, range(1, pole_count), order)
     rows = []
-    for j, ((scale, s), cbase) in enumerate(zip(shifts, cbases)):
+    for j, (scale, s) in enumerate(shifts):
+        cbase = cbelow[j] * cabove[pole_count - 1 - j]
         pv = tmul(below[j], above[pole_count - 1 - j], order)
         cpows = [one]
         for _ in range(order):

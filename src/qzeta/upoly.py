@@ -288,9 +288,6 @@ class UPoly:
     def coefficients_integral(self) -> bool:
         return self.den == 1
 
-    def num_terms(self) -> int:
-        return len(self.v) - self.v.count(0)
-
     def coeff(self, e: int) -> Fraction:
         k, r = divmod(e - self.lo, self.st)
         if r or not 0 <= k < len(self.v):
@@ -477,15 +474,6 @@ class UPoly:
         if other.den != 1:
             quot = list(map(other.den.__mul__, quot))
         return _norm(self.lo - other.lo, st, quot, self.den * qden)
-
-    # --- serialization ------------------------------------------------------
-
-    def to_json(self) -> list:
-        return [{"u_exp": e, "coeff": format_rat(c)} for e, c in self.terms()]
-
-    @classmethod
-    def from_json(cls, records) -> "UPoly":
-        return cls({int(r["u_exp"]): parse_rat(r["coeff"]) for r in records})
 
     def __repr__(self):
         if not self.v:

@@ -80,12 +80,13 @@ class Zeta3Kernel:
     a: tuple
     b: tuple
 
+    def rows(self) -> list:
+        """The rows {1: b[j], 2: a[j]}, as pf_extract returns them."""
+        return [{1: bj, 2: aj} for aj, bj in zip(self.a, self.b)]
+
     def residue_sum(self) -> QFrac:
         """sum_j b[j] q^(-j), the negated residue at infinity; must be 0."""
-        total = QFrac(UPoly.zero())
-        for j, bj in enumerate(self.b):
-            total = total + bj.mul_qpow(-j)
-        return total.reduced()
+        return UPolyRing.pole_sums(self.rows(), self.n, 2).at_one(1).reduced()
 
 
 @lru_cache(maxsize=None)
@@ -95,35 +96,26 @@ def zeta3_partial_fractions(n: int) -> Zeta3Kernel:
                        tuple(row[1] for row in rows))
 
 
-@lru_cache(maxsize=None)
-def _z3_values(n: int, q0: Fraction):
-    """(a[j](q0), b[j](q0)) exact Fractions via the specialized extractor."""
-    ring = FractionRing(q0)
-    rows = pf_extract(_w_numerator(n, ring), n + 1, 2, ring)
-    return tuple(row[2] for row in rows), tuple(row[1] for row in rows)
-
-
 def zeta3_reconstruction_check(n: int) -> bool:
     """Exact identity: the order-2 partial fractions re-sum to W_n."""
-    ker = zeta3_partial_fractions(n)
-    rows = [{1: b, 2: a} for a, b in zip(ker.a, ker.b)]
+    rows = zeta3_partial_fractions(n).rows()
     return pf_reconstruct(_w_numerator(n, UPolyRing), rows, n + 1, 2)
 
 
 # ----------------------------------------------------------------------
 # The exact linear-form coefficients A_n, B_n.
 
-def _z3_assemble(a, b, n: int, ring):
-    """(A_n, B_n) of zeta3_form from the order-2 partial fractions a[j],
-    b[j] in the fraction field of either exact ring.  The inner k-sums
-    are the running sums
+def _z3_assemble(rows, n: int, ring):
+    """(A_n, B_n) of zeta3_form from the order-2 partial fractions
+    rows[j] = {1: b[j], 2: a[j]} in the fraction field of either exact
+    ring.  The inner k-sums are the running sums
 
         G_3(j) = sum_{k=1..j} q^k (1 + q^k)/(1-q^k)^3,
         G_2(j) = sum_{k=1..j} q^k /(1-q^k)^2,
 
     so B_n = sum_{j=1..n} q^(-j) (a_j G_3(j) + b_j G_2(j)).
     """
-    sums = ring.pole_sums([{1: bj, 2: aj} for aj, bj in zip(a, b)], n, 3)
+    sums = ring.pole_sums(rows, n, 3)
     a_total = sums.at_one(2)
     b_total = sums.cumulative({2: (1, (1, 2), 3), 1: (1, (1,), 2)})
     return sums.value(a_total), sums.value(b_total)
@@ -137,16 +129,16 @@ def zeta3_form(n: int):
         B_n = sum_{j=1..n} sum_{k=1..j} [ a_j q^(k-j) (1 + q^k)/(1-q^k)^3
                                         + b_j q^(k-j) /(1-q^k)^2 ].
     """
-    ker = zeta3_partial_fractions(n)
-    a_total, b_total = _z3_assemble(ker.a, ker.b, n, UPolyRing)
+    a_total, b_total = _z3_assemble(zeta3_partial_fractions(n).rows(), n, UPolyRing)
     return a_total.reduced(), b_total.reduced()
 
 
 @lru_cache(maxsize=None)
 def zeta3_form_values(n: int, q0: Fraction):
-    """(A_n(q0), B_n(q0)) exact Fractions (fast specialized route)."""
-    av, bv = _z3_values(n, q0)
-    return _z3_assemble(av, bv, n, FractionRing(q0))
+    """(A_n(q0), B_n(q0)) exact Fractions, from the partial fractions at
+    q0 (fast specialized route); q0 = 0, 1 and -1 raise ValueError."""
+    ring = FractionRing(q0)
+    return _z3_assemble(pf_extract(_w_numerator(n, ring), n + 1, 2, ring), n, ring)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +203,7 @@ def _bracket_factors(q) -> FactorMemo:
     return FactorMemo(factors)
 
 
-def _w_log_deriv_bracket(n: int, q, k: int, memo: FactorMemo):
+def _w_log_deriv_bracket(n: int, k: int, memo: FactorMemo):
     """W_n(q^k) and the bracket 1 + T W'/W at T = q^k, k > n.
 
     W'/W = -2 sum_{i<n} q^(i-n)/(1 - q^(i-n) T) + 2 sum_{i<=n} q^i/(1 - q^i T);
@@ -247,7 +239,7 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
         def terms():
             k = n + 1
             while True:
-                w, br = _w_log_deriv_bracket(n, q, k, memo)
+                w, br = _w_log_deriv_bracket(n, k, memo)
                 yield memo(k)[0] * w * br  # memo(k)[0] is q ** k
                 memo.drop_below(k + 1 - n)
                 k += 1

@@ -162,6 +162,10 @@ def test_slope_s_max_gap(capsys):
     code, out, _ = run(capsys, "slope-S", "--A", "4", "--r", "1",
                        "--q", "1/2", "--n", "2..14", "--max-gap", "0.0001")
     assert code == 1
+    # slope-D shares the rule, on its last-point gap
+    code, out, _ = run(capsys, "slope-D", "--A", "4", "--r", "1",
+                       "--q", "1/2", "--n", "1..6", "--max-gap", "0.0001")
+    assert code == 1 and float(json.loads(out)["last_gap"]) > 0.0001
 
 
 # ----------------------------------------------------------------------

@@ -262,3 +262,8 @@ def test_classical_limit_check():
         classical_limit_check(q0_list=(Fraction(1, 2), Fraction(3, 2)))
     with pytest.raises(ValueError):
         classical_limit_check(q0_list=(Fraction(9, 10), Fraction(1, 2)))
+    # one more step toward 1: ~0.13% at q = 999/1000
+    grid = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))
+    out = classical_limit_check(2, grid, 96)
+    assert out["monotone_decreasing"]
+    assert out["rows"][-1]["rel_error"] < 2e-3

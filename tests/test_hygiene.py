@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ast:
-no local variable is assigned and never read, no import goes unused, and
-no module-level function or class is dead.
+no local variable is assigned and never read, no import goes unused, no
+parameter of a module-level function goes unread, and no module-level
+function or class is dead.
 
 For locals and imports, names starting with "_" are exempt, as are
 `from __future__` imports and the re-exports of the package's
@@ -55,6 +56,21 @@ def unused_locals(tree) -> list:
     return found
 
 
+def unread_parameters(tree) -> list:
+    """(function, name) for each parameter of a module-level function that
+    its body, nested functions included, never reads."""
+    found = []
+    for func in tree.body:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = [a for a in (args.posonlyargs + args.args + [args.vararg]
+                              + args.kwonlyargs + [args.kwarg]) if a is not None]
+        read = _loaded(func)
+        found.extend((func.name, a.arg) for a in params if a.arg not in read)
+    return found
+
+
 def _exported(tree) -> set:
     """The names a literal module-level __all__ lists."""
     exported = set()
@@ -106,6 +122,8 @@ def test_no_unused_locals_or_imports(path):
                 for func, name in unused_locals(tree)]
     if path.name != "__init__.py":
         problems += [f"import {name!r} is never used" for name in unused_imports(tree)]
+    problems += [f"parameter {name!r} of {func}() is never read"
+                 for func, name in unread_parameters(tree)]
     assert not problems, problems
 
 
@@ -123,6 +141,18 @@ def test_checker_flags_dead_names():
         "    return g\n")
     assert unused_locals(tree) == [("f", "dead")]
     assert unused_imports(tree) == ["os", "pi"]
+
+
+def test_checker_flags_unread_parameters():
+    tree = ast.parse(
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def g():\n"
+        "        return b + kw['x']\n"
+        "    return g\n"
+        "class K:\n"
+        "    def method(self, unread):\n"
+        "        return 0\n")
+    assert unread_parameters(tree) == [("f", "a"), ("f", "args"), ("f", "c")]
 
 
 def test_no_dead_definitions():

@@ -114,7 +114,7 @@ def test_p1_vanishes_at_one():
 
 def test_symbolic_and_specialized_coefficients_agree():
     # the QFrac pipeline evaluated at q0 must equal the Fraction pipeline
-    for q0 in (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)):
+    for q0 in (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(3, 2)):
         for A, r, n in ((4, 1, 2), (6, 2, 2)):
             for eps in (0, 1):
                 p = Params(A, r, n, eps)
@@ -123,6 +123,13 @@ def test_symbolic_and_specialized_coefficients_agree():
                 assert forms[0].eval_fraction(q0) == p0
                 for s, v in ps:
                     assert forms[s].eval_fraction(q0) == v, s
+
+
+@pytest.mark.parametrize("q0", (Fraction(0), Fraction(1), Fraction(-1)), ids=str)
+def test_point_values_reject_poles(q0):
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"got {q0}$"):
+            P_eps_values_hat(4, 1, n, 1, q0)
 
 
 # The integer point path against the Fraction-per-operation reference.
@@ -251,6 +258,12 @@ def test_identity_residual_small(eps):
     for q0 in (Fraction(1, 2), Fraction(-1, 2)):
         res = identity_residual(Params(4, 1, 2, eps), q0, 256)
         assert res["residual"] < mpf(10) ** -40
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_identity_residual_near_one(n):
+    res = identity_residual(Params(4, 1, n, n % 2), Fraction(99, 100), 256)
+    assert res["residual"] < mpf(10) ** -40
 
 
 # ----------------------------------------------------------------------

@@ -288,8 +288,3 @@ def test_q_power_and_u_power():
     assert UPoly.q_power(-2).min_exp() == -4
     p = UPoly({2: 5})
     assert p.shift_u(-2) == UPoly({0: 5})
-
-
-def test_json_roundtrip():
-    p = UPoly({-3: Fraction(2, 3), 0: 1, 4: -7})
-    assert UPoly.from_json(p.to_json()) == p

@@ -54,12 +54,20 @@ def test_residue_sum_vanishes(n):
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 4, 6))
-@pytest.mark.parametrize("q0", (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)))
+@pytest.mark.parametrize("q0", (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5),
+                                Fraction(3, 2)))
 def test_form_symbolic_matches_specialized(n, q0):
     a_sym, b_sym = zeta3_form(n)
     a_val, b_val = zeta3_form_values(n, q0)
     assert a_sym.eval_fraction(q0) == a_val
     assert b_sym.eval_fraction(q0) == b_val
+
+
+@pytest.mark.parametrize("q0", (Fraction(0), Fraction(1), Fraction(-1)), ids=str)
+def test_form_values_reject_poles(q0):
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"got {q0}$"):
+            zeta3_form_values(n, q0)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -124,7 +132,7 @@ def test_log_derivative_bracket_finite_difference():
             return num / den
 
         t0 = q ** k
-        w, br = _w_log_deriv_bracket(n, q, k, _bracket_factors(q))
+        w, br = _w_log_deriv_bracket(n, k, _bracket_factors(q))
         assert abs(w - w_at(t0)) < mpf(2) ** -230
         h = mpf(2) ** -60
         wp = (w_at(t0 * (1 + h)) - w_at(t0 * (1 - h))) / (2 * h * t0)
