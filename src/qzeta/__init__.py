@@ -44,8 +44,7 @@ from .linform import (
     S_eps_numeric,
     d_symmetry_check,
     denominator_check,
-    denominator_conjecture_probe,
-    denominator_sharpness_probe,
+    denominator_probe,
     identity_residual,
     kernel_symmetry_check,
     linear_form_report,

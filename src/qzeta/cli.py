@@ -32,13 +32,7 @@ from .asymptotics import (
     slope_S,
 )
 from .eisenstein import InconsistentSystemError, express_in_E4_E6
-from .linform import (
-    Params,
-    denominator_check,
-    denominator_conjecture_probe,
-    denominator_sharpness_probe,
-    linear_form_report,
-)
+from .linform import Params, denominator_probe, linear_form_report
 from .series import DEFAULT_PREC, DivergenceError, PrecisionError
 from .upoly import format_rat, parse_rat
 from .zeta3 import zeta3_report
@@ -224,24 +218,7 @@ def _cmd_eisenstein(args):
 
 
 def _cmd_denom_probe(args):
-    rows = []
-    for n in _parse_nrange(args.n):
-        for eps in (0, 1):
-            params = Params(args.A, args.r, n, eps)
-            sharp = denominator_sharpness_probe(params)
-            rows.append({
-                "n": n, "eps": eps,
-                "exact_pass": bool(denominator_check(params)["pass"]),
-                "sharpness_all_pass": bool(sharp["all_pass"]),
-                "sharpness_failing_s": sharp["failing_s"],
-            })
-        conj = denominator_conjecture_probe(Params(args.A, args.r, n, 1))
-        rows.append({
-            "n": n, "eps": "both",
-            "conjecture_all_pass": bool(conj["all_pass"]),
-            "conjecture_failing": {e: sorted(s for s, ok in per.items() if not ok)
-                                   for e, per in conj["per_eps"].items()},
-        })
+    rows = denominator_probe(args.A, args.r, _parse_nrange(args.n))
     rep = {
         "command": "denom-probe",
         "A": args.A, "r": args.r,

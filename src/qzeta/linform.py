@@ -69,8 +69,7 @@ __all__ = [
     "D_exponent",
     "D_n",
     "denominator_check",
-    "denominator_sharpness_probe",
-    "denominator_conjecture_probe",
+    "denominator_probe",
     "linear_form_report",
 ]
 
@@ -172,13 +171,14 @@ def kernel_symmetry_check(params: Params) -> bool:
 
     Both sides share the same denominator factor set {1 - q^i T}, so the
     check compares the two numerator coefficient lists: the left side is
-    built from its own formula (base 1/q and argument q^n T), the right
-    side is the kernel numerator that the partial fractions expand, with
-    the normalizing monomial restored."""
+    built from its own formula (base 1/q and argument q^n T, with
+    (1/q; 1/q)_n = (q^-n; q)_n), the right side is the kernel numerator
+    that the partial fractions expand, with the normalizing monomial
+    restored."""
     A, r, n = params.A, params.r, params.n
     coeffs = UPolyRing.linear_product([n + i for i in range(1, r * n + 1)]
                                       + [n - i for i in range(n + 1, n + r * n + 1)])
-    pre = (qpoch(UPoly.q_power(-1), n, base="1/q") ** (A - 2 * r)
+    pre = (qpoch(UPoly.q_power(-n), n) ** (A - 2 * r)
            * UPoly.u_power((A - 2 * r) * n // 2 + n * n * (A - 2 * r)))
     lhs = [UPoly.zero()] * ((A - 2 * r) * n // 2) + [pre * c for c in coeffs]
     rhs = [c.shift_u(params.prefactor_u) for c in _hat_numerator(A, r, n, UPolyRing)]
@@ -633,18 +633,24 @@ def D_n(params: Params) -> UPoly:
     return _clearing_poly(params.A, params.r, params.n, params.A)
 
 
+def _cleared(form: QFrac, clearer: UPoly):
+    """The numerator of (form * clearer).reduced(), or None when a
+    cyclotomic factor is left in the denominator."""
+    prod = (form * clearer).reduced()
+    return prod.num if prod.den.is_one() else None
+
+
 def _clearing_check(poly_q: UPoly, forms: dict) -> dict:
     """Multiply each coefficient by the candidate denominator and test
     membership in Z[1/q]: denominator 1 after reduction, integer
     coefficients, even u-exponents, no positive q-powers."""
     out = {}
     for s, frac in sorted(forms.items()):
-        prod = (frac * poly_q).reduced()
-        if not prod.den.is_one():
+        w = _cleared(frac, poly_q)
+        if w is None:
             out[s] = {"ok": False, "reason": "denominator does not clear",
                       "witness": None}
             continue
-        w = prod.num
         ok_even = w.only_even_exponents()
         ok_int = w.coefficients_integral()
         ok_neg = w.is_zero() or w.max_exp() <= 0
@@ -673,48 +679,40 @@ def denominator_check(params: Params) -> dict:
     }
 
 
-def denominator_sharpness_probe(params: Params) -> dict:
-    """Divide the denominator by one extra factor Phi_n(1/q) and rerun the
-    check; a failure witnesses that the d_n-power A cannot be lowered by
-    a single cyclotomic at this n."""
-    A, n = params.A, params.n
-    if n < 1:
-        raise ValueError("sharpness probe needs n >= 1")
-    shaved = _clearing_poly(A, params.r, n, A - 1) * d_poly(n - 1).subst_inv()
-    results = _clearing_check(shaved, P_eps(params))
-    return {
-        "params": params,
-        "all_pass": all(v["ok"] for v in results.values()),
-        "failing_s": sorted(s for s, v in results.items() if not v["ok"]),
-        "per_s": results,
-    }
+def denominator_probe(A: int, r: int, n_range) -> list:
+    """The rows `qzeta denom-probe` prints, two per eps and one for both.
 
-
-def denominator_conjecture_probe(params: Params) -> dict:
-    """Probe the conjectural smaller denominator with d_n-power A-1.
-
-    The smaller denominator provably clears the coefficients of the
-    alternative very-well-poised series for A = 4, r = 1 (where that
-    series coincides with the symmetrized one up to a monomial); here it
-    is applied to the symmetrized-form coefficients for both eps, and the
-    outcome is recorded, not asserted.
+    exact_pass is denominator_check.  The sharpness row divides D_n by
+    one extra factor Phi_n(1/q); a failure witnesses that the d_n-power A
+    cannot be lowered by a single cyclotomic at this n.  The conjecture
+    row applies the smaller denominator with d_n-power A-1 to the
+    symmetrized-form coefficients of both eps; it provably clears the
+    alternative very-well-poised series' coefficients, which coincide
+    with these for A = 4, r = 1 only, so the outcome is recorded, not
+    asserted.
     """
-    A, r, n = params.A, params.r, params.n
-    dtilde = _clearing_poly(A, r, n, A - 1)
-    per_eps = {}
-    for eps in (0, 1):
-        forms = P_eps(Params(A, r, n, eps))
-        res = _clearing_check(dtilde, forms)
-        per_eps[eps] = {s: v["ok"] for s, v in res.items()}
-    return {
-        "A": A, "r": r, "n": n,
-        "per_eps": per_eps,
-        "all_pass": all(all(v.values()) for v in per_eps.values()),
-        "interpretation": (
-            "reduced denominator (d_n power A-1) applied to the symmetrized-form "
-            "coefficients; the alternative series' own coefficients coincide with "
-            "these for A=4, r=1 only"),
-    }
+    rows = []
+    for n in n_range:
+        Params(A, r, n)  # validates (A, r, n) before the n >= 1 rule
+        if n < 1:
+            raise ValueError("sharpness probe needs n >= 1")
+        dtilde = _clearing_poly(A, r, n, A - 1)
+        shaved = dtilde * d_poly(n - 1).subst_inv()
+        conjecture = {}
+        for eps in (0, 1):
+            params = Params(A, r, n, eps)
+            forms = P_eps(params)
+            sharp = [s for s, v in _clearing_check(shaved, forms).items() if not v["ok"]]
+            conjecture[eps] = [s for s, v in _clearing_check(dtilde, forms).items()
+                               if not v["ok"]]
+            rows.append({"n": n, "eps": eps,
+                         "exact_pass": denominator_check(params)["pass"],
+                         "sharpness_all_pass": not sharp,
+                         "sharpness_failing_s": sharp})
+        rows.append({"n": n, "eps": "both",
+                     "conjecture_all_pass": not any(conjecture.values()),
+                     "conjecture_failing": conjecture})
+    return rows
 
 
 # ----------------------------------------------------------------------

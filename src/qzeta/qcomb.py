@@ -130,21 +130,15 @@ def totient(l: int) -> int:
 # ----------------------------------------------------------------------
 # q-Pochhammer and Gaussian binomials.
 
-def qpoch(a: UPoly, n: int, base: str = "q") -> UPoly:
-    """(a; q)_n = prod_{i=0}^{n-1} (1 - a q^i), exactly.
-
-    base='1/q' uses step q^(-1) instead, i.e. (a; 1/q)_n.
-    """
+def qpoch(a: UPoly, n: int) -> UPoly:
+    """(a; q)_n = prod_{i=0}^{n-1} (1 - a q^i), exactly."""
     if n < 0:
         raise ValueError("q-Pochhammer length must be >= 0")
-    step = 2 if base == "q" else -2
-    if base not in ("q", "1/q"):
-        raise ValueError("base must be 'q' or '1/q'")
     out = UPoly.one()
     cur = a
     for _ in range(n):
         out = out * (UPoly.one() - cur)
-        cur = cur.shift_u(step)
+        cur = cur.shift_u(2)
     return out
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .asymptotics import SlopeEstimate, _make_estimate, _slope_ns, log_abs_fraction
-from .linform import Params, S_eps_hat_numeric, _check_q0, zeta_q
+from .linform import Params, S_eps_hat_numeric, _check_q0, _cleared, zeta_q
 from .qcomb import QFrac, cyclotomic, d_poly
 from .series import (
     DEFAULT_PREC,
@@ -44,7 +44,6 @@ from .series import (
     sum_with_tail,
     working_prec,
 )
-from .upoly import UPoly
 
 __all__ = [
     "Zeta3Kernel",
@@ -327,20 +326,6 @@ def _frac_bits(x: Fraction) -> int:
 # ----------------------------------------------------------------------
 # Denominator probe for A_n, B_n.
 
-def _laurent_integral_after(form: QFrac, clearer: UPoly):
-    """Multiply and test membership in Z[q, 1/q] (any exponent sign):
-    returns (ok, max_q_exponent or None)."""
-    prod = (form * QFrac(clearer)).reduced()
-    if not prod.den.is_one():
-        return False, None
-    w = prod.num
-    if w.is_zero():
-        return True, 0
-    if not (w.only_even_exponents() and w.coefficients_integral()):
-        return False, None
-    return True, w.max_exp() // 2
-
-
 def dbar_probe(n_values, q0=Fraction(1, 2)) -> dict:
     """Minimal cyclotomic clearing of the weight-3 form coefficients.
 
@@ -350,9 +335,10 @@ def dbar_probe(n_values, q0=Fraction(1, 2)) -> dict:
     Reports the growth of log|q0^e d_n(1/q0)^m| / n^2 in both
     normalizations — divided by log|1/q0| and raw — against 9/pi^2; the
     literature states the limit without the log factor, dimensional
-    consistency suggests it, so neither is asserted.
+    consistency suggests it, so neither is asserted.  q0 must satisfy
+    0 < |q0| < 1 (ValueError otherwise).
     """
-    q0 = Fraction(q0)
+    q0 = _check_q0(q0)
     rows = []
     with mp.workprec(working_prec(DEFAULT_PREC)):
         L = -log_abs_fraction(q0)
@@ -362,11 +348,10 @@ def dbar_probe(n_values, q0=Fraction(1, 2)) -> dict:
             dinv = d_poly(n).subst_inv()
             found = None
             for m in range(5):
-                clearer = dinv ** m if m else UPoly.one()
-                ok_a, ea = _laurent_integral_after(a_n, clearer)
-                ok_b, eb = _laurent_integral_after(b_n, clearer)
-                if ok_a and ok_b:
-                    found = (m, -max(ea, eb, 0))
+                ws = [_cleared(form, dinv ** m) for form in (a_n, b_n)]
+                if all(w is not None and w.only_even_exponents()
+                       and w.coefficients_integral() for w in ws):
+                    found = (m, -max([w.max_exp() // 2 for w in ws if not w.is_zero()] + [0]))
                     break
             if found is None:
                 rows.append({"n": n, "m": None, "e": None, "slope": None,

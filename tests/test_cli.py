@@ -155,6 +155,35 @@ def test_denom_probe_always_exits_zero(capsys):
     assert rep["rows"]
 
 
+def test_denom_probe_invalid_inputs(capsys):
+    code, out, err = run(capsys, "denom-probe", "--A", "4", "--r", "1", "--n", "0..2")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: sharpness probe needs n >= 1\n"
+    # (A, r) are validated before the n >= 1 rule
+    code, out, err = run(capsys, "denom-probe", "--A", "5", "--r", "1", "--n", "0..2")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: A must be an even integer >= 2, got 5\n"
+
+
+def test_denom_probe_csv(capsys):
+    code, out, _ = run(capsys, "denom-probe", "--A", "4", "--r", "1",
+                       "--n", "1..2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "n,eps,kind,pass,failing",
+        "1,0,exact,True,",
+        "1,0,sharpness,False,0",
+        "1,1,exact,True,",
+        "1,1,sharpness,True,",
+        '1,both,conjecture,False,{"0": [0], "1": []}',
+        "2,0,exact,True,",
+        "2,0,sharpness,False,0",
+        "2,1,exact,True,",
+        "2,1,sharpness,True,",
+        '2,both,conjecture,False,{"0": [0], "1": []}',
+    ]
+
+
 def test_slope_s_max_gap(capsys):
     code, out, _ = run(capsys, "slope-S", "--A", "4", "--r", "1",
                        "--q", "1/2", "--n", "2..14", "--max-gap", "0.05")

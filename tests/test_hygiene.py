@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ast:
 no local variable is assigned and never read, no import goes unused, no
-parameter of a module-level function goes unread, and no module-level
+parameter of a module-level function goes unread, every name in a
+module's __all__ is bound at its module level, and no module-level
 function or class is dead.
 
 For locals and imports, names starting with "_" are exempt, as are
@@ -83,6 +84,21 @@ def _exported(tree) -> set:
     return exported
 
 
+def stale_exports(tree) -> list:
+    """The names a module's __all__ lists that no module-level def, class,
+    assignment or import of that module binds."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return sorted(_exported(tree) - bound)
+
+
 def unused_imports(tree) -> list:
     """Imported names that the module never reads and does not list in
     __all__."""
@@ -124,6 +140,8 @@ def test_no_unused_locals_or_imports(path):
         problems += [f"import {name!r} is never used" for name in unused_imports(tree)]
     problems += [f"parameter {name!r} of {func}() is never read"
                  for func, name in unread_parameters(tree)]
+    problems += [f"__all__ lists {name!r}, which the module does not bind"
+                 for name in stale_exports(tree)]
     assert not problems, problems
 
 
@@ -153,6 +171,20 @@ def test_checker_flags_unread_parameters():
         "    def method(self, unread):\n"
         "        return 0\n")
     assert unread_parameters(tree) == [("f", "a"), ("f", "args"), ("f", "c")]
+
+
+def test_checker_flags_stale_exports():
+    tree = ast.parse(
+        "import os.path\n"
+        "from math import pi as circle\n"
+        "X = 1\n"
+        "Y: int = 2\n"
+        "def f(): pass\n"
+        "class K: pass\n"
+        "def g():\n"
+        "    inner = 3\n"
+        "__all__ = ['os', 'circle', 'X', 'Y', 'f', 'K', 'pi', 'inner', 'gone']\n")
+    assert stale_exports(tree) == ["gone", "inner", "pi"]
 
 
 def test_no_dead_definitions():

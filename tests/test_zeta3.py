@@ -257,6 +257,12 @@ def test_dbar_probe_reports_cubic_clearing():
         assert row["slope"] is not None
 
 
+@pytest.mark.parametrize("q0", (0, 1, -1, 2))
+def test_dbar_probe_rejects_q0_outside_unit_disc(q0):
+    with pytest.raises(ValueError, match=rf"^need 0 < \|q0\| < 1, got {q0}$"):
+        dbar_probe(range(1, 3), q0)
+
+
 def test_bgn_slope_tends_to_zero():
     est = bgn_slope(range(4, 25, 2), Fraction(1, 2), 96)
     assert est.target == 0
