@@ -39,7 +39,6 @@ __all__ = [
     "delta_exact_pair",
     "fit_limit",
     "log_abs_fraction",
-    "nesterenko_bound",
     "slope_D",
     "slope_P",
     "slope_S",
@@ -274,14 +273,6 @@ def delta_exact_pair(A: int, r: int):
     num = (Fraction(4 * r * A + A - 4 * r * r), Fraction(0))
     den = (Fraction(2 * A + 8 * r * r), Fraction(24 * A))
     return num, den
-
-
-def nesterenko_bound(alpha, beta) -> mpf:
-    """1 - alpha/beta; beta must be positive."""
-    beta = mpf(beta)
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    return 1 - mpf(alpha) / beta
 
 
 def verify_delta_recombination(A: int, r: int) -> bool:

@@ -60,11 +60,6 @@ class QExpansion:
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k]
 
-    def truncate(self, N: int) -> "QExpansion":
-        if N > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {N}")
-        return QExpansion(self.weight, self.coeffs[: N + 1])
-
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         N = min(self.order, other.order)
         return QExpansion(self.weight + other.weight,
@@ -81,20 +76,6 @@ class QExpansion:
             base = base * base
             k >>= 1
         return result
-
-    def scale(self, c) -> "QExpansion":
-        c = Fraction(c)
-        return QExpansion(self.weight, tuple(c * v for v in self.coeffs))
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise ValueError("cannot add expansions of different weight")
-        N = min(self.order, other.order)
-        return QExpansion(self.weight, tuple(
-            self.coeffs[k] + other.coeffs[k] for k in range(N + 1)))
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + other.scale(-1)
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,6 @@ from .upoly import UPoly
 
 __all__ = [
     "Params",
-    "PFTable",
     "partial_fractions",
     "reconstruction_check",
     "kernel_symmetry_check",
@@ -125,34 +124,19 @@ def _hat_numerator(A: int, r: int, n: int, ring) -> list:
 # ----------------------------------------------------------------------
 # Partial fractions.
 
-@dataclass(frozen=True)
-class PFTable:
-    """Exact partial-fraction coefficients of the kernel.
-
-    dhat[j][s] is the QFrac coefficient of 1/(1 - q^j T)^s for the
-    integer-power kernel (normalizing monomial stripped); d(s, j)
-    restores the monomial, giving d_{s,j}.
-    """
-
-    A: int
-    r: int
-    n: int
-    prefactor_u: int
-    dhat: tuple  # dhat[j][s] -> QFrac, reduced
-
-    def d(self, s: int, j: int) -> QFrac:
-        v = self.dhat[j][s]
-        return QFrac(v.num.shift_u(self.prefactor_u), v.den)
-
-
 @lru_cache(maxsize=None)
-def _pf_table(A: int, r: int, n: int) -> PFTable:
-    rows = pf_extract(_hat_numerator(A, r, n, UPolyRing), n + 1, A, UPolyRing)
-    pref = -(A - 2 * r) * n // 2
-    return PFTable(A, r, n, pref, tuple(rows))
+def _pf_table(A: int, r: int, n: int) -> tuple:
+    return tuple(pf_extract(_hat_numerator(A, r, n, UPolyRing), n + 1, A, UPolyRing))
 
 
-def partial_fractions(params: Params) -> PFTable:
+def partial_fractions(params: Params) -> tuple:
+    """Exact partial-fraction rows of the kernel, as pf_extract returns them.
+
+    rows[j][s] is the reduced QFrac coefficient of 1/(1 - q^j T)^s for
+    the integer-power kernel (normalizing monomial stripped);
+    rows[j][s].shift_u(params.prefactor_u) restores the monomial, giving
+    d_{s,j}.
+    """
     return _pf_table(params.A, params.r, params.n)
 
 
@@ -163,7 +147,7 @@ def reconstruction_check(params: Params) -> bool:
     both sides identically), at pole order A."""
     A, n = params.A, params.n
     numer = _hat_numerator(A, params.r, n, UPolyRing)
-    return pf_reconstruct(numer, partial_fractions(params).dhat, n + 1, A)
+    return pf_reconstruct(numer, partial_fractions(params), n + 1, A)
 
 
 def kernel_symmetry_check(params: Params) -> bool:
@@ -187,10 +171,10 @@ def kernel_symmetry_check(params: Params) -> bool:
 
 def d_symmetry_check(params: Params) -> bool:
     """Exact pole symmetry d_{s, n-j}(q) = d_{s, j}(1/q) for all s, j."""
-    table = partial_fractions(params)
-    for j in range(params.n + 1):
+    rows, pref, n = partial_fractions(params), params.prefactor_u, params.n
+    for j in range(n + 1):
         for s in range(1, params.A + 1):
-            if not table.d(s, params.n - j) == table.d(s, j).subst_inv():
+            if not rows[n - j][s].shift_u(pref) == rows[j][s].shift_u(pref).subst_inv():
                 return False
     return True
 
@@ -203,8 +187,8 @@ def P_z(params: Params, s: int) -> list:
     P_s(z) = sum_j d_{s,j} q^(-j) z^j, degree n, for 1 <= s <= A."""
     if not 1 <= s <= params.A:
         raise ValueError(f"s must be in 1..{params.A}, got {s}")
-    table = partial_fractions(params)
-    return [table.d(s, j).mul_qpow(-j) for j in range(params.n + 1)]
+    rows = partial_fractions(params)
+    return [rows[j][s].shift_u(params.prefactor_u - 2 * j) for j in range(params.n + 1)]
 
 
 def p_reciprocity_check(params: Params, s: int) -> bool:
@@ -215,7 +199,7 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
     coeffs = P_z(params, s)
     n = params.n
     return all(
-        coeffs[n - i].subst_inv().mul_qpow(-n).reduced()
+        coeffs[n - i].subst_inv().shift_u(-2 * n).reduced()
         == coeffs[i].reduced()
         for i in range(n + 1))
 
@@ -224,7 +208,7 @@ def p1_at_one_check(params: Params) -> bool:
     """Exact vanishing P_1(1; q) = sum_j d_{1,j} q^(-j) = 0, summed over
     the hat rows (the normalizing monomial does not change whether it
     vanishes)."""
-    sums = UPolyRing.pole_sums(partial_fractions(params).dhat, params.n, params.A)
+    sums = UPolyRing.pole_sums(partial_fractions(params), params.n, params.A)
     return sums.at_one(1).is_zero()
 
 
@@ -268,7 +252,7 @@ def _assemble_eps(dval, A: int, n: int, eps: int, ring):
 
 @lru_cache(maxsize=None)
 def _p_eps_hat(A: int, r: int, n: int, eps: int):
-    p0, ps = _assemble_eps(_pf_table(A, r, n).dhat, A, n, eps, UPolyRing)
+    p0, ps = _assemble_eps(_pf_table(A, r, n), A, n, eps, UPolyRing)
     return p0.reduced(), {s: v.reduced() for s, v in ps.items()}
 
 
@@ -282,9 +266,7 @@ def P_eps_hat(params: Params) -> dict:
 
 def P_eps(params: Params) -> dict:
     """Symmetrized coefficients with the normalizing monomial restored."""
-    pref = params.prefactor_u
-    return {s: QFrac(v.num.shift_u(pref), v.den)
-            for s, v in P_eps_hat(params).items()}
+    return {s: v.shift_u(params.prefactor_u) for s, v in P_eps_hat(params).items()}
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,19 @@ from math import comb, factorial
 
 from .upoly import ExactDivisionError, UPoly
 
+__all__ = [
+    "PhiProduct",
+    "QFrac",
+    "alpha_weight",
+    "bernoulli",
+    "cyclotomic",
+    "d_poly",
+    "divisor_power_sum",
+    "qbinomial",
+    "qpoch",
+    "stirling_first",
+]
+
 
 # ----------------------------------------------------------------------
 # Stirling numbers (unsigned, first kind) and the weights relating the
@@ -291,8 +304,9 @@ class QFrac:
 
     __rmul__ = __mul__
 
-    def mul_qpow(self, e: int) -> "QFrac":
-        return QFrac(self.num.shift_u(2 * e), self.den)
+    def shift_u(self, k: int) -> "QFrac":
+        """Multiply by u^k, that is by q^(k/2)."""
+        return QFrac(self.num.shift_u(k), self.den)
 
     def div_one_minus_qpow(self, m: int, power: int = 1) -> "QFrac":
         """Divide by (1 - q^m)^power, m != 0, using the cyclotomic

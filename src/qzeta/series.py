@@ -25,6 +25,15 @@ from mpmath import mpf
 from .qcomb import PhiProduct, QFrac
 from .upoly import ExactArithError, ExactDivisionError, UPoly
 
+__all__ = [
+    "DEFAULT_PREC",
+    "GUARD_BITS",
+    "DivergenceError",
+    "PrecisionError",
+    "sum_with_tail",
+    "working_prec",
+]
+
 
 DEFAULT_PREC = 256
 GUARD_BITS = 32
@@ -46,8 +55,7 @@ def working_prec(prec: int, scale_log2: float = 0.0) -> int:
     return prec + GUARD_BITS + extra
 
 
-def sum_with_tail(terms, ratio_bound, tol, *, limit=None,
-                  max_terms: int = MAX_TERMS):
+def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
     """Sum terms with a certified geometric tail bound.
 
     terms: iterable of mpf values.  ratio_bound: a constant r with
@@ -61,7 +69,7 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit=None,
     pass, so r_k is not evaluated there; the stop index is the same as
     with r_k evaluated on every term.  limit >= 1 raises DivergenceError
     before any term is taken: the bound can never certify a tail.
-    Reaching max_terms raises PrecisionError.
+    Reaching MAX_TERMS terms raises PrecisionError.
     """
     if limit is None:
         if callable(ratio_bound):
@@ -90,8 +98,8 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit=None,
             r = bound(k)
             if 0 <= r < 1 and ta * r / (1 - r) < tol:
                 return total
-        if k >= max_terms:
-            raise PrecisionError(f"no certified tail after {max_terms} terms")
+        if k >= MAX_TERMS:
+            raise PrecisionError(f"no certified tail after {MAX_TERMS} terms")
     return total
 
 

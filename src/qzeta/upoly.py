@@ -39,6 +39,15 @@ from itertools import accumulate, cycle, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 
+__all__ = [
+    "ExactArithError",
+    "ExactDivisionError",
+    "PoleError",
+    "UPoly",
+    "format_rat",
+    "parse_rat",
+]
+
 
 class ExactArithError(Exception):
     """Base class for exact-arithmetic failures."""
@@ -408,16 +417,6 @@ class UPoly:
             return self
         return _norm(-self.max_exp(), self.st, self.v[::-1], self.den)
 
-    def even_odd_parts(self):
-        """Split into (even, odd) with self = even + u * odd, both in q only."""
-        if self.st == 2:
-            if self.lo % 2 == 0:
-                return self, UPoly.zero()
-            return UPoly.zero(), self.shift_u(-1)
-        j = self.lo % 2            # v[j] is the lowest even-exponent slot
-        return (_norm(self.lo + j, 2, self.v[j::2], self.den),
-                _norm(self.lo - j, 2, self.v[1 - j::2], self.den))
-
     def eval_fraction(self, q0: Fraction) -> Fraction:
         """Exact evaluation at q = q0.  Requires only even u-exponents."""
         if not self.only_even_exponents():
@@ -439,20 +438,6 @@ class UPoly:
             else:
                 b += v * q0 ** half
         return a, b
-
-    def eval_mp(self, q0: Fraction, u0):
-        """Float evaluation with an explicit square root u0 of q0.
-
-        The split into exact even/odd parts happens first, so the only
-        rounding is the final a + b*u0 at u0's working precision.
-        """
-        a, b = self.eval_pair(Fraction(q0))
-        total = u0 * 0
-        if a:
-            total += (u0 * 0 + a.numerator) / a.denominator
-        if b:
-            total += (u0 * b.numerator) / b.denominator
-        return total
 
     # --- division ---------------------------------------------------------
 

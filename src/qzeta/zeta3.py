@@ -72,32 +72,26 @@ def _w_numerator(n: int, ring) -> list:
 
 @dataclass(frozen=True)
 class Zeta3Kernel:
-    """Order-2 partial fractions of W_n: W_n(T) = sum_j a[j]/(1 - q^j T)^2
-    + b[j]/(1 - q^j T), exact QFrac entries."""
+    """Order-2 partial fractions of W_n as pf_extract returns them:
+    rows[j] = {1: b_j, 2: a_j} with W_n(T) = sum_j a_j/(1 - q^j T)^2
+    + b_j/(1 - q^j T), exact QFrac entries."""
 
     n: int
-    a: tuple
-    b: tuple
-
-    def rows(self) -> list:
-        """The rows {1: b[j], 2: a[j]}, as pf_extract returns them."""
-        return [{1: bj, 2: aj} for aj, bj in zip(self.a, self.b)]
+    rows: tuple
 
     def residue_sum(self) -> QFrac:
-        """sum_j b[j] q^(-j), the negated residue at infinity; must be 0."""
-        return UPolyRing.pole_sums(self.rows(), self.n, 2).at_one(1).reduced()
+        """sum_j b_j q^(-j), the negated residue at infinity; must be 0."""
+        return UPolyRing.pole_sums(self.rows, self.n, 2).at_one(1).reduced()
 
 
 @lru_cache(maxsize=None)
 def zeta3_partial_fractions(n: int) -> Zeta3Kernel:
-    rows = pf_extract(_w_numerator(n, UPolyRing), n + 1, 2, UPolyRing)
-    return Zeta3Kernel(n, tuple(row[2] for row in rows),
-                       tuple(row[1] for row in rows))
+    return Zeta3Kernel(n, tuple(pf_extract(_w_numerator(n, UPolyRing), n + 1, 2, UPolyRing)))
 
 
 def zeta3_reconstruction_check(n: int) -> bool:
     """Exact identity: the order-2 partial fractions re-sum to W_n."""
-    rows = zeta3_partial_fractions(n).rows()
+    rows = zeta3_partial_fractions(n).rows
     return pf_reconstruct(_w_numerator(n, UPolyRing), rows, n + 1, 2)
 
 
@@ -106,7 +100,7 @@ def zeta3_reconstruction_check(n: int) -> bool:
 
 def _z3_assemble(rows, n: int, ring):
     """(A_n, B_n) of zeta3_form from the order-2 partial fractions
-    rows[j] = {1: b[j], 2: a[j]} in the fraction field of either exact
+    rows[j] = {1: b_j, 2: a_j} in the fraction field of either exact
     ring.  The inner k-sums are the running sums
 
         G_3(j) = sum_{k=1..j} q^k (1 + q^k)/(1-q^k)^3,
@@ -128,7 +122,7 @@ def zeta3_form(n: int):
         B_n = sum_{j=1..n} sum_{k=1..j} [ a_j q^(k-j) (1 + q^k)/(1-q^k)^3
                                         + b_j q^(k-j) /(1-q^k)^2 ].
     """
-    a_total, b_total = _z3_assemble(zeta3_partial_fractions(n).rows(), n, UPolyRing)
+    a_total, b_total = _z3_assemble(zeta3_partial_fractions(n).rows, n, UPolyRing)
     return a_total.reduced(), b_total.reduced()
 
 

@@ -15,7 +15,6 @@ from qzeta.asymptotics import (
     delta_exact_pair,
     fit_limit,
     log_abs_fraction,
-    nesterenko_bound,
     slope_D,
     slope_P,
     slope_S,
@@ -76,15 +75,6 @@ def test_delta_recombination_identity_grid():
     for A in range(4, 22, 2):
         for r in range(1, A // 2 + 1):
             assert verify_delta_recombination(A, r), (A, r)
-
-
-def test_nesterenko_bound():
-    assert abs(nesterenko_bound(1, 4) - mpf(3) / 4) < 1e-15
-    assert nesterenko_bound(-1, 2) > 1
-    with pytest.raises(ValueError):
-        nesterenko_bound(1, 0)
-    with pytest.raises(ValueError):
-        nesterenko_bound(1, -3)
 
 
 def test_delta_asymptotic_constant_closed_form_vs_grid():
@@ -164,12 +154,12 @@ def test_slope_P_mechanics():
 
 def test_slope_D_points_match_polynomial_evaluation():
     # factored-log route vs brute-force evaluation of the actual D_n
-    q0 = Fraction(1, 4)  # u0 = 1/2 is exactly representable
+    q0 = Fraction(1, 4)  # its square root u0 = 1/2 is rational
     est = slope_D(4, 1, q0, range(1, 7))
     with mp.workprec(120):
         for n, v in est.points:
-            val = D_n(Params(4, 1, n)).eval_mp(q0, mpf(1) / 2)
-            assert abs(v - mp.log(abs(val)) / n**2) < mpf(2) ** -100
+            a, b = D_n(Params(4, 1, n)).eval_pair(q0)  # D_n(q0) = a + b u0
+            assert abs(v - log_abs_fraction(a + b / 2) / n**2) < mpf(2) ** -100
 
 
 def test_slope_D_carries_dn_estimate():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from qzeta import cli
 from qzeta.cli import main
+from qzeta.series import DivergenceError, PrecisionError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +31,18 @@ def test_linform_pass_and_deterministic_output(capsys):
     rep = json.loads(out1)
     assert rep["residual_pass"] is True
     assert rep["denominator_pass"] is True
+
+
+@pytest.mark.parametrize("error", [PrecisionError, DivergenceError])
+def test_precision_exhausted_exits_3(monkeypatch, capsys, error):
+    def exhausted(*args):
+        raise error("no certified tail after 7 terms")
+
+    monkeypatch.setattr(cli, "zeta3_report", exhausted)
+    code, out, err = run(capsys, "zeta3", "--n", "2", "--q", "1/3")
+    assert code == 3
+    assert out == ""
+    assert err == "precision exhausted: no certified tail after 7 terms\n"
 
 
 def test_linform_fails_at_unreachable_tolerance(capsys):
@@ -240,6 +254,15 @@ def test_pretty_format(capsys):
                        "--format", "pretty")
     assert code == 0
     assert "delta:" in out
+
+
+def test_nested_report_keys_are_dotted(capsys):
+    # the linform report nests {s: P_s} under "P"; pretty and csv flatten it
+    args = ("linform", "--A", "4", "--r", "1", "--n", "2", "--q", "1/3")
+    p3 = json.loads(run(capsys, *args)[1])["P"]["3"]
+    assert p3 == "25093/81"
+    assert f"P.3: {p3}" in run(capsys, *args, "--format", "pretty")[1].splitlines()
+    assert f"P.3,{p3}" in run(capsys, *args, "--format", "csv")[1].splitlines()
 
 
 def test_out_file(tmp_path, capsys):

@@ -2,14 +2,15 @@
 no local variable is assigned and never read, no import goes unused, no
 parameter of a module-level function goes unread, every name in a
 module's __all__ is bound at its module level, and no module-level
-function or class is dead.
+function or class and no method is dead.
 
 For locals and imports, names starting with "_" are exempt, as are
 `from __future__` imports and the re-exports of the package's
 __init__.py; a name listed in a module's __all__ counts as used.  A
 module-level function or class is dead when no module of the package
-reads it (as a name or an attribute), no module lists it in __all__, and
-__init__.py does not import it.
+reads it (as a name or an attribute) and no module lists it in __all__.
+A method other than a dunder is dead when no module of the package, no
+script under scripts/ and no module of perfbench/ reads its name.
 """
 
 import ast
@@ -17,8 +18,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qzeta"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qzeta"
 MODULES = sorted(SRC.glob("*.py"))
+# the code that may call a method of the package; tests do not count
+CALLERS = (MODULES + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py")))
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -36,6 +41,12 @@ def _own_nodes(func):
 def _loaded(tree) -> set:
     return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def _read(tree) -> set:
+    """The names tree reads, as a name or as an attribute."""
+    return _loaded(tree) | {node.attr for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute)}
 
 
 def unused_locals(tree) -> list:
@@ -117,17 +128,27 @@ def unused_imports(tree) -> list:
 
 def dead_definitions(trees: dict) -> list:
     """(module, name) for each module-level function or class that no
-    module in trees (file name -> ast) reads or lists in __all__ and
-    trees["__init__.py"] does not import."""
+    module in trees (file name -> ast) reads or lists in __all__."""
     read = set()
     for tree in trees.values():
-        read |= _loaded(tree) | _exported(tree)
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    read |= {alias.name for node in ast.walk(trees["__init__.py"])
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
+        read |= _read(tree) | _exported(tree)
     return [(name, node.name) for name, tree in sorted(trees.items())
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def dead_methods(trees: dict, callers) -> list:
+    """(module, class, name) for each method of a class in trees (file
+    name -> ast), dunders excepted, whose name no tree in callers reads."""
+    read = set()
+    for tree in callers:
+        read |= _read(tree)
+    return [(name, cls.name, node.name) for name, tree in sorted(trees.items())
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
             and node.name not in read]
 
 
@@ -196,9 +217,7 @@ def test_no_dead_definitions():
 
 def test_checker_flags_dead_definitions():
     trees = {
-        "__init__.py": ast.parse("from .a import exported\n"),
         "a.py": ast.parse(
-            "def exported(): pass\n"
             "def helper(): pass\n"
             "def dead(): pass\n"
             "def _dead_private(): pass\n"
@@ -215,3 +234,34 @@ def test_checker_flags_dead_definitions():
     }
     assert dead_definitions(trees) == [
         ("a.py", "dead"), ("a.py", "_dead_private"), ("a.py", "Dead"), ("b.py", "g")]
+
+
+def test_no_dead_methods():
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    trees = {path.name: parse(path) for path in MODULES}
+    dead = dead_methods(trees, [parse(path) for path in CALLERS])
+    assert not dead, [f"{module}: {cls}.{name} is never read" for module, cls, name in dead]
+
+
+def test_checker_flags_dead_methods():
+    lib = ast.parse(
+        "class K:\n"
+        "    def used(self): pass\n"
+        "    def referenced(self): pass\n"
+        "    def dead(self): pass\n"
+        "    def _dead_private(self): pass\n"
+        "    def __add__(self, other): pass\n"
+        "    @property\n"
+        "    def size(self): pass\n"
+        "def f():\n"
+        "    class Inner:\n"
+        "        def gone(self): pass\n"
+        "    return Inner\n")
+    caller = ast.parse(
+        "from lib import K\n"
+        "k = K()\n"
+        "k.used(), k.size, K.referenced\n")
+    assert dead_methods({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", "K", "dead"), ("lib.py", "K", "_dead_private"), ("lib.py", "Inner", "gone")]

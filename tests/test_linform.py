@@ -62,10 +62,10 @@ def test_params_validation():
 def test_n0_partial_fractions_are_trivial():
     # kernel at n = 0 is 1/(1-T)^A: single pole, top coefficient 1
     for A, r in ((4, 1), (6, 2)):
-        table = partial_fractions(Params(A, r, 0))
-        assert table.dhat[0][A] == QFrac(UPoly.one())
+        rows = partial_fractions(Params(A, r, 0))
+        assert rows[0][A] == QFrac(UPoly.one())
         for s in range(1, A):
-            assert table.dhat[0][s].is_zero()
+            assert rows[0][s].is_zero()
 
 
 def test_kernel_matches_direct_evaluation():
@@ -246,7 +246,7 @@ def test_zeta_q_near_one_matches_lambert_route(s, q0):
 
 
 def test_zeta_q_q_999_certifies_at_default_precision():
-    # about 2 * 10^5 terms, within the default max_terms
+    # about 2 * 10^5 terms, within MAX_TERMS
     q0 = Fraction(999, 1000)
     val = zeta_q(2, q0)
     low = zeta_q(2, q0, 64)
@@ -413,6 +413,21 @@ def test_denominator_check_small(A, r, n):
         assert res["pass"], res
         for s, row in res["per_s"].items():
             assert row["ok"], (s, row)
+
+
+def test_clearing_check_failure_reasons():
+    # with clearer 1 each form is its own witness; u^1 has two faults
+    forms = {1: QFrac(UPoly.u_power(-1)),
+             2: QFrac(UPoly.const(Fraction(1, 2))),
+             3: QFrac(UPoly.q_power(2)),
+             4: QFrac(UPoly.u_power(1))}
+    got = linform._clearing_check(UPoly.one(), forms)
+    assert {s: v["reason"] for s, v in got.items()} == {
+        1: "odd u-powers",
+        2: "non-integer coefficients",
+        3: "positive q-power up to u^4",
+        4: "odd u-powers, positive q-power up to u^1"}
+    assert all(not v["ok"] and v["witness"] == forms[s].num for s, v in got.items())
 
 
 def test_linear_form_report_json(monkeypatch, capsys):

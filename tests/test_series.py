@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from qzeta import series
 from qzeta.linform import _hat_numerator, _zeta_q_series
 from qzeta.qcomb import QFrac
 from qzeta.series import (
@@ -75,14 +76,14 @@ def test_callable_ratio_bound_needs_limit():
         sum_with_tail(iter([mpf(1)]), lambda k: 0.5, mpf(2) ** -50)
 
 
-def test_max_terms_exhaustion():
+def test_max_terms_exhaustion(monkeypatch):
+    monkeypatch.setattr(series, "MAX_TERMS", 500)
     with mp.workprec(working_prec(64)):
         # decreasing terms with a valid bound r < 1, but certifying the
         # tail to 2^-50 takes about 5 * 10^7 terms
         r = 1 - mpf(2) ** -20
-        with pytest.raises(PrecisionError):
-            sum_with_tail((r ** k for k in range(10 ** 6)), r, mpf(2) ** -50,
-                          max_terms=500)
+        with pytest.raises(PrecisionError, match="after 500 terms"):
+            sum_with_tail((r ** k for k in range(10 ** 6)), r, mpf(2) ** -50)
 
 
 def _stop_every_term(terms, bound, tol):

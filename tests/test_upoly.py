@@ -128,16 +128,6 @@ def test_mixed_parity_times_q_polynomial(a, b, k):
             assert prod.divexact(bb) == a
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(mixed, qpolys, qpolys.map(lambda p: p.shift_u(1))))
-def test_even_odd_parts_on_both_strides(p):
-    ev, od = p.even_odd_parts()
-    for part in (ev, od):
-        assert_canonical(part)
-        assert part.only_even_exponents()
-    assert ev + UPoly.u_power(1) * od == p
-
-
 def int_lists(max_len):
     entries = st.integers(min_value=-(1 << 300), max_value=1 << 300)
     body = st.lists(entries, min_size=1, max_size=max_len)
@@ -186,15 +176,13 @@ def test_kronecker_path_on_large_operands():
 
 
 @settings(max_examples=60, deadline=None)
-@given(upolys(), upolys(),
+@given(qpolys, qpolys,
        st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10)))
 def test_eval_is_ring_homomorphism(a, b, q0):
     if q0 == 0:
         q0 = Fraction(1, 2)
-    ae = a.even_odd_parts()[0]
-    be = b.even_odd_parts()[0]
-    assert (ae * be).eval_fraction(q0) == ae.eval_fraction(q0) * be.eval_fraction(q0)
-    assert (ae + be).eval_fraction(q0) == ae.eval_fraction(q0) + be.eval_fraction(q0)
+    assert (a * b).eval_fraction(q0) == a.eval_fraction(q0) * b.eval_fraction(q0)
+    assert (a + b).eval_fraction(q0) == a.eval_fraction(q0) + b.eval_fraction(q0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -257,15 +245,6 @@ def test_subst_inv_is_involution(p):
 @given(upolys(), upolys())
 def test_subst_inv_is_multiplicative(a, b):
     assert (a * b).subst_inv() == a.subst_inv() * b.subst_inv()
-
-
-def test_even_odd_split():
-    # self = even + u * odd, both parts living on the even lattice
-    p = UPoly({0: 1, 1: 2, 2: 3, 5: -1})
-    ev, od = p.even_odd_parts()
-    assert ev == UPoly({0: 1, 2: 3})
-    assert od == UPoly({0: 2, 4: -1})
-    assert ev + UPoly.u_power(1) * od == p
 
 
 def test_parse_and_format_rat():

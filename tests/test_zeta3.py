@@ -35,9 +35,9 @@ from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
 def test_n0_kernel_is_trivial():
     # W_0(T) = 1/(1-T)^2: double-pole coefficient 1, simple-pole 0
     ker = zeta3_partial_fractions(0)
-    assert len(ker.a) == len(ker.b) == 1
-    assert ker.a[0].eval_fraction(Fraction(1, 3)) == 1
-    assert ker.b[0].is_zero()
+    assert len(ker.rows) == 1
+    assert ker.rows[0][2].eval_fraction(Fraction(1, 3)) == 1
+    assert ker.rows[0][1].is_zero()
     a0, b0 = zeta3_form(0)
     assert a0.eval_fraction(Fraction(1, 5)) == 1
     assert b0.is_zero()
