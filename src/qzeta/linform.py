@@ -34,12 +34,20 @@ from mpmath import mp, mpf
 from .qcomb import QFrac, alpha_weight, d_poly, qpoch
 from .series import (
     DEFAULT_PREC,
+    PONE,
     DivergenceError,
     FactorMemo,
     FractionRing,
     UPolyRing,
+    from_mpf,
+    padd,
+    pdiv,
     pf_extract,
     pf_reconstruct,
+    pmul,
+    pmul_int,
+    ppow,
+    psub,
     sum_with_tail,
     working_prec,
 )
@@ -296,10 +304,16 @@ def _check_q0(q0) -> Fraction:
     return q0
 
 
+def _check_prec(prec: int) -> None:
+    if prec < 1:
+        raise ValueError(f"need prec >= 1, got {prec}")
+
+
 def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     """zeta_q(s) = sum_k k^(s-1) q0^k / (1 - q0^k), certified tail."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
+    _check_prec(prec)
     q0 = Fraction(q0)
     if q0 == 0:
         return mpf(0)
@@ -317,15 +331,18 @@ def _zeta_q_series(s: int, qm):
     The ratio of consecutive terms is bounded by ((k+1)/k)^(s-1) |q0|
     (1+|q0|^k)/(1-|q0|^(k+1)), which decreases in k to |q0|, so it is a
     valid geometric bound for the whole tail.  k^(s-1) is an exact int.
+    The terms are kernel pairs at the precision of the first one taken.
     """
     aq = abs(qm)
 
     def terms():
-        qk = mpf(1)
+        p = mp.prec
+        q = from_mpf(qm)
+        qk = PONE
         k = 1
         while True:
-            qk *= qm
-            yield k ** (s - 1) * qk / (1 - qk)
+            qk = pmul(qk, q, p)
+            yield pdiv(pmul_int(qk, k ** (s - 1), p), psub(PONE, qk, p), p)
             k += 1
 
     def bound(i):
@@ -336,15 +353,17 @@ def _zeta_q_series(s: int, qm):
 
 
 class _QPowers:
-    """Lazily grown table of integer powers q0^e, e >= 0, at fixed precision."""
+    """Lazily grown table of integer powers q0^e, e >= 0, as kernel pairs
+    at the precision of its creation, each the previous one times q0."""
 
     def __init__(self, qm):
-        self.qm = qm
-        self.p = [mpf(1)]
+        self.qm = from_mpf(qm)
+        self.prec = mp.prec
+        self.p = [PONE]
 
     def get(self, e: int):
         while len(self.p) <= e:
-            self.p.append(self.p[-1] * self.qm)
+            self.p.append(pmul(self.p[-1], self.qm, self.prec))
         return self.p[e]
 
 
@@ -359,25 +378,27 @@ def _rho_hat_terms(A: int, r: int, n: int, qp: _QPowers):
     multiplied in that order.  The k-free powers (1 - q^i)^(A-2r) are
     computed once, and the factors that depend on k only through a shift,
     1 - q^m and the numerator pair (1 - q^m)(1 - q^(m+n+1+rn)), come from
-    per-sum memos; each is the mpf the product would compute in place, so
-    every term is bit-identical to building it from scratch.
+    per-sum memos; each is the pair the product would compute in place, so
+    every term is bit-identical to building it from scratch.  Terms are
+    kernel pairs at qp's precision.
     """
+    p = qp.prec
     rn = r * n
     lead = (A - 2 * r) * n // 2 + 1
-    poch = [(1 - qp.get(i)) ** (A - 2 * r) for i in range(1, n + 1)]
-    omq = FactorMemo(lambda m: 1 - qp.get(m))
-    pair = FactorMemo(lambda m: omq(m) * omq(m + n + 1 + rn))
+    poch = [ppow(psub(PONE, qp.get(i), p), A - 2 * r, p) for i in range(1, n + 1)]
+    omq = FactorMemo(lambda m: psub(PONE, qp.get(m), p))
+    pair = FactorMemo(lambda m: pmul(omq(m), omq(m + n + 1 + rn), p))
     k = rn + 1
     while True:
         val = qp.get(k * lead)
         for f in poch:
-            val *= f
+            val = pmul(val, f, p)
         for m in range(k - rn, k):
-            val *= pair(m)
-        pole = mpf(1)
+            val = pmul(val, pair(m), p)
+        pole = PONE
         for m in range(k, k + n + 1):
-            pole *= omq(m)
-        yield k, val / pole ** A
+            pole = pmul(pole, omq(m), p)
+        yield k, pdiv(val, ppow(pole, A, p), p)
         # term k+1 reads pair(k+1-rn..k) and omq(k..k+n+rn+1)
         pair.drop_below(k + 1 - rn)
         omq.drop_below(k)
@@ -409,6 +430,7 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
     Valid for any rational 0 < |q0| < 1 (negative q0 included).
     """
     A, r, n, eps = params.A, params.r, params.n, params.eps
+    _check_prec(prec)
     q0 = _check_q0(q0)
     if A == 2 and eps == 1:
         return mpf(0)  # the bracket 1 + (-1) q^0 vanishes identically
@@ -419,10 +441,12 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
         qp = _QPowers(qm)
         env = _rho_envelope(A, r, n, aq)
         half = A // 2 - 1
+        p = mp.prec
+        bracket = psub if eps else padd
 
         def terms():
             for k, rho in _rho_hat_terms(A, r, n, qp):
-                yield rho * (1 + (-1) ** eps * qp.get(half * (n + 2 * k)))
+                yield pmul(rho, bracket(PONE, qp.get(half * (n + 2 * k)), p), p)
 
         def bound(i):
             k = r * n + 1 + i
@@ -458,6 +482,7 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> m
     Termwise it is rho_hat(k) * q^(k(A/2-2)) * (1 - q^(2k+n)).
     """
     A, r, n = params.A, params.r, params.n
+    _check_prec(prec)
     q0 = _check_q0(q0)
     gap = (A - 2 * r) * n // 2 + A // 2 - 1
     if gap < 1:
@@ -470,11 +495,12 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> m
         qp = _QPowers(qm)
         env = _rho_envelope(A, r, n, aq)
         ex = A // 2 - 2
+        p = mp.prec
 
         def terms():
             for k, rho in _rho_hat_terms(A, r, n, qp):
-                extra = qp.get(k * ex) if ex >= 0 else 1 / qp.get(k * (-ex))
-                yield rho * extra * (1 - qp.get(2 * k + n))
+                extra = qp.get(k * ex) if ex >= 0 else pdiv(PONE, qp.get(k * (-ex)), p)
+                yield pmul(pmul(rho, extra, p), psub(PONE, qp.get(2 * k + n), p), p)
 
         def bound(i):
             k = r * n + 1 + i
@@ -494,6 +520,7 @@ def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
     check, where one side naturally sums at base 1/q.
     """
     A, r, n = params.A, params.r, params.n
+    _check_prec(prec)
     qv, zv = Fraction(qv), Fraction(zv)
     if qv <= 0 or qv == 1 or zv <= 0:
         raise ValueError("need rational q > 0, q != 1, z > 0")
@@ -521,10 +548,12 @@ def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
                         / (1 - mp.power(qm, -(k + n + 1))) ** (A + 1))
 
         def terms():
-            zk = zi ** (r * n + 1)
+            p = mp.prec
+            zpair, fac = from_mpf(zi), from_mpf(pref)
+            zk = from_mpf(zi ** (r * n + 1))
             for _, rho in _rho_hat_terms(A, r, n, qp):
-                yield rho * pref * zk
-                zk *= zi
+                yield pmul(pmul(rho, fac, p), zk, p)
+                zk = pmul(zk, zpair, p)
 
         return +sum_with_tail(terms(), bound, tol, limit=lead * zi)
 

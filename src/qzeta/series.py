@@ -1,10 +1,22 @@
 """Certified numeric summation and exact truncated-series machinery.
 
-Floating point work is delegated to mpmath (arbitrary-precision binary
+Floating point values are mpmath mpf (arbitrary-precision binary
 floats); this module pins down the conventions: explicit precision in
 bits, a fixed reserve of guard bits, and scale-aware working precision so
 that residuals of badly cancelling combinations are still certified at
 the requested tolerance.
+
+The term loops of the certified sums run on a private integer kernel: a
+value is a pair (m, e) of ints standing for m 2^e, and padd, psub, pmul,
+pmul_int and pdiv round their exact result to nearest-even at p bits,
+p = mp.prec (Brent & Zimmermann, Modern Computer Arithmetic, ch. 3).
+mpmath rounds each of these operations correctly to nearest-even too, so
+on inputs of at most p bits both give the same value: a term, a partial
+sum, a stop index and the returned mpf are what mpf arithmetic gives, bit
+for bit.  ppow is not a correctly rounded step in mpmath (its powers above
+1000 bits round in one direction), so it calls mpmath's own mpf_pow_int.
+The kernel saves the wrapping of every operation in an mpf object and the
+trailing-zero normalization of its mantissa.
 
 The exact half is one T-polynomial layer (tmul, tmul_linear) that is
 deliberately generic, and one exact-ring protocol with two rings:
@@ -20,7 +32,8 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import comb, gcd, inf, lcm, prod
 
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from .qcomb import PhiProduct, QFrac
 from .upoly import ExactArithError, ExactDivisionError, UPoly
@@ -55,13 +68,109 @@ def working_prec(prec: int, scale_log2: float = 0.0) -> int:
     return prec + GUARD_BITS + extra
 
 
+# ----------------------------------------------------------------------
+# The integer kernel.  A value is a pair (m, e), m and e ints, standing
+# for m 2^e; zero is any pair with m = 0.  Every operation rounds its
+# exact result to nearest-even at p bits.
+
+PONE = (1, 0)
+
+
+def from_mpf(x) -> tuple:
+    """The pair of a finite mpf, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def to_mpf(x) -> mpf:
+    """The mpf of a pair, exactly (at any working precision)."""
+    return mp.make_mpf(from_man_exp(*x))
+
+
+def _round(m: int, e: int, p: int) -> tuple:
+    """m 2^e rounded to nearest-even at p bits.  With h = m >> (n-1),
+    n the bits to drop, h's low bit is the half bit and its next bit the
+    last bit kept; the floor shift and the mask act the same on either
+    sign, so m needs no absolute value.  The mantissa returned has at
+    most p bits, or is +-2^p when the rounding carried."""
+    n = m.bit_length() - p
+    if n <= 0:
+        return m, e
+    h = m >> (n - 1)
+    if h & 1 and (h & 2 or m & ((1 << (n - 1)) - 1)):
+        return (h >> 1) + 1, e + n
+    return h >> 1, e + n
+
+
+def padd(x: tuple, y: tuple, p: int) -> tuple:
+    """x + y.  When y lies below 2^L, L = min(e_x, top_x - p - 2) with
+    x = m_x 2^(e_x) and |x| < 2^(top_x), it is replaced by a sticky bit
+    sign(y) 2^(L-1): x is a multiple of 2^L, and so is every rounding
+    boundary of a sum that near x, so x + y and x +- 2^(L-1) lie strictly
+    between the same two boundaries and round alike.  The exact sum then
+    has at most p + 4 bits more than the wider operand."""
+    xm, xe = x
+    ym, ye = y
+    if not ym:
+        return _round(xm, xe, p)
+    if not xm:
+        return _round(ym, ye, p)
+    if xe < ye:
+        xm, xe, ym, ye = ym, ye, xm, xe
+    off = xe - ye
+    if off > p + 4:
+        low = min(xe, xe + xm.bit_length() - p - 2)
+        if ye + ym.bit_length() <= low:
+            ym, ye = (1 if ym > 0 else -1), low - 1
+            off = xe - ye
+    return _round((xm << off) + ym, ye, p)
+
+
+def psub(x: tuple, y: tuple, p: int) -> tuple:
+    """x - y."""
+    return padd(x, (-y[0], y[1]), p)
+
+
+def pmul(x: tuple, y: tuple, p: int) -> tuple:
+    """x y."""
+    return _round(x[0] * y[0], x[1] + y[1], p)
+
+
+def pmul_int(x: tuple, k: int, p: int) -> tuple:
+    """x k for an int k."""
+    return _round(x[0] * k, x[1], p)
+
+
+def pdiv(x: tuple, y: tuple, p: int) -> tuple:
+    """x / y.  The integer quotient is taken to at least p + 1 bits and a
+    nonzero remainder becomes a sticky low bit, below the half bit."""
+    xm, xe = x
+    ym, ye = y
+    neg = (xm < 0) != (ym < 0)
+    xm, ym = abs(xm), abs(ym)
+    extra = max(p + 1 - xm.bit_length() + ym.bit_length(), 0)
+    quo, rem = divmod(xm << extra, ym)
+    if rem:
+        quo = (quo << 1) | 1
+        extra += 1
+    return _round(-quo if neg else quo, xe - ye - extra, p)
+
+
+def ppow(x: tuple, k: int, p: int) -> tuple:
+    """x^k for an int k, as mpmath's mpf_pow_int computes it."""
+    sign, man, exp, _ = mpf_pow_int(from_man_exp(*x), k, p, round_nearest)
+    return (-man if sign else man), exp
+
+
 def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
     """Sum terms with a certified geometric tail bound.
 
-    terms: iterable of mpf values.  ratio_bound: a constant r with
-    |t_{j+1}| <= r |t_j| for all j, or a callable k -> r_k with
-    |t_{j+1}| <= r_k |t_j| for all j >= k.  Summation stops at the first
-    k with 0 <= r_k < 1 and |t_k| * r_k/(1-r_k) < tol.
+    terms: iterable of kernel pairs (see from_mpf); the sum is taken in
+    the kernel at p = mp.prec and returned as an mpf.  ratio_bound: a
+    constant r with |t_{j+1}| <= r |t_j| for all j, or a callable
+    k -> r_k with |t_{j+1}| <= r_k |t_j| for all j >= k.  Summation stops
+    at the first k with 0 <= r_k < 1 and |t_k| * r_k/(1-r_k) < tol, a
+    test made in mpf.
 
     limit: the k -> oo limit of a callable ratio_bound, which must
     decrease to it, so limit <= r_k for every k (a constant is its own
@@ -69,7 +178,7 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
     pass, so r_k is not evaluated there; the stop index is the same as
     with r_k evaluated on every term.  limit >= 1 raises DivergenceError
     before any term is taken: the bound can never certify a tail.
-    Reaching MAX_TERMS terms raises PrecisionError.
+    MAX_TERMS terms taken without a stop raise PrecisionError.
     """
     if limit is None:
         if callable(ratio_bound):
@@ -79,28 +188,31 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
         raise DivergenceError(f"ratio bound limit {float(limit):.6g} >= 1; "
                               "no certified tail")
     gate = mpf(2 * tol * (1 - limit) / limit if limit > 0 else "inf")
-    # A nonzero finite mpf (sign, man, exp, bc) lies in [2^(top-1), 2^top),
-    # top = exp + bc, so |t| < gate is decided by comparing tops unless
-    # they are equal; a zero term (man == 0) takes the exact comparison.
+    # A nonzero term m 2^e lies in [2^(top-1), 2^top), top = e + bits(m),
+    # and so does a nonzero finite mpf (sign, man, exp, bc), top = exp + bc.
+    # So |t| < gate is decided by comparing tops unless they are equal; a
+    # zero term takes the exact comparison.
     gsign, gman, gexp, gbc = gate._mpf_
     if gman and not gsign:
         gtop = gexp + gbc
     else:  # gate is +inf, zero or negative
         gtop = inf if gate > 0 else -inf
     bound = ratio_bound if callable(ratio_bound) else (lambda k: ratio_bound)
-    total = mpf(0)
+    p = mp.prec
+    last = MAX_TERMS - 1    # the index of the last term the cap lets in
+    total = (0, 0)
     for k, t in enumerate(terms):
-        total += t
-        _, man, exp, bc = t._mpf_
-        top = exp + bc
-        if (top < gtop) if man and top != gtop else (abs(t) < gate):
-            ta = abs(t)
+        total = padd(total, t, p)
+        man, exp = t
+        top = exp + man.bit_length()
+        if (top < gtop) if man and top != gtop else (abs(to_mpf(t)) < gate):
+            ta = abs(to_mpf(t))
             r = bound(k)
             if 0 <= r < 1 and ta * r / (1 - r) < tol:
-                return total
-        if k >= MAX_TERMS:
+                return to_mpf(total)
+        if k >= last:
             raise PrecisionError(f"no certified tail after {MAX_TERMS} terms")
-    return total
+    return to_mpf(total)
 
 
 class FactorMemo:

@@ -39,6 +39,7 @@ from .series import (
     FractionRing,
     PrecisionError,
     UPolyRing,
+    from_mpf,
     pf_extract,
     pf_reconstruct,
     sum_with_tail,
@@ -181,8 +182,8 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 4)
             return math.nextafter(float(r), math.inf)
 
-        return poch ** 2 * sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1),
-                                         limit=aq ** (n + 1))
+        return poch ** 2 * sum_with_tail(map(from_mpf, terms()), ratio,
+                                         mpf(2) ** (-prec - 1), limit=aq ** (n + 1))
 
 
 def _bracket_factors(q) -> FactorMemo:
@@ -253,7 +254,8 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
                  * (1 + g1) / (1 - g0))
             return math.nextafter(float(r), math.inf)
 
-        total = sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1), limit=aq)
+        total = sum_with_tail(map(from_mpf, terms()), ratio, mpf(2) ** (-prec - 1),
+                              limit=aq)
         return q ** (n * (n + 1)) * total
 
 

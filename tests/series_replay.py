@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from qzeta.series import FactorMemo
+from qzeta.series import FactorMemo, from_mpf
 
 NEAR_ONE = (Fraction(9666, 10007), Fraction(9816, 10007))
 
@@ -24,8 +24,8 @@ def q0s(draw):
 def replayed(module, call, ref_terms):
     """call() takes one certified sum through module.sum_with_tail; that sum
     is replayed with the same ratio bound, tol, limit and precision over
-    ref_terms().  Returns (sum _mpf_, terms taken) of the call and of the
-    replay."""
+    ref_terms(), mpf terms that are fed to it as kernel pairs.  Returns
+    (sum _mpf_, terms taken) of the call and of the replay."""
     real = module.sum_with_tail
     runs = []
 
@@ -44,7 +44,7 @@ def replayed(module, call, ref_terms):
 
     def spy(terms, bound, tol, *, limit):
         val = run(terms, bound, tol, limit)
-        run(ref_terms(), bound, tol, limit)  # still at the caller's precision
+        run(map(from_mpf, ref_terms()), bound, tol, limit)  # at the caller's precision
         return val
 
     with pytest.MonkeyPatch.context() as patch:

@@ -22,7 +22,6 @@ from qzeta.linform import (
     S_eps_numeric,
     S_tilde_numeric,
     S_z_numeric,
-    _QPowers,
     _hat_numerator,
     d_symmetry_check,
     denominator_check,
@@ -40,6 +39,7 @@ from qzeta.qcomb import QFrac, divisor_power_sum
 from qzeta.series import UPolyRing, working_prec
 from qzeta.upoly import UPoly
 import point_oracle
+import series_oracle
 from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
 
 SMALL = [(4, 1, 0), (4, 1, 1), (4, 1, 3), (6, 1, 2), (6, 2, 2), (2, 1, 2)]
@@ -233,10 +233,16 @@ def _lambert_zeta_q(s: int, q0: Fraction):
             return total
 
 
-@pytest.mark.parametrize("s,q0", [(4, Fraction(97, 100)), (3, Fraction(99, 100)),
-                                  (4, Fraction(99, 100))]
-                         + [(s, q0) for s in (1, 5, 6)
-                            for q0 in (Fraction(-9, 10), Fraction(99, 100))])
+_LAMBERT_FIRST = ([(4, Fraction(97, 100)), (3, Fraction(99, 100)), (4, Fraction(99, 100))]
+                  + [(s, q0) for s in (1, 5, 6) for q0 in (Fraction(-9, 10), Fraction(99, 100))])
+
+
+# the full grid s = 1..6 x q0 in {9/10, -9/10, 97/100, 99/100}; the first
+# nine cases keep their place, and so their test ids
+@pytest.mark.parametrize("s,q0", _LAMBERT_FIRST + [
+    (s, q0) for s in range(1, 7)
+    for q0 in (Fraction(9, 10), Fraction(-9, 10), Fraction(97, 100), Fraction(99, 100))
+    if (s, q0) not in _LAMBERT_FIRST])
 def test_zeta_q_near_one_matches_lambert_route(s, q0):
     # converging sums near q = 1 certify: no DivergenceError
     val = zeta_q(s, q0)
@@ -286,7 +292,7 @@ def _ref_terms(kind, A, r, n, eps, qv, zv):
     """The per-term generators of S_eps_hat_numeric ("eps"),
     S_tilde_numeric ("tilde") and S_z_numeric ("z")."""
     qm = mpf(qv.numerator) / qv.denominator
-    qp = _QPowers(qm)
+    qp = series_oracle.QPowers(qm)
     k = r * n + 1
     if kind == "z":
         pref = mp.power(qm, -mpf((A - 2 * r) * n) / 4)
@@ -383,6 +389,25 @@ def test_series_reject_q0_zero():
     with pytest.raises(ValueError, match="0 < \\|q0\\| < 1"):
         identity_residual(Params(4, 1, 1), Fraction(0))
     assert zeta_q(3, Fraction(0)) == 0
+
+
+@pytest.mark.parametrize("prec", (0, -50))
+def test_series_reject_invalid_prec(prec, monkeypatch):
+    """prec < 1 raises before any term is taken: at prec = -50 the
+    tolerance would be 2^42, and zeta_q(3, 1/2) came out as 4.0."""
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(linform, "sum_with_tail", no_sum)
+    half = Fraction(1, 2)
+    calls = [lambda: zeta_q(3, half, prec), lambda: zeta_q(3, Fraction(0), prec),
+             lambda: S_eps_hat_numeric(Params(4, 1, 1), half, prec),
+             lambda: S_eps_hat_numeric(Params(2, 1, 1, 1), half, prec),
+             lambda: S_tilde_numeric(Params(4, 1, 1), half, prec),
+             lambda: S_z_numeric(Params(4, 1, 1), half, Fraction(1), prec)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"need prec >= 1, got {prec}"):
+            call()
 
 
 def test_transform_check_small():

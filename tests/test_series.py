@@ -1,5 +1,6 @@
-"""Certified series summation, the T-polynomial helpers, and the
-partial-fraction extractor against an independent Taylor-shift oracle."""
+"""Certified series summation and its integer kernel against mpf, the
+T-polynomial helpers, and the partial-fraction extractor against an
+independent Taylor-shift oracle."""
 
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -8,23 +9,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qzeta import series
-from qzeta.linform import _hat_numerator, _zeta_q_series
+from qzeta import linform, series
+from qzeta.linform import _hat_numerator, _zeta_q_series, zeta_q
 from qzeta.qcomb import QFrac
 from qzeta.series import (
     DivergenceError,
     FractionRing,
     PrecisionError,
     UPolyRing,
+    from_mpf,
+    padd,
+    pdiv,
     pf_extract,
     pf_reconstruct,
+    pmul,
+    pmul_int,
+    ppow,
+    psub,
     sum_with_tail,
     tmul,
     tmul_linear,
+    to_mpf,
     working_prec,
 )
 from qzeta.upoly import UPoly
 from qzeta.zeta3 import _w_numerator
+import series_oracle
+from series_replay import NEAR_ONE, q0s
 
 ERDOS_BORWEIN = "1.6066951524152917637833015231909245804805796715057564357"
 
@@ -32,7 +43,7 @@ ERDOS_BORWEIN = "1.6066951524152917637833015231909245804805796715057564357"
 def test_geometric_sum_certified():
     with mp.workprec(working_prec(128)):
         q = mpf(1) / 3
-        val = sum_with_tail((q ** k for k in range(1, 10 ** 6)),
+        val = sum_with_tail((from_mpf(q ** k) for k in range(1, 10 ** 6)),
                             float(q), mpf(2) ** -120)
         assert abs(val - q / (1 - q)) < mpf(2) ** -118
 
@@ -40,7 +51,7 @@ def test_geometric_sum_certified():
 def test_erdos_borwein_constant():
     # sum_{k>=1} 1/(2^k - 1); term ratio < (2^k - 1)/(2^(k+1) - 1) < 1/2 + eps
     with mp.workprec(working_prec(200)):
-        val = sum_with_tail((1 / (mpf(2) ** k - 1) for k in range(1, 10 ** 6)),
+        val = sum_with_tail((from_mpf(1 / (mpf(2) ** k - 1)) for k in range(1, 10 ** 6)),
                             0.51, mpf(2) ** -196)
         assert abs(val - mpf(ERDOS_BORWEIN)) < mpf(10) ** -55
 
@@ -48,7 +59,7 @@ def test_erdos_borwein_constant():
 def test_callable_ratio_bound():
     with mp.workprec(working_prec(96)):
         # sum k / 2^k = 2; ratio (k+1)/(2k) decreasing, valid for the tail
-        val = sum_with_tail((mpf(k) / mpf(2) ** k for k in range(1, 10 ** 6)),
+        val = sum_with_tail((from_mpf(mpf(k) / mpf(2) ** k) for k in range(1, 10 ** 6)),
                             lambda idx: (idx + 2) / (2 * (idx + 1)),
                             mpf(2) ** -90, limit=0.5)
         assert abs(val - 2) < mpf(2) ** -88
@@ -60,7 +71,7 @@ def test_divergence_detected():
     def ones():
         while True:
             taken.append(1)
-            yield mpf(1)
+            yield (1, 0)
 
     with mp.workprec(working_prec(64)):
         with pytest.raises(DivergenceError):
@@ -73,7 +84,7 @@ def test_divergence_detected():
 
 def test_callable_ratio_bound_needs_limit():
     with pytest.raises(ValueError):
-        sum_with_tail(iter([mpf(1)]), lambda k: 0.5, mpf(2) ** -50)
+        sum_with_tail(iter([(1, 0)]), lambda k: 0.5, mpf(2) ** -50)
 
 
 def test_max_terms_exhaustion(monkeypatch):
@@ -83,14 +94,31 @@ def test_max_terms_exhaustion(monkeypatch):
         # tail to 2^-50 takes about 5 * 10^7 terms
         r = 1 - mpf(2) ** -20
         with pytest.raises(PrecisionError, match="after 500 terms"):
-            sum_with_tail((r ** k for k in range(10 ** 6)), r, mpf(2) ** -50)
+            sum_with_tail((from_mpf(r ** k) for k in range(10 ** 6)), r, mpf(2) ** -50)
+
+
+def test_max_terms_caps_the_terms_taken(monkeypatch):
+    monkeypatch.setattr(series, "MAX_TERMS", 5)
+    taken = 0
+
+    def endless():
+        nonlocal taken
+        while True:
+            taken += 1
+            yield (1, 0)
+
+    with mp.workprec(working_prec(64)):
+        with pytest.raises(PrecisionError, match="after 5 terms"):
+            sum_with_tail(endless(), 0.5, mpf(2) ** -50)
+    assert taken == 5
 
 
 def _stop_every_term(terms, bound, tol):
     """The stop test of sum_with_tail with the bound evaluated on every
-    term: (sum, terms taken)."""
+    term and the sum taken in mpf: (sum, terms taken)."""
     total = mpf(0)
     for k, t in enumerate(terms):
+        t = to_mpf(t)
         total += t
         r = bound(k)
         if 0 <= r < 1 and abs(t) * r / (1 - r) < tol:
@@ -120,15 +148,8 @@ def _gated_zeta_q_sum(s, q0, prec):
     return val, taken, calls
 
 
-@st.composite
-def _q0s(draw):
-    den = draw(st.integers(min_value=2, max_value=100))
-    num = draw(st.integers(min_value=1, max_value=den - 1))
-    return Fraction(num * draw(st.sampled_from((1, -1))), den)
-
-
 @settings(max_examples=40, deadline=None)
-@given(_q0s(), st.integers(min_value=1, max_value=6), st.sampled_from((64, 256)))
+@given(q0s(), st.integers(min_value=1, max_value=6), st.sampled_from((64, 256)))
 def test_gated_stop_matches_bound_on_every_term(q0, s, prec):
     val, taken, _ = _gated_zeta_q_sum(s, q0, prec)
     with mp.workprec(working_prec(prec)):
@@ -140,6 +161,136 @@ def test_gated_stop_matches_bound_on_every_term(q0, s, prec):
 def test_gate_skips_the_bound_near_one():
     _, taken, calls = _gated_zeta_q_sum(2, Fraction(9816, 10007), 256)
     assert calls < taken / 100
+
+
+# ----------------------------------------------------------------------
+# The integer kernel against mpf, operation by operation.
+
+KERNEL_PRECS = (53, 64, 288, 411)
+
+
+@st.composite
+def _kernel_operands(draw):
+    """(p, x, y): pairs of at most p bits, y drawn freely or against x:
+    at a distance of about p + 4 bits below it (x often a power of two),
+    cancelling it to zero or to a shorter result, or half an ulp of x
+    away from it (a tie)."""
+    p = draw(st.sampled_from(KERNEL_PRECS))
+
+    def sign():
+        return draw(st.sampled_from((1, -1)))
+
+    def exponent():
+        return draw(st.integers(-2 * p, 2 * p))
+
+    def mantissa():
+        shape = draw(st.sampled_from(("any", "any", "pow2", "zero")))
+        if shape == "zero":
+            return 0
+        if shape == "pow2":
+            m = (1 << draw(st.integers(1, p - 1))) + draw(st.integers(-1, 1))
+        else:
+            m = draw(st.integers(1, (1 << p) - 1))
+        return sign() * m
+
+    x = (mantissa(), exponent())
+    rel = draw(st.sampled_from(("free", "offset", "cancel", "tie")))
+    if rel == "free":
+        y = (mantissa(), exponent())
+    elif rel == "offset":
+        if draw(st.booleans()):
+            x = (sign() << draw(st.integers(0, p - 1)), x[1])
+        ym = mantissa() or 1
+        top = x[1] + x[0].bit_length()
+        gap = draw(st.integers(p, p + 8) | st.integers(p + 9, 4 * p))
+        y = (ym, top - gap - ym.bit_length())
+    elif rel == "cancel":
+        shift = draw(st.integers(0, 8))
+        y = ((-x[0] << shift) + draw(st.integers(-3, 3)), x[1] - shift)
+        if y[0].bit_length() > p:
+            y = (-x[0], x[1])
+    else:  # x an odd p-bit mantissa, so x +- 2^(e_x - 1) is a tie
+        x = ((x[0] | 1 | (1 << (p - 1))) & ((1 << p) - 1), x[1])
+        y = (sign(), x[1] - 1)
+    return p, x, y
+
+
+@settings(max_examples=600, deadline=None)
+@given(_kernel_operands(),
+       st.sampled_from((1, -1, 3, -3, 5)) | st.integers(-(1 << 80), 1 << 80))
+def test_kernel_ops_match_mpf_bit_for_bit(operands, k):
+    p, x, y = operands
+    with mp.workprec(p):
+        xf, yf = to_mpf(x), to_mpf(y)
+        pairs = [(padd(x, y, p), xf + yf), (psub(x, y, p), xf - yf),
+                 (pmul(x, y, p), xf * yf), (pmul_int(x, k, p), xf * k)]
+        if y[0]:
+            pairs.append((pdiv(x, y, p), xf / yf))
+        for got, want in pairs:
+            assert to_mpf(got)._mpf_ == want._mpf_
+
+
+def test_kernel_rounds_ties_to_even():
+    p, big = 53, 1 << 52
+    half = (1, -1)
+    # (big + 1) +- 1/2 and (big + 2) +- 1/2 lie halfway between two
+    # 53-bit integers and go to the even one
+    for x, up, down in ((big + 1, big + 2, big), (big + 2, big + 2, big + 2)):
+        assert to_mpf(padd((x, 0), half, p)) == up
+        assert to_mpf(psub((x, 0), half, p)) == down
+    # 3 (2^52 + 1) = 2^53 + 2^52 + 3 has 54 bits and ends in a one
+    assert to_mpf(pmul_int((big + 1, 0), 3, p)) == 2 * big + big + 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_operands(), st.integers(-3, 7))
+def test_kernel_power_is_mpmaths(operands, k):
+    p, x, _ = operands
+    if not x[0] and k < 0:
+        return
+    with mp.workprec(p):
+        assert to_mpf(ppow(x, k, p))._mpf_ == (to_mpf(x) ** k)._mpf_
+
+
+# ----------------------------------------------------------------------
+# zeta_q against the sum as it was computed in mpf.
+
+def _zeta_q_and_taken(s, q0, prec):
+    """(zeta_q(s, q0, prec)._mpf_, terms its certified sum took)."""
+    real, taken = linform.sum_with_tail, 0
+
+    def spy(terms, *args, **kwargs):
+        def counted():
+            nonlocal taken
+            for t in terms:
+                taken += 1
+                yield t
+
+        return real(counted(), *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linform, "sum_with_tail", spy)
+        val = zeta_q(s, q0, prec)
+    return val._mpf_, taken
+
+
+def _oracle_zeta_q(s, q0, prec):
+    val, taken = series_oracle.zeta_q(s, q0, prec)
+    return val._mpf_, taken
+
+
+@pytest.mark.parametrize("prec", (64, 256, 411))
+@pytest.mark.parametrize("q0", [Fraction(1, 3), Fraction(9, 10), Fraction(-9, 10),
+                                Fraction(97, 100), Fraction(99, 100), *NEAR_ONE], ids=str)
+@pytest.mark.parametrize("s", range(1, 7))
+def test_zeta_q_matches_mpf_oracle(s, q0, prec):
+    assert _zeta_q_and_taken(s, q0, prec) == _oracle_zeta_q(s, q0, prec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(q0s(), st.integers(1, 6), st.sampled_from((64, 256, 411)))
+def test_zeta_q_matches_mpf_oracle_anywhere(q0, s, prec):
+    assert _zeta_q_and_taken(s, q0, prec) == _oracle_zeta_q(s, q0, prec)
 
 
 def test_working_prec_adds_guard_and_scale():
