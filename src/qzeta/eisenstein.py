@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .linform import _check_q0, zeta_q
+from .linform import _check_prec, _check_q0, zeta_q
 from .qcomb import bernoulli, divisor_power_sum
 from .series import DEFAULT_PREC, tmul, working_prec
 
@@ -222,6 +222,7 @@ def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
+    _check_prec(prec)
     q0 = _check_q0(q0)
     c = -Fraction(4 * s) / bernoulli(2 * s)
     with mp.workprec(working_prec(prec)):

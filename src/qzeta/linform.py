@@ -405,21 +405,75 @@ def _rho_hat_terms(A: int, r: int, n: int, qp: _QPowers):
         k += 1
 
 
-def _rho_lead(A: int, r: int, n: int, aq):
-    """|q|^((A-2r)n/2+1): the k -> oo limit of _rho_envelope."""
-    return aq ** ((A - 2 * r) * n // 2 + 1)
+def _rho_envelope(A: int, r: int, n: int, qm):
+    """(env, lead): env(k) is a decreasing-in-k bound on |rho_{k+1}/rho_k|,
+    valid for the whole tail, and lead its k -> oo limit.  For |q| < 1 each
+    factor of env after lead is >= 1; for q > 1 the kernel's degree gap is
+    negative, and the terms decay with the reciprocal powers of q."""
+    if qm > 1:
+        lead = mp.power(qm, (A - 2 * r) * n // 2 + 2 + n + 2 * r * n - (n + 1) * (A + 1))
 
+        def env(k: int):
+            return (lead / (1 - mp.power(qm, -(k - r * n)))
+                    / (1 - mp.power(qm, -(k + n + 1))) ** (A + 1))
 
-def _rho_envelope(A: int, r: int, n: int, aq):
-    """Decreasing-in-k bound on |rho_{k+1}/rho_k|, valid for the whole tail;
-    each factor after the lead is >= 1."""
-    lead = _rho_lead(A, r, n, aq)
+        return env, lead
+    aq = abs(qm)
+    lead = aq ** ((A - 2 * r) * n // 2 + 1)
 
     def env(k: int):
         return (lead * (1 + aq ** (k + n + 1 + r * n)) / (1 - aq ** (k - r * n))
                 * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** (A + 1))
 
-    return env
+    return env, lead
+
+
+def _kernel_series(A: int, r: int, n: int, qv: Fraction, prec: int, *,
+                   mono: int = 0, z: Fraction | None = None, bracket=(0, 0, 0)) -> mpf:
+    """sum_{k > rn} q^k R_hat(q^k) f_k at q = qv, its tail certified to
+    2^-(prec+8).  f_k is given as data: each term is _rho_hat_terms' pair
+    times, in this order, q^(mono k) (mono >= 0), q^(-(A-2r)n/4) z^(-k) for
+    a rational z > 0, and 1 + sign q^(ak+b) for bracket = (a, b, sign) with
+    sign = +-1 (0: no bracket).  The ratio bound is _rho_envelope's times
+    |q|^mono, 1/z and, for a > 0, (1 + |q|^(a(k+1)+b))/(1 - |q|^(ak+b))."""
+    _check_prec(prec)
+    if bracket == (0, 0, -1):
+        return mpf(0)  # the bracket 1 - q^0 vanishes identically
+    a, b, sign = bracket
+    with mp.workprec(working_prec(prec)):
+        tol = mpf(2) ** (-(prec + 8))
+        qm = mpf(qv.numerator) / qv.denominator
+        aq = abs(qm)
+        qp = _QPowers(qm)
+        env, lead = _rho_envelope(A, r, n, qm)
+        scale = aq ** mono
+        if z:
+            zi = mpf(z.denominator) / z.numerator
+            scale *= zi
+            # exact quarter-power monomial q^(-(A-2r)n/4)
+            fac, zpair = from_mpf(mp.power(qm, -mpf((A - 2 * r) * n) / 4)), from_mpf(zi)
+
+        def terms():
+            p = qp.prec
+            zk = ppow(zpair, r * n + 1, p) if z else None
+            for k, t in _rho_hat_terms(A, r, n, qp):
+                if mono:
+                    t = pmul(t, qp.get(mono * k), p)
+                if z:
+                    t = pmul(pmul(t, fac, p), zk, p)
+                    zk = pmul(zk, zpair, p)
+                if sign:
+                    t = pmul(t, (padd if sign > 0 else psub)(PONE, qp.get(a * k + b), p), p)
+                yield t
+
+        def bound(i):
+            k = r * n + 1 + i
+            bk = env(k) * scale
+            if a:
+                bk *= (1 + aq ** (a * (k + 1) + b)) / (1 - aq ** (a * k + b))
+            return bk
+
+        return +sum_with_tail(terms(), bound, tol, limit=lead * scale)
 
 
 def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
@@ -427,35 +481,14 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
 
         sum_{k > rn} q^k R_hat(q^k) (1 + (-1)^eps q^((A/2-1)(n+2k))).
 
-    Valid for any rational 0 < |q0| < 1 (negative q0 included).
+    Valid for any rational 0 < |q0| < 1 (negative q0 included).  At A = 2
+    the bracket is 1 +- q^0, and each term is still multiplied by it:
+    doubling the finished sum would change the stop test.
     """
     A, r, n, eps = params.A, params.r, params.n, params.eps
-    _check_prec(prec)
-    q0 = _check_q0(q0)
-    if A == 2 and eps == 1:
-        return mpf(0)  # the bracket 1 + (-1) q^0 vanishes identically
-    with mp.workprec(working_prec(prec)):
-        tol = mpf(2) ** (-(prec + 8))
-        qm = mpf(q0.numerator) / q0.denominator
-        aq = abs(qm)
-        qp = _QPowers(qm)
-        env = _rho_envelope(A, r, n, aq)
-        half = A // 2 - 1
-        p = mp.prec
-        bracket = psub if eps else padd
-
-        def terms():
-            for k, rho in _rho_hat_terms(A, r, n, qp):
-                yield pmul(rho, bracket(PONE, qp.get(half * (n + 2 * k)), p), p)
-
-        def bound(i):
-            k = r * n + 1 + i
-            b = env(k)
-            if half:
-                b *= (1 + aq ** (half * (n + 2 * k + 2))) / (1 - aq ** (half * (n + 2 * k)))
-            return b
-
-        return +sum_with_tail(terms(), bound, tol, limit=_rho_lead(A, r, n, aq))
+    half = A // 2 - 1
+    return _kernel_series(A, r, n, _check_q0(q0), prec,
+                          bracket=(2 * half, half * n, -1 if eps else 1))
 
 
 def S_eps_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
@@ -479,35 +512,16 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> m
             (q^(k-rn);q)_rn (q^(k+n+1);q)_rn / (q^k;q)_{n+1}^A
             q^(k((A-2r)n/2 + A/2 - 1)).
 
-    Termwise it is rho_hat(k) * q^(k(A/2-2)) * (1 - q^(2k+n)).
+    Termwise it is rho_hat(k) * q^(k(A/2-2)) * (1 - q^(2k+n)).  It
+    diverges at A = 2, the only case with A/2 - 2 < 0.
     """
     A, r, n = params.A, params.r, params.n
-    _check_prec(prec)
     q0 = _check_q0(q0)
     gap = (A - 2 * r) * n // 2 + A // 2 - 1
     if gap < 1:
         raise DivergenceError(
             f"alternative series needs (A-2r)n/2 + A/2 - 1 >= 1, got {gap}")
-    with mp.workprec(working_prec(prec)):
-        tol = mpf(2) ** (-(prec + 8))
-        qm = mpf(q0.numerator) / q0.denominator
-        aq = abs(qm)
-        qp = _QPowers(qm)
-        env = _rho_envelope(A, r, n, aq)
-        ex = A // 2 - 2
-        p = mp.prec
-
-        def terms():
-            for k, rho in _rho_hat_terms(A, r, n, qp):
-                extra = qp.get(k * ex) if ex >= 0 else pdiv(PONE, qp.get(k * (-ex)), p)
-                yield pmul(pmul(rho, extra, p), psub(PONE, qp.get(2 * k + n), p), p)
-
-        def bound(i):
-            k = r * n + 1 + i
-            return (env(k) * aq ** ex
-                    * (1 + aq ** (2 * k + n + 2)) / (1 - aq ** (2 * k + n)))
-
-        return +sum_with_tail(terms(), bound, tol, limit=_rho_lead(A, r, n, aq) * aq ** ex)
+    return _kernel_series(A, r, n, q0, prec, mono=A // 2 - 2, bracket=(2, n, -1))
 
 
 def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
@@ -519,43 +533,10 @@ def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
     q > 1 envelope in that case.  Used by the base-inversion transform
     check, where one side naturally sums at base 1/q.
     """
-    A, r, n = params.A, params.r, params.n
-    _check_prec(prec)
     qv, zv = Fraction(qv), Fraction(zv)
     if qv <= 0 or qv == 1 or zv <= 0:
         raise ValueError("need rational q > 0, q != 1, z > 0")
-    with mp.workprec(working_prec(prec)):
-        tol = mpf(2) ** (-(prec + 8))
-        qm = mpf(qv.numerator) / qv.denominator
-        zi = mpf(zv.denominator) / zv.numerator
-        # exact quarter-power monomial q^(-(A-2r)n/4)
-        pref = mp.power(qm, -mpf((A - 2 * r) * n) / 4)
-        qp = _QPowers(qm)
-
-        if qv < 1:
-            env0 = _rho_envelope(A, r, n, qm)
-            lead = _rho_lead(A, r, n, qm)
-
-            def bound(i):
-                return env0(r * n + 1 + i) * zi
-        else:
-            c = ((A - 2 * r) * n // 2 + 2 + n + 2 * r * n - (n + 1) * (A + 1))
-            lead = mp.power(qm, c)
-
-            def bound(i):
-                k = r * n + 1 + i
-                return (lead * zi / (1 - mp.power(qm, -(k - r * n)))
-                        / (1 - mp.power(qm, -(k + n + 1))) ** (A + 1))
-
-        def terms():
-            p = mp.prec
-            zpair, fac = from_mpf(zi), from_mpf(pref)
-            zk = from_mpf(zi ** (r * n + 1))
-            for _, rho in _rho_hat_terms(A, r, n, qp):
-                yield pmul(pmul(rho, fac, p), zk, p)
-                zk = pmul(zk, zpair, p)
-
-        return +sum_with_tail(terms(), bound, tol, limit=lead * zi)
+    return _kernel_series(params.A, params.r, params.n, qv, prec, z=zv)
 
 
 def transform_check(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:

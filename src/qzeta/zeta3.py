@@ -30,19 +30,27 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .asymptotics import SlopeEstimate, _make_estimate, _slope_ns, log_abs_fraction
-from .linform import Params, S_eps_hat_numeric, _check_q0, _cleared, zeta_q
+from .linform import Params, S_eps_hat_numeric, _check_prec, _check_q0, _cleared, zeta_q
 from .qcomb import QFrac, cyclotomic, d_poly
 from .series import (
     DEFAULT_PREC,
     MAX_TERMS,
+    PONE,
     FactorMemo,
     FractionRing,
     PrecisionError,
     UPolyRing,
     from_mpf,
+    padd,
+    pdiv,
     pf_extract,
     pf_reconstruct,
+    pmul,
+    pmul_int,
+    ppow,
+    psub,
     sum_with_tail,
+    to_mpf,
     working_prec,
 )
 
@@ -146,28 +154,31 @@ def _check_n(n: int) -> None:
 def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """The ball-type series; terms for k <= n vanish identically."""
     _check_n(n)
+    _check_prec(prec)
     q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec, 4 * n)):
-        q = mpf(q0.numerator) / q0.denominator
-        aq = abs(q)
-        poch = mpf(1)   # (q;q)_n
+        p = mp.prec
+        qm = mpf(q0.numerator) / q0.denominator
+        aq = abs(qm)
+        q = from_mpf(qm)
+        poch = PONE   # (q;q)_n
         for i in range(1, n + 1):
-            poch *= 1 - q ** i
+            poch = pmul(poch, psub(PONE, ppow(q, i, p), p), p)
 
         # factors shifted with k, each computed once per sum
-        omq = FactorMemo(lambda m: 1 - q ** m)
-        pair = FactorMemo(lambda m: omq(m) * omq(m + 2 * n + 1))
+        omq = FactorMemo(lambda m: psub(PONE, ppow(q, m, p), p))
+        pair = FactorMemo(lambda m: pmul(omq(m), omq(m + 2 * n + 1), p))
 
         def terms():
             k = n + 1
             while True:
-                t = (1 - q ** (2 * k + n)) * q ** (k * (n + 1))
+                t = pmul(psub(PONE, ppow(q, 2 * k + n, p), p), ppow(q, k * (n + 1), p), p)
                 for m in range(k - n, k):
-                    t *= pair(m)  # (1 - q^(k-n+i)) (1 - q^(1+k+n+i))
-                den = mpf(1)
+                    t = pmul(t, pair(m), p)  # (1 - q^(k-n+i)) (1 - q^(1+k+n+i))
+                den = PONE
                 for m in range(k, k + n + 1):
-                    den *= omq(m)
-                yield t / den ** 4
+                    den = pmul(den, omq(m), p)
+                yield pdiv(t, ppow(den, 4, p), p)
                 # term k+1 reads pair(k+1-n..k) and omq(k..k+2n+1)
                 pair.drop_below(k + 1 - n)
                 omq.drop_below(k)
@@ -182,39 +193,40 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 4)
             return math.nextafter(float(r), math.inf)
 
-        return poch ** 2 * sum_with_tail(map(from_mpf, terms()), ratio,
-                                         mpf(2) ** (-prec - 1), limit=aq ** (n + 1))
+        return to_mpf(ppow(poch, 2, p)) * sum_with_tail(
+            terms(), ratio, mpf(2) ** (-prec - 1), limit=aq ** (n + 1))
 
 
-def _bracket_factors(q) -> FactorMemo:
-    """Per-sum memo m -> (q^m, (1 - q^m)^2, 2 q^m/(1 - q^m)), the factors
-    of _w_log_deriv_bracket at the exponent m."""
+def _bracket_factors(q: tuple, p: int) -> FactorMemo:
+    """Per-sum memo m -> (q^m, (1 - q^m)^2, 2 q^m/(1 - q^m)), kernel pairs
+    at p bits, the factors of _w_log_deriv_bracket at the exponent m."""
     def factors(m):
-        qm = q ** m
-        f = 1 - qm
-        return qm, f * f, 2 * qm / f
+        qm = ppow(q, m, p)
+        f = psub(PONE, qm, p)
+        return qm, pmul(f, f, p), pdiv(pmul_int(qm, 2, p), f, p)
 
     return FactorMemo(factors)
 
 
-def _w_log_deriv_bracket(n: int, k: int, memo: FactorMemo):
-    """W_n(q^k) and the bracket 1 + T W'/W at T = q^k, k > n.
+def _w_log_deriv_bracket(n: int, k: int, memo: FactorMemo, p: int):
+    """W_n(q^k) and the bracket 1 + T W'/W at T = q^k, k > n, kernel pairs
+    at p bits.
 
     W'/W = -2 sum_{i<n} q^(i-n)/(1 - q^(i-n) T) + 2 sum_{i<=n} q^i/(1 - q^i T);
     each accumulated term below already carries the factor T = q^k.  memo
-    is a _bracket_factors(q) shared by the terms of one sum; it reads the
+    is a _bracket_factors(q, p) shared by the terms of one sum; it reads the
     exponents k-n..k+n."""
-    w = mpf(1)
-    s = mpf(0)
+    w = PONE
+    s = (0, 0)
     for m in range(k - n, k):
         _, ff, g = memo(m)
-        w *= ff
-        s -= g
+        w = pmul(w, ff, p)
+        s = psub(s, g, p)
     for m in range(k, k + n + 1):
         _, ff, g = memo(m)
-        w /= ff
-        s += g
-    return w, 1 + s
+        w = pdiv(w, ff, p)
+        s = padd(s, g, p)
+    return w, padd(PONE, s, p)
 
 
 def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
@@ -223,18 +235,20 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
         q^(n(n+1)) sum_{k>n} q^k W_n(q^k) [1 + q^k (W'/W)(q^k)].
     """
     _check_n(n)
+    _check_prec(prec)
     q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec, 4 * n)):
+        p = mp.prec
         q = mpf(q0.numerator) / q0.denominator
         aq = abs(q)
 
-        memo = _bracket_factors(q)
+        memo = _bracket_factors(from_mpf(q), p)
 
         def terms():
             k = n + 1
             while True:
-                w, br = _w_log_deriv_bracket(n, k, memo)
-                yield memo(k)[0] * w * br  # memo(k)[0] is q ** k
+                w, br = _w_log_deriv_bracket(n, k, memo, p)
+                yield pmul(pmul(memo(k)[0], w, p), br, p)  # memo(k)[0] is q^k
                 memo.drop_below(k + 1 - n)
                 k += 1
 
@@ -254,8 +268,7 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
                  * (1 + g1) / (1 - g0))
             return math.nextafter(float(r), math.inf)
 
-        total = sum_with_tail(map(from_mpf, terms()), ratio, mpf(2) ** (-prec - 1),
-                              limit=aq)
+        total = sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1), limit=aq)
         return q ** (n * (n + 1)) * total
 
 

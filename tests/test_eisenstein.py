@@ -233,6 +233,9 @@ def test_eisenstein_value_validation():
             eisenstein_value(2, bad)
     with pytest.raises(ValueError):
         eisenstein_value(0, Fraction(1, 3))
+    for prec in (0, -50):  # named before the tolerance shifts by prec + 1
+        with pytest.raises(ValueError, match=f"need prec >= 1, got {prec}"):
+            eisenstein_value(2, Fraction(1, 2), prec)
 
 
 @pytest.mark.parametrize("s", (4, 6))

@@ -10,7 +10,9 @@ __init__.py; a name listed in a module's __all__ counts as used.  A
 module-level function or class is dead when no module of the package
 reads it (as a name or an attribute) and no module lists it in __all__.
 A method other than a dunder is dead when no module of the package, no
-script under scripts/ and no module of perfbench/ reads its name.
+script under scripts/ and no module of perfbench/ reads its name.  No
+module passes map(from_mpf, ...) to sum_with_tail: a certified sum builds
+its terms as kernel pairs.
 """
 
 import ast
@@ -152,6 +154,20 @@ def dead_methods(trees: dict, callers) -> list:
             and node.name not in read]
 
 
+def _name(node) -> str | None:
+    """The name a Name or Attribute node reads, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def converted_sums(tree) -> list:
+    """The line of each sum_with_tail call given map(from_mpf, ...)."""
+    return [call.lineno for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and _name(call.func) == "sum_with_tail"
+            and any(isinstance(arg, ast.Call) and _name(arg.func) == "map"
+                    and arg.args and _name(arg.args[0]) == "from_mpf"
+                    for arg in call.args + [kw.value for kw in call.keywords])]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals_or_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -163,6 +179,8 @@ def test_no_unused_locals_or_imports(path):
                  for func, name in unread_parameters(tree)]
     problems += [f"__all__ lists {name!r}, which the module does not bind"
                  for name in stale_exports(tree)]
+    problems += [f"line {line}: sum_with_tail is given mpf terms through map(from_mpf, ...)"
+                 for line in converted_sums(tree)]
     assert not problems, problems
 
 
@@ -206,6 +224,17 @@ def test_checker_flags_stale_exports():
         "    inner = 3\n"
         "__all__ = ['os', 'circle', 'X', 'Y', 'f', 'K', 'pi', 'inner', 'gone']\n")
     assert stale_exports(tree) == ["gone", "inner", "pi"]
+
+
+def test_checker_flags_converted_sums():
+    tree = ast.parse(
+        "def f(terms, pairs):\n"
+        "    a = sum_with_tail(map(from_mpf, terms), 0.5, tol)\n"
+        "    b = series.sum_with_tail(pairs, 0.5, tol)\n"
+        "    c = series.sum_with_tail(map(series.from_mpf, terms), 0.5, tol)\n"
+        "    d = sum_with_tail(map(to_mpf, pairs), 0.5, tol)\n"
+        "    return sum_with_tail(terms=map(from_mpf, terms), ratio_bound=0.5, tol=tol)\n")
+    assert converted_sums(tree) == [2, 4, 6]
 
 
 def test_no_dead_definitions():

@@ -23,7 +23,7 @@ from qzeta.zeta3 import (
     zeta3_reconstruction_check,
     zeta3_report,
 )
-from qzeta.series import PrecisionError
+from qzeta.series import PrecisionError, from_mpf, to_mpf
 from qzeta.zeta3 import _bracket_factors, _w_log_deriv_bracket
 import point_oracle
 from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
@@ -132,7 +132,8 @@ def test_log_derivative_bracket_finite_difference():
             return num / den
 
         t0 = q ** k
-        w, br = _w_log_deriv_bracket(n, k, _bracket_factors(q))
+        w, br = map(to_mpf, _w_log_deriv_bracket(
+            n, k, _bracket_factors(from_mpf(q), mp.prec), mp.prec))
         assert abs(w - w_at(t0)) < mpf(2) ** -230
         h = mpf(2) ** -60
         wp = (w_at(t0 * (1 + h)) - w_at(t0 * (1 - h))) / (2 * h * t0)
@@ -288,6 +289,19 @@ def test_series_reject_bad_q(q0):
         qball_numeric(1, q0)
     with pytest.raises(ValueError):
         qbgn_numeric(1, q0)
+
+
+@pytest.mark.parametrize("prec", (0, -50))
+def test_series_reject_invalid_prec(prec, monkeypatch):
+    """prec < 1 raises before any term is taken: at prec = -50 the
+    tolerance would be 2^49, and the series came out as 0.0078 and 0.031."""
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(zeta3, "sum_with_tail", no_sum)
+    for fn in (qball_numeric, qbgn_numeric):
+        with pytest.raises(ValueError, match=f"need prec >= 1, got {prec}"):
+            fn(1, Fraction(1, 2), prec)
 
 
 def test_report_schema():
