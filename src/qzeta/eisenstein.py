@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .linform import _check_prec, _check_q0, zeta_q
+from .linform import _check_q0, zeta_q
 from .qcomb import bernoulli, divisor_power_sum
 from .series import DEFAULT_PREC, tmul, working_prec
 
@@ -222,10 +222,9 @@ def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    _check_prec(prec)
     q0 = _check_q0(q0)
-    c = -Fraction(4 * s) / bernoulli(2 * s)
     with mp.workprec(working_prec(prec)):
+        c = -Fraction(4 * s) / bernoulli(2 * s)
         # 2^(-prec-1) / |c|, rounded down from the exact rational
         tol = mp.fdiv(c.denominator, abs(c.numerator) << (prec + 1), rounding="d")
         return 1 + mpf(c.numerator) / c.denominator * zeta_q(2 * s, q0, prec, tol)
@@ -237,8 +236,8 @@ def zetaq_even_consistency(s: int = 4, q0=Fraction(1, 3),
     the affine expression over Eisenstein values.  Returns both and the
     absolute difference."""
     q0 = Fraction(q0)
-    expr = zetaq_even_in_basis(s)
     with mp.workprec(working_prec(prec)):
+        expr = zetaq_even_in_basis(s)
         direct = zeta_q(s, q0, prec)
         c = expr["const"]
         total = mpf(c.numerator) / c.denominator

@@ -170,8 +170,8 @@ def kernel_symmetry_check(params: Params) -> bool:
     A, r, n = params.A, params.r, params.n
     coeffs = UPolyRing.linear_product([n + i for i in range(1, r * n + 1)]
                                       + [n - i for i in range(n + 1, n + r * n + 1)])
-    pre = (qpoch(UPoly.q_power(-n), n) ** (A - 2 * r)
-           * UPoly.u_power((A - 2 * r) * n // 2 + n * n * (A - 2 * r)))
+    pre = (qpoch(UPoly.q_power(-n), n) ** (A - 2 * r)).shift_u(
+        (A - 2 * r) * n // 2 + n * n * (A - 2 * r))
     lhs = [UPoly.zero()] * ((A - 2 * r) * n // 2) + [pre * c for c in coeffs]
     rhs = [c.shift_u(params.prefactor_u) for c in _hat_numerator(A, r, n, UPolyRing)]
     return len(lhs) == len(rhs) and all((a - b).is_zero() for a, b in zip(lhs, rhs))
@@ -206,10 +206,8 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
     c_j of P_s."""
     coeffs = P_z(params, s)
     n = params.n
-    return all(
-        coeffs[n - i].subst_inv().shift_u(-2 * n).reduced()
-        == coeffs[i].reduced()
-        for i in range(n + 1))
+    return all(coeffs[n - i].subst_inv().shift_u(-2 * n) == coeffs[i]
+               for i in range(n + 1))
 
 
 def p1_at_one_check(params: Params) -> bool:
@@ -304,21 +302,15 @@ def _check_q0(q0) -> Fraction:
     return q0
 
 
-def _check_prec(prec: int) -> None:
-    if prec < 1:
-        raise ValueError(f"need prec >= 1, got {prec}")
-
-
 def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     """zeta_q(s) = sum_k k^(s-1) q0^k / (1 - q0^k), certified tail."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    _check_prec(prec)
     q0 = Fraction(q0)
-    if q0 == 0:
-        return mpf(0)
-    q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec)):
+        if q0 == 0:
+            return mpf(0)
+        q0 = _check_q0(q0)
         if tol is None:
             tol = mpf(2) ** (-(prec + 8))
         terms, bound, limit = _zeta_q_series(s, mpf(q0.numerator) / q0.denominator)
@@ -436,11 +428,10 @@ def _kernel_series(A: int, r: int, n: int, qv: Fraction, prec: int, *,
     a rational z > 0, and 1 + sign q^(ak+b) for bracket = (a, b, sign) with
     sign = +-1 (0: no bracket).  The ratio bound is _rho_envelope's times
     |q|^mono, 1/z and, for a > 0, (1 + |q|^(a(k+1)+b))/(1 - |q|^(ak+b))."""
-    _check_prec(prec)
-    if bracket == (0, 0, -1):
-        return mpf(0)  # the bracket 1 - q^0 vanishes identically
-    a, b, sign = bracket
     with mp.workprec(working_prec(prec)):
+        if bracket == (0, 0, -1):
+            return mpf(0)  # the bracket 1 - q^0 vanishes identically
+        a, b, sign = bracket
         tol = mpf(2) ** (-(prec + 8))
         qm = mpf(qv.numerator) / qv.denominator
         aq = abs(qm)
@@ -572,6 +563,7 @@ def identity_residual(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
     """
     A, r, n, eps = params.A, params.r, params.n, params.eps
     q0 = _check_q0(q0)
+    working_prec(prec)  # rejects prec < 1 before the exact coefficients
     p0, ps_items = P_eps_values_hat(A, r, n, eps, q0)
     ps = dict(ps_items)
     scale = max([0, _frac_log2(p0)] + [_frac_log2(v) for v in ps.values()])
@@ -616,8 +608,7 @@ def _clearing_poly(A: int, r: int, n: int, power: int) -> UPoly:
     """(A-1)! q^E d_n(1/q)^power with E = D_exponent; exact UPoly in u."""
     u_exp = 2 * D_exponent(A, r, n)
     assert u_exp.denominator == 1, "denominator monomial must be a u-power"
-    return (UPoly.const(factorial(A - 1)) * UPoly.u_power(int(u_exp))
-            * d_poly(n).subst_inv() ** power)
+    return (factorial(A - 1) * d_poly(n).subst_inv() ** power).shift_u(int(u_exp))
 
 
 def D_n(params: Params) -> UPoly:

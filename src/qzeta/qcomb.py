@@ -163,7 +163,7 @@ def qbinomial(m: int, k: int) -> UPoly:
     if k == 0 or k == m:
         return UPoly.one()
     # Pascal recurrence [m k] = [m-1 k-1] + q^k [m-1 k]
-    val = qbinomial(m - 1, k - 1) + UPoly.q_power(k) * qbinomial(m - 1, k)
+    val = qbinomial(m - 1, k - 1) + qbinomial(m - 1, k).shift_u(2 * k)
     assert val.coefficients_integral(), "Gaussian binomial must have integer coefficients"
     return val
 

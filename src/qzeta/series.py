@@ -18,18 +18,18 @@ for bit.  ppow is not a correctly rounded step in mpmath (its powers above
 The kernel saves the wrapping of every operation in an mpf object and the
 trailing-zero normalization of its mantissa.
 
-The exact half is one T-polynomial layer (tmul, tmul_linear) that is
-deliberately generic, and one exact-ring protocol with two rings:
-UPolyRing (symbolic q) and FractionRing (q specialized to a rational
-q0).  The partial-fraction extractor and its reconstruction check, which
-re-sums the rows pole by pole, are shared by the main linear-form kernel
+The exact half is one T-polynomial product (tmul) that is deliberately
+generic, and one exact-ring protocol with two rings: UPolyRing (symbolic
+q) and FractionRing (q specialized to a rational q0).  The
+partial-fraction extractor and its reconstruction check, which compares
+Taylor coefficients at T = 0, are shared by the main linear-form kernel
 and the weight-3 kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import comb, gcd, inf, lcm, prod
 
 from mpmath import mp, mpf
@@ -63,7 +63,13 @@ class PrecisionError(ExactArithError):
 
 def working_prec(prec: int, scale_log2: float = 0.0) -> int:
     """Working precision in bits: requested precision plus guard bits plus
-    headroom for the magnitude of the largest intermediate quantity."""
+    headroom for the magnitude of the largest intermediate quantity.
+
+    This is where a requested prec becomes bits, so it is where prec < 1
+    is rejected: every public function with a prec parameter calls it
+    with the caller's prec before any work."""
+    if prec < 1:
+        raise ValueError(f"need prec >= 1, got {prec}")
     extra = int(scale_log2) + 1 if scale_log2 > 0 else 0
     return prec + GUARD_BITS + extra
 
@@ -162,28 +168,23 @@ def ppow(x: tuple, k: int, p: int) -> tuple:
     return (-man if sign else man), exp
 
 
-def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
+def sum_with_tail(terms, ratio_bound, tol, *, limit):
     """Sum terms with a certified geometric tail bound.
 
     terms: iterable of kernel pairs (see from_mpf); the sum is taken in
     the kernel at p = mp.prec and returned as an mpf.  ratio_bound: a
-    constant r with |t_{j+1}| <= r |t_j| for all j, or a callable
-    k -> r_k with |t_{j+1}| <= r_k |t_j| for all j >= k.  Summation stops
-    at the first k with 0 <= r_k < 1 and |t_k| * r_k/(1-r_k) < tol, a
-    test made in mpf.
+    callable k -> r_k with |t_{j+1}| <= r_k |t_j| for all j >= k.
+    Summation stops at the first k with 0 <= r_k < 1 and
+    |t_k| * r_k/(1-r_k) < tol, a test made in mpf.
 
-    limit: the k -> oo limit of a callable ratio_bound, which must
-    decrease to it, so limit <= r_k for every k (a constant is its own
-    limit).  While |t_k| >= 2 tol (1-limit)/limit the stop test cannot
+    limit: the k -> oo limit of ratio_bound, which must decrease to it,
+    so limit <= r_k for every k (a constant bound r is lambda k: r with
+    limit r).  While |t_k| >= 2 tol (1-limit)/limit the stop test cannot
     pass, so r_k is not evaluated there; the stop index is the same as
     with r_k evaluated on every term.  limit >= 1 raises DivergenceError
     before any term is taken: the bound can never certify a tail.
     MAX_TERMS terms taken without a stop raise PrecisionError.
     """
-    if limit is None:
-        if callable(ratio_bound):
-            raise ValueError("a callable ratio_bound needs its limit")
-        limit = ratio_bound
     if limit >= 1:
         raise DivergenceError(f"ratio bound limit {float(limit):.6g} >= 1; "
                               "no certified tail")
@@ -197,7 +198,6 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
         gtop = gexp + gbc
     else:  # gate is +inf, zero or negative
         gtop = inf if gate > 0 else -inf
-    bound = ratio_bound if callable(ratio_bound) else (lambda k: ratio_bound)
     p = mp.prec
     last = MAX_TERMS - 1    # the index of the last term the cap lets in
     total = (0, 0)
@@ -207,7 +207,7 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
         top = exp + man.bit_length()
         if (top < gtop) if man and top != gtop else (abs(to_mpf(t)) < gate):
             ta = abs(to_mpf(t))
-            r = bound(k)
+            r = ratio_bound(k)
             if 0 <= r < 1 and ta * r / (1 - r) < tol:
                 return to_mpf(total)
         if k >= last:
@@ -270,11 +270,6 @@ def tmul(a: list, b: list, order: int | None = None) -> list:
     return out
 
 
-def tmul_linear(a: list, c) -> list:
-    """a(T) * (1 - c T)."""
-    return [a[0]] + [a[i] - c * a[i - 1] for i in range(1, len(a))] + [-(c * a[-1])]
-
-
 # ----------------------------------------------------------------------
 # The exact-ring protocol.  pf_extract, the kernel numerators and the
 # coefficient assembly in linform and zeta3 run unchanged over either
@@ -314,9 +309,12 @@ class UPolyRing:
 
     @staticmethod
     def linear_product(exps, scalar=None) -> list:
+        """Times 1 - q^e T, the T^i coefficient loses the T^(i-1) one
+        times q^e, a u-shift."""
+        zero = UPolyRing.zero
         coeffs = [UPolyRing.one]
         for e in exps:
-            coeffs = tmul_linear(coeffs, UPoly.q_power(e))
+            coeffs = [a - b.shift_u(2 * e) for a, b in zip(coeffs + [zero], [zero] + coeffs)]
         return coeffs if scalar is None else [scalar * c for c in coeffs]
 
     @staticmethod
@@ -496,7 +494,7 @@ class _SymbolicPoleSums:
         for j, row in enumerate(self.rows):
             if derivative and not j:
                 continue
-            t = row[s] * UPoly.q_power(-j)
+            t = row[s].shift_u(-2 * j)
             acc = acc + (j * t if derivative else t)
         return acc
 
@@ -510,7 +508,7 @@ class _SymbolicPoleSums:
                     num = num + UPoly.q_power(e * k)
                 w = w + QFrac(num).div_one_minus_qpow(k, p)
                 j = n - k if reverse else k
-                t = self.rows[j][s] * UPoly.q_power(-j) * w
+                t = self.rows[j][s].shift_u(-2 * j) * w
                 acc = acc + t if sign > 0 else acc - t
         return acc
 
@@ -651,50 +649,43 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
 def pf_reconstruct(numer, rows, pole_count: int, order: int) -> bool:
     """Exact identity: partial fractions re-sum to their kernel,
 
-        numer(T) / prod_{j<pole_count} (1 - q^j T)^order
-            = sum_j sum_{s=1..order} rows[j][s] / (1 - q^j T)^s,
+        numer(T) / G(T) = sum_j sum_{s=1..order} rows[j][s] / (1 - q^j T)^s,
+        G(T) = prod_{j<pole_count} (1 - q^j T)^order,
 
-    with numer dense UPoly T-coefficients and rows[j][s] QFrac.  With L
-    the lcm of the row denominators and g_i = (1 - q^i T)^order it is a
-    Laurent-polynomial identity:
+    with numer dense UPoly T-coefficients and rows[j][s] QFrac.  Times G
+    both sides are polynomials of degree below size = pole_count * order
+    when numer's degree is (a numerator of higher degree has a polynomial
+    part, which no sum of principal parts gives), so the identity holds
+    iff their first size Taylor coefficients at T = 0 agree.  Both sides
+    are scaled by L, the lcm of the row denominators, and n_{s,j} is the
+    row numerator rescaled to L, num * expand(L / den):
 
-        L * numer(T) = sum_j srow_j * prod_{i != j} g_i,
-        srow_j = sum_s n_{s,j} (1 - q^j T)^(order-s),
+        left:  L numer(T) divided by each 1 - q^i T in turn, the running
+               sum c_m <- c_m + q^i c_(m-1);
+        right: coefficient m gains C(m+s-1, s-1) q^(jm) n_{s,j}.
 
-    where n_{s,j} is the row numerator rescaled to L, num * expand(L / den).
-    The right side is re-summed pole by pole,
-
-        acc <- acc * g_j + srow_j * P,    P <- P * g_j,
-
-    and the T^k coefficient of g_j is the monomial C(order,k) (-1)^k q^(jk),
-    so only srow_j * P multiplies UPoly by UPoly.
+    A power of q is a u-shift, so only L * numer and the n_{s,j} multiply
+    UPoly by UPoly.
     """
+    size = pole_count * order
+    if any(numer[size:]):
+        return False
     lden = PhiProduct()
     for row in rows:
         for v in row.values():
             lden = lden.lcm(v.den)
     lpoly = lden.expand()
-
-    def times_g(a: list, j: int) -> list:
-        out = [UPoly.zero()] * (len(a) + order)
-        for k in range(order + 1):
-            ck = comb(order, k) * (-1) ** k
-            for i, x in enumerate(a):
-                if x:
-                    out[i + k] = out[i + k] + x.shift_u(2 * j * k) * ck
-        return out
-
-    acc, big = [UPoly.zero()], [UPoly.one()]
+    zero = UPoly.zero()
+    lhs = [c * lpoly for c in numer[:size]] + [zero] * (size - len(numer))
+    for i in range(pole_count):
+        for _ in range(order):
+            for m in range(1, size):
+                lhs[m] = lhs[m] + lhs[m - 1].shift_u(2 * i)
+    rhs = [zero] * size
     for j in range(pole_count):
-        # srow_j by Horner in (1 - q^j T)
-        nums = [rows[j][s].num * lden.cofactor(rows[j][s].den).expand()
+        nums = [(s, rows[j][s].num * lden.cofactor(rows[j][s].den).expand())
                 for s in range(1, order + 1)]
-        srow = nums[:1]
-        for n_s in nums[1:]:
-            srow = tmul_linear(srow, UPoly.q_power(j))
-            srow[0] = srow[0] + n_s
-        acc = [a + t for a, t in zip_longest(times_g(acc, j), tmul(srow, big),
-                                             fillvalue=UPoly.zero())]
-        big = times_g(big, j)
-    lhs = [c * lpoly for c in numer]
-    return not any(a - b for a, b in zip_longest(lhs, acc, fillvalue=UPoly.zero()))
+        for m in range(size):
+            t = sum((comb(m + s - 1, s - 1) * x for s, x in nums), zero)
+            rhs[m] = rhs[m] + t.shift_u(2 * j * m)
+    return lhs == rhs

@@ -269,10 +269,6 @@ class UPoly:
         """The monomial q^e as a UPoly (u-exponent 2e)."""
         return _norm(2 * e, 2, [1])
 
-    @classmethod
-    def u_power(cls, e: int) -> "UPoly":
-        return _norm(e, 2, [1])
-
     # --- predicates and shape ------------------------------------------
 
     def is_zero(self) -> bool:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .asymptotics import SlopeEstimate, _make_estimate, _slope_ns, log_abs_fraction
-from .linform import Params, S_eps_hat_numeric, _check_prec, _check_q0, _cleared, zeta_q
+from .linform import Params, S_eps_hat_numeric, _check_q0, _cleared, zeta_q
 from .qcomb import QFrac, cyclotomic, d_poly
 from .series import (
     DEFAULT_PREC,
@@ -154,7 +154,6 @@ def _check_n(n: int) -> None:
 def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """The ball-type series; terms for k <= n vanish identically."""
     _check_n(n)
-    _check_prec(prec)
     q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec, 4 * n)):
         p = mp.prec
@@ -235,8 +234,15 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
         q^(n(n+1)) sum_{k>n} q^k W_n(q^k) [1 + q^k (W'/W)(q^k)].
     """
     _check_n(n)
-    _check_prec(prec)
     q0 = _check_q0(q0)
+    with mp.workprec(working_prec(prec, 4 * n)):
+        q = mpf(q0.numerator) / q0.denominator
+        return q ** (n * (n + 1)) * _bgn_sum(n, q0, prec)
+
+
+def _bgn_sum(n: int, q0: Fraction, prec: int) -> mpf:
+    """The k-sum of qbgn_numeric without its q^(n(n+1)) monomial, its tail
+    certified to 2^(-prec-1), at working_prec(prec, 4n)."""
     with mp.workprec(working_prec(prec, 4 * n)):
         p = mp.prec
         q = mpf(q0.numerator) / q0.denominator
@@ -268,8 +274,7 @@ def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
                  * (1 + g1) / (1 - g0))
             return math.nextafter(float(r), math.inf)
 
-        total = sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1), limit=aq)
-        return q ** (n * (n + 1)) * total
+        return sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1), limit=aq)
 
 
 def ball_matches_symmetrized(n: int, q0, prec: int = DEFAULT_PREC) -> dict:
@@ -306,12 +311,12 @@ def zeta3_identity_residual(n: int, q0, prec: int = DEFAULT_PREC) -> dict:
     """
     _check_n(n)
     q0 = _check_q0(q0)
+    working_prec(prec)  # rejects prec < 1 before the exact coefficients
     a_val, b_val = zeta3_form_values(n, q0)
     scale = max(_frac_bits(a_val), _frac_bits(b_val))
     prec_eff = prec + 24 + max(0, scale)
     with mp.workprec(working_prec(prec_eff, 4 * n)):
-        qv = mpf(q0.numerator) / q0.denominator
-        lhs = qbgn_numeric(n, q0, prec_eff) / qv ** (n * (n + 1))
+        lhs = _bgn_sum(n, q0, prec_eff)
         z3 = zeta_q(3, q0, prec_eff)
         rhs = (mpf(a_val.numerator) / a_val.denominator * z3
                - mpf(b_val.numerator) / b_val.denominator)
@@ -431,6 +436,7 @@ def classical_ball(n: int, prec: int = 64) -> mpf:
     term.  Reaching the cap otherwise raises it too.
     """
     _check_n(n)
+    wp = working_prec(prec)
 
     def cannot_stop(k):     # B(k) >= 2^-prec, in integers
         return (4 * k * k * (k - n) ** n << prec) >= (2 * n + 2) * (k + n) ** (3 * n + 4)
@@ -439,7 +445,7 @@ def classical_ball(n: int, prec: int = 64) -> mpf:
     if cannot_stop(n + 1) and cannot_stop(last):
         raise PrecisionError(f"classical_ball({n}, {prec}) needs more than "
                              f"{MAX_TERMS} terms")
-    with mp.workprec(working_prec(prec)):
+    with mp.workprec(wp):
         tol = mpf(2) ** (-prec)
         total = mpf(0)
         k = n + 1

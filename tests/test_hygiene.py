@@ -12,7 +12,9 @@ reads it (as a name or an attribute) and no module lists it in __all__.
 A method other than a dunder is dead when no module of the package, no
 script under scripts/ and no module of perfbench/ reads its name.  No
 module passes map(from_mpf, ...) to sum_with_tail: a certified sum builds
-its terms as kernel pairs.
+its terms as kernel pairs.  No module multiplies by a UPoly.q_power(...)
+or UPoly.u_power(...) built in place: a product by a monomial is a
+shift_u.
 """
 
 import ast
@@ -168,6 +170,27 @@ def converted_sums(tree) -> list:
                     for arg in call.args + [kw.value for kw in call.keywords])]
 
 
+def _is_monomial(node) -> bool:
+    """Whether node builds UPoly.q_power(...) or UPoly.u_power(...)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("q_power", "u_power")
+            and _name(node.func.value) == "UPoly")
+
+
+def monomial_products(tree) -> list:
+    """The line of each monomial built in place as an operand of *."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = (node.value,)
+        else:
+            continue
+        found += [op.lineno for op in operands if _is_monomial(op)]
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_locals_or_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -181,6 +204,8 @@ def test_no_unused_locals_or_imports(path):
                  for name in stale_exports(tree)]
     problems += [f"line {line}: sum_with_tail is given mpf terms through map(from_mpf, ...)"
                  for line in converted_sums(tree)]
+    problems += [f"line {line}: a product by a monomial should be shift_u"
+                 for line in monomial_products(tree)]
     assert not problems, problems
 
 
@@ -235,6 +260,20 @@ def test_checker_flags_converted_sums():
         "    d = sum_with_tail(map(to_mpf, pairs), 0.5, tol)\n"
         "    return sum_with_tail(terms=map(from_mpf, terms), ratio_bound=0.5, tol=tol)\n")
     assert converted_sums(tree) == [2, 4, 6]
+
+
+def test_checker_flags_monomial_products():
+    tree = ast.parse(
+        "def f(x, row, j):\n"
+        "    a = row * UPoly.q_power(-j)\n"
+        "    b = (x ** 2\n"
+        "         * UPoly.u_power(j))\n"
+        "    c = row.shift_u(-2 * j)\n"
+        "    d = UPoly.q_power(j) + x\n"
+        "    x *= upoly.UPoly.q_power(j)\n"
+        "    e = x * q_power(j) * Other.u_power(j)\n"
+        "    return UPoly.q_power(j) * row * 2\n")
+    assert monomial_products(tree) == [2, 4, 7, 9]
 
 
 def test_no_dead_definitions():

@@ -447,10 +447,10 @@ def test_denominator_check_small(A, r, n):
 
 def test_clearing_check_failure_reasons():
     # with clearer 1 each form is its own witness; u^1 has two faults
-    forms = {1: QFrac(UPoly.u_power(-1)),
+    forms = {1: QFrac(UPoly({-1: 1})),
              2: QFrac(UPoly.const(Fraction(1, 2))),
              3: QFrac(UPoly.q_power(2)),
-             4: QFrac(UPoly.u_power(1))}
+             4: QFrac(UPoly({1: 1}))}
     got = linform._clearing_check(UPoly.one(), forms)
     assert {s: v["reason"] for s, v in got.items()} == {
         1: "odd u-powers",

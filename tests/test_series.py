@@ -5,12 +5,15 @@ independent Taylor-shift oracle."""
 from fractions import Fraction
 from functools import lru_cache, partial
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+import qzeta
 from qzeta import linform, series
-from qzeta.linform import _hat_numerator, _zeta_q_series, zeta_q
+from qzeta.linform import Params, _hat_numerator, _zeta_q_series, zeta_q
 from qzeta.qcomb import QFrac
 from qzeta.series import (
     DivergenceError,
@@ -28,7 +31,6 @@ from qzeta.series import (
     psub,
     sum_with_tail,
     tmul,
-    tmul_linear,
     to_mpf,
     working_prec,
 )
@@ -44,7 +46,7 @@ def test_geometric_sum_certified():
     with mp.workprec(working_prec(128)):
         q = mpf(1) / 3
         val = sum_with_tail((from_mpf(q ** k) for k in range(1, 10 ** 6)),
-                            float(q), mpf(2) ** -120)
+                            lambda k: float(q), mpf(2) ** -120, limit=float(q))
         assert abs(val - q / (1 - q)) < mpf(2) ** -118
 
 
@@ -52,7 +54,7 @@ def test_erdos_borwein_constant():
     # sum_{k>=1} 1/(2^k - 1); term ratio < (2^k - 1)/(2^(k+1) - 1) < 1/2 + eps
     with mp.workprec(working_prec(200)):
         val = sum_with_tail((from_mpf(1 / (mpf(2) ** k - 1)) for k in range(1, 10 ** 6)),
-                            0.51, mpf(2) ** -196)
+                            lambda k: 0.51, mpf(2) ** -196, limit=0.51)
         assert abs(val - mpf(ERDOS_BORWEIN)) < mpf(10) ** -55
 
 
@@ -75,7 +77,7 @@ def test_divergence_detected():
 
     with mp.workprec(working_prec(64)):
         with pytest.raises(DivergenceError):
-            sum_with_tail(ones(), 1, mpf(2) ** -50)
+            sum_with_tail(ones(), lambda k: 1, mpf(2) ** -50, limit=1)
         with pytest.raises(DivergenceError):
             sum_with_tail(ones(), lambda k: 1 + mpf(1) / (k + 1), mpf(2) ** -50,
                           limit=1)
@@ -83,7 +85,7 @@ def test_divergence_detected():
 
 
 def test_callable_ratio_bound_needs_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="limit"):
         sum_with_tail(iter([(1, 0)]), lambda k: 0.5, mpf(2) ** -50)
 
 
@@ -94,7 +96,8 @@ def test_max_terms_exhaustion(monkeypatch):
         # tail to 2^-50 takes about 5 * 10^7 terms
         r = 1 - mpf(2) ** -20
         with pytest.raises(PrecisionError, match="after 500 terms"):
-            sum_with_tail((from_mpf(r ** k) for k in range(10 ** 6)), r, mpf(2) ** -50)
+            sum_with_tail((from_mpf(r ** k) for k in range(10 ** 6)), lambda k: r,
+                          mpf(2) ** -50, limit=r)
 
 
 def test_max_terms_caps_the_terms_taken(monkeypatch):
@@ -109,7 +112,7 @@ def test_max_terms_caps_the_terms_taken(monkeypatch):
 
     with mp.workprec(working_prec(64)):
         with pytest.raises(PrecisionError, match="after 5 terms"):
-            sum_with_tail(endless(), 0.5, mpf(2) ** -50)
+            sum_with_tail(endless(), lambda k: 0.5, mpf(2) ** -50, limit=0.5)
     assert taken == 5
 
 
@@ -298,6 +301,52 @@ def test_working_prec_adds_guard_and_scale():
     assert working_prec(128, 100) >= working_prec(128) + 100
 
 
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+# valid arguments other than prec for every public function taking prec
+_PREC_CALLS = {
+    "working_prec": {},
+    "zeta_q": {"s": 3, "q0": _HALF},
+    "S_eps_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
+    "S_eps_hat_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
+    "S_tilde_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
+    "S_z_numeric": {"params": Params(4, 1, 1), "qv": _HALF, "zv": Fraction(1)},
+    "transform_check": {"params": Params(4, 1, 1), "q0": _THIRD},
+    "identity_residual": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
+    "linear_form_report": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
+    "delta": {"A": 4, "r": 1},
+    "delta_best_r": {"A": 4},
+    "delta_asymptotic_constant": {},
+    "delta_constant_grid_max": {},
+    "slope_S": {"A": 4, "r": 1, "eps": 0, "q0": _HALF, "n_range": range(1, 4)},
+    "slope_P": {"A": 4, "r": 1, "eps": 0, "q0": _HALF, "n_range": range(1, 4)},
+    "slope_D": {"A": 4, "r": 1, "q0": _HALF, "n_range": range(1, 4)},
+    "qball_numeric": {"n": 1, "q0": _HALF},
+    "qbgn_numeric": {"n": 1, "q0": _HALF},
+    "ball_matches_symmetrized": {"n": 1, "q0": _HALF},
+    "zeta3_identity_residual": {"n": 2, "q0": _THIRD},
+    "zeta3_report": {"n": 1, "q0": _THIRD},
+    "bgn_slope": {"n_range": range(1, 4)},
+    "classical_ball": {"n": 1},
+    "eisenstein_value": {"s": 2, "q0": _HALF},
+    "zetaq_even_consistency": {},
+    "classical_limit_check": {},
+}
+
+
+def test_every_prec_parameter_rejects_prec_below_one():
+    """Each public function with a prec parameter names the caller's own
+    prec when it is below 1; a new one missing from _PREC_CALLS fails."""
+    public = {name: getattr(qzeta, name) for name in qzeta.__all__}
+    takes_prec = {name for name, obj in public.items()
+                  if callable(obj) and not inspect.isclass(obj)
+                  and "prec" in inspect.signature(obj).parameters}
+    assert takes_prec == set(_PREC_CALLS)
+    for name, kwargs in sorted(_PREC_CALLS.items()):
+        for prec in (0, -5, -400):
+            with pytest.raises(ValueError, match=f"^need prec >= 1, got {prec}$"):
+                getattr(qzeta, name)(**kwargs, prec=prec)
+
+
 def test_tmul_truncates():
     a = [1, 2, 3]
     b = [4, 5]
@@ -306,19 +355,15 @@ def test_tmul_truncates():
     assert tmul(a, b) == [4, 13, 22, 15]
     # truncation past the full degree pads with zeros
     assert tmul(a, b, 6) == [4, 13, 22, 15, 0, 0]
-
-
-def test_tmul_linear_and_exact_division_roundtrip():
+    # exact division by 1 - cT: times 1/(1 - cT) = sum_k c^k T^k, truncated
     c = Fraction(2, 3)
     a = [Fraction(1), Fraction(-5), Fraction(0), Fraction(7, 2)]
-    prod = tmul_linear(a, c)
-    assert prod == tmul(a, [Fraction(1), -c])
-    # exact division by 1 - cT: times 1/(1 - cT) = sum_k c^k T^k, truncated
+    prod = tmul(a, [Fraction(1), -c])
     assert tmul(prod, [c ** k for k in range(len(a))], len(a)) == a
     # symbolic coefficients: (1 - qT)(1 + uT) / (1 - qT)
     q = UPoly.q_power(1)
-    sym = [UPoly.one(), UPoly.u_power(1)]
-    assert tmul(tmul_linear(sym, q), [UPoly.one(), q], 2) == sym
+    sym = [UPoly.one(), UPoly({1: 1})]
+    assert tmul(tmul(sym, [UPoly.one(), -q]), [UPoly.one(), q], 2) == sym
 
 
 def _w1_rows_and_numer():
@@ -367,6 +412,50 @@ def test_pf_reconstruct_rejects_polynomial_part(kernel):
         assert not pf_reconstruct(grown, rows, pole_count, order), top
         grown_rows = pf_extract(grown, pole_count, order, UPolyRing)
         assert not pf_reconstruct(grown, grown_rows, pole_count, order), top
+
+
+@st.composite
+def _small_kernels(draw):
+    """(numer, pole_count, order): numer = c prod_e (1 - q^e T) with a
+    rational c != 0 and exponents e off the poles 0..pole_count-1, of
+    degree below pole_count * order."""
+    pole_count = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.integers(-3, 7).filter(lambda e: not 0 <= e < pole_count),
+                         max_size=pole_count * order - 1))
+    scalar = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7)
+                  .filter(bool))
+    return UPolyRing.linear_product(exps, scalar), pole_count, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_kernels(), st.data())
+def test_pf_reconstruct_on_random_kernels(kernel, data):
+    """The extracted rows pass, also with zero coefficients padded past
+    pole_count * order; one corrupted row entry, one corrupted numerator
+    coefficient below that degree and a numerator of that degree or more
+    each fail."""
+    numer, pole_count, order = kernel
+    size = pole_count * order
+    rows = pf_extract(numer, pole_count, order, UPolyRing)
+    assert pf_reconstruct(numer, rows, pole_count, order)
+    padded = numer + [UPoly.zero()] * (size + 2 - len(numer))
+    assert pf_reconstruct(padded, rows, pole_count, order)
+
+    j = data.draw(st.integers(0, pole_count - 1))
+    s = data.draw(st.integers(1, order))
+    bad = [dict(row) for row in rows]
+    bad[j][s] = bad[j][s] + QFrac(UPoly.q_power(data.draw(st.integers(-3, 3))))
+    assert not pf_reconstruct(numer, bad, pole_count, order)
+
+    i = data.draw(st.integers(0, size - 1))
+    changed = list(padded[:size])
+    changed[i] = changed[i] + UPoly.q_power(data.draw(st.integers(-3, 3)))
+    assert not pf_reconstruct(changed, rows, pole_count, order)
+
+    top = data.draw(st.integers(size, size + 2))
+    grown = padded[:top] + [UPoly.zero()] * (top - len(padded)) + [UPoly.one()]
+    assert not pf_reconstruct(grown, rows, pole_count, order)
 
 
 def _pf_fraction_oracle(numer, pole_count, order, q0):
