@@ -355,10 +355,16 @@ def test_tmul_truncates():
     assert tmul(a, b) == [4, 13, 22, 15]
     # truncation past the full degree pads with zeros
     assert tmul(a, b, 6) == [4, 13, 22, 15, 0, 0]
-    # exact division by 1 - cT: times 1/(1 - cT) = sum_k c^k T^k, truncated
+
+
+def test_tmul_linear_and_exact_division_roundtrip():
     c = Fraction(2, 3)
     a = [Fraction(1), Fraction(-5), Fraction(0), Fraction(7, 2)]
+    # times the linear factor 1 - cT
     prod = tmul(a, [Fraction(1), -c])
+    assert prod == [Fraction(1), Fraction(-17, 3), Fraction(10, 3),
+                    Fraction(7, 2), Fraction(-7, 3)]
+    # exact division by 1 - cT: times 1/(1 - cT) = sum_k c^k T^k, truncated
     assert tmul(prod, [c ** k for k in range(len(a))], len(a)) == a
     # symbolic coefficients: (1 - qT)(1 + uT) / (1 - qT)
     q = UPoly.q_power(1)
