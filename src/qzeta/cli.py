@@ -361,6 +361,10 @@ def main(argv=None) -> int:
             args.prec = _env_prec()
         if getattr(args, "tol", 1) < 1:
             raise ValueError(f"--tol must be >= 1, got {args.tol}")
+        for opt in ("max_gap", "margin"):
+            limit = getattr(args, opt, None)
+            if limit is not None and not limit >= 0:  # NaN compares false
+                raise ValueError(f"--{opt.replace('_', '-')} must be >= 0, got {limit}")
         code, report, csv_rows = args.func(args)
         _emit(report, args.format, args.out, csv_rows)
     except (ValueError, ZeroDivisionError) as exc:

@@ -178,7 +178,9 @@ class PhiProduct:
 
     def __init__(self, exps=None):
         self.e = {int(l): int(m) for l, m in (exps or {}).items() if m}
-        assert all(m > 0 for m in self.e.values())
+        for l, m in self.e.items():
+            if m < 0:
+                raise ValueError(f"Phi_{l} has exponent {m}; PhiProduct needs positive ones")
 
     @classmethod
     def one(cls) -> "PhiProduct":
@@ -309,21 +311,15 @@ class QFrac:
         return QFrac(self.num.shift_u(k), self.den)
 
     def div_one_minus_qpow(self, m: int, power: int = 1) -> "QFrac":
-        """Divide by (1 - q^m)^power, m != 0, using the cyclotomic
-        factorization: 1 - q^m = -(q^m - 1) for m > 0 and q^m (q^|m| - 1)
-        for m < 0, with q^|m| - 1 = prod_{d | |m|} Phi_d."""
-        if m == 0:
-            raise ValueError("1 - q^0 is zero")
-        phis = PhiProduct({d: 1 for d in _divisors(abs(m))})
-        num = self.num
-        if m < 0:
-            num = num.shift_u(-2 * m * power)
-        elif power % 2 == 1:
-            num = -num
+        """Divide by (1 - q^m)^power, m >= 1, using the cyclotomic
+        factorization 1 - q^m = -(q^m - 1) = -prod_{d | m} Phi_d."""
+        if m < 1:
+            raise ValueError(f"div_one_minus_qpow needs m >= 1, got {m}")
+        phis = PhiProduct({d: 1 for d in _divisors(m)})
         den = self.den
         for _ in range(power):
             den = den.mul(phis)
-        return QFrac(num, den)
+        return QFrac(-self.num if power % 2 else self.num, den)
 
     def reduced(self) -> "QFrac":
         if self.num.is_zero():
@@ -372,6 +368,8 @@ class QFrac:
             other = QFrac.from_fraction(other)
         if not isinstance(other, QFrac):
             return NotImplemented
+        if self.num and other.num and (self.num.min_exp() - other.num.min_exp()) % 2:
+            return False  # u^odd Q(q) meets Q(q) only in 0
         diff = self - other
         return diff.num.is_zero()
 

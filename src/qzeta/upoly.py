@@ -4,25 +4,25 @@ Everything downstream works over the field Q(q^(1/2)).  We represent it
 concretely as Laurent polynomials in a variable u with u^2 = q, so a
 monomial q^(e/2) is stored as the u-exponent e.
 
-A UPoly is a dense integer polynomial over one denominator, held in four
-fields:
+Every value the pipeline builds is one power of u times a q-polynomial:
+its u-exponents all have one parity.  A UPoly holds such a value as a
+dense integer polynomial over one denominator, in three fields:
 
 - ``lo``, the lowest u-exponent;
-- ``st``, the stride: the gap between consecutive stored exponents;
-- ``v``, the list of int coefficients of u^lo, u^(lo+st), u^(lo+2*st), ...;
+- ``v``, the list of int coefficients of u^lo, u^(lo+2), u^(lo+4), ...;
 - ``den``, the common denominator, a positive int.
 
-The value is sum_i v[i] * u^(lo + st*i) / den.  The form is canonical, so
-equal values have equal fields: both ends of ``v`` are nonzero, ``den`` is
-coprime to the content of ``v``, and the stride is 2 when every term has
-the parity of ``lo``, otherwise 1.  Every q-polynomial has stride 2, and
-so does any q-polynomial times u^k; stride 1 appears only when both
-parities of u-exponent occur.  Zero is ``v == []`` with lo = 0, st = 2,
-den = 1.
+The value is sum_i v[i] * u^(lo + 2i) / den.  The form is canonical, so
+equal values have equal fields: both ends of ``v`` are nonzero and ``den``
+is coprime to the content of ``v``.  Zero is ``v == []`` with lo = 0,
+den = 1.  Building a UPoly with u-exponents of both parities, or adding
+two of opposite parity, raises ValueError.
 
 Every product is one integer convolution: a row update for small
 operands, Kronecker substitution (one big-int multiply, with linear-time
-packing) above a fixed size.  Exact division is ascending synthetic
+packing) above a fixed size.  Exact division takes only a divisor with
+integer coefficients whose lowest one is +-1, as every cyclotomic
+polynomial and every product of 1 - q^m is; it is ascending synthetic
 division on the integer lists, done as running sums when the divisor is
 a binomial with unit coefficients.
 
@@ -132,42 +132,26 @@ def _conv(a: list, b: list) -> list:
     return out
 
 
-def _spread(v: list, st: int) -> list:
-    """The coefficient list v of stride st at stride 1 (v itself if st is 1)."""
-    if st == 1:
-        return v
-    out = [0] * (2 * len(v) - 1)
-    out[::2] = v
-    return out
-
-
-def _divide(num: list, d: list) -> tuple:
-    """Exact quotient of the int list num by the int list d, as an int
-    list and a denominator.
+def _divide(num: list, d: list) -> list:
+    """Exact quotient of the int list num by the int list d, d[0] = +-1.
 
     Ascending synthetic division, each quotient coefficient from a dot
-    product with the ones before it: in ints when d[0] is +-1, otherwise
-    in Fractions.  Raises ExactDivisionError on a nonzero remainder.
+    product with the ones before it.  Raises ExactDivisionError on a
+    nonzero remainder.
     """
     lead, tail = d[0], d[1:]
     lt = len(tail)
     qlen = len(num) - lt
-    unit = lead in (1, -1)
-    if unit and lt and tail[-1] in (1, -1) and not any(tail[:-1]):
-        return _divide_binomial(num, lead, tail[-1], lt), 1
+    if lt and tail[-1] in (1, -1) and not any(tail[:-1]):
+        return _divide_binomial(num, lead, tail[-1], lt)
     rt = tail[::-1]
     # quot[lt + i] is the quotient's coefficient i; lt zeros pad each end
     quot = [0] * (len(num) + lt)
     for i in range(qlen):
-        c = num[i] - sum(map(mul, rt, quot[i:i + lt]))
-        quot[i + lt] = c * lead if unit else Fraction(c, lead)
+        quot[i + lt] = (num[i] - sum(map(mul, rt, quot[i:i + lt]))) * lead
     if any(num[i] - sum(map(mul, rt, quot[i:i + lt])) for i in range(qlen, len(num))):
         raise ExactDivisionError("nonzero remainder")
-    quot = quot[lt:lt + qlen]
-    if unit:
-        return quot, 1
-    qden = lcm(*(f.denominator for f in quot))
-    return [f.numerator * (qden // f.denominator) for f in quot], qden
+    return quot[lt:lt + qlen]
 
 
 def _divide_binomial(num: list, a: int, b: int, g: int) -> list:
@@ -198,13 +182,13 @@ def _divide_binomial(num: list, a: int, b: int, g: int) -> list:
 
 # ----------------------------------------------------------------------
 
-def _canon(p: "UPoly", lo: int, st: int, v: list, den: int) -> "UPoly":
-    """Fill p with the canonical form of sum_i v[i] u^(lo+st*i) / den.
+def _canon(p: "UPoly", lo: int, v: list, den: int) -> "UPoly":
+    """Fill p with the canonical form of sum_i v[i] u^(lo+2i) / den.
 
     v is an int list the caller hands over; den > 0.
     """
     if not any(v):
-        lo, st, v, den = 0, 2, [], 1
+        lo, v, den = 0, [], 1
     else:
         i, j = 0, len(v)
         while not v[i]:
@@ -213,61 +197,62 @@ def _canon(p: "UPoly", lo: int, st: int, v: list, den: int) -> "UPoly":
             j -= 1
         if i or j < len(v):
             v = v[i:j]
-            lo += st * i
-        if st == 1 and not any(v[1::2]):
-            v = v[::2]
-            st = 2
+            lo += 2 * i
         if den != 1:
             g = gcd(den, *v)
             if g != 1:
                 v = [x // g for x in v]
                 den //= g
-    p.lo, p.st, p.v, p.den = lo, st, v, den
+    p.lo, p.v, p.den = lo, v, den
     return p
 
 
-def _norm(lo: int, st: int, v: list, den: int = 1) -> "UPoly":
-    return _canon(UPoly.__new__(UPoly), lo, st, v, den)
+def _norm(lo: int, v: list, den: int = 1) -> "UPoly":
+    return _canon(UPoly.__new__(UPoly), lo, v, den)
 
 
 class UPoly:
-    """Laurent polynomial in u (u^2 = q) with exact rational coefficients."""
+    """Laurent polynomial in u (u^2 = q) with exact rational coefficients,
+    its u-exponents all of one parity."""
 
-    __slots__ = ("lo", "st", "v", "den")
+    __slots__ = ("lo", "v", "den")
 
     def __init__(self, coeffs=None):
         """Build from a dict {u_exp: coefficient}; coefficients are anything
-        Fraction() accepts exactly."""
+        Fraction() accepts exactly.  Exponents of both parities raise
+        ValueError."""
         terms = {int(e): Fraction(c) for e, c in (coeffs or {}).items() if c}
         if not terms:
-            _canon(self, 0, 2, [], 1)
+            _canon(self, 0, [], 1)
             return
         lo = min(terms)
+        if any((e - lo) % 2 for e in terms):
+            raise ValueError(f"u-exponents of both parities: {sorted(terms)}")
         den = lcm(*(c.denominator for c in terms.values()))
-        v = [0] * (max(terms) - lo + 1)
+        v = [0] * ((max(terms) - lo) // 2 + 1)
         for e, c in terms.items():
-            v[e - lo] = c.numerator * (den // c.denominator)
-        _canon(self, lo, 1, v, den)
+            v[(e - lo) // 2] = c.numerator * (den // c.denominator)
+        _canon(self, lo, v, den)
 
     # --- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "UPoly":
-        return _norm(0, 2, [])
+        return _norm(0, [])
 
     @classmethod
     def one(cls) -> "UPoly":
-        return _norm(0, 2, [1])
+        return _norm(0, [1])
 
     @classmethod
     def const(cls, v) -> "UPoly":
         v = Fraction(v)
-        return _norm(0, 2, [v.numerator], v.denominator)
+        return _norm(0, [v.numerator], v.denominator)
 
     @classmethod
     def q_power(cls, e: int) -> "UPoly":
         """The monomial q^e as a UPoly (u-exponent 2e)."""
-        return _norm(2 * e, 2, [1])
+        return _norm(2 * e, [1])
 
     # --- predicates and shape ------------------------------------------
 
@@ -285,29 +270,31 @@ class UPoly:
     def max_exp(self) -> int:
         if not self.v:
             raise ValueError("zero polynomial has no exponents")
-        return self.lo + self.st * (len(self.v) - 1)
+        return self.lo + 2 * (len(self.v) - 1)
 
     def only_even_exponents(self) -> bool:
-        return not self.v or (self.st == 2 and self.lo % 2 == 0)
+        return not self.v or self.lo % 2 == 0
 
     def coefficients_integral(self) -> bool:
         return self.den == 1
 
     def coeff(self, e: int) -> Fraction:
-        k, r = divmod(e - self.lo, self.st)
+        k, r = divmod(e - self.lo, 2)
         if r or not 0 <= k < len(self.v):
             return Fraction(0)
         return Fraction(self.v[k], self.den)
 
     def terms(self) -> list:
         """The nonzero terms as (u_exp, Fraction) pairs, ascending in u_exp."""
-        lo, st, den = self.lo, self.st, self.den
-        return [(lo + st * i, Fraction(x, den)) for i, x in enumerate(self.v) if x]
+        lo, den = self.lo, self.den
+        return [(lo + 2 * i, Fraction(x, den)) for i, x in enumerate(self.v) if x]
 
     # --- ring operations ------------------------------------------------
 
     def _combine(self, other: "UPoly", op) -> "UPoly":
-        """self op other for op in (add, sub)."""
+        """self op other for op in (add, sub), both nonzero."""
+        if (self.lo - other.lo) % 2:
+            raise ValueError("cannot add u-exponents of opposite parity")
         va, vb = self.v, other.v
         den = self.den
         if den != other.den:
@@ -315,16 +302,12 @@ class UPoly:
             va = list(map((other.den // g).__mul__, va))
             vb = list(map((den // g).__mul__, vb))
             den = den // g * other.den
-        if self.st == 2 and other.st == 2 and (self.lo - other.lo) % 2 == 0:
-            st = 2
-        else:
-            st, va, vb = 1, _spread(va, self.st), _spread(vb, other.st)
         lo = min(self.lo, other.lo)
-        ia, ib = (self.lo - lo) // st, (other.lo - lo) // st
+        ia, ib = (self.lo - lo) // 2, (other.lo - lo) // 2
         out = [0] * max(ia + len(va), ib + len(vb))
         out[ia:ia + len(va)] = va
         out[ib:ib + len(vb)] = map(op, out[ib:ib + len(vb)], vb)
-        return _norm(lo, st, out, den)
+        return _norm(lo, out, den)
 
     def __add__(self, other):
         if type(other) is not UPoly:
@@ -340,7 +323,7 @@ class UPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _norm(self.lo, self.st, [-x for x in self.v], self.den)
+        return _norm(self.lo, [-x for x in self.v], self.den)
 
     def __sub__(self, other):
         if type(other) is not UPoly:
@@ -360,15 +343,11 @@ class UPoly:
         if type(other) is not UPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return _norm(self.lo, self.st, list(map(other.numerator.__mul__, self.v)),
+            return _norm(self.lo, list(map(other.numerator.__mul__, self.v)),
                          self.den * other.denominator)
         if not self.v or not other.v:
             return UPoly.zero()
-        if self.st == 2 and other.st == 2:
-            st, va, vb = 2, self.v, other.v
-        else:
-            st, va, vb = 1, _spread(self.v, self.st), _spread(other.v, other.st)
-        return _norm(self.lo + other.lo, st, _conv(va, vb), self.den * other.den)
+        return _norm(self.lo + other.lo, _conv(self.v, other.v), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -390,14 +369,13 @@ class UPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = UPoly.const(other)
-        return (self.lo == other.lo and self.st == other.st
-                and self.den == other.den and self.v == other.v)
+        return self.lo == other.lo and self.den == other.den and self.v == other.v
 
     def __hash__(self):
         # a constant hashes as its value, since it compares equal to it
         if self.lo == 0 and len(self.v) <= 1:
             return hash(Fraction(self.v[0], self.den) if self.v else 0)
-        return hash((self.lo, self.st, self.den, tuple(self.v)))
+        return hash((self.lo, self.den, tuple(self.v)))
 
     # --- substitutions and evaluation ------------------------------------
 
@@ -405,13 +383,13 @@ class UPoly:
         """Multiply by u^k."""
         if not self.v:
             return self
-        return _norm(self.lo + k, self.st, self.v, self.den)
+        return _norm(self.lo + k, self.v, self.den)
 
     def subst_inv(self) -> "UPoly":
         """Substitute u -> 1/u (hence q -> 1/q)."""
         if not self.v:
             return self
-        return _norm(-self.max_exp(), self.st, self.v[::-1], self.den)
+        return _norm(-self.max_exp(), self.v[::-1], self.den)
 
     def eval_fraction(self, q0: Fraction) -> Fraction:
         """Exact evaluation at q = q0.  Requires only even u-exponents."""
@@ -421,40 +399,34 @@ class UPoly:
         return a
 
     def eval_pair(self, q0: Fraction):
-        """Exact evaluation at q = q0 as (a, b) meaning a + b*sqrt(q0)."""
+        """Exact evaluation at q = q0 as (a, b) meaning a + b*sqrt(q0); the
+        value is u^lo times a polynomial in q, so one of a, b is zero."""
         q0 = Fraction(q0)
         if q0 == 0 and self.v and self.lo < 0:
             raise PoleError("evaluation at q0 = 0 with negative exponents")
-        a = Fraction(0)
-        b = Fraction(0)
-        for e, v in self.terms():
-            half, rem = divmod(e, 2)
-            if rem == 0:
-                a += v * q0 ** half
-            else:
-                b += v * q0 ** half
-        return a, b
+        val = Fraction(0)
+        for c in reversed(self.v):
+            val = val * q0 + c
+        half, odd = divmod(self.lo, 2)
+        val = val * q0 ** half / self.den
+        return (Fraction(0), val) if odd else (val, Fraction(0))
 
     # --- division ---------------------------------------------------------
 
     def divexact(self, other: "UPoly") -> "UPoly":
-        """Exact division; raises ExactDivisionError on nonzero remainder."""
+        """Exact division by a divisor with integer coefficients whose
+        lowest one is +-1; any other divisor raises ValueError, a nonzero
+        remainder ExactDivisionError."""
         if not other.v:
             raise ZeroDivisionError("division by zero polynomial")
+        if other.den != 1 or other.v[0] not in (1, -1):
+            raise ValueError("divexact needs integer coefficients with the lowest "
+                             f"one +-1, got {other!r}")
         if not self.v:
             return UPoly.zero()
-        # An exact quotient of two stride-2 polynomials has stride 2 too
-        # (a quotient with both parities would give a product with both).
-        if self.st == 2 and other.st == 2:
-            st, num, d = 2, self.v, other.v
-        else:
-            st, num, d = 1, _spread(self.v, self.st), _spread(other.v, other.st)
-        if len(num) < len(d):
+        if len(self.v) < len(other.v):
             raise ExactDivisionError("degree too small for exact division")
-        quot, qden = _divide(num, d)
-        if other.den != 1:
-            quot = list(map(other.den.__mul__, quot))
-        return _norm(self.lo - other.lo, st, quot, self.den * qden)
+        return _norm(self.lo - other.lo, _divide(self.v, other.v), self.den)
 
     def __repr__(self):
         if not self.v:

@@ -107,6 +107,15 @@ def test_invalid_input_exits_2(capsys, argv):
     *[((cmd, "--A", "4", "--r", "1", "--q", "1/2", "--n=-3..2"),
        "invalid input: slope needs n >= 1, got -3")
       for cmd in ("slope-S", "slope-P", "slope-D")],
+    # a NaN tolerance would pass every comparison-based check
+    (("slope-P", "--A", "4", "--r", "1", "--q", "1/2", "--n", "3..5", "--margin", "nan"),
+     "invalid input: --margin must be >= 0, got nan"),
+    (("slope-P", "--A", "4", "--r", "1", "--q", "1/2", "--n", "3..5", "--margin", "-1"),
+     "invalid input: --margin must be >= 0, got -1.0"),
+    (("slope-S", "--A", "4", "--r", "1", "--q", "1/2", "--n", "3..8", "--max-gap", "nan"),
+     "invalid input: --max-gap must be >= 0, got nan"),
+    (("slope-S", "--A", "4", "--r", "1", "--q", "1/2", "--n", "3..8", "--max-gap", "-1"),
+     "invalid input: --max-gap must be >= 0, got -1.0"),
 ])
 def test_invalid_input_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)

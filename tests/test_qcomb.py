@@ -182,6 +182,24 @@ def test_qfrac_reduced_cancels():
     assert r.num == UPoly({0: 1, 2: 1})
 
 
+def test_phiproduct_rejects_negative_exponent():
+    # a ValueError, not an assert, so that python -O checks it too
+    with pytest.raises(ValueError, match="Phi_3 has exponent -1"):
+        PhiProduct({3: -1})
+
+
+def test_div_one_minus_qpow_needs_positive_m():
+    for m in (-1, 0):
+        with pytest.raises(ValueError):
+            QFrac.one().div_one_minus_qpow(m)
+
+
+def test_qfrac_opposite_parities_are_unequal():
+    # u times a q-fraction never equals a q-fraction unless both are 0
+    assert (QFrac(UPoly({1: 1})) == QFrac(UPoly.one())) is False
+    assert QFrac(UPoly({1: 1})) != 1
+
+
 def test_qfrac_subst_inv_consistent_with_values():
     q0 = Fraction(2, 5)
     x = QFrac(UPoly({0: 1, 2: 3})).div_one_minus_qpow(2, 2).shift_u(-2)

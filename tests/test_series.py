@@ -366,9 +366,9 @@ def test_tmul_linear_and_exact_division_roundtrip():
                     Fraction(7, 2), Fraction(-7, 3)]
     # exact division by 1 - cT: times 1/(1 - cT) = sum_k c^k T^k, truncated
     assert tmul(prod, [c ** k for k in range(len(a))], len(a)) == a
-    # symbolic coefficients: (1 - qT)(1 + uT) / (1 - qT)
+    # symbolic coefficients: (1 - qT)(1 + q^2 T) / (1 - qT)
     q = UPoly.q_power(1)
-    sym = [UPoly.one(), UPoly({1: 1})]
+    sym = [UPoly.one(), UPoly.q_power(2)]
     assert tmul(tmul(sym, [UPoly.one(), -q]), [UPoly.one(), q], 2) == sym
 
 

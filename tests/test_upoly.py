@@ -18,25 +18,43 @@ from qzeta.upoly import (
 )
 
 coeffs = st.integers(min_value=-30, max_value=30)
-exps = st.integers(min_value=-8, max_value=8)
+# q-exponents; a UPoly's u-exponents are 2e + p for one parity p
+exps = st.integers(min_value=-4, max_value=4)
+parities = st.sampled_from((0, 1))
 
 
 @st.composite
-def upolys(draw, max_terms=6, allow_zero=True, fractions=False):
-    n = draw(st.integers(min_value=0 if allow_zero else 1, max_value=max_terms))
+def upolys(draw, max_terms=6, fractions=False, parity=None):
+    par = draw(parities) if parity is None else parity
+    n = draw(st.integers(min_value=0, max_value=max_terms))
     d = {}
     for _ in range(n):
-        e = draw(exps)
+        e = 2 * draw(exps) + par
         if fractions:
             num = draw(coeffs)
             den = draw(st.integers(min_value=1, max_value=12))
             d[e] = Fraction(num, den)
         else:
             d[e] = draw(coeffs)
-    p = UPoly(d)
-    if not allow_zero and p.is_zero():
-        p = p + UPoly.one()
-    return p
+    return UPoly(d)
+
+
+def same_parity(count, **kw):
+    """count UPolys whose u-exponents share one drawn parity, so that
+    they can be added."""
+    return parities.flatmap(
+        lambda par: st.tuples(*(upolys(parity=par, **kw) for _ in range(count))))
+
+
+@st.composite
+def divisors(draw, max_terms=5):
+    """Integer UPolys whose lowest coefficient is +-1: the divisors
+    divexact takes."""
+    lo = 2 * draw(exps) + draw(parities)
+    d = {lo + 2 * draw(st.integers(1, 8)): draw(coeffs)
+         for _ in range(draw(st.integers(0, max_terms)))}
+    d[lo] = draw(st.sampled_from((1, -1)))
+    return UPoly(d)
 
 
 def naive_mul(a: UPoly, b: UPoly) -> UPoly:
@@ -56,7 +74,7 @@ def naive_conv(a: list, b: list) -> list:
 
 
 def fields(p: UPoly) -> tuple:
-    return (p.lo, p.st, p.den, p.v)
+    return (p.lo, p.den, p.v)
 
 
 def assert_canonical(p: UPoly):
@@ -64,18 +82,16 @@ def assert_canonical(p: UPoly):
     assert all(type(x) is int for x in p.v)
     assert type(p.den) is int and p.den > 0
     if not p.v:
-        assert fields(p) == (0, 2, 1, [])
+        assert fields(p) == (0, 1, [])
         return
     assert p.v[0] and p.v[-1]
     assert gcd(p.den, *p.v) == 1
-    exps = [e for e, _ in p.terms()]
-    both_parities = len({e % 2 for e in exps}) == 2
-    assert p.st == (1 if both_parities else 2)
 
 
 @settings(max_examples=60, deadline=None)
-@given(upolys(), upolys(), upolys())
-def test_ring_axioms(a, b, c):
+@given(same_parity(3))
+def test_ring_axioms(abc):
+    a, b, c = abc
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
@@ -93,9 +109,10 @@ def test_mul_matches_naive(a, b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(upolys(fractions=True), upolys(fractions=True),
+@given(same_parity(2, fractions=True),
        st.fractions(min_value=-5, max_value=5).filter(bool))
-def test_equal_values_have_equal_fields_and_hashes(a, b, k):
+def test_equal_values_have_equal_fields_and_hashes(ab, k):
+    a, b = ab
     built = [
         (a * b, naive_mul(a, b)),
         ((a + b) - b, a),
@@ -109,23 +126,17 @@ def test_equal_values_have_equal_fields_and_hashes(a, b, k):
         assert x == y and hash(x) == hash(y)
 
 
-mixed = st.builds(UPoly, st.dictionaries(exps, coeffs, min_size=2)).filter(
-    lambda p: p.st == 1)
-qpolys = st.builds(UPoly, st.dictionaries(st.integers(-4, 4).map(lambda e: 2 * e),
-                                          coeffs))
+qpolys = upolys(parity=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(mixed, qpolys, st.integers(-3, 3))
-def test_mixed_parity_times_q_polynomial(a, b, k):
-    # stride 1 (both parities) against stride 2, also after a shift by u^k
-    for bb in (b, b.shift_u(k)):
-        prod = a * bb
-        assert_canonical(prod)
-        assert prod == naive_mul(a, bb)
-        if bb:
-            assert prod.st == 1
-            assert prod.divexact(bb) == a
+def test_both_parities_rejected():
+    u = UPoly({1: 1})
+    with pytest.raises(ValueError):
+        UPoly({0: 1, 1: 1})
+    with pytest.raises(ValueError):
+        UPoly.one() + u
+    with pytest.raises(ValueError):
+        UPoly.one() - u
 
 
 def int_lists(max_len):
@@ -170,8 +181,8 @@ def test_terms_ascending_with_fraction_values():
 
 def test_kronecker_path_on_large_operands():
     # force the Kronecker route: dense high-degree operands
-    a = UPoly({e: e % 7 - 3 for e in range(0, 300)})
-    b = UPoly({e: (e * e) % 11 - 5 for e in range(-10, 290)})
+    a = UPoly({e: e % 7 - 3 for e in range(0, 600, 2)})
+    b = UPoly({e: (e * e) % 11 - 5 for e in range(-9, 590, 2)})
     assert a * b == naive_mul(a, b)
 
 
@@ -186,13 +197,13 @@ def test_eval_is_ring_homomorphism(a, b, q0):
 
 
 @settings(max_examples=80, deadline=None)
-@given(upolys(), upolys(allow_zero=False))
+@given(upolys(), divisors())
 def test_divexact_roundtrip(a, b):
     assert (a * b).divexact(b) == a
 
 
 @settings(max_examples=40, deadline=None)
-@given(upolys(fractions=True), upolys(allow_zero=False, fractions=True))
+@given(upolys(fractions=True), divisors())
 def test_divexact_roundtrip_fraction_coeffs(a, b):
     assert (a * b).divexact(b) == a
 
@@ -202,17 +213,18 @@ def test_divexact_int_fast_path_even_stride():
     a = UPoly({0: 1, 2: -3, 6: 5})
     b = UPoly({0: 1, 4: 1})
     assert (a * b).divexact(b) == a
-    # mixed parity falls back to stride 1
-    c = UPoly({1: 2, 2: 1})
+    # an odd power of u times a q-polynomial, u^-1 (1 + 2q - q^2)
+    c = UPoly({-1: 1, 1: 2, 3: -1})
     assert (a * c).divexact(c) == a
+    assert (a * c).divexact(a) == c
 
 
 @settings(max_examples=60, deadline=None)
-@given(upolys(fractions=True), st.sampled_from((1, -1)), st.sampled_from((1, -1)),
-       st.integers(1, 5), exps)
+@given(upolys(fractions=True, parity=0), st.sampled_from((1, -1)),
+       st.sampled_from((1, -1)), st.integers(1, 5), st.integers(-8, 8))
 def test_divexact_by_unit_binomial(a, s0, s1, m, k):
-    # u^k (s0 + s1 u^m): stride 2 for even m, stride 1 for odd m
-    b = UPoly({k: s0, k + m: s1})
+    # u^k (s0 + s1 q^m), k of either parity
+    b = UPoly({k: s0, k + 2 * m: s1})
     assert (a * b).divexact(b) == a
     with pytest.raises(ExactDivisionError):
         (a * b + UPoly({k: 1})).divexact(b)
@@ -227,10 +239,19 @@ def test_divexact_rejects_non_divisor():
         a.divexact(UPoly.zero())
 
 
+def test_divexact_rejects_non_unit_led_divisor():
+    a = UPoly({0: 2, 2: 1}) * UPoly({0: 1, 2: 5})
+    for b in (UPoly({0: 2, 2: 1}),                      # 2 + q
+              UPoly({0: 1, 2: Fraction(3, 2)}),         # 1 + (3/2) q
+              UPoly.const(Fraction(1, 2))):
+        with pytest.raises(ValueError):
+            a.divexact(b)
+
+
 def test_divexact_remainder_in_low_terms_rejected():
     # quotient exists degree-wise but remainder is nonzero
-    a = UPoly({0: 1, 1: 1, 2: 1})
-    b = UPoly({0: 1, 1: 1})
+    a = UPoly({0: 1, 2: 1, 4: 1})
+    b = UPoly({0: 1, 2: 1})
     with pytest.raises(ExactDivisionError):
         a.divexact(b)
 
