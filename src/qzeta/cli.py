@@ -43,6 +43,9 @@ EXIT_INVALID = 2
 EXIT_PRECISION = 3
 
 _DIGITS = 30   # fixed digit count for all float output: determinism
+# far above every precision in the tests, the README and the goldens; a
+# larger one would only run out of memory or time
+_MAX_PREC = 1 << 20
 
 
 def _env_prec() -> int:
@@ -56,6 +59,8 @@ def _env_prec() -> int:
         prec = 0
     if prec < 16:
         raise ValueError(f"QZETA_PREC must be an integer >= 16, got {text!r}")
+    if prec > _MAX_PREC:
+        raise ValueError(f"QZETA_PREC must be between 16 and {_MAX_PREC}, got {text!r}")
     return prec
 
 
@@ -353,12 +358,13 @@ def _join_negative_q(argv: list) -> list:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_join_negative_q(sys.argv[1:] if argv is None else list(argv)))
-    if args.prec is not None and args.prec < 16:
-        print("invalid input: --prec must be >= 16", file=sys.stderr)
-        return EXIT_INVALID
     try:
         if args.prec is None:
             args.prec = _env_prec()
+        elif args.prec < 16:
+            raise ValueError("--prec must be >= 16")
+        elif args.prec > _MAX_PREC:
+            raise ValueError(f"--prec must be between 16 and {_MAX_PREC}")
         if getattr(args, "tol", 1) < 1:
             raise ValueError(f"--tol must be >= 1, got {args.tol}")
         for opt in ("max_gap", "margin"):

@@ -7,7 +7,9 @@ fraction coefficients, the combined form coefficients and the various
 denominator checks all produce fractions whose denominators are, up to a
 monomial, products of cyclotomic polynomials Phi_l(q).  Keeping that
 factorization explicit means reduction never needs a generic polynomial
-gcd: we only ever try exact division of the numerator by known Phi_l.
+gcd: QFrac.reduced cancels whole binomials q^m - 1 = prod_{d|m} Phi_d,
+then single Phi_l, and proves each division exact beforehand by folding
+the numerator's coefficients mod q^m - 1.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import sub
 
-from .upoly import ExactDivisionError, UPoly
+from .upoly import UPoly
 
 __all__ = [
     "PhiProduct",
@@ -117,6 +120,18 @@ def cyclotomic(l: int) -> UPoly:
         if d < l:
             num = num.divexact(cyclotomic(d))
     return num
+
+
+def _phi_divides(num: UPoly, l: int) -> bool:
+    """Whether Phi_l divides num: the fold of num mod q^l - 1, reduced
+    mod the monic Phi_l from the top down, is zero."""
+    rem = num.fold(l)
+    k = totient(l)
+    phi = [int(cyclotomic(l).coeff(2 * e)) for e in range(k + 1)]
+    for i in range(l - 1, k - 1, -1):
+        if rem[i]:
+            rem[i - k:i + 1] = map(sub, rem[i - k:i + 1], map(rem[i].__mul__, phi))
+    return not any(rem[:k])
 
 
 @lru_cache(maxsize=None)
@@ -238,9 +253,13 @@ class QFrac:
 
     Closed under + - * and under division by factors of the form
     (1 - q^m); that is all the pipeline ever needs, so no polynomial gcd
-    is involved.  reduced() performs trial exact division of the numerator
-    by each cyclotomic in the denominator, which yields the canonical
-    reduced form because cyclotomics are irreducible over Q.
+    is involved.  reduced() cancels every cyclotomic factor the numerator
+    shares with the denominator, which yields the canonical reduced form
+    because cyclotomics are irreducible over Q.  It first divides by whole
+    binomials q^m - 1, largest m first, while every Phi_d, d | m, is still
+    in the denominator and the numerator folded mod q^m - 1 is zero; then
+    by each Phi_l left over, while that fold mod q^l - 1, reduced mod
+    Phi_l, is zero.  Both tests are exact, so no division fails.
     """
 
     __slots__ = ("num", "den")
@@ -326,16 +345,18 @@ class QFrac:
             return QFrac.zero()
         num = self.num
         exps = dict(self.den.e)
+        # whole binomials q^m - 1 = prod_{d|m} Phi_d first, largest m first
+        for m in sorted(exps, reverse=True):
+            divs = _divisors(m)
+            while all(exps.get(d) for d in divs) and not any(num.fold(m)):
+                num = num.divexact(UPoly.q_power(m) - 1)
+                for d in divs:
+                    exps[d] -= 1
+        # then the Phi_l left over, one at a time
         for l in sorted(exps):
-            phi = cyclotomic(l)
-            while exps[l] > 0:
-                try:
-                    num = num.divexact(phi)
-                except ExactDivisionError:
-                    break
+            while exps[l] and _phi_divides(num, l):
+                num = num.divexact(cyclotomic(l))
                 exps[l] -= 1
-            if not exps[l]:
-                del exps[l]
         return QFrac(num, PhiProduct(exps))
 
     def subst_inv(self) -> "QFrac":

@@ -24,7 +24,8 @@ packing) above a fixed size.  Exact division takes only a divisor with
 integer coefficients whose lowest one is +-1, as every cyclotomic
 polynomial and every product of 1 - q^m is; it is ascending synthetic
 division on the integer lists, done as running sums when the divisor is
-a binomial with unit coefficients.
+a binomial with unit coefficients.  ``fold(m)`` reduces the integer list
+mod q^m - 1, which tells beforehand whether such a division is exact.
 
 UPoly is immutable: no method mutates the receiver or a list it shares,
 and the fields must not be touched from outside.  That makes every
@@ -412,6 +413,14 @@ class UPoly:
         return (Fraction(0), val) if odd else (val, Fraction(0))
 
     # --- division ---------------------------------------------------------
+
+    def fold(self, m: int) -> list:
+        """The integer q-polynomial den * u^(-lo) * self reduced mod
+        q^m - 1: its m coefficients, the sums of v over each residue class
+        of the q-exponent mod m.  self is divisible by q^m - 1, or by a
+        factor of it, exactly when this remainder is."""
+        v = self.v
+        return [sum(v[r::m]) for r in range(m)]
 
     def divexact(self, other: "UPoly") -> "UPoly":
         """Exact division by a divisor with integer coefficients whose

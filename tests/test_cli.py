@@ -116,6 +116,16 @@ def test_invalid_input_exits_2(capsys, argv):
      "invalid input: --max-gap must be >= 0, got nan"),
     (("slope-S", "--A", "4", "--r", "1", "--q", "1/2", "--n", "3..8", "--max-gap", "-1"),
      "invalid input: --max-gap must be >= 0, got -1.0"),
+    # precisions that would end in a MemoryError or run until killed
+    (("linform", "--A", "4", "--r", "1", "--n", "2", "--eps", "1", "--q", "1/3",
+      "--prec", "100000000000"),
+     "invalid input: --prec must be between 16 and 1048576"),
+    (("zeta3", "--n", "2", "--q", "-1/3", "--prec", "99999999999"),
+     "invalid input: --prec must be between 16 and 1048576"),
+    (("delta-const", "--prec", "99999999999"),
+     "invalid input: --prec must be between 16 and 1048576"),
+    (("delta", "--A", "12", "--r", "2", "--prec", "1048577"),
+     "invalid input: --prec must be between 16 and 1048576"),
 ])
 def test_invalid_input_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -307,6 +317,15 @@ def test_prec_env_invalid_exits_2(monkeypatch, capsys, value):
     assert code == 2
     assert out == ""
     assert err.strip() == f"invalid input: QZETA_PREC must be an integer >= 16, got {value!r}"
+
+
+def test_prec_env_above_maximum_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("QZETA_PREC", "99999999999")
+    code, out, err = run(capsys, "delta-const")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("invalid input: QZETA_PREC must be between 16 and 1048576, "
+                           "got '99999999999'")
 
 
 def test_prec_flag_overrides_env(monkeypatch, capsys):

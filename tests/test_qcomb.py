@@ -5,11 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qzeta.qcomb import (
     PhiProduct,
     QFrac,
+    _divisors,
+    _phi_divides,
     alpha_weight,
     bernoulli,
     cyclotomic,
@@ -20,7 +22,7 @@ from qzeta.qcomb import (
     stirling_first,
     totient,
 )
-from qzeta.upoly import UPoly
+from qzeta.upoly import ExactDivisionError, UPoly
 
 
 def test_qbinomial_4_2():
@@ -208,3 +210,101 @@ def test_qfrac_subst_inv_consistent_with_values():
 
 def test_totient_values():
     assert [totient(l) for l in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+
+
+# ----------------------------------------------------------------------
+# QFrac.reduced against trial division, and the fold criterion it uses.
+
+def trial_reduced(x: QFrac) -> QFrac:
+    """The reduction by trial exact division, one Phi_l at a time, kept
+    as the oracle for QFrac.reduced."""
+    if x.num.is_zero():
+        return QFrac.zero()
+    num = x.num
+    exps = dict(x.den.e)
+    for l in sorted(exps):
+        phi = cyclotomic(l)
+        while exps[l] > 0:
+            try:
+                num = num.divexact(phi)
+            except ExactDivisionError:
+                break
+            exps[l] -= 1
+        if not exps[l]:
+            del exps[l]
+    return QFrac(num, PhiProduct(exps))
+
+
+def divides(f: UPoly, d: UPoly) -> bool:
+    try:
+        f.divexact(d)
+    except ExactDivisionError:
+        return False
+    return True
+
+
+@st.composite
+def numerators(draw):
+    """A UPoly of either u-parity, with integer or Fraction coefficients."""
+    par = draw(st.sampled_from((0, 1)))
+    fractions = draw(st.booleans())
+    d = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)) if fractions else 1)
+        d[2 * draw(st.integers(-3, 3)) + par] = c
+    return UPoly(d)
+
+
+# exponents of Phi_l, l <= 12: a_l multiplied into the numerator, b_l the
+# denominator's; ms are binomials q^m - 1 put into both
+cyclo_exps = st.dictionaries(st.integers(min_value=1, max_value=12),
+                             st.integers(min_value=0, max_value=3), max_size=5)
+binomials = st.lists(st.integers(min_value=1, max_value=12), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerators(), cyclo_exps, cyclo_exps, binomials)
+# Phi_2 Phi_4 without Phi_1: q^4 - 1 is not in the denominator
+@example(UPoly({0: 1, 2: 5}), {2: 1, 4: 2}, {2: 1, 4: 1}, [])
+# a denominator exponent above the numerator's multiplicity
+@example(UPoly({1: Fraction(1, 3)}), {3: 1, 1: 1}, {3: 3, 1: 2}, [6])
+# a zero numerator
+@example(UPoly(), {}, {5: 2}, [4])
+# a Phi_l in the numerator that the denominator lacks
+@example(UPoly({0: -2}), {5: 2, 7: 1}, {1: 1}, [2])
+# 1 + q - q^2 folds mod q^2 - 1 to [0, 1]: its first sum alone says nothing
+@example(UPoly({0: 1, 2: 1, 4: -1}), {}, {1: 1, 2: 1}, [])
+def test_reduced_matches_trial_division(g, a, b, ms):
+    a, b = dict(a), dict(b)
+    for m in ms:
+        for d in _divisors(m):
+            a[d] = a.get(d, 0) + 1
+            b[d] = b.get(d, 0) + 1
+    x = QFrac(g * PhiProduct(a).expand(), PhiProduct(b))
+    got, want = x.reduced(), trial_reduced(x)
+    assert (got.num.lo, got.num.v, got.num.den) == (want.num.lo, want.num.v, want.num.den)
+    assert got.den.e == want.den.e
+    for l in got.den.e:
+        assert not divides(got.num, cyclotomic(l)), l
+
+
+int_lists = st.lists(st.integers(-20, 20), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_lists, st.integers(min_value=1, max_value=30), st.booleans())
+def test_fold_criterion_matches_division_by_phi(v, l, times_phi):
+    f = UPoly({2 * i: c for i, c in enumerate(v)})
+    if times_phi:
+        f = f * cyclotomic(l)
+    assert _phi_divides(f, l) == divides(f, cyclotomic(l))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_lists, st.integers(min_value=1, max_value=30), st.booleans())
+def test_fold_criterion_matches_division_by_binomial(v, m, times_binomial):
+    binomial = UPoly.q_power(m) - 1
+    f = UPoly({2 * i: c for i, c in enumerate(v)})
+    if times_binomial:
+        f = f * binomial
+    assert divides(f, binomial) == (f.fold(m) == [0] * m)
