@@ -251,10 +251,20 @@ def delta(A: int, r: int, prec: int = DEFAULT_PREC) -> mpf:
 
 
 def delta_best_r(A: int, prec: int = DEFAULT_PREC):
-    """Exhaustive scan of r in 1..A/2; returns (r_best, delta(A, r_best))."""
-    Params(A, 1, 0)  # validates A before the scan, which is empty for A < 2
+    """(r_best, delta(A, r_best)) over r in 1..A/2, the first maximum.
+
+    delta(A, r) is unimodal in r: its r-derivative has the sign of
+    cA - 8r^2 - (2c + 4)r, c = 24/pi^2 + 2, so over the reals it peaks at
+    r* = (-(2c + 4) + sqrt((2c + 4)^2 + 32cA))/16 < A/2.  Only the
+    integers from floor(r*) - 1 to ceil(r*) + 1 in 1..A/2 are compared.
+    """
+    Params(A, 1, 0)  # validates A
+    with mp.workprec(working_prec(prec, A.bit_length())):
+        c = 24 / mp.pi**2 + 2
+        rstar = (-(2 * c + 4) + mp.sqrt((2 * c + 4) ** 2 + 32 * c * A)) / 16
+        lo, hi = int(mp.floor(rstar)) - 1, int(mp.ceil(rstar)) + 1
     best = None
-    for r in range(1, A // 2 + 1):
+    for r in range(max(lo, 1), min(hi, A // 2) + 1):
         v = delta(A, r, prec)
         if best is None or v > best[1]:
             best = (r, v)

@@ -5,7 +5,8 @@ machine-readable output (json, csv, or pretty text).  q is always an
 exact rational string like "1/3" (decimals are rejected; a negative one
 may follow --q as a separate word, "--q -1/2"), n-ranges are
 written "a..b", and the default working precision comes from the
-QZETA_PREC environment variable when set.
+QZETA_PREC environment variable when set.  Every integer, in an option,
+a range or QZETA_PREC, is signed ASCII decimal digits and nothing else.
 
 Exit codes: 0 = pass, 1 = a verification failed, 2 = invalid input,
 3 = precision exhausted.
@@ -48,13 +49,25 @@ _DIGITS = 30   # fixed digit count for all float output: determinism
 _MAX_PREC = 1 << 20
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """A signed ASCII decimal integer: the grammar of parse_rat and of
+    n ranges, so no '1_0' and no non-ASCII digits as int() allows.  As an
+    argparse type its name is the one the error message gives."""
+    if not _INT.fullmatch(text.strip()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _env_prec() -> int:
     """The working precision when --prec is absent: QZETA_PREC if set."""
     text = os.environ.get("QZETA_PREC")
     if text is None:
         return DEFAULT_PREC
     try:
-        prec = int(text)
+        prec = integer(text)
     except ValueError:
         prec = 0
     if prec < 16:
@@ -64,7 +77,7 @@ def _env_prec() -> int:
     return prec
 
 
-_NRANGE = re.compile(r"([+-]?[0-9]+)(?:\.\.([+-]?[0-9]+))?")
+_NRANGE = re.compile(rf"({_INT.pattern})(?:\.\.({_INT.pattern}))?")
 
 
 def _parse_nrange(text: str) -> range:
@@ -246,7 +259,7 @@ def _cmd_denom_probe(args):
 # ----------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prec", type=int, default=None,
+    p.add_argument("--prec", type=integer, default=None,
                    help=f"working precision in bits (default: env QZETA_PREC, else {DEFAULT_PREC})")
     p.add_argument("--format", choices=("json", "csv", "pretty"),
                    default="json")
@@ -261,19 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("linform", help="point identity + integrality at one (A,r,n,eps,q)")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=int, default=1, choices=(0, 1))
+    p.add_argument("--A", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
     p.add_argument("--q", required=True, help="exact rational, e.g. 1/3")
-    p.add_argument("--tol", type=int, default=40, help="pass iff residual < 10^-tol")
+    p.add_argument("--tol", type=integer, default=40, help="pass iff residual < 10^-tol")
     _add_common(p)
     p.set_defaults(func=_cmd_linform)
 
     p = sub.add_parser("slope-S", help="growth rate of the symmetrized series")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--eps", type=int, default=1, choices=(0, 1))
+    p.add_argument("--A", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
     p.add_argument("--q", required=True)
     p.add_argument("--n", required=True, help="range a..b")
     p.add_argument("--max-gap", type=float, default=None,
@@ -282,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slope_s)
 
     p = sub.add_parser("slope-P", help="growth bound for the coefficient polynomials")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--eps", type=int, default=1, choices=(0, 1))
+    p.add_argument("--A", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
+    p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
     p.add_argument("--q", required=True)
     p.add_argument("--n", required=True, help="range a..b")
     p.add_argument("--margin", type=float, default=0.02)
@@ -292,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slope_p)
 
     p = sub.add_parser("slope-D", help="growth rate of the clearing denominator")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--A", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--n", required=True, help="range a..b")
     p.add_argument("--max-gap", type=float, default=None,
@@ -302,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slope_d)
 
     p = sub.add_parser("delta", help="dimension bound delta(A, r)")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--A", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_delta)
 
@@ -312,24 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_delta_const)
 
     p = sub.add_parser("zeta3", help="weight-3 series pair and exact decomposition")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--tol", type=int, default=40)
+    p.add_argument("--tol", type=integer, default=40)
     _add_common(p)
     p.set_defaults(func=_cmd_zeta3)
 
     p = sub.add_parser("eisenstein", help="expand E_weight over the E_4/E_6 basis")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--solve", type=int, default=None,
+    p.add_argument("--weight", type=integer, required=True)
+    p.add_argument("--solve", type=integer, default=None,
                    help="coefficients used for the solve (default: basis size)")
-    p.add_argument("--verify", type=int, default=None,
+    p.add_argument("--verify", type=integer, default=None,
                    help="verify through this coefficient (default: solve+40)")
     _add_common(p)
     p.set_defaults(func=_cmd_eisenstein)
 
     p = sub.add_parser("denom-probe", help="denominator sharpness / reduced-power probe")
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--A", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
     p.add_argument("--n", required=True, help="range a..b")
     _add_common(p)
     p.set_defaults(func=_cmd_denom_probe)

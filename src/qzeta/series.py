@@ -21,7 +21,8 @@ trailing-zero normalization of its mantissa.
 The exact half is one T-polynomial product (tmul) that is deliberately
 generic, and one exact-ring protocol with two rings: UPolyRing (symbolic
 q) and FractionRing (q specialized to a rational q0).  The
-partial-fraction extractor and its reconstruction check, which compares
+partial-fraction extractor, which only multiplies until each pole's last
+division by its base, and its reconstruction check, which compares
 Taylor coefficients at T = 0, are shared by the main linear-form kernel
 and the weight-3 kernel.
 """
@@ -36,7 +37,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from .qcomb import PhiProduct, QFrac
-from .upoly import ExactArithError, ExactDivisionError, UPoly
+from .upoly import ExactArithError, UPoly
 
 __all__ = [
     "DEFAULT_PREC",
@@ -280,7 +281,6 @@ def tmul(a: list, b: list, order: int | None = None) -> list:
 #                                scalar * prod_{e in exps} (1 - q^e T)
 #     pole_factor(m)          -- (1 - q^m, q^m) for m != 0, both times a
 #                                scale that depends on m only
-#     divexact(a, b)          -- a / b, known to be exact
 #     pole_shifts(numer, count, order) -- for every pole j < count, a pair
 #                                (scale, numer(q^-j (1 - V)) mod V^order
 #                                times scale)
@@ -321,10 +321,6 @@ class UPolyRing:
     def pole_factor(m: int) -> tuple:
         qm = UPoly.q_power(m)
         return UPolyRing.one - qm, qm
-
-    @staticmethod
-    def divexact(a: UPoly, b: UPoly) -> UPoly:
-        return a.divexact(b)
 
     @staticmethod
     def pole_shifts(numer_T: list, pole_count: int, order: int) -> list:
@@ -371,29 +367,29 @@ class FractionRing:
     m > 0 and over a^|m| for m < 0, and pole j's shifted numerator is
     over its scale D a^(j top).  The base of pole j is then an integer
     C_j = prod_{m<=j} (a^m - b^m) prod_{m<=k} (b^m - a^m) over
-    a^(j(j+1)/2) b^(k(k+1)/2), k = count - 1 - j.  C_j is prime to a and
-    b, so divexact is an exact integer division, and div_pole_base puts
-    the known powers of a and b back and builds one Fraction per
-    coefficient.  linear_product and pole_sums also work in integers and
-    build one Fraction per output.  q0 = 0, 1 and -1 raise ValueError:
-    there some q0^m or 1 - q0^m, m != 0, is not a unit.
+    a^(j(j+1)/2) b^(k(k+1)/2), k = count - 1 - j.  pf_extract only
+    multiplies these integers, and div_pole_base puts the known powers of
+    a and b back and builds one Fraction per coefficient.  linear_product
+    and pole_sums also work in integers and build one Fraction per
+    output.  q0 = 0, 1 and -1 raise ValueError: there some q0^m or
+    1 - q0^m, m != 0, is not a unit.
     """
 
     one, zero = 1, 0
 
     def __init__(self, q0: Fraction):
-        self.q0 = Fraction(q0)
-        if self.q0 in (0, 1, -1):
-            raise ValueError(f"need q0 other than 0, 1 and -1, got {self.q0}")
-        self.a, self.b = self.q0.numerator, self.q0.denominator
+        self._q0 = Fraction(q0)
+        if self._q0 in (0, 1, -1):
+            raise ValueError(f"need q0 other than 0, 1 and -1, got {self._q0}")
+        self._a, self._b = self._q0.numerator, self._q0.denominator
 
     def qpow(self, m: int) -> Fraction:
-        return self.q0 ** m
+        return self._q0 ** m
 
     def linear_product(self, exps, scalar=None) -> list:
         """The factors homogenized: 1 - q^e T is (b^e - a^e T)/b^e for
         e >= 0 and (a^-e - b^-e T)/a^-e for e < 0."""
-        a, b = self.a, self.b
+        a, b = self._a, self._b
         coeffs, den = [1], 1
         for e in exps:
             lo, hi = (b ** e, a ** e) if e >= 0 else (a ** -e, b ** -e)
@@ -405,17 +401,10 @@ class FractionRing:
         return [Fraction(scalar.numerator * c, scalar.denominator * den) for c in coeffs]
 
     def pole_factor(self, m: int) -> tuple:
-        a, b = self.a, self.b
+        a, b = self._a, self._b
         if m > 0:
             return b ** m - a ** m, a ** m
         return a ** -m - b ** -m, b ** -m
-
-    @staticmethod
-    def divexact(x: int, y: int) -> int:
-        quo, rem = divmod(x, y)
-        if rem:
-            raise ExactDivisionError("nonzero remainder")
-        return quo
 
     def pole_shifts(self, numer_T: list, pole_count: int, order: int) -> list:
         """The shifts in integers, with no gcd.
@@ -428,7 +417,7 @@ class FractionRing:
 
         a homogeneous Horner pass per pole, over scale D a^(j*top).
         """
-        a, b = self.a, self.b
+        a, b = self._a, self._b
         den = lcm(*(c.denominator for c in numer_T))
         nums = [c.numerator * (den // c.denominator) for c in numer_T]
         top = len(nums) - 1
@@ -454,7 +443,7 @@ class FractionRing:
         (p - m = order).  lift and scale are cancelled first, so each
         Fraction reduces smaller integers."""
         k = pole_count - 1 - j
-        lift = (self.a ** (j * (j + 1) // 2) * self.b ** (k * (k + 1) // 2)) ** order
+        lift = (self._a ** (j * (j + 1) // 2) * self._b ** (k * (k + 1) // 2)) ** order
         common = gcd(lift, scale)
         lift, scale = lift // common, scale // common
         row = {}
@@ -465,7 +454,7 @@ class FractionRing:
         return row
 
     def pole_sums(self, rows, n: int, top: int):
-        return _PointPoleSums(self.a, self.b, rows, n, top)
+        return _PointPoleSums(self._a, self._b, rows, n, top)
 
 
 # ----------------------------------------------------------------------
@@ -569,24 +558,35 @@ class _PointPoleSums:
 # ----------------------------------------------------------------------
 # Partial fractions over poles of equal order at T = q^(-j).
 
-def _pole_factor_prefixes(ring, offsets, order: int) -> tuple:
-    """Prefix products over the offsets m in the given sequence of 1 - q^m
-    and, mod V^order, of g_m(V) = ((1 - q^m) + q^m V)^order; entry k of
-    each list holds the product of the first k factors."""
+def _stretch(coeffs: list, x, one) -> list:
+    """The coefficients of coeffs(x V): entry i times x^i."""
+    out, xi = [coeffs[0] * one], one
+    for c in coeffs[1:]:
+        xi = xi * x
+        out.append(c * xi)
+    return out
+
+
+def _inverse_prefixes(ring, offsets, order: int) -> tuple:
+    """Prefix products over the offsets m in the given sequence of
+    om = 1 - q^m and, mod V^order, of 1/g_m(V), g_m(V) = (om + q^m V)^order.
+    Entry k of the first list is the base C of the first k factors, and
+    entry k of the second holds the F_i of their inverse product
+    sum_i F_i V^i / C^(order+i).  A factor inverts in closed form,
+
+        1/g_m = sum_t b_t V^t / om^(order+t),
+        b_t = (-1)^t C(order+t-1, t) q^(mt),
+
+    so one more factor gives F'_k = sum_{i+t=k} (F_i om^i)(b_t C^t) over
+    the base C om: one tmul, and nothing is divided."""
     one = ring.one
+    binoms = [(-1) ** t * comb(order + t - 1, t) for t in range(order)]
     bases, out = [one], [[one] + [ring.zero] * (order - 1)]
     for m in offsets:
         om, qm = ring.pole_factor(m)
+        out.append(tmul(_stretch(out[-1], om, one),
+                        _stretch(binoms, qm * bases[-1], one), order))
         bases.append(bases[-1] * om)
-        ompows = [one]
-        for _ in range(order):
-            ompows.append(ompows[-1] * om)
-        fac = []
-        qmk = one
-        for k in range(order):
-            fac.append(comb(order, k) * ompows[order - k] * qmk)
-            qmk = qmk * qm
-        out.append(tmul(out[-1], fac, order))
     return bases, out
 
 
@@ -606,43 +606,33 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
     at T = q^(-j)(1 - V) is regular at V = 0 and its V^(order-s)
     coefficient is exactly the sought d-coefficient, with no sign
     bookkeeping.  The numerator shifts come from ring.pole_shifts.  The
-    other-poles product P(V) = prod ((1-q^m) + q^m V)^order and its base
-    c = prod (1 - q^m) are one product each of a prefix over
-    m = -1, -2, ..., -j and one over m = 1, 2, ..., pole_count-1-j.  P is
-    inverted as a power series over c: with
-    1/P = sum_k f_k / c^(order+k) V^k the f_k are polynomials satisfying
-        f_0 = 1,  c^order f_k = -sum_{t=1..k} p_t f_{k-t} c^t,
-    one exact division by c^order per coefficient; every denominator stays
-    a known product of (1 - q^m) factors.  Over FractionRing each of these
-    is an integer over a power of a and b that depends on j alone (see
+    other-poles product P(V) = prod ((1-q^m) + q^m V)^order is never
+    built: its inverse and base c = prod (1 - q^m) are one product each
+    of an inverse prefix over m = -1, -2, ..., -j (F over base c1) and one
+    over m = 1, 2, ..., pole_count-1-j (G over base c2), and with
+    1/P = sum_k f_k / c^(order+k) V^k,
+        f_k = sum_{i+t=k} (F_i c2^i)(G_t c1^t),
+    so the f_k are ring elements and every denominator stays a known
+    product of (1 - q^m) factors.  Over FractionRing each of these is an
+    integer over a power of a and b that depends on j alone (see
     FractionRing), so the loop below is integer arithmetic.
     """
-    one, zero = ring.one, ring.zero
+    one = ring.one
     shifts = ring.pole_shifts(numer_T, pole_count, order)
-    cbelow, below = _pole_factor_prefixes(ring, range(-1, -pole_count, -1), order)
-    cabove, above = _pole_factor_prefixes(ring, range(1, pole_count), order)
+    cbelow, below = _inverse_prefixes(ring, range(-1, -pole_count, -1), order)
+    cabove, above = _inverse_prefixes(ring, range(1, pole_count), order)
     rows = []
     for j, (scale, s) in enumerate(shifts):
-        cbase = cbelow[j] * cabove[pole_count - 1 - j]
-        pv = tmul(below[j], above[pole_count - 1 - j], order)
-        cpows = [one]
-        for _ in range(order):
-            cpows.append(cpows[-1] * cbase)
-        # scaled inverse series: 1/P = sum f_k / c^(order+k) V^k
-        f = [one]
-        for k in range(1, order):
-            acc = zero
-            for t in range(1, k + 1):
-                if pv[t]:
-                    acc = acc + pv[t] * f[k - t] * cpows[t]
-            f.append(ring.divexact(-acc, cpows[order]) if acc else zero)
+        c1, c2 = cbelow[j], cabove[pole_count - 1 - j]
+        cbase = c1 * c2
+        f = tmul(_stretch(below[j], c2, one), _stretch(above[pole_count - 1 - j], c1, one),
+                 order)
         # (numer shift) * inverse; the V^(order-s) coefficient over the
         # common denominator c^(2*order - s):
         # sum_{t+u = order-s} n_t f_u / c^(order+u) =
         #     [sum_t n_t c^t f_(order-s-t)] / c^(2*order-s).
-        h = [s[t] * cpows[t] if s[t] else zero for t in range(order)]
-        rows.append(ring.div_pole_base(tmul(h, f, order), scale, cbase, j,
-                                       pole_count, order))
+        rows.append(ring.div_pole_base(tmul(_stretch(s, cbase, one), f, order), scale,
+                                       cbase, j, pole_count, order))
     return rows
 
 

@@ -61,13 +61,29 @@ def test_delta_best_r_rejects_bad_A(A):
         delta_best_r(A)
 
 
+def _scan_best_r(A):
+    """The first maximum of delta(A, r) over every r in 1..A/2."""
+    best = None
+    for r in range(1, A // 2 + 1):
+        v = delta(A, r)
+        if best is None or v > best[1]:
+            best = (r, v)
+    return best
+
+
 def test_delta_best_r_matches_exhaustive_scan():
-    for A in (4, 8, 12, 20):
-        r_best, v_best = delta_best_r(A)
-        values = {r: delta(A, r) for r in range(1, A // 2 + 1)}
-        assert v_best == max(values.values())
-        assert values[r_best] == v_best
+    for A in [*range(2, 400, 2), 1000, 2000]:
+        assert delta_best_r(A) == _scan_best_r(A), A
     assert delta_best_r(12)[0] == 2
+
+
+@pytest.mark.parametrize("A", [10**5, 10**8, 2 * 10**30])
+def test_delta_best_r_large_A_is_a_local_maximum(A):
+    """At sizes no scan reaches, the chosen r beats both neighbours (delta
+    is unimodal in r)."""
+    r, v = delta_best_r(A)
+    assert v == delta(A, r)
+    assert delta(A, r - 1) < v and delta(A, r + 1) < v
 
 
 def test_delta_recombination_identity_grid():

@@ -310,13 +310,34 @@ def test_out_unwritable_exits_2(tmp_path, capsys):
     assert err.strip() == f"invalid input: cannot write {path}: No such file or directory"
 
 
-@pytest.mark.parametrize("value", ["abc", "8"])
+@pytest.mark.parametrize("value", ["abc", "8", "2_56", "\u0662\u0665\u0666"])
 def test_prec_env_invalid_exits_2(monkeypatch, capsys, value):
     monkeypatch.setenv("QZETA_PREC", value)
     code, out, err = run(capsys, "delta", "--A", "12", "--r", "2")
     assert code == 2
     assert out == ""
     assert err.strip() == f"invalid input: QZETA_PREC must be an integer >= 16, got {value!r}"
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("linform", "--A", "4", "--r", "1", "--n", "1_0", "--q", "1/3"), "1_0"),
+    (("zeta3", "--n", "\u0663", "--q", "1/3"), "\u0663"),
+    (("delta", "--A", "12", "--r", "2", "--prec", "2_56"), "2_56"),
+    (("delta", "--A", "1_2", "--r", "2"), "1_2"),
+    (("linform", "--A", "4", "--r", "1", "--n", "2", "--eps", "\u0661", "--q", "1/3"),
+     "\u0661"),
+    (("eisenstein", "--weight", "\uff18"), "\uff18"),
+])
+def test_integer_options_are_ascii_digits(capsys, argv, text):
+    """int() would read '1_0' as 10 and Arabic-Indic or fullwidth digits
+    as theirs; every integer option takes [+-]?[0-9]+ only, as parse_rat
+    does."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"invalid integer value: {text!r}" in err
 
 
 def test_prec_env_above_maximum_exits_2(monkeypatch, capsys):

@@ -14,13 +14,18 @@ script under scripts/ and no module of perfbench/ reads its name.  No
 module passes map(from_mpf, ...) to sum_with_tail: a certified sum builds
 its terms as kernel pairs.  No module multiplies by a UPoly.q_power(...)
 or UPoly.u_power(...) built in place: a product by a monomial is a
-shift_u.
+shift_u.  The two exact rings of series expose the same public members,
+and those are the names the protocol comment in series.py lists.
 """
 
 import ast
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from qzeta.series import FractionRing, UPolyRing
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qzeta"
@@ -333,3 +338,35 @@ def test_checker_flags_dead_methods():
         "k.used(), k.size, K.referenced\n")
     assert dead_methods({"lib.py": lib}, [lib, caller]) == [
         ("lib.py", "K", "dead"), ("lib.py", "K", "_dead_private"), ("lib.py", "Inner", "gone")]
+
+
+def protocol_names(source: str) -> set:
+    """The member names the exact-ring protocol comment lists: each entry
+    line is '#     name, name -- ...' or '#     name(args) -- ...'."""
+    block = source.split("# The exact-ring protocol.", 1)[1].split("\n\n", 1)[0]
+    entries = re.findall(r"^#     (\w+(?:, \w+)*)(?:\(.*\))? +--", block, re.M)
+    return {name for entry in entries for name in entry.split(", ")}
+
+
+def _public(obj) -> set:
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_rings_expose_the_protocol():
+    names = protocol_names((SRC / "series.py").read_text(encoding="utf-8"))
+    assert names == {"one", "zero", "qpow", "linear_product", "pole_factor",
+                     "pole_shifts", "div_pole_base", "pole_sums"}
+    assert _public(UPolyRing) == _public(FractionRing(Fraction(1, 3))) == names
+    assert not any(hasattr(ring, "divexact")
+                   for ring in (UPolyRing, FractionRing(Fraction(1, 3))))
+
+
+def test_checker_reads_protocol_names():
+    source = ("# The exact-ring protocol.  Both rings:\n"
+              "#     one, zero               -- units\n"
+              "#     qpow(m)                 -- q^m\n"
+              "#                                divexact(a, b) -- a continuation\n"
+              "#     pole_sums(rows, n, top) -- sums\n"
+              "\n"
+              "#     later(x)                -- not in the block\n")
+    assert protocol_names(source) == {"one", "zero", "qpow", "pole_sums"}

@@ -4,6 +4,7 @@ independent Taylor-shift oracle."""
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import comb
 
 import inspect
 
@@ -523,6 +524,40 @@ def test_pf_extract_against_shift_oracle():
     for j in range(3):
         for s in (1, 2):
             assert rows[j][s] == oracle[j][s], (j, s)
+
+
+def _factor_power(ring, m, order):
+    """g_m(V) = ((1 - q^m) + q^m V)^order mod V^order, by the binomial
+    theorem, with pole_factor's scale."""
+    om, qm = ring.pole_factor(m)
+    return [comb(order, t) * om ** (order - t) * qm ** t for t in range(order)]
+
+
+_INVERSE_RINGS = {"upoly": UPolyRing,
+                  **{str(q0): FractionRing(q0) for q0 in
+                     (Fraction(1, 3), Fraction(-224, 499), Fraction(9816, 10007))}}
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("ring", list(_INVERSE_RINGS))
+def test_inverse_prefixes_invert_the_factor_products(ring, order):
+    """Entry k of _inverse_prefixes is F with prod_{m < k} 1/g_m =
+    sum_i F_i V^i / C^(order+i), C the product of the first k 1 - q^m:
+    times P, the product of the g_m built factor by factor, and with
+    every F_i put over C^(2 order - 1), it leaves C^(2 order - 1)."""
+    ring = _INVERSE_RINGS[ring]
+    for offsets in (range(1, 7), range(-1, -7, -1)):
+        bases, inverses = series._inverse_prefixes(ring, offsets, order)
+        assert len(bases) == len(inverses) == len(offsets) + 1
+        P, base = [ring.one] + [ring.zero] * (order - 1), ring.one
+        for k, (C, F) in enumerate(zip(bases, inverses)):
+            if k:
+                P = tmul(P, _factor_power(ring, offsets[k - 1], order), order)
+                base = base * ring.pole_factor(offsets[k - 1])[0]
+            assert C == base, (offsets, k)
+            lifted = [f * C ** (order - 1 - i) for i, f in enumerate(F)]
+            expected = [C ** (2 * order - 1)] + [ring.zero] * (order - 1)
+            assert tmul(P, lifted, order) == expected, (offsets, k)
 
 
 def _one_minus_qT(ring):
