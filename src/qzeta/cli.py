@@ -61,6 +61,22 @@ def integer(text: str) -> int:
     return int(text)
 
 
+# float()'s grammar in ASCII: no '_', no non-ASCII digits, as for integer
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                      r"|inf(?:inity)?|nan)", re.IGNORECASE | re.ASCII)
+
+
+def _limit(text: str, name: str) -> float:
+    """The value of --margin or --max-gap: an ASCII decimal >= 0, inf
+    included."""
+    if not _DECIMAL.fullmatch(text.strip()):
+        raise ValueError(f"{name} must be a decimal number, got {text!r}")
+    limit = float(text)
+    if not limit >= 0:  # NaN compares false
+        raise ValueError(f"{name} must be >= 0, got {limit}")
+    return limit
+
+
 def _env_prec() -> int:
     """The working precision when --prec is absent: QZETA_PREC if set."""
     text = os.environ.get("QZETA_PREC")
@@ -289,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
     p.add_argument("--q", required=True)
     p.add_argument("--n", required=True, help="range a..b")
-    p.add_argument("--max-gap", type=float, default=None,
+    p.add_argument("--max-gap", default=None,
                    help="fail (exit 1) if |fitted-target|/|target| exceeds this")
     _add_common(p)
     p.set_defaults(func=_cmd_slope_s)
@@ -300,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
     p.add_argument("--q", required=True)
     p.add_argument("--n", required=True, help="range a..b")
-    p.add_argument("--margin", type=float, default=0.02)
+    p.add_argument("--margin", default="0.02")
     _add_common(p)
     p.set_defaults(func=_cmd_slope_p)
 
@@ -309,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=integer, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--n", required=True, help="range a..b")
-    p.add_argument("--max-gap", type=float, default=None,
+    p.add_argument("--max-gap", default=None,
                    help="fail (exit 1) if the last-point relative gap exceeds this")
     _add_common(p)
     p.set_defaults(func=_cmd_slope_d)
@@ -381,9 +397,9 @@ def main(argv=None) -> int:
         if getattr(args, "tol", 1) < 1:
             raise ValueError(f"--tol must be >= 1, got {args.tol}")
         for opt in ("max_gap", "margin"):
-            limit = getattr(args, opt, None)
-            if limit is not None and not limit >= 0:  # NaN compares false
-                raise ValueError(f"--{opt.replace('_', '-')} must be >= 0, got {limit}")
+            text = getattr(args, opt, None)
+            if text is not None:
+                setattr(args, opt, _limit(text, "--" + opt.replace("_", "-")))
         code, report, csv_rows = args.func(args)
         _emit(report, args.format, args.out, csv_rows)
     except (ValueError, ZeroDivisionError) as exc:

@@ -38,8 +38,10 @@ from .series import (
     DivergenceError,
     FactorMemo,
     FractionRing,
+    Kernel,
     UPolyRing,
     from_mpf,
+    linear_product,
     padd,
     pdiv,
     pf_extract,
@@ -111,22 +113,18 @@ class Params:
 
 
 # ----------------------------------------------------------------------
-# The kernel numerator as a dense T-polynomial.
+# The kernel numerator, by its factors.
 
-def _hat_numerator(A: int, r: int, n: int, ring) -> list:
-    """Dense T-coefficients of the integer-power kernel numerator
+def _hat_kernel(A: int, r: int, n: int) -> Kernel:
+    """The integer-power kernel numerator
 
-        (q;q)_n^(A-2r) * prod_{i=1..rn} (1 - q^(-i) T)
-                       * prod_{i=n+1..n+rn} (1 - q^i T) * T^((A-2r)n/2);
+        (q;q)_n^(A-2r) * T^((A-2r)n/2) * prod_{i=1..rn} (1 - q^(-i) T)
+                       * prod_{i=n+1..n+rn} (1 - q^i T);
 
     the kernel R_hat(T) is this over (T;q)_{n+1}^A.
     """
-    poch = ring.one
-    for i in range(1, n + 1):
-        poch = poch * (ring.one - ring.qpow(i))
-    exps = [-i for i in range(1, r * n + 1)] + list(range(n + 1, n + r * n + 1))
-    shift = (A - 2 * r) * n // 2
-    return [ring.zero] * shift + ring.linear_product(exps, poch ** (A - 2 * r))
+    return Kernel(tuple((i, A - 2 * r) for i in range(1, n + 1)), (A - 2 * r) * n // 2,
+                  tuple(range(-1, -r * n - 1, -1)) + tuple(range(n + 1, n + r * n + 1)))
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +132,7 @@ def _hat_numerator(A: int, r: int, n: int, ring) -> list:
 
 @lru_cache(maxsize=None)
 def _pf_table(A: int, r: int, n: int) -> tuple:
-    return tuple(pf_extract(_hat_numerator(A, r, n, UPolyRing), n + 1, A, UPolyRing))
+    return tuple(pf_extract(_hat_kernel(A, r, n), n + 1, A, UPolyRing))
 
 
 def partial_fractions(params: Params) -> tuple:
@@ -154,7 +152,7 @@ def reconstruction_check(params: Params) -> bool:
     Done on the integer-power kernel (the normalizing monomial scales
     both sides identically), at pole order A."""
     A, n = params.A, params.n
-    numer = _hat_numerator(A, params.r, n, UPolyRing)
+    numer = _hat_kernel(A, params.r, n).dense()
     return pf_reconstruct(numer, partial_fractions(params), n + 1, A)
 
 
@@ -168,12 +166,12 @@ def kernel_symmetry_check(params: Params) -> bool:
     that the partial fractions expand, with the normalizing monomial
     restored."""
     A, r, n = params.A, params.r, params.n
-    coeffs = UPolyRing.linear_product([n + i for i in range(1, r * n + 1)]
-                                      + [n - i for i in range(n + 1, n + r * n + 1)])
+    coeffs = linear_product([n + i for i in range(1, r * n + 1)]
+                            + [n - i for i in range(n + 1, n + r * n + 1)])
     pre = (qpoch(UPoly.q_power(-n), n) ** (A - 2 * r)).shift_u(
         (A - 2 * r) * n // 2 + n * n * (A - 2 * r))
     lhs = [UPoly.zero()] * ((A - 2 * r) * n // 2) + [pre * c for c in coeffs]
-    rhs = [c.shift_u(params.prefactor_u) for c in _hat_numerator(A, r, n, UPolyRing)]
+    rhs = [c.shift_u(params.prefactor_u) for c in _hat_kernel(A, r, n).dense()]
     return len(lhs) == len(rhs) and all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
 
@@ -278,8 +276,7 @@ def P_eps(params: Params) -> dict:
 @lru_cache(maxsize=None)
 def _pf_values(A: int, r: int, n: int, q0: Fraction):
     """Hat partial-fraction values at an exact rational q0 (fast path)."""
-    ring = FractionRing(q0)
-    return tuple(pf_extract(_hat_numerator(A, r, n, ring), n + 1, A, ring))
+    return tuple(pf_extract(_hat_kernel(A, r, n), n + 1, A, FractionRing(q0)))
 
 
 @lru_cache(maxsize=None)

@@ -19,24 +19,25 @@ The kernel saves the wrapping of every operation in an mpf object and the
 trailing-zero normalization of its mantissa.
 
 The exact half is one T-polynomial product (tmul) that is deliberately
-generic, and one exact-ring protocol with two rings: UPolyRing (symbolic
-q) and FractionRing (q specialized to a rational q0).  The
-partial-fraction extractor, which only multiplies until each pole's last
-division by its base, and its reconstruction check, which compares
-Taylor coefficients at T = 0, are shared by the main linear-form kernel
-and the weight-3 kernel.
+generic, a kernel numerator given by its factors (Kernel), and one
+exact-ring protocol with two rings: UPolyRing (symbolic q) and
+FractionRing (q specialized to a rational q0).  The partial-fraction
+extractor, which moves each factor to each pole and only multiplies until
+each pole's last division, and its reconstruction check, which compares
+Taylor coefficients at T = 0, serve the linear-form and weight-3 kernels.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, inf, lcm, prod
+from math import comb, inf, lcm, prod
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
-from .qcomb import PhiProduct, QFrac
+from .qcomb import PhiProduct, QFrac, _divisors
 from .upoly import ExactArithError, UPoly
 
 __all__ = [
@@ -272,23 +273,52 @@ def tmul(a: list, b: list, order: int | None = None) -> list:
 
 
 # ----------------------------------------------------------------------
-# The exact-ring protocol.  pf_extract, the kernel numerators and the
-# coefficient assembly in linform and zeta3 run unchanged over either
-# ring:
+# Kernel numerators, given by their factors.
+
+def linear_product(exps) -> list:
+    """The dense T-coefficients of prod_{e in exps} (1 - q^e T), UPoly
+    entries: times 1 - q^e T, the T^i coefficient loses the T^(i-1) one
+    times q^e, a u-shift."""
+    zero = UPoly.zero()
+    coeffs = [UPoly.one()]
+    for e in exps:
+        coeffs = [a - b.shift_u(2 * e) for a, b in zip(coeffs + [zero], [zero] + coeffs)]
+    return coeffs
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """The numerator of a kernel, by its factors:
+
+        prod_{(m, k) in scalar} (1 - q^m)^k * T^shift * prod_{e in exps} (1 - q^e T),
+
+    with m >= 1 and k >= 0 in every pair.  pf_extract moves each linear
+    factor to each pole and never expands the product; dense() does, for
+    the identities that compare polynomials."""
+
+    scalar: tuple = ()
+    shift: int = 0
+    exps: tuple = ()
+
+    def dense(self) -> list:
+        """The dense T-coefficients, UPoly entries."""
+        c = prod(((UPoly.one() - UPoly.q_power(m)) ** k for m, k in self.scalar),
+                 start=UPoly.one())
+        return [UPoly.zero()] * self.shift + [c * x for x in linear_product(self.exps)]
+
+
+# ----------------------------------------------------------------------
+# The exact-ring protocol.  pf_extract and the coefficient assembly in
+# linform and zeta3 run unchanged over either ring:
 #     one, zero               -- units of the coefficient ring
-#     qpow(m)                 -- the element q^m, m any integer
-#     linear_product(exps, scalar) -- the dense T-coefficients of
-#                                scalar * prod_{e in exps} (1 - q^e T)
-#     pole_factor(m)          -- (1 - q^m, q^m) for m != 0, both times a
-#                                scale that depends on m only
-#     pole_shifts(numer, count, order) -- for every pole j < count, a pair
-#                                (scale, numer(q^-j (1 - V)) mod V^order
-#                                times scale)
-#     div_pole_base(h, scale, c, j, count, order) -- the row
-#                                {s: h[order - s] / (scale c^(2 order - s))},
-#                                s = 1..order, in the fraction field; c is
-#                                prod_{i != j, i < count} (1 - q^(i-j)), the
-#                                base of pole j, as pf_extract builds it
+#     pole_factor(m)          -- (1 - q^m, q^m), both times a scale that
+#                                depends on m only (one at m = 0)
+#     div_pole_base(h, kernel, c, j, count, order) -- the row
+#                                {s: K_j h[order - s] / c^(2 order - s)},
+#                                s = 1..order, in the fraction field, with
+#                                K_j = scalar q^(-j shift) of the Kernel;
+#                                c is prod_{i != j, i < count} (1 - q^(i-j)),
+#                                the base of pole j, as pf_extract builds it
 #     pole_sums(rows, n, top) -- the sums over the poles j = 0..n that
 #                                linform and zeta3 assemble their
 #                                coefficients from, dividing by powers of
@@ -297,25 +327,11 @@ def tmul(a: list, b: list, order: int | None = None) -> list:
 # cyclotomic denominators); FractionRing(q0) specializes q = q0.
 
 class UPolyRing:
-    """Every element is exact, so no scale is tracked: pole_factor has
-    scale one and the shift scales are None."""
+    """Every element is exact, so pole_factor has scale one, and
+    div_pole_base cancels cyclotomic factors by their exponents."""
 
     one = UPoly.one()
     zero = UPoly.zero()
-
-    @staticmethod
-    def qpow(m: int) -> UPoly:
-        return UPoly.q_power(m)
-
-    @staticmethod
-    def linear_product(exps, scalar=None) -> list:
-        """Times 1 - q^e T, the T^i coefficient loses the T^(i-1) one
-        times q^e, a u-shift."""
-        zero = UPolyRing.zero
-        coeffs = [UPolyRing.one]
-        for e in exps:
-            coeffs = [a - b.shift_u(2 * e) for a, b in zip(coeffs + [zero], [zero] + coeffs)]
-        return coeffs if scalar is None else [scalar * c for c in coeffs]
 
     @staticmethod
     def pole_factor(m: int) -> tuple:
@@ -323,35 +339,34 @@ class UPolyRing:
         return UPolyRing.one - qm, qm
 
     @staticmethod
-    def pole_shifts(numer_T: list, pole_count: int, order: int) -> list:
-        """numer(q^-j (1 - V)) mod V^order for j < pole_count: its V^t
-        coefficient is (-1)^t sum_i C(i, t) q^(-ji) numer_i, and the factor
-        q^(-ji) is a shift of the u-exponents."""
-        out = []
-        for j in range(pole_count):
-            shifted = [c.shift_u(-2 * j * i) for i, c in enumerate(numer_T)]
-            out.append((None, [sum((comb(i, t) * (-1) ** t * c
-                                    for i, c in enumerate(shifted[t:], t) if c),
-                                   UPoly.zero())
-                               for t in range(order)]))
-        return out
-
-    @staticmethod
-    def div_pole_base(h: list, scale, c: UPoly, j: int, pole_count: int,
+    def div_pole_base(h: list, kernel: Kernel, c: UPoly, j: int, pole_count: int,
                       order: int) -> dict:
-        """Each h[order - s] / c^p, p = 2 order - s, reduced, from the
-        factored base rather than c itself: with k = pole_count - 1 - j,
+        """Each K_j h[order - s] / c^p, p = 2 order - s, reduced, from the
+        factored base and scalar: with k = pole_count - 1 - j,
 
             c = prod_{m=1..j} (1 - q^-m) prod_{m=1..k} (1 - q^m)
-              = (-1)^k q^(-j(j+1)/2) prod_d Phi_d^(floor(j/d) + floor(k/d)).
+              = (-1)^k q^(-j(j+1)/2) prod_d Phi_d^(floor(j/d) + floor(k/d)),
+
+        and the scalar is (-1)^(sum k) prod_d Phi_d^(sigma_d), sigma_d the
+        sum of the k with d | m, as 1 - q^m = -prod_{d|m} Phi_d.  A Phi_d
+        that c^p does not cancel multiplies the numerator.
         """
         k = pole_count - 1 - j
+        sigma, sign = {}, sum(mult for _, mult in kernel.scalar)
+        for m, mult in kernel.scalar:
+            for d in _divisors(m):
+                sigma[d] = sigma.get(d, 0) + mult
+        top = max([j, k, *sigma])
         row = {}
         for s in range(1, order + 1):
             p = 2 * order - s
-            den = PhiProduct({d: p * (j // d + k // d) for d in range(1, max(j, k) + 1)})
-            num = h[order - s].shift_u(j * (j + 1) * p)
-            row[s] = QFrac(-num if k * p % 2 else num, den).reduced()
+            exps = {d: p * (j // d + k // d) - sigma.get(d, 0) for d in range(1, top + 1)}
+            num = h[order - s].shift_u(j * (j + 1) * p - 2 * j * kernel.shift)
+            left = PhiProduct({d: -e for d, e in exps.items() if e < 0})
+            if not left.is_one():
+                num = num * left.expand()
+            den = PhiProduct({d: e for d, e in exps.items() if e > 0})
+            row[s] = QFrac(-num if (k * p + sign) % 2 else num, den).reduced()
         return row
 
     @staticmethod
@@ -364,14 +379,15 @@ class FractionRing:
 
     Inside pf_extract every element is an integer that stands for itself
     over a denominator known in advance: pole_factor(m) is over b^m for
-    m > 0 and over a^|m| for m < 0, and pole j's shifted numerator is
-    over its scale D a^(j top).  The base of pole j is then an integer
+    m > 0 and over a^|m| for m < 0, so pole j's shifted numerator is over
+    a^X b^Y, X the sum of j - e over the kernel's e < j and Y that of
+    e - j over e > j.  The base of pole j is then an integer
     C_j = prod_{m<=j} (a^m - b^m) prod_{m<=k} (b^m - a^m) over
     a^(j(j+1)/2) b^(k(k+1)/2), k = count - 1 - j.  pf_extract only
-    multiplies these integers, and div_pole_base puts the known powers of
-    a and b back and builds one Fraction per coefficient.  linear_product
-    and pole_sums also work in integers and build one Fraction per
-    output.  q0 = 0, 1 and -1 raise ValueError: there some q0^m or
+    multiplies these integers, and div_pole_base puts the kernel's scalar
+    and the known powers of a and b back and builds one Fraction per
+    coefficient.  pole_sums also works in integers and builds one Fraction
+    per output.  q0 = 0, 1 and -1 raise ValueError: there some q0^m or
     1 - q0^m, m != 0, is not a unit.
     """
 
@@ -383,73 +399,33 @@ class FractionRing:
             raise ValueError(f"need q0 other than 0, 1 and -1, got {self._q0}")
         self._a, self._b = self._q0.numerator, self._q0.denominator
 
-    def qpow(self, m: int) -> Fraction:
-        return self._q0 ** m
-
-    def linear_product(self, exps, scalar=None) -> list:
-        """The factors homogenized: 1 - q^e T is (b^e - a^e T)/b^e for
-        e >= 0 and (a^-e - b^-e T)/a^-e for e < 0."""
-        a, b = self._a, self._b
-        coeffs, den = [1], 1
-        for e in exps:
-            lo, hi = (b ** e, a ** e) if e >= 0 else (a ** -e, b ** -e)
-            coeffs = ([lo * coeffs[0]]
-                      + [lo * c - hi * prev for prev, c in zip(coeffs, coeffs[1:])]
-                      + [-hi * coeffs[-1]])
-            den *= lo
-        scalar = Fraction(1 if scalar is None else scalar)
-        return [Fraction(scalar.numerator * c, scalar.denominator * den) for c in coeffs]
-
     def pole_factor(self, m: int) -> tuple:
         a, b = self._a, self._b
         if m > 0:
             return b ** m - a ** m, a ** m
         return a ** -m - b ** -m, b ** -m
 
-    def pole_shifts(self, numer_T: list, pole_count: int, order: int) -> list:
-        """The shifts in integers, with no gcd.
-
-        With N = D * numer (D the lcm of its denominators) and
-        top = len(numer) - 1,
-
-            D a^(j*top) numer(q0^-j (1 - V))
-                = sum_i N_i b^(j*i) a^(j*(top-i)) (1 - V)^i,
-
-        a homogeneous Horner pass per pole, over scale D a^(j*top).
-        """
-        a, b = self._a, self._b
-        den = lcm(*(c.denominator for c in numer_T))
-        nums = [c.numerator * (den // c.denominator) for c in numer_T]
-        top = len(nums) - 1
-        out = []
-        for j in range(pole_count):
-            aj, bj = a ** j, b ** j
-            h = [0] * order
-            apow = 1                      # a^(j*(top-i)) at step i
-            for n_i in reversed(nums):
-                # h <- h b^j (1 - V) mod V^order + N_i a^(j*(top-i))
-                for t in range(order - 1, 0, -1):
-                    h[t] = (h[t] - h[t - 1]) * bj
-                h[0] = h[0] * bj + n_i * apow
-                apow *= aj
-            out.append((den * a ** (j * top), h))
-        return out
-
-    def div_pole_base(self, h: list, scale: int, c: int, j: int, pole_count: int,
+    def div_pole_base(self, h: list, kernel: Kernel, c: int, j: int, pole_count: int,
                       order: int) -> dict:
-        """In pf_extract, h[m] is over scale (a^(j(j+1)/2) b^(k(k+1)/2))^m and
-        c over a^(j(j+1)/2) b^(k(k+1)/2), so h[m] / c^p is the integer
-        h[m] lift over scale C^p, lift = (a^(j(j+1)/2) b^(k(k+1)/2))^order
-        (p - m = order).  lift and scale are cancelled first, so each
-        Fraction reduces smaller integers."""
+        """In pf_extract, h[m] is over a^X b^Y (a^(j(j+1)/2) b^(k(k+1)/2))^m
+        and c over a^(j(j+1)/2) b^(k(k+1)/2), and K_j is
+        prod (b^m - a^m)^k over b^(sum m k), times (b/a)^(j shift).  So
+        K_j h[m] / c^p, p - m = order, is h[m] prod (b^m - a^m)^k a^x b^y
+        over C^p, where x and y, below, may be negative."""
+        a, b = self._a, self._b
         k = pole_count - 1 - j
-        lift = (self._a ** (j * (j + 1) // 2) * self._b ** (k * (k + 1) // 2)) ** order
-        common = gcd(lift, scale)
-        lift, scale = lift // common, scale // common
+        x = (order * j * (j + 1) // 2 - j * kernel.shift
+             - sum(j - e for e in kernel.exps if e < j))
+        y = (order * k * (k + 1) // 2 + j * kernel.shift
+             - sum(m * mult for m, mult in kernel.scalar)
+             - sum(e - j for e in kernel.exps if e > j))
+        num = prod((b ** m - a ** m) ** mult for m, mult in kernel.scalar)
+        num *= a ** max(x, 0) * b ** max(y, 0)
+        den = a ** max(-x, 0) * b ** max(-y, 0)
         row = {}
         cpow = c ** order
         for s in range(order, 0, -1):
-            row[s] = Fraction(h[order - s] * lift, scale * cpow)
+            row[s] = Fraction(h[order - s] * num, den * cpow)
             cpow *= c
         return row
 
@@ -590,26 +566,28 @@ def _inverse_prefixes(ring, offsets, order: int) -> tuple:
     return bases, out
 
 
-def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
-    """Partial fractions of numer(T) / prod_{i=0}^{pole_count-1} (1 - q^i T)^order.
+def pf_extract(kernel: Kernel, pole_count: int, order: int, ring) -> list:
+    """Partial fractions of numer(T) / prod_{i=0}^{pole_count-1} (1 - q^i T)^order,
+    numer the kernel's numerator (see Kernel).
 
-    numer_T: dense T-coefficients (ring elements, ascending, at least
-    one; Fractions over FractionRing); ring: one of the two rings above.
-
-    Returns rows: rows[j][s] for s in 1..order is the coefficient of
-    1/(1 - q^j T)^s in the ring's fraction field (a reduced QFrac over
-    UPolyRing, a Fraction over FractionRing).  It is found as a numerator
-    over c_j^(2*order - s), c_j = prod_{i != j} (1 - q^(i-j)), and that
-    one division is ring.div_pole_base.
+    ring: one of the two rings above.  Returns rows: rows[j][s] for s in
+    1..order is the coefficient of 1/(1 - q^j T)^s in the ring's fraction
+    field (a reduced QFrac over UPolyRing, a Fraction over FractionRing).
+    It is found as a numerator over c_j^(2*order - s),
+    c_j = prod_{i != j} (1 - q^(i-j)), and that one division is
+    ring.div_pole_base.
 
     Writing V = 1 - q^j T, the product of (numer / other poles) evaluated
     at T = q^(-j)(1 - V) is regular at V = 0 and its V^(order-s)
     coefficient is exactly the sought d-coefficient, with no sign
-    bookkeeping.  The numerator shifts come from ring.pole_shifts.  The
-    other-poles product P(V) = prod ((1-q^m) + q^m V)^order is never
-    built: its inverse and base c = prod (1 - q^m) are one product each
-    of an inverse prefix over m = -1, -2, ..., -j (F over base c1) and one
-    over m = 1, 2, ..., pole_count-1-j (G over base c2), and with
+    bookkeeping.  numer is never expanded: there a factor 1 - q^e T is
+    ring.pole_factor(e - j) and T^shift is q^(-j shift) (1 - V)^shift, so
+    the shifted numerator is their product times K_j = scalar q^(-j shift),
+    which div_pole_base applies.  Nor is the other-poles product
+    P(V) = prod ((1-q^m) + q^m V)^order built: its inverse and base
+    c = prod (1 - q^m) are one product each of an inverse prefix over
+    m = -1, -2, ..., -j (F over base c1) and one over
+    m = 1, 2, ..., pole_count-1-j (G over base c2), and with
     1/P = sum_k f_k / c^(order+k) V^k,
         f_k = sum_{i+t=k} (F_i c2^i)(G_t c1^t),
     so the f_k are ring elements and every denominator stays a known
@@ -618,11 +596,15 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
     FractionRing), so the loop below is integer arithmetic.
     """
     one = ring.one
-    shifts = ring.pole_shifts(numer_T, pole_count, order)
+    binoms = [(-1) ** t * comb(kernel.shift, t) * one for t in range(order)]
     cbelow, below = _inverse_prefixes(ring, range(-1, -pole_count, -1), order)
     cabove, above = _inverse_prefixes(ring, range(1, pole_count), order)
     rows = []
-    for j, (scale, s) in enumerate(shifts):
+    for j in range(pole_count):
+        s = binoms
+        for e in kernel.exps:
+            om, qm = ring.pole_factor(e - j)
+            s = [om * s[0]] + [om * x + qm * y for x, y in zip(s[1:], s)]
         c1, c2 = cbelow[j], cabove[pole_count - 1 - j]
         cbase = c1 * c2
         f = tmul(_stretch(below[j], c2, one), _stretch(above[pole_count - 1 - j], c1, one),
@@ -631,7 +613,7 @@ def pf_extract(numer_T, pole_count: int, order: int, ring) -> list:
         # common denominator c^(2*order - s):
         # sum_{t+u = order-s} n_t f_u / c^(order+u) =
         #     [sum_t n_t c^t f_(order-s-t)] / c^(2*order-s).
-        rows.append(ring.div_pole_base(tmul(_stretch(s, cbase, one), f, order), scale,
+        rows.append(ring.div_pole_base(tmul(_stretch(s, cbase, one), f, order), kernel,
                                        cbase, j, pole_count, order))
     return rows
 

@@ -18,13 +18,13 @@ is coprime to the content of ``v``.  Zero is ``v == []`` with lo = 0,
 den = 1.  Building a UPoly with u-exponents of both parities, or adding
 two of opposite parity, raises ValueError.
 
-Every product is one integer convolution: a row update for small
-operands, Kronecker substitution (one big-int multiply, with linear-time
-packing) above a fixed size.  Exact division takes only a divisor with
-integer coefficients whose lowest one is +-1, as every cyclotomic
-polynomial and every product of 1 - q^m is; it is ascending synthetic
-division on the integer lists, done as running sums when the divisor is
-a binomial with unit coefficients.  ``fold(m)`` reduces the integer list
+Every product is one integer convolution: a row update for small or
+sparse operands, Kronecker substitution (one big-int multiply, with
+linear-time packing) above a fixed size.  Exact division takes only a
+divisor with integer coefficients whose lowest one is +-1, as every
+cyclotomic polynomial and every product of 1 - q^m is; it is ascending
+synthetic division on the integer lists, done as running sums when the
+divisor is a binomial with unit coefficients.  ``fold(m)`` reduces the integer list
 mod q^m - 1, which tells beforehand whether such a division is exact.
 
 UPoly is immutable: no method mutates the receiver or a list it shares,
@@ -80,8 +80,8 @@ def format_rat(x) -> str:
 # Integer convolution.
 
 # Kronecker substitution turns a convolution into one integer multiply,
-# which CPython does subquadratically; below this many coefficient
-# products the row update is faster.
+# which CPython does subquadratically; below this many products of a
+# nonzero coefficient by a coefficient the row update is faster.
 _KRONECKER_CUTOFF = 1024
 
 
@@ -120,10 +120,12 @@ def _kronecker_mul(a: list, b: list) -> list:
 
 
 def _conv(a: list, b: list) -> list:
-    """Product of two nonempty int lists."""
+    """Product of two nonempty int lists.  The row update costs one pass
+    over b per nonzero entry of a, so a sparse a, such as 1 - q^m, takes
+    it at any length."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) * len(b) >= _KRONECKER_CUTOFF:
+    if (len(a) - a.count(0)) * len(b) >= _KRONECKER_CUTOFF:
         return _kronecker_mul(a, b)
     lb = len(b)
     out = [0] * (len(a) + lb - 1)

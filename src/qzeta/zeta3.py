@@ -38,6 +38,7 @@ from .series import (
     PONE,
     FactorMemo,
     FractionRing,
+    Kernel,
     PrecisionError,
     UPolyRing,
     from_mpf,
@@ -74,9 +75,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Exact order-2 partial fractions of W_n(T) = (q^-n T;q)_n^2/(T;q)_{n+1}^2.
 
-def _w_numerator(n: int, ring) -> list:
-    """Dense T-coefficients of (q^(-n) T; q)_n^2 over the given ring."""
-    return ring.linear_product([i - n for i in range(n)] * 2)
+def _w_kernel(n: int) -> Kernel:
+    """The numerator (q^(-n) T; q)_n^2 of W_n, by its linear factors."""
+    return Kernel(exps=tuple(i - n for i in range(n)) * 2)
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,13 @@ class Zeta3Kernel:
 
 @lru_cache(maxsize=None)
 def zeta3_partial_fractions(n: int) -> Zeta3Kernel:
-    return Zeta3Kernel(n, tuple(pf_extract(_w_numerator(n, UPolyRing), n + 1, 2, UPolyRing)))
+    return Zeta3Kernel(n, tuple(pf_extract(_w_kernel(n), n + 1, 2, UPolyRing)))
 
 
 def zeta3_reconstruction_check(n: int) -> bool:
     """Exact identity: the order-2 partial fractions re-sum to W_n."""
     rows = zeta3_partial_fractions(n).rows
-    return pf_reconstruct(_w_numerator(n, UPolyRing), rows, n + 1, 2)
+    return pf_reconstruct(_w_kernel(n).dense(), rows, n + 1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +141,7 @@ def zeta3_form_values(n: int, q0: Fraction):
     """(A_n(q0), B_n(q0)) exact Fractions, from the partial fractions at
     q0 (fast specialized route); q0 = 0, 1 and -1 raise ValueError."""
     ring = FractionRing(q0)
-    return _z3_assemble(pf_extract(_w_numerator(n, ring), n + 1, 2, ring), n, ring)
+    return _z3_assemble(pf_extract(_w_kernel(n), n + 1, 2, ring), n, ring)
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,14 @@ def test_invalid_input_exits_2(capsys, argv):
      "invalid input: --prec must be between 16 and 1048576"),
     (("delta", "--A", "12", "--r", "2", "--prec", "1048577"),
      "invalid input: --prec must be between 16 and 1048576"),
+    # float() would read '0_5' as 5.0 and Arabic-Indic or fullwidth digits
+    # as theirs; the float options take an ASCII decimal, inf or nan only
+    *[(("slope-P", "--A", "4", "--r", "1", "--q", "1/2", "--n", "3..5", "--margin", text),
+       f"invalid input: --margin must be a decimal number, got {text!r}")
+      for text in ("0_5", "\u0661e-1", "\uff10.5", "", "1e", "0x1p-3")],
+    *[((cmd, "--A", "4", "--r", "1", "--q", "1/2", "--n", "3..8", "--max-gap", text),
+       f"invalid input: --max-gap must be a decimal number, got {text!r}")
+      for cmd in ("slope-S", "slope-D") for text in ("0_5", "\u0661e-1", "\uff11")],
 ])
 def test_invalid_input_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -228,6 +236,24 @@ def test_slope_s_max_gap(capsys):
     code, out, _ = run(capsys, "slope-D", "--A", "4", "--r", "1",
                        "--q", "1/2", "--n", "1..6", "--max-gap", "0.0001")
     assert code == 1 and float(json.loads(out)["last_gap"]) > 0.0001
+    # an infinite limit never fails
+    code, out, _ = run(capsys, "slope-D", "--A", "4", "--r", "1",
+                       "--q", "1/2", "--n", "1..6", "--max-gap", "inf")
+    assert code == 0
+
+
+@pytest.mark.parametrize("text", ["0.5", ".5", "5.", "+1E-1", " 2e+0 ", "0", "inf",
+                                  "-inf", "Infinity", "nan"])
+def test_float_options_take_ascii_decimals(text):
+    """The float options read the ASCII decimals, infinities and NaN that
+    float() reads, to the same value; NaN and values below 0 then fail the
+    >= 0 rule, not the grammar."""
+    value = float(text)
+    if value >= 0:
+        assert cli._limit(text, "--margin") == value
+    else:
+        with pytest.raises(ValueError, match="must be >= 0"):
+            cli._limit(text, "--margin")
 
 
 # ----------------------------------------------------------------------

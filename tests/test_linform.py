@@ -22,7 +22,7 @@ from qzeta.linform import (
     S_eps_numeric,
     S_tilde_numeric,
     S_z_numeric,
-    _hat_numerator,
+    _hat_kernel,
     d_symmetry_check,
     denominator_check,
     identity_residual,
@@ -36,7 +36,7 @@ from qzeta.linform import (
     zeta_q,
 )
 from qzeta.qcomb import QFrac, divisor_power_sum
-from qzeta.series import UPolyRing, working_prec
+from qzeta.series import working_prec
 from qzeta.upoly import UPoly
 import point_oracle
 import series_oracle
@@ -69,11 +69,12 @@ def test_n0_partial_fractions_are_trivial():
 
 
 def test_kernel_matches_direct_evaluation():
-    # the hat numerator matches the defining product at a point; A != 2r,
-    # so the (q;q)_n^(A-2r) factor and the T-shift are exercised
+    # the hat kernel's dense numerator matches the defining product at a
+    # point; A != 2r, so the (q;q)_n^(A-2r) factor and the T-shift are
+    # exercised
     q0, t0 = Fraction(1, 3), Fraction(5, 7)
     for A, r, n in ((4, 1, 2), (6, 1, 3), (6, 2, 1)):
-        coeffs = _hat_numerator(A, r, n, UPolyRing)
+        coeffs = _hat_kernel(A, r, n).dense()
         assert len(coeffs) - 1 == (A - 2 * r) * n // 2 + 2 * r * n
         got = sum(c.eval_fraction(q0) * t0 ** i for i, c in enumerate(coeffs))
         want = t0 ** ((A - 2 * r) * n // 2)
@@ -138,7 +139,10 @@ POINT_GRID = (
     + [(6, r, n, q0) for r in (1, 2) for n in range(5)
        for q0 in (Fraction(-224, 499), Fraction(147, 499), Fraction(2, 3),
                   Fraction(-9, 10), Fraction(9668, 10007))]
-    + [(12, 2, n, Fraction(1, 2)) for n in (0, 3, 12)])
+    + [(12, 2, n, Fraction(1, 2)) for n in (0, 3, 12)]
+    # a large (q;q)_n^(A-2r) scalar in div_pole_base
+    + [(A, 2, n, q0) for A, top in ((8, 3), (12, 2)) for n in range(top + 1)
+       for q0 in (Fraction(-224, 499), Fraction(2, 3))])
 
 
 def _check_point_path(A, r, n, q0):

@@ -2,8 +2,9 @@
 T-polynomial helpers, and the partial-fraction extractor against an
 independent Taylor-shift oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 import inspect
@@ -14,11 +15,12 @@ from mpmath import mp, mpf
 
 import qzeta
 from qzeta import linform, series
-from qzeta.linform import Params, _hat_numerator, _zeta_q_series, zeta_q
+from qzeta.linform import Params, _hat_kernel, _zeta_q_series, zeta_q
 from qzeta.qcomb import QFrac
 from qzeta.series import (
     DivergenceError,
     FractionRing,
+    Kernel,
     PrecisionError,
     UPolyRing,
     from_mpf,
@@ -36,7 +38,7 @@ from qzeta.series import (
     working_prec,
 )
 from qzeta.upoly import UPoly
-from qzeta.zeta3 import _w_numerator
+from qzeta.zeta3 import _w_kernel
 import series_oracle
 from series_replay import NEAR_ONE, q0s
 
@@ -377,7 +379,9 @@ def _w1_rows_and_numer():
     """W_1(T) = (1 - q^-1 T)^2 / ((1 - T)(1 - qT))^2 and its order-2 rows."""
     factor = [UPoly.one(), -UPoly.q_power(-1)]
     numer = tmul(factor, factor)
-    return numer, pf_extract(numer, 2, 2, UPolyRing)
+    kernel = Kernel(exps=(-1, -1))
+    assert kernel.dense() == numer
+    return numer, pf_extract(kernel, 2, 2, UPolyRing)
 
 
 def test_pf_reconstruct_accepts_extracted_rows():
@@ -385,20 +389,21 @@ def test_pf_reconstruct_accepts_extracted_rows():
     assert pf_reconstruct(numer, rows, 2, 2)
 
 
-# (numerator, pole count, order) of real kernels: the linear form's
+# (kernel, pole count, order) of real kernels: the linear form's
 # integer-power kernel at (A, r, n), with n + 1 poles of order A, and the
 # weight-3 kernel W_n, with n + 1 poles of order 2.
 _KERNELS = {
-    "linform-4-1-2": lambda: (_hat_numerator(4, 1, 2, UPolyRing), 3, 4),
-    "linform-6-2-1": lambda: (_hat_numerator(6, 2, 1, UPolyRing), 2, 6),
-    "zeta3-3": lambda: (_w_numerator(3, UPolyRing), 4, 2),
+    "linform-4-1-2": (_hat_kernel(4, 1, 2), 3, 4),
+    "linform-6-2-1": (_hat_kernel(6, 2, 1), 2, 6),
+    "zeta3-3": (_w_kernel(3), 4, 2),
 }
 
 
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
 def test_pf_reconstruct_rejects_corrupted_row(kernel):
-    numer, pole_count, order = _KERNELS[kernel]()
-    rows = pf_extract(numer, pole_count, order, UPolyRing)
+    kernel, pole_count, order = _KERNELS[kernel]
+    numer = kernel.dense()
+    rows = pf_extract(kernel, pole_count, order, UPolyRing)
     assert pf_reconstruct(numer, rows, pole_count, order)
     for j in range(pole_count):
         for s in range(1, order + 1):
@@ -409,30 +414,33 @@ def test_pf_reconstruct_rejects_corrupted_row(kernel):
 
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
 def test_pf_reconstruct_rejects_polynomial_part(kernel):
-    """numer + T^top with top >= pole_count * order: the kernel gains a
-    nonzero polynomial part, which no sum of principal parts gives, with
-    either the rows of the old numerator or the rows extracted anew."""
-    numer, pole_count, order = _KERNELS[kernel]()
-    rows = pf_extract(numer, pole_count, order, UPolyRing)
+    """The kernel grown by a larger shift to numerator degree top >=
+    pole_count * order: it gains a nonzero polynomial part, which no sum
+    of principal parts gives, with either the rows of the old kernel or
+    the rows extracted anew."""
+    kernel, pole_count, order = _KERNELS[kernel]
+    rows = pf_extract(kernel, pole_count, order, UPolyRing)
     for top in (pole_count * order, pole_count * order + 1):
-        grown = numer + [UPoly.zero()] * (top - len(numer)) + [UPoly.one()]
-        assert not pf_reconstruct(grown, rows, pole_count, order), top
+        grown = replace(kernel, shift=top - len(kernel.exps))
+        numer = grown.dense()
+        assert len(numer) == top + 1
+        assert not pf_reconstruct(numer, rows, pole_count, order), top
         grown_rows = pf_extract(grown, pole_count, order, UPolyRing)
-        assert not pf_reconstruct(grown, grown_rows, pole_count, order), top
+        assert not pf_reconstruct(numer, grown_rows, pole_count, order), top
 
 
 @st.composite
 def _small_kernels(draw):
-    """(numer, pole_count, order): numer = c prod_e (1 - q^e T) with a
-    rational c != 0 and exponents e off the poles 0..pole_count-1, of
+    """(kernel, pole_count, order): a scalar of up to three pairs (m, k),
+    exponents e off the poles 0..pole_count-1 and a shift, of numerator
     degree below pole_count * order."""
     pole_count = draw(st.integers(1, 4))
     order = draw(st.integers(1, 4))
     exps = draw(st.lists(st.integers(-3, 7).filter(lambda e: not 0 <= e < pole_count),
                          max_size=pole_count * order - 1))
-    scalar = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7)
-                  .filter(bool))
-    return UPolyRing.linear_product(exps, scalar), pole_count, order
+    scalar = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), max_size=3))
+    shift = draw(st.integers(0, pole_count * order - 1 - len(exps)))
+    return Kernel(tuple(scalar), shift, tuple(exps)), pole_count, order
 
 
 @settings(max_examples=40, deadline=None)
@@ -442,9 +450,10 @@ def test_pf_reconstruct_on_random_kernels(kernel, data):
     pole_count * order; one corrupted row entry, one corrupted numerator
     coefficient below that degree and a numerator of that degree or more
     each fail."""
-    numer, pole_count, order = kernel
+    kernel, pole_count, order = kernel
+    numer = kernel.dense()
     size = pole_count * order
-    rows = pf_extract(numer, pole_count, order, UPolyRing)
+    rows = pf_extract(kernel, pole_count, order, UPolyRing)
     assert pf_reconstruct(numer, rows, pole_count, order)
     padded = numer + [UPoly.zero()] * (size + 2 - len(numer))
     assert pf_reconstruct(padded, rows, pole_count, order)
@@ -517,9 +526,12 @@ def _pf_fraction_oracle(numer, pole_count, order, q0):
 def test_pf_extract_against_shift_oracle():
     q0 = Fraction(1, 2)
     ring = FractionRing(q0)
-    # numer(T) = (1 - 3T)(1 + T) = 1 - 2T - 3T^2, poles (1-T)^2 (1-qT)^2 (1-q^2T)^2
-    numer = [Fraction(1), Fraction(-2), Fraction(-3)]
-    rows = pf_extract(numer, 3, 2, ring)
+    # numer(T) = (1 - q) T (1 - q^-1 T)(1 - q^3 T) = T/2 - 17T^2/16 + T^3/8
+    # at q = 1/2, poles (1-T)^2 (1-qT)^2 (1-q^2T)^2
+    kernel = Kernel(((1, 1),), 1, (-1, 3))
+    numer = [Fraction(0), Fraction(1, 2), Fraction(-17, 16), Fraction(1, 8)]
+    assert [c.eval_fraction(q0) for c in kernel.dense()] == numer
+    rows = pf_extract(kernel, 3, 2, ring)
     oracle = _pf_fraction_oracle(numer, 3, 2, q0)
     for j in range(3):
         for s in (1, 2):
@@ -560,23 +572,22 @@ def test_inverse_prefixes_invert_the_factor_products(ring, order):
             assert tmul(P, lifted, order) == expected, (offsets, k)
 
 
-def _one_minus_qT(ring):
-    return [ring.one, -ring.qpow(1)]
-
-
-# (numerator builder over a ring, pole count, order)
+# (kernel, pole count, order); 1 - qT sits on the pole T = q^-1, and at
+# (8,2) and (12,2) the scalar (q;q)_n^(A-2r) is large: at (12,2,2) it
+# leaves Phi_2 over in the numerator of pole 1
 _CROSS_RING_KERNELS = {
-    "1-qT": (_one_minus_qT, 2, 3),
-    **{f"hat-{A}-{r}-{n}": (partial(_hat_numerator, A, r, n), n + 1, A)
-       for A, r, n in [(4, 1, 0), (4, 1, 1), (4, 1, 5), (6, 2, 0), (6, 2, 2)]},
-    **{f"w-{n}": (partial(_w_numerator, n), n + 1, 2) for n in (0, 1, 6)},
+    "1-qT": (Kernel(exps=(1,)), 2, 3),
+    **{f"hat-{A}-{r}-{n}": (_hat_kernel(A, r, n), n + 1, A)
+       for A, r, n in [(4, 1, 0), (4, 1, 1), (4, 1, 5), (6, 2, 0), (6, 2, 2),
+                       *((8, 2, n) for n in range(4)), *((12, 2, n) for n in range(3))]},
+    **{f"w-{n}": (_w_kernel(n), n + 1, 2) for n in (0, 1, 6)},
 }
 
 
 @lru_cache(maxsize=None)
 def _symbolic_rows(kernel):
-    numer, poles, order = _CROSS_RING_KERNELS[kernel]
-    return pf_extract(numer(UPolyRing), poles, order, UPolyRing)
+    kernel, poles, order = _CROSS_RING_KERNELS[kernel]
+    return pf_extract(kernel, poles, order, UPolyRing)
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 3), Fraction(2, 3), Fraction(-222, 499),
@@ -585,11 +596,11 @@ def _symbolic_rows(kernel):
 def test_pf_extract_symbolic_matches_fraction_ring(kernel, q0):
     """FractionRing(q0) rows are the UPolyRing rows evaluated at q0, on both
     kernels and at points whose numerator is not 1 (so every power of it
-    in the integer pole shift is exercised)."""
-    numer, poles, order = _CROSS_RING_KERNELS[kernel]
-    ring = FractionRing(q0)
+    that div_pole_base puts back is exercised)."""
     rows_u = _symbolic_rows(kernel)
-    rows_f = pf_extract(numer(ring), poles, order, ring)
+    kernel, poles, order = _CROSS_RING_KERNELS[kernel]
+    ring = FractionRing(q0)
+    rows_f = pf_extract(kernel, poles, order, ring)
     for j in range(poles):
         for s in range(1, order + 1):
             assert rows_u[j][s].eval_fraction(q0) == rows_f[j][s], (j, s)

@@ -161,6 +161,11 @@ def test_convolution_on_both_sides_of_cutoff():
         b = [(-1) ** (i // 3) * (7 * i - 5) for i in range(lb)]
         assert _conv(a, b) == naive_conv(a, b)
         assert _kronecker_mul(a, b) == naive_conv(a, b)
+    # a binomial 1 - q^m takes the row update at any length
+    for m in (1, 40, 300):
+        a = [1] + [0] * (m - 1) + [-1]
+        b = [(-1) ** (i // 3) * (7 * i - 5) << 99 for i in range(300)]
+        assert _conv(a, b) == _conv(b, a) == naive_conv(a, b)
 
 
 def test_constant_hashes_as_its_value():
