@@ -31,7 +31,7 @@ from math import factorial
 
 from mpmath import mp, mpf
 
-from .qcomb import QFrac, alpha_weight, d_poly, qpoch
+from .qcomb import PhiProduct, QFrac, alpha_weight, qpoch
 from .series import (
     DEFAULT_PREC,
     PONE,
@@ -130,9 +130,15 @@ def _hat_kernel(A: int, r: int, n: int) -> Kernel:
 # ----------------------------------------------------------------------
 # Partial fractions.
 
+class _Rows(tuple):
+    """The rows of one hat partial-fraction table; sums memoizes their
+    eps-free pole sums, which _assemble_eps builds once for both eps."""
+    sums = None
+
+
 @lru_cache(maxsize=None)
 def _pf_table(A: int, r: int, n: int) -> tuple:
-    return tuple(pf_extract(_hat_kernel(A, r, n), n + 1, A, UPolyRing))
+    return _Rows(pf_extract(_hat_kernel(A, r, n), n + 1, A, UPolyRing))
 
 
 def partial_fractions(params: Params) -> tuple:
@@ -220,7 +226,7 @@ def p1_at_one_check(params: Params) -> bool:
 _FractionOps = FractionRing
 
 
-def _assemble_eps(dval, A: int, n: int, eps: int, ring):
+def _assemble_eps(dval: _Rows, A: int, n: int, eps: int, ring):
     """Symmetrized coefficients from hat partial-fraction values.
 
     dval[j][s] are the hat coefficients in the fraction field of one of
@@ -239,19 +245,22 @@ def _assemble_eps(dval, A: int, n: int, eps: int, ring):
       P_s_eps  = sum_{k=s..A} alpha(k, s) Pk1[k]   for s = eps mod 2, s >= 2
 
     The sums over j come from ring.pole_sums; over FractionRing they are
-    integers over one denominator, and each output is one Fraction.
+    integers over one denominator, and each output is one Fraction.  All
+    but the last two lines are eps-free: they are built once per table
+    and kept, unreduced, in dval.sums; only this eps is combined and valued.
     """
-    sums = ring.pole_sums(dval, n, A)
-    pk1 = {k: sums.at_one(k) for k in range(1, A + 1)}
-    dp1 = sums.at_one(1, derivative=True)
-    p0_plain = sums.cumulative({s: (-1, (1,), s) for s in range(1, A + 1)})
-    p0_inv = sums.cumulative({s: (1 if s % 2 else -1, (s - 1,), s)
-                              for s in range(1, A + 1)}, reverse=True)
-    flip = -1 if eps else 1
-    p0 = p0_plain + flip * (p0_inv + dp1)
+    if dval.sums is None:
+        sums = ring.pole_sums(dval, n, A)
+        inv = sums.cumulative({s: (1 if s % 2 else -1, (s - 1,), s) for s in range(1, A + 1)},
+                              reverse=True)
+        dval.sums = ({k: sums.at_one(k) for k in range(1, A + 1)},
+                     sums.cumulative({s: (-1, (1,), s) for s in range(1, A + 1)}),
+                     inv + sums.at_one(1, derivative=True), sums.value)
+    pk1, p0_plain, p0_flip, value = dval.sums
+    p0 = p0_plain + (-1 if eps else 1) * p0_flip
     ps = {s: sum(alpha_weight(k, s) * pk1[k] for k in range(s, A + 1))
           for s in range(2, A + 1) if s % 2 == eps % 2}
-    return sums.value(p0), {s: sums.value(v) for s, v in ps.items()}
+    return value(p0), {s: value(v) for s, v in ps.items()}
 
 
 @lru_cache(maxsize=None)
@@ -263,9 +272,7 @@ def _p_eps_hat(A: int, r: int, n: int, eps: int):
 def P_eps_hat(params: Params) -> dict:
     """Hat-normalized symmetrized coefficients {0: P0, s: Ps, ...}, QFrac."""
     p0, ps = _p_eps_hat(params.A, params.r, params.n, params.eps)
-    out = {0: p0}
-    out.update(ps)
-    return out
+    return {0: p0, **ps}
 
 
 def P_eps(params: Params) -> dict:
@@ -276,7 +283,7 @@ def P_eps(params: Params) -> dict:
 @lru_cache(maxsize=None)
 def _pf_values(A: int, r: int, n: int, q0: Fraction):
     """Hat partial-fraction values at an exact rational q0 (fast path)."""
-    return tuple(pf_extract(_hat_kernel(A, r, n), n + 1, A, FractionRing(q0)))
+    return _Rows(pf_extract(_hat_kernel(A, r, n), n + 1, A, FractionRing(q0)))
 
 
 @lru_cache(maxsize=None)
@@ -601,57 +608,64 @@ def D_exponent(A: int, r: int, n: int) -> Fraction:
             - Fraction(r * r * n * n, 2) + Fraction(r * n, 2) - (A - 1) * n)
 
 
-def _clearing_poly(A: int, r: int, n: int, power: int) -> UPoly:
-    """(A-1)! q^E d_n(1/q)^power with E = D_exponent; exact UPoly in u."""
+def _inv_clearer(exps: dict, scalar: int = 1, shift: int = 0) -> tuple:
+    """scalar u^shift prod_l Phi_l(1/q)^exps[l] as a clearer (c, k, phis),
+    c u^k prod_l Phi_l^(P_l), by Phi_l(1/q) = q^-phi(l) Phi_l, -q^-1 Phi_1."""
+    phis = PhiProduct(exps)
+    return (-1) ** phis.e.get(1, 0) * scalar, shift - 2 * phis.degree_q(), phis
+
+
+def _clearer(A: int, r: int, n: int, power: int, shaved: bool = False) -> tuple:
+    """(A-1)! q^E d_n(1/q)^power, E = D_exponent, over Phi_n(1/q) if shaved."""
     u_exp = 2 * D_exponent(A, r, n)
     assert u_exp.denominator == 1, "denominator monomial must be a u-power"
-    return (factorial(A - 1) * d_poly(n).subst_inv() ** power).shift_u(int(u_exp))
+    exps = {l: power - (shaved and l == n) for l in range(1, n + 1)}
+    return _inv_clearer(exps, factorial(A - 1), int(u_exp))
 
 
 def D_n(params: Params) -> UPoly:
     """(A-1)! q^E d_n(1/q)^A with E = D_exponent; exact UPoly in u."""
-    return _clearing_poly(params.A, params.r, params.n, params.A)
+    c, k, phis = _clearer(params.A, params.r, params.n, params.A)
+    return (c * phis.expand()).shift_u(k)
 
 
-def _cleared(form: QFrac, clearer: UPoly):
-    """The numerator of (form * clearer).reduced(), or None when a
-    cyclotomic factor is left in the denominator."""
-    prod = (form * clearer).reduced()
-    return prod.num if prod.den.is_one() else None
+def _cleared(form: QFrac, clearer: tuple):
+    """form times the clearer (c, k, phis), a Laurent polynomial, or None.
+    A reduced num / prod Phi_l^(e_l) has no Phi_l of its denominator in num,
+    so it clears iff every e_l <= P_l, to c u^k num prod Phi_l^(P_l - e_l)."""
+    c, k, phis = clearer
+    if any(e > phis.e.get(l, 0) for l, e in form.den.e.items()):
+        return None
+    return (c * (form.num * phis.cofactor(form.den).expand())).shift_u(k)
 
 
-def _clearing_check(poly_q: UPoly, forms: dict) -> dict:
-    """Multiply each coefficient by the candidate denominator and test
-    membership in Z[1/q]: denominator 1 after reduction, integer
+def _clearing_check(clearer: tuple, forms: dict) -> dict:
+    """Multiply each reduced coefficient by the clearer and test membership
+    in Z[1/q]: Phi exponents at most the clearer's (see _cleared), integer
     coefficients, even u-exponents, no positive q-powers."""
     out = {}
     for s, frac in sorted(forms.items()):
-        w = _cleared(frac, poly_q)
+        w = _cleared(frac, clearer)
         if w is None:
             out[s] = {"ok": False, "reason": "denominator does not clear",
                       "witness": None}
             continue
-        ok_even = w.only_even_exponents()
-        ok_int = w.coefficients_integral()
-        ok_neg = w.is_zero() or w.max_exp() <= 0
-        ok = ok_even and ok_int and ok_neg
-        reason = None
-        if not ok:
-            bits = []
-            if not ok_even:
-                bits.append("odd u-powers")
-            if not ok_int:
-                bits.append("non-integer coefficients")
-            if not ok_neg:
-                bits.append(f"positive q-power up to u^{w.max_exp()}")
-            reason = ", ".join(bits)
-        out[s] = {"ok": ok, "reason": reason, "witness": w}
+        bits = []
+        if not w.only_even_exponents():
+            bits.append("odd u-powers")
+        if not w.coefficients_integral():
+            bits.append("non-integer coefficients")
+        if not (w.is_zero() or w.max_exp() <= 0):
+            bits.append(f"positive q-power up to u^{w.max_exp()}")
+        out[s] = {"ok": not bits, "reason": ", ".join(bits) or None, "witness": w}
     return out
 
 
 def denominator_check(params: Params) -> dict:
-    """Exact check D_n * P_s^[eps] in Z[1/q] for every s in the form."""
-    results = _clearing_check(D_n(params), P_eps(params))
+    """Exact check D_n * P_s^[eps] in Z[1/q] for every s in the form, by
+    Phi exponents (see _cleared); both eps share one set of pole sums
+    (see _assemble_eps)."""
+    results = _clearing_check(_clearer(params.A, params.r, params.n, params.A), P_eps(params))
     return {
         "params": params,
         "pass": all(v["ok"] for v in results.values()),
@@ -676,8 +690,8 @@ def denominator_probe(A: int, r: int, n_range) -> list:
         Params(A, r, n)  # validates (A, r, n) before the n >= 1 rule
         if n < 1:
             raise ValueError("sharpness probe needs n >= 1")
-        dtilde = _clearing_poly(A, r, n, A - 1)
-        shaved = dtilde * d_poly(n - 1).subst_inv()
+        dtilde = _clearer(A, r, n, A - 1)
+        shaved = _clearer(A, r, n, A, shaved=True)
         conjecture = {}
         for eps in (0, 1):
             params = Params(A, r, n, eps)

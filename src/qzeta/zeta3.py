@@ -30,8 +30,8 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .asymptotics import SlopeEstimate, _make_estimate, _slope_ns, log_abs_fraction
-from .linform import Params, S_eps_hat_numeric, _check_q0, _cleared, zeta_q
-from .qcomb import QFrac, cyclotomic, d_poly
+from .linform import Params, S_eps_hat_numeric, _check_q0, _cleared, _inv_clearer, zeta_q
+from .qcomb import QFrac, cyclotomic
 from .series import (
     DEFAULT_PREC,
     MAX_TERMS,
@@ -360,10 +360,10 @@ def dbar_probe(n_values, q0=Fraction(1, 2)) -> dict:
         target_x = 9 / mp.pi ** 2
         for n in sorted(n_values):
             a_n, b_n = zeta3_form(n)
-            dinv = d_poly(n).subst_inv()
             found = None
             for m in range(5):
-                ws = [_cleared(form, dinv ** m) for form in (a_n, b_n)]
+                dinv_m = _inv_clearer(dict.fromkeys(range(1, n + 1), m))
+                ws = [_cleared(form, dinv_m) for form in (a_n, b_n)]
                 if all(w is not None and w.only_even_exponents()
                        and w.coefficients_integral() for w in ws):
                     found = (m, -max([w.max_exp() // 2 for w in ws if not w.is_zero()] + [0]))

@@ -25,6 +25,7 @@ from qzeta.linform import (
     _hat_kernel,
     d_symmetry_check,
     denominator_check,
+    denominator_probe,
     identity_residual,
     kernel_symmetry_check,
     linear_form_report,
@@ -35,8 +36,8 @@ from qzeta.linform import (
     transform_check,
     zeta_q,
 )
-from qzeta.qcomb import QFrac, divisor_power_sum
-from qzeta.series import working_prec
+from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
+from qzeta.series import FractionRing, UPolyRing, working_prec
 from qzeta.upoly import UPoly
 import point_oracle
 import series_oracle
@@ -455,13 +456,84 @@ def test_clearing_check_failure_reasons():
              2: QFrac(UPoly.const(Fraction(1, 2))),
              3: QFrac(UPoly.q_power(2)),
              4: QFrac(UPoly({1: 1}))}
-    got = linform._clearing_check(UPoly.one(), forms)
+    got = linform._clearing_check((1, 0, PhiProduct()), forms)
     assert {s: v["reason"] for s, v in got.items()} == {
         1: "odd u-powers",
         2: "non-integer coefficients",
         3: "positive q-power up to u^4",
         4: "odd u-powers, positive q-power up to u^1"}
     assert all(not v["ok"] and v["witness"] == forms[s].num for s, v in got.items())
+
+
+phi_exps = st.dictionaries(st.integers(1, 8), st.integers(0, 3), max_size=4)
+
+
+@st.composite
+def reduced_forms(draw):
+    """A reduced QFrac over Phi_l, l <= 8: a numerator of either u-parity
+    with integer or Fraction coefficients, times some Phi_l, over others."""
+    par = draw(st.sampled_from((0, 1)))
+    den = draw(st.integers(1, 6)) if draw(st.booleans()) else 1
+    num = UPoly({2 * draw(st.integers(-3, 3)) + par: Fraction(draw(st.integers(-9, 9)), den)
+                 for _ in range(draw(st.integers(0, 4)))})
+    return QFrac(num * PhiProduct(draw(phi_exps)).expand(), PhiProduct(draw(phi_exps))).reduced()
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduced_forms(), st.integers(-30, 30).filter(bool), st.integers(-9, 9), phi_exps)
+# Phi_3^2 over a clearer with one Phi_3
+@example(QFrac(UPoly.one(), PhiProduct({3: 2})), 2, 0, {3: 1, 1: 4})
+# an odd-u numerator with rational content, Phi_1 and Phi_2 both covered
+@example(QFrac(UPoly({1: Fraction(1, 3), 3: 1}), PhiProduct({1: 1, 2: 2})).reduced(),
+         -6, -3, {1: 1, 2: 3})
+# a denominator the clearer lacks entirely
+@example(QFrac(UPoly({0: 5}), PhiProduct({7: 1})), 1, 0, {})
+# a zero form
+@example(QFrac.zero(), 3, 2, {4: 1})
+def test_cleared_matches_reduced_product(form, scalar, shift, exps):
+    want = (form * (scalar * PhiProduct(exps).expand()).shift_u(shift)).reduced()
+    got = linform._cleared(form, (scalar, shift, PhiProduct(exps)))
+    if not want.den.is_one():
+        assert got is None
+    else:
+        assert (got.lo, got.v, got.den) == (want.num.lo, want.num.v, want.num.den)
+
+
+def _probe_rows(ns):
+    rows = []
+    for n in ns:
+        rows += [{"n": n, "eps": 0, "exact_pass": True,
+                  "sharpness_all_pass": False, "sharpness_failing_s": [0]},
+                 {"n": n, "eps": 1, "exact_pass": True,
+                  "sharpness_all_pass": True, "sharpness_failing_s": []},
+                 {"n": n, "eps": "both", "conjecture_all_pass": False,
+                  "conjecture_failing": {0: [0], 1: []}}]
+    return rows
+
+
+@pytest.mark.parametrize("A,r,ns", [(6, 2, range(1, 6)), (6, 1, range(1, 6)),
+                                    (8, 2, range(1, 5))])
+def test_denominator_probe_rows_at_other_pairs(A, r, ns):
+    # recorded with each clearer expanded and each product reduced
+    assert denominator_probe(A, r, ns) == _probe_rows(ns)
+
+
+def test_pole_sums_built_once_for_both_eps(monkeypatch):
+    builds = []
+    sym, point = UPolyRing.pole_sums, FractionRing.pole_sums
+    monkeypatch.setattr(UPolyRing, "pole_sums", staticmethod(
+        lambda rows, n, top: builds.append("symbolic") or sym(rows, n, top)))
+    monkeypatch.setattr(FractionRing, "pole_sums", lambda self, rows, n, top:
+                        builds.append("point") or point(self, rows, n, top))
+    for table in (linform._pf_table, linform._pf_values, linform._p_eps_hat,
+                  linform.P_eps_values_hat):
+        table.cache_clear()
+    for eps in (0, 1):
+        denominator_check(Params(6, 2, 3, eps))
+    assert builds == ["symbolic"]
+    for eps in (0, 1):
+        P_eps_values_hat(6, 2, 3, eps, Fraction(1, 3))
+    assert builds == ["symbolic", "point"]
 
 
 def test_linear_form_report_json(monkeypatch, capsys):

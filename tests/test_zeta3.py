@@ -258,6 +258,13 @@ def test_dbar_probe_reports_cubic_clearing():
         assert row["slope"] is not None
 
 
+def test_dbar_probe_exponents_pinned():
+    # recorded with d_n(1/q)^m expanded and each product reduced
+    rows = dbar_probe(range(9))["rows"]
+    assert [(row["n"], row["m"], row["e"]) for row in rows] == (
+        [(0, 0, 0)] + [(n, 3, 0) for n in range(1, 9)])
+
+
 @pytest.mark.parametrize("q0", (0, 1, -1, 2))
 def test_dbar_probe_rejects_q0_outside_unit_disc(q0):
     with pytest.raises(ValueError, match=rf"^need 0 < \|q0\| < 1, got {q0}$"):
