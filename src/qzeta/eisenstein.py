@@ -215,10 +215,12 @@ def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """E_{2s}(q0) = 1 - (4s/B_{2s}) zeta_q(2s, q0) for rational 0 < |q0| < 1,
     certified truncation.
 
-    The Lambert form zeta_q(2s) = sum_k k^(2s-1) q0^k/(1 - q0^k) has a
-    ratio bound that falls to |q0| < 1, so it certifies for every q0 the
-    expansion accepts.  Its tail tolerance is 2^(-prec-1)/|4s/B_{2s}|,
-    so the truncation error of E_{2s} stays below 2^(-prec-1).
+    zeta_q certifies zeta_q(2s) for every q0 the expansion accepts: by
+    the Lambert series k^(2s-1) q0^k/(1 - q0^k), whose ratio bound falls
+    to |q0| < 1, for q0 <= 1/2, and by the pairs grouped along the
+    hyperbola for q0 > 1/2.  Either route stops at the tail tolerance
+    2^(-prec-1)/|4s/B_{2s}| passed to it, so the truncation error of
+    E_{2s} stays below 2^(-prec-1).
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")

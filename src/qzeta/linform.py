@@ -307,9 +307,22 @@ def _check_q0(q0) -> Fraction:
 
 
 def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
-    """zeta_q(s) = sum_k k^(s-1) q0^k / (1 - q0^k), certified tail."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+    """zeta_q(s) = sum_k k^(s-1) q0^k / (1 - q0^k), certified tail.
+
+    Two routes, one rule: for q0 > 1/2 the pairs (k, j) of the double sum
+    sum_{k,j>=1} k^(s-1) q0^(kj) are grouped by min(k, j)
+    (_zeta_q_clausen), which needs about the square root of the terms of
+    the direct series; for every other q0, negative ones included, the
+    direct series k^(s-1) q0^k/(1 - q0^k) is summed (_zeta_q_series).
+    The Clausen terms alternate in sign for q0 < 0, and their ratio bound
+    holds only for positive terms, so negative q0 stay direct.  Both
+    routes stop once the certified tail is below tol, by default
+    2^-(prec+8).
+    """
+    if not isinstance(s, int) or s < 1:
+        raise ValueError(f"need an integer s >= 1, got {s!r}")
+    if tol is not None and not tol > 0:
+        raise ValueError(f"need tol > 0, got {tol}")
     q0 = Fraction(q0)
     with mp.workprec(working_prec(prec)):
         if q0 == 0:
@@ -317,7 +330,8 @@ def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
         q0 = _check_q0(q0)
         if tol is None:
             tol = mpf(2) ** (-(prec + 8))
-        terms, bound, limit = _zeta_q_series(s, mpf(q0.numerator) / q0.denominator)
+        series = _zeta_q_clausen if q0 > Fraction(1, 2) else _zeta_q_series
+        terms, bound, limit = series(s, mpf(q0.numerator) / q0.denominator)
         return +sum_with_tail(terms, bound, tol, limit=limit)
 
 
@@ -346,6 +360,69 @@ def _zeta_q_series(s: int, qm):
         return (mpf(k + 1) / k) ** (s - 1) * aq * (1 + aq ** k) / (1 - aq ** (k + 1))
 
     return terms(), bound, aq
+
+
+def _zeta_q_clausen(s: int, qm):
+    """The terms of zeta_q(s) at q = qm, 0 < qm < 1, grouped along the
+    hyperbola, their ratio bound and its limit (Clausen's rearrangement of
+    a Lambert series; Dirichlet's hyperbola method, Hardy & Wright 18.2).
+
+    zeta_q(s) = sum_{k,j>=1} k^(s-1) q^(kj).  Term m >= 1 is the sum over
+    the pairs with min(k, j) = m.  With x = q^m and c = m + 1,
+
+        T_m = q^(m^2) m^(s-1)/(1 - x)         the pairs (m, j), j >= m
+            + x^c N_s(c, x)/(1 - x)^s          the pairs (k, m), k > m,
+
+    where sum_{k>=c} k^(s-1) x^k = x^c N_s(c, x)/(1 - x)^s and
+    N_s(c, x) = sum_{j<s} a_j x^j, a_j = sum_{l<=j} (-1)^l C(s,l)
+    (c+j-l)^(s-1).  The second part is evaluated in the equal form
+    x^c/(1 - x) sum_{j<s} d_j y^j, y = x/(1 - x), with d_j the j-th
+    forward difference of i -> (c+i)^(s-1) at 0: the d_j are
+    nonnegative ints, so no step cancels.  Every T_m is positive.
+
+    The ratio bound: (m+1, j) -> (m, j) and (k, m+1) -> (k, m), k > m+1,
+    map the pairs with min m+1 injectively (the images have first
+    coordinate m, or at least m+2) into those with min m, and each
+    weight falls by ((m+1)/m)^(s-1) q^j <= ((m+1)/m)^(s-1) q^(m+1) or
+    by q^k <= q^(m+2).  So T_(m+1) <= ((m+1)/m)^(s-1) q^(m+1) T_m, a
+    bound that decreases in m to 0.  For q < 0 the weights q^(kj) change
+    sign and the map bounds nothing, so negative q is summed directly.
+
+    The terms fall like q^(m^2): about sqrt(bits/(1-q)) of them, against
+    bits/(1-q) for the direct series.  They are kernel pairs at the
+    precision of the first one taken; 1 - q^m is accumulated as
+    1 - q^(m+1) = (1 - q^m) + q^m (1 - q), without cancellation.
+    """
+    def terms():
+        p = mp.prec
+        q = from_mpf(qm)
+        om1 = psub(PONE, q, p)   # exact: 1/2 < q < 1 has at most p bits
+        x, om, qmm = q, om1, q   # q^m, 1 - q^m, q^(m^2)
+        lead = 1                 # m^(s-1)
+        diffs = [(2 + i) ** (s - 1) for i in range(s)]
+        for j in range(1, s):
+            for i in range(s - 1, j - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        while True:
+            y = pdiv(x, om, p)
+            h = (diffs[-1], 0)
+            for dj in reversed(diffs[:-1]):
+                h = padd(pmul(h, y, p), (dj, 0), p)
+            yield pdiv(pmul(qmm, padd((lead, 0), pmul(x, h, p), p), p), om, p)
+            # c -> c + 1: d_j(c + 1) = d_j(c) + d_(j+1)(c), all exact ints
+            lead = diffs[0]
+            for j in range(s - 1):
+                diffs[j] += diffs[j + 1]
+            xn = pmul(x, q, p)
+            qmm = pmul(pmul(qmm, x, p), xn, p)
+            om = padd(om, pmul(x, om1, p), p)
+            x = xn
+
+    def bound(i):
+        m = i + 1
+        return mpf((m + 1) ** (s - 1)) / m ** (s - 1) * qm ** (m + 1)
+
+    return terms(), bound, 0
 
 
 class _QPowers:

@@ -195,7 +195,8 @@ def _e4_e6_lambert(q0, prec):
 
 @pytest.mark.parametrize("s,q0", [(6, Fraction(9, 10)), (6, Fraction(-9, 10)),
                                   (8, Fraction(-9, 10)), (4, Fraction(95, 100)),
-                                  (4, Fraction(97, 100))])
+                                  (4, Fraction(97, 100)), (4, Fraction(99, 100)),
+                                  (4, Fraction(999, 1000))])
 def test_eisenstein_value_near_one_matches_e4_e6(s, q0):
     # E_2s with s = 4, 6, 8 near |q| = 1: each bound limit is below 1
     val = eisenstein_value(s, q0)
@@ -263,3 +264,8 @@ def test_classical_limit_check():
     out = classical_limit_check(2, grid, 96)
     assert out["monotone_decreasing"]
     assert out["rows"][-1]["rel_error"] < 2e-3
+    # and to q = 9999/10000, beyond the direct series' term cap: ~0.013%
+    grid = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100), Fraction(9999, 10000))
+    out = classical_limit_check(2, grid, 96)
+    assert out["monotone_decreasing"]
+    assert out["rows"][-1]["rel_error"] < 2e-4

@@ -257,7 +257,6 @@ def test_zeta_q_near_one_matches_lambert_route(s, q0):
 
 
 def test_zeta_q_q_999_certifies_at_default_precision():
-    # about 2 * 10^5 terms, within MAX_TERMS
     q0 = Fraction(999, 1000)
     val = zeta_q(2, q0)
     low = zeta_q(2, q0, 64)
@@ -418,6 +417,23 @@ def test_series_reject_invalid_prec(prec, monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match=f"need prec >= 1, got {prec}"):
             call()
+
+
+@pytest.mark.parametrize("args,message", [
+    # unchecked, a float s fails on int.bit_length inside the first term
+    ((2.5, Fraction(1, 2)), "need an integer s >= 1, got 2.5"),
+    ((0, Fraction(1, 2)), "need an integer s >= 1, got 0"),
+    # unchecked, tol = 0 runs 10^6 terms into PrecisionError
+    ((3, Fraction(1, 2), 64, 0), "need tol > 0, got 0"),
+    ((3, Fraction(9, 10), 64, -1), "need tol > 0, got -1"),
+], ids=["float-s", "zero-s", "zero-tol", "negative-tol"])
+def test_zeta_q_rejects_bad_s_and_tol(args, message, monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(linform, "sum_with_tail", no_sum)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        zeta_q(*args)
 
 
 def test_transform_check_small():

@@ -10,12 +10,12 @@ from math import comb
 import inspect
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import qzeta
 from qzeta import linform, series
-from qzeta.linform import Params, _hat_kernel, _zeta_q_series, zeta_q
+from qzeta.linform import Params, _hat_kernel, _zeta_q_clausen, _zeta_q_series, zeta_q
 from qzeta.qcomb import QFrac
 from qzeta.series import (
     DivergenceError,
@@ -280,9 +280,25 @@ def _zeta_q_and_taken(s, q0, prec):
     return val._mpf_, taken
 
 
-def _oracle_zeta_q(s, q0, prec):
-    val, taken = series_oracle.zeta_q(s, q0, prec)
-    return val._mpf_, taken
+def _assert_near(val, ref, prec):
+    """|val - ref| <= 2^-(prec+7) + 2^-prec |ref|, the difference taken
+    at twice the working precision."""
+    with mp.workprec(2 * working_prec(prec)):
+        assert abs(val - ref) <= mpf(2) ** -(prec + 7) + mpf(2) ** -prec * abs(ref)
+
+
+def _assert_zeta_q_matches_oracle(s, q0, prec):
+    """Where zeta_q sums the direct series (q0 <= 1/2, every negative q0
+    included), its value and term count are the oracle's bit for bit.  For
+    q0 > 1/2 the direct series still is the oracle's sum, and zeta_q, which
+    sums the Clausen series there, agrees with it within _assert_near."""
+    ref, ref_taken = series_oracle.zeta_q(s, q0, prec)
+    if q0 <= Fraction(1, 2):
+        assert _zeta_q_and_taken(s, q0, prec) == (ref._mpf_, ref_taken)
+        return
+    val, taken, _ = _gated_zeta_q_sum(s, q0, prec)
+    assert (val._mpf_, taken) == (ref._mpf_, ref_taken)
+    _assert_near(zeta_q(s, q0, prec), ref, prec)
 
 
 @pytest.mark.parametrize("prec", (64, 256, 411))
@@ -290,13 +306,84 @@ def _oracle_zeta_q(s, q0, prec):
                                 Fraction(97, 100), Fraction(99, 100), *NEAR_ONE], ids=str)
 @pytest.mark.parametrize("s", range(1, 7))
 def test_zeta_q_matches_mpf_oracle(s, q0, prec):
-    assert _zeta_q_and_taken(s, q0, prec) == _oracle_zeta_q(s, q0, prec)
+    _assert_zeta_q_matches_oracle(s, q0, prec)
 
 
 @settings(max_examples=30, deadline=None)
 @given(q0s(), st.integers(1, 6), st.sampled_from((64, 256, 411)))
 def test_zeta_q_matches_mpf_oracle_anywhere(q0, s, prec):
-    assert _zeta_q_and_taken(s, q0, prec) == _oracle_zeta_q(s, q0, prec)
+    _assert_zeta_q_matches_oracle(s, q0, prec)
+
+
+# ----------------------------------------------------------------------
+# The Clausen series of zeta_q, summed for q0 > 1/2.
+
+@pytest.mark.parametrize("q0", (Fraction(3, 5), Fraction(9, 10), Fraction(99, 100)), ids=str)
+@pytest.mark.parametrize("s", (1, 2, 4, 7))
+def test_clausen_ratio_bound_holds(s, q0):
+    """T_(j+1) <= r_j T_j on the first 60 terms, r_j decreasing; and r_j
+    bounds the weight ratio k^(s-1) q^(kj) of each pair with min m+1,
+    m = j+1, to its image with min m, so of the worst pair of each kind:
+    (m+1, m+1) -> (m, m+1) and (m+2, m+1) -> (m+2, m).  Exactly, up to
+    the rounding of q0 and of the bound at the working precision."""
+    with mp.workprec(working_prec(256)):
+        terms, bound, limit = _zeta_q_clausen(s, mpf(q0.numerator) / q0.denominator)
+        ts = [to_mpf(t) for _, t in zip(range(61), terms)]
+        rs = [bound(j) for j in range(60)]
+        slack = 1 + Fraction(1, 2 ** (mp.prec - 16))
+    assert limit == 0 and all(t > 0 for t in ts)
+    assert all(a > b for a, b in zip(rs, rs[1:]))
+    for j, r in enumerate(rs):
+        assert ts[j + 1] <= r * ts[j]
+        m = j + 1
+        worst = max(Fraction(m + 1, m) ** (s - 1) * q0 ** (m + 1), q0 ** (m + 2))
+        man, exp = from_mpf(r)
+        assert worst <= man * Fraction(2) ** exp * slack
+
+
+@settings(max_examples=30, deadline=None)
+@example((99, 100), 6, 256)
+@given(st.integers(3, 100).flatmap(
+           lambda b: st.tuples(st.integers(b // 2 + 1, b - 1), st.just(b))),
+       st.integers(1, 6), st.sampled_from((24, 64, 256)))
+def test_clausen_route_matches_mpf_oracle(q0, s, prec):
+    q0 = Fraction(*q0)
+    ref, _ = series_oracle.zeta_q(s, q0, prec)
+    _assert_near(zeta_q(s, q0, prec), ref, prec)
+
+
+def _zeta_q_asymptotic(s, q0):
+    """zeta_q(s) = sum_m m^(s-1)/(e^(tm) - 1), t = -log q0, by its
+    expansion at t -> 0 from the poles of Gamma(w) zeta(w) zeta(w-s+1)
+    t^-w (Zagier's Mellin method): Gamma(s) zeta(s) t^-s + zeta(2-s)/t
+    (for s = 1 the double pole gives (gamma - log t)/t) plus
+    sum_n (-1)^n/n! zeta(-n) zeta(1-s-n) t^n, whose thirty terms leave
+    an error far below 10^-100 relative for t <= 10^-3."""
+    t = -mp.log(mpf(q0.numerator) / q0.denominator)
+    if s == 1:
+        val = (mp.euler - mp.log(t)) / t
+    else:
+        val = mp.gamma(s) * mp.zeta(s) / t ** s + mp.zeta(2 - s) / t
+    for n in range(30):
+        val += (-1) ** n / mp.factorial(n) * mp.zeta(-n) * mp.zeta(1 - s - n) * t ** n
+    return val
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+@pytest.mark.parametrize("s", range(1, 7))
+def test_zeta_q_certifies_up_to_one(s, k):
+    # the direct series needs more than 1.8 10^(k+2) terms at prec 256,
+    # past its 10^6-term cap from k = 4
+    q0 = 1 - Fraction(1, 10 ** k)
+    val = zeta_q(s, q0)
+    with mp.workprec(2 * working_prec(256)):
+        _assert_near(val, _zeta_q_asymptotic(s, q0), 256)
+
+
+def test_clausen_route_takes_few_terms():
+    # the direct series takes 10 664 terms here
+    _, taken = _zeta_q_and_taken(3, Fraction(9816, 10007), 256)
+    assert taken <= 150
 
 
 def test_working_prec_adds_guard_and_scale():
