@@ -39,6 +39,7 @@ from .series import (
     FactorMemo,
     FractionRing,
     Kernel,
+    PrecisionError,
     UPolyRing,
     from_mpf,
     linear_product,
@@ -317,7 +318,9 @@ def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     The Clausen terms alternate in sign for q0 < 0, and their ratio bound
     holds only for positive terms, so negative q0 stay direct.  Both
     routes stop once the certified tail is below tol, by default
-    2^-(prec+8).
+    2^-(prec+8).  A q0 that rounds to +-1 at the working precision, where
+    the first term would divide by 1 - q = 0, raises PrecisionError
+    before any term.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"need an integer s >= 1, got {s!r}")
@@ -330,8 +333,12 @@ def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
         q0 = _check_q0(q0)
         if tol is None:
             tol = mpf(2) ** (-(prec + 8))
+        qm = mpf(q0.numerator) / q0.denominator
+        if abs(qm) >= 1:
+            raise PrecisionError(f"q0 = {q0} rounds to {qm} at {mp.prec} bits; "
+                                 "raise prec to separate it from +-1")
         series = _zeta_q_clausen if q0 > Fraction(1, 2) else _zeta_q_series
-        terms, bound, limit = series(s, mpf(q0.numerator) / q0.denominator)
+        terms, bound, limit = series(s, qm)
         return +sum_with_tail(terms, bound, tol, limit=limit)
 
 

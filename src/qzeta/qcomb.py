@@ -8,8 +8,9 @@ denominator checks all produce fractions whose denominators are, up to a
 monomial, products of cyclotomic polynomials Phi_l(q).  Keeping that
 factorization explicit means reduction never needs a generic polynomial
 gcd: QFrac.reduced cancels whole binomials q^m - 1 = prod_{d|m} Phi_d,
-then single Phi_l, and proves each division exact beforehand by folding
-the numerator's coefficients mod q^m - 1.
+each by one trial division that stops at the first nonzero remainder,
+then single Phi_l, each proved exact beforehand by folding the
+numerator's coefficients mod q^l - 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import sub
 
-from .upoly import UPoly
+from .upoly import ExactDivisionError, UPoly
 
 __all__ = [
     "PhiProduct",
@@ -109,13 +110,19 @@ def divisor_power_sum(k: int, e: int) -> int:
 # Cyclotomic polynomials and the products d_n = prod_{l<=n} Phi_l.
 
 @lru_cache(maxsize=None)
+def _q_power_minus_one(m: int) -> UPoly:
+    """q^m - 1, built once per m and shared; treat it as immutable."""
+    return UPoly({2 * m: 1, 0: -1})
+
+
+@lru_cache(maxsize=None)
 def cyclotomic(l: int) -> UPoly:
     """Phi_l(q) = (q^l - 1) / prod_{d|l, d<l} Phi_d, by exact division.
 
     The returned polynomial is shared and must be treated as immutable."""
     if l < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = UPoly({2 * l: 1, 0: -1})  # q^l - 1
+    num = _q_power_minus_one(l)
     for d in _divisors(l):
         if d < l:
             num = num.divexact(cyclotomic(d))
@@ -257,9 +264,11 @@ class QFrac:
     shares with the denominator, which yields the canonical reduced form
     because cyclotomics are irreducible over Q.  It first divides by whole
     binomials q^m - 1, largest m first, while every Phi_d, d | m, is still
-    in the denominator and the numerator folded mod q^m - 1 is zero; then
-    by each Phi_l left over, while that fold mod q^l - 1, reduced mod
-    Phi_l, is zero.  Both tests are exact, so no division fails.
+    in the denominator; the first division that leaves a remainder ends
+    the loop for that m, so each m costs at most one failed division.
+    Then it divides by each Phi_l left over, while the numerator folded
+    mod q^l - 1, reduced mod Phi_l, is zero, a test that is exact, so
+    no division by a Phi_l fails.
     """
 
     __slots__ = ("num", "den")
@@ -348,8 +357,11 @@ class QFrac:
         # whole binomials q^m - 1 = prod_{d|m} Phi_d first, largest m first
         for m in sorted(exps, reverse=True):
             divs = _divisors(m)
-            while all(exps.get(d) for d in divs) and not any(num.fold(m)):
-                num = num.divexact(UPoly.q_power(m) - 1)
+            while all(exps.get(d) for d in divs):
+                try:
+                    num = num.divexact(_q_power_minus_one(m))
+                except ExactDivisionError:
+                    break
                 for d in divs:
                     exps[d] -= 1
         # then the Phi_l left over, one at a time
@@ -389,6 +401,8 @@ class QFrac:
             other = QFrac.from_fraction(other)
         if not isinstance(other, QFrac):
             return NotImplemented
+        if self.den == other.den and self.num == other.num:
+            return True
         if self.num and other.num and (self.num.min_exp() - other.num.min_exp()) % 2:
             return False  # u^odd Q(q) meets Q(q) only in 0
         diff = self - other

@@ -18,14 +18,22 @@ is coprime to the content of ``v``.  Zero is ``v == []`` with lo = 0,
 den = 1.  Building a UPoly with u-exponents of both parities, or adding
 two of opposite parity, raises ValueError.
 
-Every product is one integer convolution: a row update for small or
-sparse operands, Kronecker substitution (one big-int multiply, with
-linear-time packing) above a fixed size.  Exact division takes only a
-divisor with integer coefficients whose lowest one is +-1, as every
-cyclotomic polynomial and every product of 1 - q^m is; it is ascending
-synthetic division on the integer lists, done as running sums when the
-divisor is a binomial with unit coefficients.  ``fold(m)`` reduces the integer list
-mod q^m - 1, which tells beforehand whether such a division is exact.
+A product whose shorter operand has one term (the unit, +-q^m, c u^k/d)
+is a shift of the other operand plus at most one scalar pass over its
+list, and a product by 1 u^k over den 1 shares that list.  When the
+shorter operand has two terms (1 - q^m, q^a - q^b), the product adds two
+scaled, shifted rows in one pass.  Every other product is one integer
+convolution: a row update for small or sparse operands, Kronecker
+substitution (one big-int multiply, with linear-time packing) above a
+fixed size.
+
+Exact division takes only a divisor with integer coefficients whose
+lowest one is +-1, as every cyclotomic polynomial and every product of
+1 - q^m is; it is ascending synthetic division on the integer lists,
+done as running sums when the divisor is a binomial with unit
+coefficients, and a nonzero remainder raises ExactDivisionError.
+``fold(m)`` reduces the integer list mod q^m - 1, which tells beforehand
+whether a division by a factor of q^m - 1 is exact.
 
 UPoly is immutable: no method mutates the receiver or a list it shares,
 and the fields must not be touched from outside.  That makes every
@@ -135,6 +143,20 @@ def _conv(a: list, b: list) -> list:
     return out
 
 
+def _two_rows(x: int, y: int, g: int, b: list) -> list:
+    """(x + y t^g) * b for nonzero ints x, y and g >= 1: the rows x b and
+    y b shifted by g, added where they overlap."""
+    xb = b if x == 1 else list(map(x.__mul__, b))
+    yb = b if y == 1 else list(map(y.__mul__, b))
+    lb = len(b)
+    if g >= lb:
+        return xb + [0] * (g - lb) + yb
+    out = xb[:g]
+    out += map(add, xb[g:], yb)
+    out += yb[lb - g:]
+    return out
+
+
 def _divide(num: list, d: list) -> list:
     """Exact quotient of the int list num by the int list d, d[0] = +-1.
 
@@ -164,22 +186,23 @@ def _divide_binomial(num: list, a: int, b: int, g: int) -> list:
     The quotient obeys quot[i] = a*num[i] - a*b*quot[i-g], a running sum
     along each residue class mod g (with alternating signs when a*b = 1),
     which itertools.accumulate computes without a Python-level loop.
+    Carried on through the top g entries of num, the same sums are a
+    times the remainder, so one pass both divides and tests exactness.
     """
     qlen = len(num) - g
-    quot = [0] * qlen
-    for r in range(min(g, qlen)):
-        seq = num[r:qlen:g]
+    quot = [0] * len(num)
+    for r in range(g):
+        seq = num[r::g]
         if a == -1:
             seq = map(neg, seq)
         if a * b == -1:
-            quot[r:qlen:g] = accumulate(seq)
+            quot[r::g] = accumulate(seq)
         else:
-            quot[r:qlen:g] = map(mul, accumulate(map(mul, seq, cycle((1, -1)))),
-                                 cycle((1, -1)))
-    # quot * (a + b x^g) equals num below qlen by construction
-    if any(num[i] - b * quot[i - g] if i >= g else num[i]
-           for i in range(qlen, len(num))):
+            quot[r::g] = map(mul, accumulate(map(mul, seq, cycle((1, -1)))),
+                             cycle((1, -1)))
+    if any(quot[qlen:]):
         raise ExactDivisionError("nonzero remainder")
+    del quot[qlen:]
     return quot
 
 
@@ -346,11 +369,23 @@ class UPoly:
         if type(other) is not UPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            if other == 1:
+                return self
             return _norm(self.lo, list(map(other.numerator.__mul__, self.v)),
                          self.den * other.denominator)
-        if not self.v or not other.v:
-            return UPoly.zero()
-        return _norm(self.lo + other.lo, _conv(self.v, other.v), self.den * other.den)
+        a, b = (self, other) if len(self.v) <= len(other.v) else (other, self)
+        va, vb = a.v, b.v
+        if not va:
+            return a
+        lo, den = a.lo + b.lo, a.den * b.den
+        if len(va) == 1:
+            c = va[0]
+            if c == 1 and a.den == 1:
+                return b.shift_u(a.lo)
+            return _norm(lo, vb if c == 1 else list(map(c.__mul__, vb)), den)
+        if len(va) - va.count(0) == 2:
+            return _norm(lo, _two_rows(va[0], va[-1], len(va) - 1, vb), den)
+        return _norm(lo, _conv(va, vb), den)
 
     __rmul__ = __mul__
 
@@ -383,10 +418,13 @@ class UPoly:
     # --- substitutions and evaluation ------------------------------------
 
     def shift_u(self, k: int) -> "UPoly":
-        """Multiply by u^k."""
-        if not self.v:
+        """Multiply by u^k.  A shifted canonical form is canonical, so the
+        result shares self's list."""
+        if not self.v or not k:
             return self
-        return _norm(self.lo + k, self.v, self.den)
+        p = UPoly.__new__(UPoly)
+        p.lo, p.v, p.den = self.lo + k, self.v, self.den
+        return p
 
     def subst_inv(self) -> "UPoly":
         """Substitute u -> 1/u (hence q -> 1/q)."""

@@ -37,7 +37,7 @@ from qzeta.linform import (
     zeta_q,
 )
 from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
-from qzeta.series import FractionRing, UPolyRing, working_prec
+from qzeta.series import DivergenceError, FractionRing, PrecisionError, UPolyRing, working_prec
 from qzeta.upoly import UPoly
 import point_oracle
 import series_oracle
@@ -434,6 +434,28 @@ def test_zeta_q_rejects_bad_s_and_tol(args, message, monkeypatch):
     monkeypatch.setattr(linform, "sum_with_tail", no_sum)
     with pytest.raises(ValueError, match=f"^{message}$"):
         zeta_q(*args)
+
+
+def test_zeta_q_refuses_q0_that_rounds_to_one(monkeypatch):
+    # 1 - 10^-100 is 1 at the working precision of prec 256; unchecked,
+    # the first term divided by 1 - q = 0 (a bare ZeroDivisionError)
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    near = 1 - Fraction(1, 10 ** 100)
+    with monkeypatch.context() as m:
+        m.setattr(linform, "sum_with_tail", no_sum)
+        for q0 in (near, -near):
+            with pytest.raises(PrecisionError, match=f"^q0 = {q0} rounds to "):
+                zeta_q(2, q0, 256)
+    # the hat series refuses the same q0 through its ratio bound
+    with pytest.raises(DivergenceError):
+        S_eps_hat_numeric(Params(4, 1, 1), near, 256)
+    # a q0 that the working precision separates from 1 still certifies,
+    # bit for bit
+    assert zeta_q(3, Fraction(9999, 10000), 256)._mpf_ == (
+        0, 33976514293129139421094360374440943780865027982966592016066038344284981466071239029781,
+        -243, 285)
 
 
 def test_transform_check_small():

@@ -308,3 +308,83 @@ def test_fold_criterion_matches_division_by_binomial(v, m, times_binomial):
     if times_binomial:
         f = f * binomial
     assert divides(f, binomial) == (f.fold(m) == [0] * m)
+
+
+def fold_first_reduced(x: QFrac) -> QFrac:
+    """QFrac.reduced with each division by q^m - 1 proved exact beforehand
+    by the fold mod q^m - 1, and q^m - 1 built anew for each division:
+    the reference of the one-pass binomial loop, which tries the division
+    and stops at the first remainder."""
+    if x.num.is_zero():
+        return QFrac.zero()
+    num = x.num
+    exps = dict(x.den.e)
+    for m in sorted(exps, reverse=True):
+        divs = _divisors(m)
+        while all(exps.get(d) for d in divs) and not any(num.fold(m)):
+            num = num.divexact(UPoly.q_power(m) - 1)
+            for d in divs:
+                exps[d] -= 1
+    for l in sorted(exps):
+        while exps[l] and _phi_divides(num, l):
+            num = num.divexact(cyclotomic(l))
+            exps[l] -= 1
+    return QFrac(num, PhiProduct(exps))
+
+
+@st.composite
+def phi_fractions(draw):
+    """N prod Phi_d^(a_d) / prod Phi_d^(b_d), d <= 12, where the numerator's
+    exponents cancel all of the denominator, part of it, or none of it,
+    and whole binomials q^m - 1 sit in the denominator (and, unless
+    nothing cancels, in the numerator too)."""
+    g = draw(numerators())
+    b = dict(draw(cyclo_exps))
+    ms = draw(binomials)
+    for m in ms:
+        for d in _divisors(m):
+            b[d] = b.get(d, 0) + 1
+    cancel = draw(st.sampled_from(("full", "partial", "none")))
+    if cancel == "full":
+        a = {d: e + draw(st.integers(0, 1)) for d, e in b.items()}
+    elif cancel == "partial":
+        a = {d: draw(st.integers(0, e)) for d, e in b.items()}
+    else:
+        a = {}
+    return QFrac(g * PhiProduct(a).expand(), PhiProduct(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi_fractions())
+# (q^4 - 1)(1 + q) / Phi_1^2 Phi_2^2 Phi_4^2: q^4 - 1 divides once, then
+# ends on a failed division, q^2 - 1 fails at once, Phi_2 divides
+@example(QFrac(UPoly({10: 1, 8: 1, 2: -1, 0: -1}), PhiProduct({1: 2, 2: 2, 4: 2})))
+# odd u-parity, nothing cancels
+@example(QFrac(UPoly({1: Fraction(2, 3), 3: 1}), PhiProduct({1: 1, 3: 2, 6: 1})))
+def test_one_pass_reduction_matches_fold_first(x):
+    got, want = x.reduced(), fold_first_reduced(x)
+    assert (got.num.lo, got.num.v, got.num.den) == (want.num.lo, want.num.v, want.num.den)
+    assert got.den.e == want.den.e
+
+
+def test_qfrac_eq_cases(monkeypatch):
+    n = UPoly({0: 3, 2: -1, 6: Fraction(1, 2)})
+    x = QFrac(n, PhiProduct({1: 1, 3: 2}))
+    same = QFrac(UPoly({0: 3, 2: -1, 6: Fraction(1, 2)}), PhiProduct({3: 2, 1: 1}))
+    unreduced = QFrac(n * cyclotomic(1), PhiProduct({1: 1}))
+    odd = QFrac(n.shift_u(1), PhiProduct({1: 1, 3: 2}))
+    # equal values in unreduced form take the subtraction
+    assert unreduced == QFrac(n)
+    assert QFrac(n) == unreduced
+    assert (odd == x) is False and (x == odd) is False
+    assert QFrac.zero() == QFrac(UPoly(), PhiProduct({2: 1}))
+
+    def no_subtraction(*args):
+        raise AssertionError("equal fields were compared by subtracting")
+
+    # equal fields, and zero against zero, answer without subtracting
+    monkeypatch.setattr(QFrac, "__add__", no_subtraction)
+    monkeypatch.setattr(QFrac, "__sub__", no_subtraction)
+    assert x == same and same == x
+    assert QFrac.zero() == QFrac.zero()
+    assert QFrac.zero() == 0

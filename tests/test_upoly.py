@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qzeta.upoly import (
     _KRONECKER_CUTOFF,
@@ -13,6 +13,7 @@ from qzeta.upoly import (
     UPoly,
     _conv,
     _kronecker_mul,
+    _norm,
     format_rat,
     parse_rat,
 )
@@ -124,6 +125,52 @@ def test_equal_values_have_equal_fields_and_hashes(ab, k):
         assert_canonical(y)
         assert fields(x) == fields(y)
         assert x == y and hash(x) == hash(y)
+
+
+@st.composite
+def over_den(draw):
+    """A nonzero UPoly of either u-parity, signed integer coefficients over
+    a denominator other than 1."""
+    lo = 2 * draw(exps) + draw(parities)
+    v = draw(st.lists(coeffs, min_size=1, max_size=12).filter(any))
+    den = draw(st.integers(min_value=2, max_value=12))
+    p = UPoly({lo + 2 * i: Fraction(c, den) for i, c in enumerate(v)})
+    assume(p.den != 1)
+    return p
+
+
+@st.composite
+def short_operands(draw):
+    """One-term operands (the unit, +-q^m, c u^k/d) and two-term ones
+    (1 - q^m, q^a - q^b, 2 + 3u^2/5, u^(2a+1) - 3u^(2b+1)), of either
+    u-parity."""
+    m = draw(st.integers(min_value=-6, max_value=6))
+    a, b = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    assume(a != b)
+    k = draw(st.integers(min_value=-9, max_value=9))
+    c = draw(coeffs.filter(bool))
+    d = draw(st.integers(min_value=1, max_value=12))
+    return draw(st.sampled_from([
+        UPoly.one(), UPoly.q_power(m), -UPoly.q_power(m), UPoly({k: Fraction(c, d)}),
+        UPoly.one() - UPoly.q_power(m or 1), UPoly.q_power(a) - UPoly.q_power(b),
+        UPoly({0: 2, 2: Fraction(3, 5)}), UPoly({2 * a + 1: 1, 2 * b + 1: -3}),
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(over_den(), short_operands(), st.integers(min_value=-7, max_value=7))
+def test_short_products_and_shift_match_convolution(p, t, k):
+    want = _norm(p.lo + t.lo, _conv(p.v, t.v), p.den * t.den)
+    for got in (p * t, t * p):
+        assert_canonical(got)
+        assert fields(got) == fields(want)
+    assert fields(p.shift_u(k)) == fields(_norm(p.lo + k, list(p.v), p.den))
+
+
+def test_product_by_unit_is_the_other_operand():
+    p = UPoly({-3: Fraction(-2, 7), 1: 5})
+    assert p * UPoly.one() == p and UPoly.one() * p == p
+    assert fields(p * UPoly.one()) == fields(p)
 
 
 qpolys = upolys(parity=0)
