@@ -20,12 +20,11 @@ two of opposite parity, raises ValueError.
 
 A product whose shorter operand has one term (the unit, +-q^m, c u^k/d)
 is a shift of the other operand plus at most one scalar pass over its
-list, and a product by 1 u^k over den 1 shares that list.  When the
-shorter operand has two terms (1 - q^m, q^a - q^b), the product adds two
-scaled, shifted rows in one pass.  Every other product is one integer
-convolution: a row update for small or sparse operands, Kronecker
-substitution (one big-int multiply, with linear-time packing) above a
-fixed size.
+list, and a product by 1 u^k over den 1 shares that list.  Every other
+product is one integer convolution: a row update for small or sparse
+operands, such as 1 - q^m, which adds the other operand unscaled where
+a coefficient is 1; Kronecker substitution (one big-int multiply, with
+linear-time packing) above a fixed size.
 
 Exact division takes only a divisor with integer coefficients whose
 lowest one is +-1, as every cyclotomic polynomial and every product of
@@ -130,30 +129,19 @@ def _kronecker_mul(a: list, b: list) -> list:
 def _conv(a: list, b: list) -> list:
     """Product of two nonempty int lists.  The row update costs one pass
     over b per nonzero entry of a, so a sparse a, such as 1 - q^m, takes
-    it at any length."""
+    it at any length; the first row is copied, not added, and a row for
+    a coefficient 1 is b itself."""
     if len(a) > len(b):
         a, b = b, a
     if (len(a) - a.count(0)) * len(b) >= _KRONECKER_CUTOFF:
         return _kronecker_mul(a, b)
     lb = len(b)
-    out = [0] * (len(a) + lb - 1)
-    for i, x in enumerate(a):
+    x = a[0]
+    out = (b if x == 1 else list(map(x.__mul__, b))) + [0] * (len(a) - 1)
+    for i in range(1, len(a)):
+        x = a[i]
         if x:
-            out[i:i + lb] = map(add, out[i:i + lb], map(x.__mul__, b))
-    return out
-
-
-def _two_rows(x: int, y: int, g: int, b: list) -> list:
-    """(x + y t^g) * b for nonzero ints x, y and g >= 1: the rows x b and
-    y b shifted by g, added where they overlap."""
-    xb = b if x == 1 else list(map(x.__mul__, b))
-    yb = b if y == 1 else list(map(y.__mul__, b))
-    lb = len(b)
-    if g >= lb:
-        return xb + [0] * (g - lb) + yb
-    out = xb[:g]
-    out += map(add, xb[g:], yb)
-    out += yb[lb - g:]
+            out[i:i + lb] = map(add, out[i:i + lb], b if x == 1 else map(x.__mul__, b))
     return out
 
 
@@ -383,8 +371,6 @@ class UPoly:
             if c == 1 and a.den == 1:
                 return b.shift_u(a.lo)
             return _norm(lo, vb if c == 1 else list(map(c.__mul__, vb)), den)
-        if len(va) - va.count(0) == 2:
-            return _norm(lo, _two_rows(va[0], va[-1], len(va) - 1, vb), den)
         return _norm(lo, _conv(va, vb), den)
 
     __rmul__ = __mul__
