@@ -7,10 +7,11 @@ fraction coefficients, the combined form coefficients and the various
 denominator checks all produce fractions whose denominators are, up to a
 monomial, products of cyclotomic polynomials Phi_l(q).  Keeping that
 factorization explicit means reduction never needs a generic polynomial
-gcd: QFrac.reduced cancels whole binomials q^m - 1 = prod_{d|m} Phi_d,
-each by one trial division that stops at the first nonzero remainder,
-then single Phi_l, each proved exact beforehand by folding the
-numerator's coefficients mod q^l - 1.
+gcd, nor any divisor but q^m - 1 = prod_{d|m} Phi_d: QFrac.reduced
+cancels whole binomials q^m - 1, each by one trial division that stops
+at the first nonzero remainder, then single Phi_l, each proved exact
+beforehand by folding the numerator's coefficients mod q^l - 1 and
+divided out as a multiple of the other Phi_d, d | l, over q^l - 1.
 """
 
 from __future__ import annotations
@@ -116,16 +117,27 @@ def _q_power_minus_one(m: int) -> UPoly:
 
 
 @lru_cache(maxsize=None)
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), from sum_{d|n} mu(d) = [n = 1]."""
+    return 1 if n == 1 else -sum(map(_mobius, _divisors(n)[:-1]))
+
+
+@lru_cache(maxsize=None)
 def cyclotomic(l: int) -> UPoly:
-    """Phi_l(q) = (q^l - 1) / prod_{d|l, d<l} Phi_d, by exact division.
+    """Phi_l(q) = prod_{d|l} (q^d - 1)^mu(l/d): the product of the factors
+    with mu = 1, divided by each factor with mu = -1 in turn.
 
     The returned polynomial is shared and must be treated as immutable."""
     if l < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = _q_power_minus_one(l)
-    for d in _divisors(l):
-        if d < l:
-            num = num.divexact(cyclotomic(d))
+    divs = _divisors(l)
+    num = UPoly.one()
+    for d in divs:
+        if _mobius(l // d) == 1:
+            num = num * _q_power_minus_one(d)
+    for d in divs:
+        if _mobius(l // d) == -1:
+            num = num.divexact(_q_power_minus_one(d))
     return num
 
 
@@ -268,7 +280,8 @@ class QFrac:
     the loop for that m, so each m costs at most one failed division.
     Then it divides by each Phi_l left over, while the numerator folded
     mod q^l - 1, reduced mod Phi_l, is zero, a test that is exact, so
-    no division by a Phi_l fails.
+    no division by a Phi_l fails; the division multiplies by the other
+    Phi_d, d | l, and divides by q^l - 1.
     """
 
     __slots__ = ("num", "den")
@@ -367,7 +380,8 @@ class QFrac:
         # then the Phi_l left over, one at a time
         for l in sorted(exps):
             while exps[l] and _phi_divides(num, l):
-                num = num.divexact(cyclotomic(l))
+                rest = _phi_product(tuple((d, 1) for d in _divisors(l)[:-1]))
+                num = (num * rest).divexact(_q_power_minus_one(l))
                 exps[l] -= 1
         return QFrac(num, PhiProduct(exps))
 

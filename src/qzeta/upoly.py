@@ -26,13 +26,12 @@ operands, such as 1 - q^m, which adds the other operand unscaled where
 a coefficient is 1; Kronecker substitution (one big-int multiply, with
 linear-time packing) above a fixed size.
 
-Exact division takes only a divisor with integer coefficients whose
-lowest one is +-1, as every cyclotomic polynomial and every product of
-1 - q^m is; it is ascending synthetic division on the integer lists,
-done as running sums when the divisor is a binomial with unit
-coefficients, and a nonzero remainder raises ExactDivisionError.
-``fold(m)`` reduces the integer list mod q^m - 1, which tells beforehand
-whether a division by a factor of q^m - 1 is exact.
+Exact division takes only a divisor u^k (q^g - 1), g >= 1, the one
+the package needs: every cyclotomic polynomial is a quotient of such
+binomials.  It is one pass of running sums over the integer list, and a
+nonzero remainder raises ExactDivisionError.  ``fold(m)`` reduces the
+integer list mod q^m - 1, which tells beforehand whether a division by a
+factor of q^m - 1 is exact.
 
 UPoly is immutable: no method mutates the receiver or a list it shares,
 and the fields must not be touched from outside.  That makes every
@@ -43,9 +42,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate, cycle, repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 
 __all__ = [
     "ExactArithError",
@@ -143,55 +142,6 @@ def _conv(a: list, b: list) -> list:
         if x:
             out[i:i + lb] = map(add, out[i:i + lb], b if x == 1 else map(x.__mul__, b))
     return out
-
-
-def _divide(num: list, d: list) -> list:
-    """Exact quotient of the int list num by the int list d, d[0] = +-1.
-
-    Ascending synthetic division, each quotient coefficient from a dot
-    product with the ones before it.  Raises ExactDivisionError on a
-    nonzero remainder.
-    """
-    lead, tail = d[0], d[1:]
-    lt = len(tail)
-    qlen = len(num) - lt
-    if lt and tail[-1] in (1, -1) and not any(tail[:-1]):
-        return _divide_binomial(num, lead, tail[-1], lt)
-    rt = tail[::-1]
-    # quot[lt + i] is the quotient's coefficient i; lt zeros pad each end
-    quot = [0] * (len(num) + lt)
-    for i in range(qlen):
-        quot[i + lt] = (num[i] - sum(map(mul, rt, quot[i:i + lt]))) * lead
-    if any(num[i] - sum(map(mul, rt, quot[i:i + lt])) for i in range(qlen, len(num))):
-        raise ExactDivisionError("nonzero remainder")
-    return quot[lt:lt + qlen]
-
-
-def _divide_binomial(num: list, a: int, b: int, g: int) -> list:
-    """Exact quotient of num by a + b*x^g with a, b in {1, -1}.
-
-    Such divisors (Phi_1, Phi_2, 1 - q^m) are most of the trial divisions.
-    The quotient obeys quot[i] = a*num[i] - a*b*quot[i-g], a running sum
-    along each residue class mod g (with alternating signs when a*b = 1),
-    which itertools.accumulate computes without a Python-level loop.
-    Carried on through the top g entries of num, the same sums are a
-    times the remainder, so one pass both divides and tests exactness.
-    """
-    qlen = len(num) - g
-    quot = [0] * len(num)
-    for r in range(g):
-        seq = num[r::g]
-        if a == -1:
-            seq = map(neg, seq)
-        if a * b == -1:
-            quot[r::g] = accumulate(seq)
-        else:
-            quot[r::g] = map(mul, accumulate(map(mul, seq, cycle((1, -1)))),
-                             cycle((1, -1)))
-    if any(quot[qlen:]):
-        raise ExactDivisionError("nonzero remainder")
-    del quot[qlen:]
-    return quot
 
 
 # ----------------------------------------------------------------------
@@ -449,19 +399,29 @@ class UPoly:
         return [sum(v[r::m]) for r in range(m)]
 
     def divexact(self, other: "UPoly") -> "UPoly":
-        """Exact division by a divisor with integer coefficients whose
-        lowest one is +-1; any other divisor raises ValueError, a nonzero
-        remainder ExactDivisionError."""
-        if not other.v:
+        """Exact division by u^k (q^g - 1), g >= 1; any other divisor
+        raises ValueError, a nonzero remainder ExactDivisionError.
+
+        The quotient obeys quot[i] = quot[i-g] - v[i]: minus the running
+        sums of v along each residue class mod g, which
+        itertools.accumulate computes without a Python-level loop.
+        Carried on through the top g entries of v, the same sums are minus
+        the remainder, so one pass both divides and tests exactness."""
+        d = other.v
+        if not d:
             raise ZeroDivisionError("division by zero polynomial")
-        if other.den != 1 or other.v[0] not in (1, -1):
-            raise ValueError("divexact needs integer coefficients with the lowest "
-                             f"one +-1, got {other!r}")
-        if not self.v:
-            return UPoly.zero()
-        if len(self.v) < len(other.v):
-            raise ExactDivisionError("degree too small for exact division")
-        return _norm(self.lo - other.lo, _divide(self.v, other.v), self.den)
+        g = len(d) - 1
+        if other.den != 1 or d != [-1] + [0] * (g - 1) + [1]:
+            raise ValueError(f"divexact divides only by u^k (q^g - 1), got {other!r}")
+        v = self.v
+        qlen = max(len(v) - g, 0)
+        quot = [0] * len(v)
+        for r in range(g):
+            quot[r::g] = accumulate(map(neg, v[r::g]))
+        if any(quot[qlen:]):
+            raise ExactDivisionError("nonzero remainder")
+        del quot[qlen:]
+        return _norm(self.lo - other.lo, quot, self.den)
 
     def __repr__(self):
         if not self.v:

@@ -2,15 +2,21 @@
 products, Stirling/Bernoulli tables, and the Phi-product fraction field."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qzeta
 from qzeta.qcomb import (
     PhiProduct,
     QFrac,
     _divisors,
+    _mobius,
     _phi_divides,
     alpha_weight,
     bernoulli,
@@ -22,7 +28,7 @@ from qzeta.qcomb import (
     stirling_first,
     totient,
 )
-from qzeta.upoly import ExactDivisionError, UPoly
+from qzeta.upoly import UPoly
 
 
 def test_qbinomial_4_2():
@@ -38,7 +44,8 @@ def test_qbinomial_symmetry_and_specialization():
 
 
 def test_cyclotomic_product_is_q_power_minus_one():
-    for n in range(1, 51):
+    # multiplication only: Phi_n is pinned by induction on n
+    for n in range(1, 201):
         prod = UPoly.one()
         for d in range(1, n + 1):
             if n % d == 0:
@@ -49,9 +56,24 @@ def test_cyclotomic_product_is_q_power_minus_one():
 def test_cyclotomic_known_values():
     assert cyclotomic(1) == UPoly({2: 1, 0: -1})                      # q - 1
     assert cyclotomic(2) == UPoly({2: 1, 0: 1})                       # q + 1
+    assert cyclotomic(3) == UPoly({4: 1, 2: 1, 0: 1})                 # q^2+q+1
     assert cyclotomic(6) == UPoly({4: 1, 2: -1, 0: 1})                # q^2-q+1
-    # first index with a coefficient outside {0, +-1}
-    assert any(abs(v) > 1 for _, v in cyclotomic(105).terms())
+    # first index with a coefficient outside {0, +-1}: -2 at q^7 and q^41
+    assert [(e, v) for e, v in cyclotomic(105).terms() if abs(v) > 1] == [(14, -2), (82, -2)]
+
+
+def test_mobius_values():
+    assert [_mobius(n) for n in (1, 2, 4, 6, 12, 30, 105)] == [1, -1, 0, 1, 0, -1, -1]
+
+
+def test_import_leaves_mobius_and_cyclotomic_caches_empty():
+    src = str(Path(qzeta.__file__).resolve().parents[1])
+    code = ("import qzeta.cli, qzeta.qcomb as q; print(q._mobius.cache_info().currsize,"
+            " q.cyclotomic.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_cyclotomic_palindromic_above_one():
@@ -215,6 +237,24 @@ def test_totient_values():
 # ----------------------------------------------------------------------
 # QFrac.reduced against trial division, and the fold criterion it uses.
 
+def long_divide(f: UPoly, d: UPoly):
+    """f / d by schoolbook long division over Fraction, from the top term
+    down, or None if it leaves a remainder: the oracles' own division,
+    independent of UPoly.divexact."""
+    if f.is_zero():
+        return f
+    a = [f.coeff(e) for e in range(f.min_exp(), f.max_exp() + 1, 2)]
+    b = [d.coeff(e) for e in range(d.min_exp(), d.max_exp() + 1, 2)]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = a[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            a[i + j] -= quot[i] * y
+    if any(a):
+        return None
+    return UPoly({f.min_exp() - d.min_exp() + 2 * i: c for i, c in enumerate(quot)})
+
+
 def trial_reduced(x: QFrac) -> QFrac:
     """The reduction by trial exact division, one Phi_l at a time, kept
     as the oracle for QFrac.reduced."""
@@ -225,10 +265,10 @@ def trial_reduced(x: QFrac) -> QFrac:
     for l in sorted(exps):
         phi = cyclotomic(l)
         while exps[l] > 0:
-            try:
-                num = num.divexact(phi)
-            except ExactDivisionError:
+            quot = long_divide(num, phi)
+            if quot is None:
                 break
+            num = quot
             exps[l] -= 1
         if not exps[l]:
             del exps[l]
@@ -236,11 +276,7 @@ def trial_reduced(x: QFrac) -> QFrac:
 
 
 def divides(f: UPoly, d: UPoly) -> bool:
-    try:
-        f.divexact(d)
-    except ExactDivisionError:
-        return False
-    return True
+    return long_divide(f, d) is not None
 
 
 @st.composite
@@ -322,12 +358,12 @@ def fold_first_reduced(x: QFrac) -> QFrac:
     for m in sorted(exps, reverse=True):
         divs = _divisors(m)
         while all(exps.get(d) for d in divs) and not any(num.fold(m)):
-            num = num.divexact(UPoly.q_power(m) - 1)
+            num = long_divide(num, UPoly.q_power(m) - 1)
             for d in divs:
                 exps[d] -= 1
     for l in sorted(exps):
         while exps[l] and _phi_divides(num, l):
-            num = num.divexact(cyclotomic(l))
+            num = long_divide(num, cyclotomic(l))
             exps[l] -= 1
     return QFrac(num, PhiProduct(exps))
 

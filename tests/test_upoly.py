@@ -1,6 +1,7 @@
 """Laurent-polynomial ring in u (u^2 = q): axioms, exact division,
 multiplication strategies, substitutions and serialization."""
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -48,14 +49,12 @@ def same_parity(count, **kw):
 
 
 @st.composite
-def divisors(draw, max_terms=5):
-    """Integer UPolys whose lowest coefficient is +-1: the divisors
+def divisors(draw):
+    """u^k (q^g - 1), k of either parity, g in 1..12: the divisors
     divexact takes."""
-    lo = 2 * draw(exps) + draw(parities)
-    d = {lo + 2 * draw(st.integers(1, 8)): draw(coeffs)
-         for _ in range(draw(st.integers(0, max_terms)))}
-    d[lo] = draw(st.sampled_from((1, -1)))
-    return UPoly(d)
+    k = draw(st.integers(-9, 9))
+    g = draw(st.integers(1, 12))
+    return UPoly({k: -1, k + 2 * g: 1})
 
 
 def naive_mul(a: UPoly, b: UPoly) -> UPoly:
@@ -250,36 +249,37 @@ def test_eval_is_ring_homomorphism(a, b, q0):
 
 @settings(max_examples=80, deadline=None)
 @given(upolys(), divisors())
-def test_divexact_roundtrip(a, b):
-    assert (a * b).divexact(b) == a
+def test_divexact_roundtrip(a, d):
+    assert (a * d).divexact(d) == a
 
 
 @settings(max_examples=40, deadline=None)
 @given(upolys(fractions=True), divisors())
-def test_divexact_roundtrip_fraction_coeffs(a, b):
-    assert (a * b).divexact(b) == a
+def test_divexact_roundtrip_fraction_coeffs(a, d):
+    assert (a * d).divexact(d) == a
 
 
-def test_divexact_int_fast_path_even_stride():
-    # both operands on the even (q-power) lattice with unit lead: int path
-    a = UPoly({0: 1, 2: -3, 6: 5})
-    b = UPoly({0: 1, 4: 1})
-    assert (a * b).divexact(b) == a
-    # an odd power of u times a q-polynomial, u^-1 (1 + 2q - q^2)
-    c = UPoly({-1: 1, 1: 2, 3: -1})
-    assert (a * c).divexact(c) == a
-    assert (a * c).divexact(a) == c
+def test_divexact_hand_computed_quotients():
+    assert UPoly({6: 1, 0: -1}).divexact(UPoly({2: 1, 0: -1})) == \
+        UPoly({0: 1, 2: 1, 4: 1})                      # (q^3 - 1)/(q - 1)
+    # (q^6 - 1) / u^3 (q^2 - 1) = u^-3 (1 + q^2 + q^4)
+    assert UPoly({12: 1, 0: -1}).divexact(UPoly({7: 1, 3: -1})) == \
+        UPoly({-3: 1, 1: 1, 5: 1})
+    # (q^2 - 1)/2 / (q - 1) = (q + 1)/2
+    assert UPoly({4: Fraction(1, 2), 0: Fraction(-1, 2)}).divexact(
+        UPoly({2: 1, 0: -1})) == UPoly({2: Fraction(1, 2), 0: Fraction(1, 2)})
+    assert UPoly.zero().divexact(UPoly({9: 1, 1: -1})) == UPoly.zero()
 
 
 @settings(max_examples=60, deadline=None)
-@given(upolys(fractions=True, parity=0), st.sampled_from((1, -1)),
-       st.sampled_from((1, -1)), st.integers(1, 5), st.integers(-8, 8))
-def test_divexact_by_unit_binomial(a, s0, s1, m, k):
-    # u^k (s0 + s1 q^m), k of either parity
-    b = UPoly({k: s0, k + 2 * m: s1})
-    assert (a * b).divexact(b) == a
+@given(upolys(fractions=True), divisors(), st.integers(-12, 12),
+       st.fractions(min_value=-5, max_value=5).filter(bool))
+def test_divexact_by_unit_binomial(a, d, e, c):
+    # a remainder c u^(2e + parity) anywhere in, below or above a * d
+    p = a * d
+    assert p.divexact(d) == a
     with pytest.raises(ExactDivisionError):
-        (a * b + UPoly({k: 1})).divexact(b)
+        (p + UPoly({2 * e + (a.lo + d.lo) % 2: c})).divexact(d)
 
 
 def test_divexact_rejects_non_divisor():
@@ -287,25 +287,34 @@ def test_divexact_rejects_non_divisor():
     b = UPoly({0: -1, 2: 1})         # q - 1
     with pytest.raises(ExactDivisionError):
         a.divexact(b)
+    with pytest.raises(ExactDivisionError):
+        a.divexact(UPoly({6: 1, 0: -1}))  # shorter than q^3 - 1
     with pytest.raises(ZeroDivisionError):
         a.divexact(UPoly.zero())
 
 
-def test_divexact_rejects_non_unit_led_divisor():
-    a = UPoly({0: 2, 2: 1}) * UPoly({0: 1, 2: 5})
-    for b in (UPoly({0: 2, 2: 1}),                      # 2 + q
+def test_divexact_rejects_other_divisors():
+    a = UPoly({0: 2, 2: 1}) * UPoly({0: -1, 6: 1})
+    for b in (UPoly({0: 1, 2: 1, 4: 1}),                # Phi_3
+              UPoly({0: 1, 2: 1}),                      # q + 1
+              UPoly({0: 1, 6: -1}),                     # 1 - q^3
+              UPoly({0: -2, 2: 2}),                     # 2 (q - 1)
+              UPoly({0: Fraction(-1, 2), 2: Fraction(1, 2)}),  # (q - 1)/2
+              UPoly({0: 2, 2: 1}),                      # 2 + q
               UPoly({0: 1, 2: Fraction(3, 2)}),         # 1 + (3/2) q
-              UPoly.const(Fraction(1, 2))):
-        with pytest.raises(ValueError):
+              UPoly.const(Fraction(1, 2)),
+              UPoly.const(-1)):
+        with pytest.raises(ValueError, match=re.escape(repr(b))):
             a.divexact(b)
 
 
 def test_divexact_remainder_in_low_terms_rejected():
-    # quotient exists degree-wise but remainder is nonzero
-    a = UPoly({0: 1, 2: 1, 4: 1})
-    b = UPoly({0: 1, 2: 1})
-    with pytest.raises(ExactDivisionError):
-        a.divexact(b)
+    # the quotient's length fits, but the remainder sits in the lowest terms
+    d = UPoly({0: -1, 6: 1})         # q^3 - 1
+    a = UPoly({0: 1, 2: 1, 10: 1}) * d
+    for r in (UPoly({0: 1}), UPoly({2: -2}), UPoly({0: 1, 4: 1})):
+        with pytest.raises(ExactDivisionError):
+            (a + r).divexact(d)
 
 
 @settings(max_examples=50, deadline=None)
