@@ -8,10 +8,9 @@ denominator checks all produce fractions whose denominators are, up to a
 monomial, products of cyclotomic polynomials Phi_l(q).  Keeping that
 factorization explicit means reduction never needs a generic polynomial
 gcd, nor any divisor but q^m - 1 = prod_{d|m} Phi_d: QFrac.reduced
-cancels whole binomials q^m - 1, each by one trial division that stops
-at the first nonzero remainder, then single Phi_l, each proved exact
-beforehand by folding the numerator's coefficients mod q^l - 1 and
-divided out as a multiple of the other Phi_d, d | l, over q^l - 1.
+cancels whole binomials q^m - 1, then single Phi_l, each written as
+binomials q^d - 1 to multiply by and divide by, and each by trial
+divisions that stop at the first nonzero remainder.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import sub
 
 from .upoly import ExactDivisionError, UPoly
 
@@ -123,34 +121,30 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _phi_recipe(l: int) -> tuple:
+    """(minus, plus): the d | l with mu(l/d) = -1 and those with
+    mu(l/d) = 1, largest first, so that Phi_l = prod_{d in plus} (q^d - 1)
+    / prod_{d in minus} (q^d - 1).  plus starts with l itself."""
+    divs = _divisors(l)[::-1]
+    return (tuple(d for d in divs if _mobius(l // d) == -1),
+            tuple(d for d in divs if _mobius(l // d) == 1))
+
+
+@lru_cache(maxsize=None)
 def cyclotomic(l: int) -> UPoly:
-    """Phi_l(q) = prod_{d|l} (q^d - 1)^mu(l/d): the product of the factors
-    with mu = 1, divided by each factor with mu = -1 in turn.
+    """Phi_l(q) from its recipe: the product of the plus binomials, divided
+    by each minus binomial in turn.
 
     The returned polynomial is shared and must be treated as immutable."""
     if l < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    divs = _divisors(l)
+    minus, plus = _phi_recipe(l)
     num = UPoly.one()
-    for d in divs:
-        if _mobius(l // d) == 1:
-            num = num * _q_power_minus_one(d)
-    for d in divs:
-        if _mobius(l // d) == -1:
-            num = num.divexact(_q_power_minus_one(d))
+    for d in plus:
+        num = num * _q_power_minus_one(d)
+    for d in minus:
+        num = num.divexact(_q_power_minus_one(d))
     return num
-
-
-def _phi_divides(num: UPoly, l: int) -> bool:
-    """Whether Phi_l divides num: the fold of num mod q^l - 1, reduced
-    mod the monic Phi_l from the top down, is zero."""
-    rem = num.fold(l)
-    k = totient(l)
-    phi = [int(cyclotomic(l).coeff(2 * e)) for e in range(k + 1)]
-    for i in range(l - 1, k - 1, -1):
-        if rem[i]:
-            rem[i - k:i + 1] = map(sub, rem[i - k:i + 1], map(rem[i].__mul__, phi))
-    return not any(rem[:k])
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +165,11 @@ def d_poly(n: int) -> UPoly:
 
 @lru_cache(maxsize=None)
 def totient(l: int) -> int:
-    return (cyclotomic(l).max_exp() - cyclotomic(l).min_exp()) // 2 if l > 0 else 0
+    """Euler's phi(l), the degree of Phi_l; 0 for l <= 0."""
+    if l < 1:
+        return 0
+    minus, plus = _phi_recipe(l)
+    return sum(plus) - sum(minus)
 
 
 # ----------------------------------------------------------------------
@@ -276,12 +274,12 @@ class QFrac:
     shares with the denominator, which yields the canonical reduced form
     because cyclotomics are irreducible over Q.  It first divides by whole
     binomials q^m - 1, largest m first, while every Phi_d, d | m, is still
-    in the denominator; the first division that leaves a remainder ends
-    the loop for that m, so each m costs at most one failed division.
-    Then it divides by each Phi_l left over, while the numerator folded
-    mod q^l - 1, reduced mod Phi_l, is zero, a test that is exact, so
-    no division by a Phi_l fails; the division multiplies by the other
-    Phi_d, d | l, and divides by q^l - 1.
+    in the denominator.  Then it divides by each Phi_l left over, l >= 2,
+    as a product by the binomials q^d - 1 of its recipe with mu(l/d) = -1
+    and divisions by those with mu(l/d) = 1.  Either trial is exact
+    exactly when its factor divides the numerator, so the first division
+    that leaves a remainder ends the loop for that factor, and each
+    factor costs at most one failed trial.
     """
 
     __slots__ = ("num", "den")
@@ -367,22 +365,24 @@ class QFrac:
             return QFrac.zero()
         num = self.num
         exps = dict(self.den.e)
-        # whole binomials q^m - 1 = prod_{d|m} Phi_d first, largest m first
-        for m in sorted(exps, reverse=True):
-            divs = _divisors(m)
-            while all(exps.get(d) for d in divs):
+        # (phis, mults, divs): num * prod_mults (q^d - 1) / prod_divs (q^d - 1)
+        # is num / prod_phis Phi_d; whole binomials q^m - 1 first, largest
+        # m first, then single Phi_l (Phi_1 alone is the binomial m = 1)
+        trials = [(_divisors(m), (), (m,)) for m in sorted(exps, reverse=True)]
+        trials += [((l,), *_phi_recipe(l)) for l in sorted(exps) if l > 1]
+        for phis, mults, divs in trials:
+            while all(exps.get(d) for d in phis):
+                t = num
+                for d in mults:
+                    t = t.shift_u(2 * d) - t
                 try:
-                    num = num.divexact(_q_power_minus_one(m))
+                    for d in divs:
+                        t = t.divexact(_q_power_minus_one(d))
                 except ExactDivisionError:
                     break
-                for d in divs:
+                num = t
+                for d in phis:
                     exps[d] -= 1
-        # then the Phi_l left over, one at a time
-        for l in sorted(exps):
-            while exps[l] and _phi_divides(num, l):
-                rest = _phi_product(tuple((d, 1) for d in _divisors(l)[:-1]))
-                num = (num * rest).divexact(_q_power_minus_one(l))
-                exps[l] -= 1
         return QFrac(num, PhiProduct(exps))
 
     def subst_inv(self) -> "QFrac":

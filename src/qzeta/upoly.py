@@ -29,9 +29,8 @@ linear-time packing) above a fixed size.
 Exact division takes only a divisor u^k (q^g - 1), g >= 1, the one
 the package needs: every cyclotomic polynomial is a quotient of such
 binomials.  It is one pass of running sums over the integer list, and a
-nonzero remainder raises ExactDivisionError.  ``fold(m)`` reduces the
-integer list mod q^m - 1, which tells beforehand whether a division by a
-factor of q^m - 1 is exact.
+nonzero remainder raises ExactDivisionError, which makes a trial
+division the package's one test of whether a factor divides a value.
 
 UPoly is immutable: no method mutates the receiver or a list it shares,
 and the fields must not be touched from outside.  That makes every
@@ -389,14 +388,6 @@ class UPoly:
         return (Fraction(0), val) if odd else (val, Fraction(0))
 
     # --- division ---------------------------------------------------------
-
-    def fold(self, m: int) -> list:
-        """The integer q-polynomial den * u^(-lo) * self reduced mod
-        q^m - 1: its m coefficients, the sums of v over each residue class
-        of the q-exponent mod m.  self is divisible by q^m - 1, or by a
-        factor of it, exactly when this remainder is."""
-        v = self.v
-        return [sum(v[r::m]) for r in range(m)]
 
     def divexact(self, other: "UPoly") -> "UPoly":
         """Exact division by u^k (q^g - 1), g >= 1; any other divisor

@@ -17,7 +17,6 @@ from qzeta.qcomb import (
     QFrac,
     _divisors,
     _mobius,
-    _phi_divides,
     alpha_weight,
     bernoulli,
     cyclotomic,
@@ -69,11 +68,11 @@ def test_mobius_values():
 def test_import_leaves_mobius_and_cyclotomic_caches_empty():
     src = str(Path(qzeta.__file__).resolve().parents[1])
     code = ("import qzeta.cli, qzeta.qcomb as q; print(q._mobius.cache_info().currsize,"
-            " q.cyclotomic.cache_info().currsize)")
+            " q.cyclotomic.cache_info().currsize, q._phi_recipe.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 def test_cyclotomic_palindromic_above_one():
@@ -232,10 +231,16 @@ def test_qfrac_subst_inv_consistent_with_values():
 
 def test_totient_values():
     assert [totient(l) for l in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+    assert totient(0) == totient(-3) == 0
+    # the count of units mod l, independent of the Moebius recipe, and the
+    # degree of the Phi_l that recipe builds
+    for l in range(1, 301):
+        units = sum(1 for k in range(1, l + 1) if math.gcd(k, l) == 1)
+        assert totient(l) == units == cyclotomic(l).max_exp() // 2, l
 
 
 # ----------------------------------------------------------------------
-# QFrac.reduced against trial division, and the fold criterion it uses.
+# QFrac.reduced against the oracles' own long division.
 
 def long_divide(f: UPoly, d: UPoly):
     """f / d by schoolbook long division over Fraction, from the top term
@@ -308,8 +313,15 @@ binomials = st.lists(st.integers(min_value=1, max_value=12), max_size=3)
 @example(UPoly(), {}, {5: 2}, [4])
 # a Phi_l in the numerator that the denominator lacks
 @example(UPoly({0: -2}), {5: 2, 7: 1}, {1: 1}, [2])
-# 1 + q - q^2 folds mod q^2 - 1 to [0, 1]: its first sum alone says nothing
+# 1 + q - q^2: its even-power coefficients sum to 0, yet q^2 - 1 does not divide it
 @example(UPoly({0: 1, 2: 1, 4: -1}), {}, {1: 1, 2: 1}, [])
+# a leftover Phi_30, whose recipe multiplies by four binomials q^d - 1
+# (d = 1, 6, 10, 15) and divides by four; it cancels twice, then fails
+@example(UPoly({0: 1, 2: 5}), {30: 2}, {30: 3, 6: 1}, [])
+# a leftover Phi_12: mu(12) = mu(4) = 0 drops q - 1 and q^3 - 1 from it
+@example(UPoly({1: Fraction(2, 3), 3: -1}), {12: 1, 4: 1}, {12: 2, 4: 1, 2: 1}, [])
+# the binomials q^3 - 1 and q^2 - 1 cancel, then 2 + q leaves Phi_1 over once
+@example(UPoly({0: 2, 2: 1}), {1: 1, 2: 1}, {1: 2, 2: 1}, [3])
 def test_reduced_matches_trial_division(g, a, b, ms):
     a, b = dict(a), dict(b)
     for m in ms:
@@ -324,45 +336,23 @@ def test_reduced_matches_trial_division(g, a, b, ms):
         assert not divides(got.num, cyclotomic(l)), l
 
 
-int_lists = st.lists(st.integers(-20, 20), min_size=1, max_size=40)
-
-
-@settings(max_examples=150, deadline=None)
-@given(int_lists, st.integers(min_value=1, max_value=30), st.booleans())
-def test_fold_criterion_matches_division_by_phi(v, l, times_phi):
-    f = UPoly({2 * i: c for i, c in enumerate(v)})
-    if times_phi:
-        f = f * cyclotomic(l)
-    assert _phi_divides(f, l) == divides(f, cyclotomic(l))
-
-
-@settings(max_examples=150, deadline=None)
-@given(int_lists, st.integers(min_value=1, max_value=30), st.booleans())
-def test_fold_criterion_matches_division_by_binomial(v, m, times_binomial):
-    binomial = UPoly.q_power(m) - 1
-    f = UPoly({2 * i: c for i, c in enumerate(v)})
-    if times_binomial:
-        f = f * binomial
-    assert divides(f, binomial) == (f.fold(m) == [0] * m)
-
-
 def fold_first_reduced(x: QFrac) -> QFrac:
-    """QFrac.reduced with each division by q^m - 1 proved exact beforehand
-    by the fold mod q^m - 1, and q^m - 1 built anew for each division:
-    the reference of the one-pass binomial loop, which tries the division
-    and stops at the first remainder."""
+    """QFrac.reduced with each division by q^m - 1 and by Phi_l proved
+    exact beforehand by the oracles' long division, and q^m - 1 built anew
+    for each division: the reference of the one trial loop, which tries
+    each division and stops at the first remainder."""
     if x.num.is_zero():
         return QFrac.zero()
     num = x.num
     exps = dict(x.den.e)
     for m in sorted(exps, reverse=True):
         divs = _divisors(m)
-        while all(exps.get(d) for d in divs) and not any(num.fold(m)):
+        while all(exps.get(d) for d in divs) and divides(num, UPoly.q_power(m) - 1):
             num = long_divide(num, UPoly.q_power(m) - 1)
             for d in divs:
                 exps[d] -= 1
     for l in sorted(exps):
-        while exps[l] and _phi_divides(num, l):
+        while exps[l] and divides(num, cyclotomic(l)):
             num = long_divide(num, cyclotomic(l))
             exps[l] -= 1
     return QFrac(num, PhiProduct(exps))
