@@ -218,8 +218,9 @@ def eisenstein_value(s: int, q0, prec: int = DEFAULT_PREC) -> mpf:
 
     zeta_q certifies zeta_q(2s) for every q0 the expansion accepts: by
     the Lambert series k^(2s-1) q0^k/(1 - q0^k), whose ratio bound falls
-    to |q0| < 1, for q0 <= 1/2, and by the pairs grouped along the
-    hyperbola for q0 > 1/2.  Either route stops at the tail tolerance
+    to |q0| < 1, for -1/2 <= q0 <= 1/2, by the pairs grouped along the
+    hyperbola for q0 > 1/2, and by the base change to -q0, q0^2 and q0^4
+    for q0 < -1/2.  Every route stops at the tail tolerance
     2^(-prec-1)/|4s/B_{2s}| passed to it, so the truncation error of
     E_{2s} stays below 2^(-prec-1).
     """

@@ -310,14 +310,16 @@ def _check_q0(q0) -> Fraction:
 def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
     """zeta_q(s) = sum_k k^(s-1) q0^k / (1 - q0^k), certified tail.
 
-    Two routes, one rule: for q0 > 1/2 the pairs (k, j) of the double sum
-    sum_{k,j>=1} k^(s-1) q0^(kj) are grouped by min(k, j)
+    Three routes, one rule: for q0 > 1/2 the pairs (k, j) of the double
+    sum sum_{k,j>=1} k^(s-1) q0^(kj) are grouped by min(k, j)
     (_zeta_q_clausen), which needs about the square root of the terms of
-    the direct series; for every other q0, negative ones included, the
-    direct series k^(s-1) q0^k/(1 - q0^k) is summed (_zeta_q_series).
+    the direct series; for -1/2 <= q0 <= 1/2 the direct series
+    k^(s-1) q0^k/(1 - q0^k) is summed (_zeta_q_series); for q0 < -1/2 the
+    value is an exact combination of zeta_x, zeta_(x^2) and zeta_(x^4),
+    x = -q0, each summed by one of the first two routes (_zeta_q_minus).
     The Clausen terms alternate in sign for q0 < 0, and their ratio bound
-    holds only for positive terms, so negative q0 stay direct.  Both
-    routes stop once the certified tail is below tol, by default
+    holds only for positive terms, so they never see a negative q0.  Every
+    route stops once the certified tail is below tol, by default
     2^-(prec+8).  A q0 that rounds to +-1 at the working precision, where
     the first term would divide by 1 - q = 0, raises PrecisionError
     before any term.
@@ -337,9 +339,32 @@ def zeta_q(s: int, q0: Fraction, prec: int = DEFAULT_PREC, tol=None) -> mpf:
         if abs(qm) >= 1:
             raise PrecisionError(f"q0 = {q0} rounds to {qm} at {mp.prec} bits; "
                                  "raise prec to separate it from +-1")
+        if q0 < Fraction(-1, 2):
+            return +_zeta_q_minus(s, -q0, prec, tol)
         series = _zeta_q_clausen if q0 > Fraction(1, 2) else _zeta_q_series
         terms, bound, limit = series(s, qm)
         return +sum_with_tail(terms, bound, tol, limit=limit)
+
+
+def _zeta_q_minus(s: int, x: Fraction, prec: int, tol) -> mpf:
+    """zeta_q(s) at q = -x, 1/2 < x < 1, by the exact base change
+
+        zeta_(-x)(s) = -zeta_x(s) + (2^s + 2) zeta_(x^2)(s) - 2^s zeta_(x^4)(s):
+
+    split sum_k k^(s-1) q^k/(1 - q^k) by the parity of k and write each odd
+    term with x^k/(1 + x^k) = x^k/(1 - x^k) - 2 x^(2k)/(1 - x^(2k)).  Each
+    zeta_(x^e) is certified to tol 2^-(2 + bits(c)), c its coefficient, so
+    the three tails add to less than tol.  As x -> 1, zeta_(x^e)(s) is
+    about Gamma(s) zeta(s)/(e t)^s, t = -log x, and the combination keeps
+    about 2^-s of the first term: the three values and their combination
+    are taken s + 2 bits wider."""
+    wide = prec + s + 2
+    with mp.workprec(working_prec(wide)):
+        total = mpf(0)
+        for c, e in ((-1, 1), (2 ** s + 2, 2), (-(2 ** s), 4)):
+            part_tol = mp.ldexp(tol, -(2 + abs(c).bit_length()))
+            total += c * zeta_q(s, x ** e, wide, part_tol)
+        return total
 
 
 def _zeta_q_series(s: int, qm):
@@ -392,8 +417,13 @@ def _zeta_q_clausen(s: int, qm):
     coordinate m, or at least m+2) into those with min m, and each
     weight falls by ((m+1)/m)^(s-1) q^j <= ((m+1)/m)^(s-1) q^(m+1) or
     by q^k <= q^(m+2).  So T_(m+1) <= ((m+1)/m)^(s-1) q^(m+1) T_m, a
-    bound that decreases in m to 0.  For q < 0 the weights q^(kj) change
-    sign and the map bounds nothing, so negative q is summed directly.
+    bound that decreases in m to 0.  It is returned as a kernel pair at
+    most s + 64 bits wide and never below the exact bound at the dyadic
+    q: q^(m+1) is a running product of q rounded up to 64 bits, each step
+    rounded up to 64 bits, and the factor ((m+1)/m)^(s-1) is applied by
+    one ceiling division, so a term costs one small product and no mpf
+    operation.  For q < 0 the weights q^(kj) change sign and the map
+    bounds nothing, so negative q never come here.
 
     The terms fall like q^(m^2): about sqrt(bits/(1-q)) of them, against
     bits/(1-q) for the direct series.  They are kernel pairs at the
@@ -425,11 +455,26 @@ def _zeta_q_clausen(s: int, qm):
             om = padd(om, pmul(x, om1, p), p)
             x = xn
 
+    qup = _mul_up(from_mpf(qm), PONE)   # q rounded up to 64 bits
+    at, pw = 1, _mul_up(qup, qup)       # pw >= q^(at+1), a running product
+
     def bound(i):
+        nonlocal at, pw
         m = i + 1
-        return mpf((m + 1) ** (s - 1)) / m ** (s - 1) * qm ** (m + 1)
+        if m < at:
+            at, pw = 1, _mul_up(qup, qup)
+        while at < m:
+            at, pw = at + 1, _mul_up(pw, qup)
+        return -(-pw[0] * (m + 1) ** (s - 1) // m ** (s - 1)), pw[1]
 
     return terms(), bound, 0
+
+
+def _mul_up(x: tuple, y: tuple) -> tuple:
+    """x y for pairs with positive mantissas, rounded up to 64 bits."""
+    m, e = x[0] * y[0], x[1] + y[1]
+    n = m.bit_length() - 64
+    return (m, e) if n <= 0 else (-(-m >> n), e + n)
 
 
 class _QPowers:

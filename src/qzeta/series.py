@@ -12,11 +12,14 @@ pmul_int and pdiv round their exact result to nearest-even at p bits,
 p = mp.prec (Brent & Zimmermann, Modern Computer Arithmetic, ch. 3).
 mpmath rounds each of these operations correctly to nearest-even too, so
 on inputs of at most p bits both give the same value: a term, a partial
-sum, a stop index and the returned mpf are what mpf arithmetic gives, bit
-for bit.  ppow is not a correctly rounded step in mpmath (its powers above
-1000 bits round in one direction), so it calls mpmath's own mpf_pow_int.
-The kernel saves the wrapping of every operation in an mpf object and the
-trailing-zero normalization of its mantissa.
+sum and the returned mpf are what mpf arithmetic gives, bit for bit.
+ppow is not a correctly rounded step in mpmath (its powers above 1000
+bits round in one direction), so it calls mpmath's own mpf_pow_int.  The
+kernel saves the wrapping of every operation in an mpf object and the
+trailing-zero normalization of its mantissa.  The stop test of a sum is
+no rounded operation at all: it compares integers exactly, so it can part
+from an mpf test only where the tail estimate lies within a few ulps of
+the tolerance.
 
 The exact half is one T-polynomial product (tmul) that is deliberately
 generic, a kernel numerator given by its factors (Kernel), and one
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, inf, lcm, prod
+from math import comb, inf, isfinite, lcm, log, log1p, log2, prod
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
@@ -170,48 +173,106 @@ def ppow(x: tuple, k: int, p: int) -> tuple:
     return (-man if sign else man), exp
 
 
+def _dyadic(x):
+    """The pair (m, e) with x = m 2^e exactly, for a kernel pair, a finite
+    mpf, float or int; None for an infinity or a nan.  Any other real is
+    first made an mpf at the working precision."""
+    if isinstance(x, tuple):
+        return x
+    if isinstance(x, int):
+        return x, 0
+    if isinstance(x, float):
+        if not isfinite(x):
+            return None
+        m, d = x.as_integer_ratio()
+        return m, 1 - d.bit_length()
+    if not isinstance(x, mpf):
+        x = mpf(x)
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:     # +-inf and nan have a zero mantissa
+        return None
+    return (-man if sign else man), exp
+
+
+def _less(m: int, e: int, n: int) -> bool:
+    """m 2^e < n, exactly, for ints m >= 0, e and n.  m 2^e lies in
+    [2^(top-1), 2^top), top = e + bits(m), and n in [2^(bits(n)-1),
+    2^bits(n)), so only equal tops need the shifted comparison."""
+    if not m or n <= 0:
+        return 0 < n
+    top, ntop = e + m.bit_length(), n.bit_length()
+    if top != ntop:
+        return top < ntop
+    return m << e < n if e >= 0 else m < n << -e
+
+
+def _predicted_terms(t: tuple, tol: tuple, limit) -> float:
+    """A sixteenth of log(tol/|t|)/log(limit), the terms a geometric series
+    of ratio limit, started at t, takes to fall below tol.  Term ratios
+    fall to limit from above, so this underestimates a sum's length unless
+    its terms fall faster than its bound says; the sixteenth leaves room
+    for that.  Zero when |t| is already below tol or limit is not in
+    (0, 1), and inf when 1 - limit is below the smallest float."""
+    if not t[0] or tol[0] <= 0 or not 0 < limit < 1:
+        return 0.0
+    bits = log2(abs(t[0])) + t[1] - log2(tol[0]) - tol[1]
+    if bits <= 0:
+        return 0.0
+    gap = float(1 - mpf(limit))     # 1 - limit at the working precision
+    return bits * log(2) / -log1p(-gap) / 16 if gap else inf
+
+
 def sum_with_tail(terms, ratio_bound, tol, *, limit):
     """Sum terms with a certified geometric tail bound.
 
     terms: iterable of kernel pairs (see from_mpf); the sum is taken in
     the kernel at p = mp.prec and returned as an mpf.  ratio_bound: a
-    callable k -> r_k with |t_{j+1}| <= r_k |t_j| for all j >= k.
-    Summation stops at the first k with 0 <= r_k < 1 and
-    |t_k| * r_k/(1-r_k) < tol, a test made in mpf.
+    callable k -> r_k with |t_{j+1}| <= r_k |t_j| for all j >= k, r_k a
+    kernel pair, an mpf, a float or an int.  Summation stops at the first
+    k with 0 <= r_k < 1 and |t_k| r_k/(1 - r_k) < tol, decided exactly in
+    integers: with t_k = m 2^e, r_k = a 2^b and tol = c 2^d (tol is
+    decoded once per sum), 0 < r_k < 1 means b < 0 and D = 2^-b - a > 0,
+    and the test is |m| a 2^(e-d) < c D.
 
     limit: the k -> oo limit of ratio_bound, which must decrease to it,
     so limit <= r_k for every k (a constant bound r is lambda k: r with
     limit r).  While |t_k| >= 2 tol (1-limit)/limit the stop test cannot
     pass, so r_k is not evaluated there; the stop index is the same as
     with r_k evaluated on every term.  limit >= 1 raises DivergenceError
-    before any term is taken: the bound can never certify a tail.
-    MAX_TERMS terms taken without a stop raise PrecisionError.
+    before any term is taken: the bound can never certify a tail.  When
+    the first term predicts more than MAX_TERMS terms (_predicted_terms),
+    PrecisionError is raised before the second; MAX_TERMS terms taken
+    without a stop raise it too.
     """
     if limit >= 1:
         raise DivergenceError(f"ratio bound limit {float(limit):.6g} >= 1; "
                               "no certified tail")
-    gate = mpf(2 * tol * (1 - limit) / limit if limit > 0 else "inf")
-    # A nonzero term m 2^e lies in [2^(top-1), 2^top), top = e + bits(m),
-    # and so does a nonzero finite mpf (sign, man, exp, bc), top = exp + bc.
-    # So |t| < gate is decided by comparing tops unless they are equal; a
-    # zero term takes the exact comparison.
-    gsign, gman, gexp, gbc = gate._mpf_
-    if gman and not gsign:
-        gtop = gexp + gbc
-    else:  # gate is +inf, zero or negative
-        gtop = inf if gate > 0 else -inf
+    # None when the gate is +inf: then every term is tested
+    gate = _dyadic(mpf(2 * tol * (1 - limit) / limit if limit > 0 else "inf"))
+    exact_tol = _dyadic(tol)
+    if exact_tol is None:
+        raise ValueError(f"need a finite tol, got {tol}")
+    tm, te = exact_tol
     p = mp.prec
     last = MAX_TERMS - 1    # the index of the last term the cap lets in
     total = (0, 0)
     for k, t in enumerate(terms):
         total = padd(total, t, p)
         man, exp = t
-        top = exp + man.bit_length()
-        if (top < gtop) if man and top != gtop else (abs(to_mpf(t)) < gate):
-            ta = abs(to_mpf(t))
-            r = ratio_bound(k)
-            if 0 <= r < 1 and ta * r / (1 - r) < tol:
-                return to_mpf(total)
+        if not k:
+            predicted = _predicted_terms(t, exact_tol, limit)
+            if predicted > MAX_TERMS:
+                raise PrecisionError(
+                    f"no certified tail within {MAX_TERMS} terms: from the first term, "
+                    f"the ratio bound's limit 1 - {float(1 - mpf(limit)):.3g} predicts "
+                    f"about {predicted:.3g}")
+        if gate is None or _less(abs(man), exp - gate[1], gate[0]):
+            r = _dyadic(ratio_bound(k))
+            if r is not None:
+                rm, re = r
+                d = (1 << -re) - rm if rm > 0 and re < 0 else 0   # (1 - r) 2^-re
+                if _less(abs(man) * rm, exp - te, tm * d) if rm else tm > 0:
+                    return to_mpf(total)
         if k >= last:
             raise PrecisionError(f"no certified tail after {MAX_TERMS} terms")
     return to_mpf(total)

@@ -21,7 +21,9 @@ MAX_TERMS = 1000000
 
 def sum_with_tail(terms, ratio_bound, tol, *, limit=None):
     """(sum, terms taken) of mpf terms; the stop rule of the library's
-    sum_with_tail, with its cap of MAX_TERMS terms."""
+    sum_with_tail, with its cap of MAX_TERMS terms, but tested in mpf: the
+    library decides it exactly, so the two can part only where the tail
+    estimate lies within a few ulps of tol."""
     if limit is None:
         if callable(ratio_bound):
             raise ValueError("a callable ratio_bound needs its limit")

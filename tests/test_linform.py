@@ -2,6 +2,7 @@
 series, and the exact denominator machinery."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -456,6 +457,19 @@ def test_zeta_q_refuses_q0_that_rounds_to_one(monkeypatch):
     assert zeta_q(3, Fraction(9999, 10000), 256)._mpf_ == (
         0, 33976514293129139421094360374440943780865027982966592016066038344284981466071239029781,
         -243, 285)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_identity_residual_refuses_in_bounded_time(sign, capsys):
+    # at the raised working precision q0 no longer rounds to +-1, so the
+    # kernel series starts; its first term predicts about 10^101 terms
+    q0 = sign * (1 - Fraction(1, 10 ** 100))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="within 1000000 terms: .* about [0-9.]+e\\+10"):
+        identity_residual(Params(4, 1, 1, 1), q0)
+    assert main(["linform", "--A", "4", "--r", "1", "--n", "1", f"--q={q0}"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "within 1000000 terms" in capsys.readouterr().err
 
 
 def test_transform_check_small():

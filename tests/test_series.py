@@ -94,13 +94,22 @@ def test_callable_ratio_bound_needs_limit():
 
 def test_max_terms_exhaustion(monkeypatch):
     monkeypatch.setattr(series, "MAX_TERMS", 500)
+    taken = 0
+
+    def powers(r):
+        nonlocal taken
+        for k in range(10 ** 6):
+            taken += 1
+            yield from_mpf(r ** k)
+
     with mp.workprec(working_prec(64)):
         # decreasing terms with a valid bound r < 1, but certifying the
-        # tail to 2^-50 takes about 5 * 10^7 terms
+        # tail to 2^-50 takes about 3.6 * 10^7 terms, a sixteenth of which
+        # is predicted from the first term and refused before the second
         r = 1 - mpf(2) ** -20
-        with pytest.raises(PrecisionError, match="after 500 terms"):
-            sum_with_tail((from_mpf(r ** k) for k in range(10 ** 6)), lambda k: r,
-                          mpf(2) ** -50, limit=r)
+        with pytest.raises(PrecisionError, match=r"within 500 terms: .* about 2\.27e\+06"):
+            sum_with_tail(powers(r), lambda k: r, mpf(2) ** -50, limit=r)
+    assert taken == 1
 
 
 def test_max_terms_caps_the_terms_taken(monkeypatch):
@@ -167,6 +176,75 @@ def test_gated_stop_matches_bound_on_every_term(q0, s, prec):
 def test_gate_skips_the_bound_near_one():
     _, taken, calls = _gated_zeta_q_sum(2, Fraction(9816, 10007), 256)
     assert calls < taken / 100
+
+
+def _exact(pair):
+    """The Fraction of a kernel pair."""
+    return Fraction(pair[0]) * Fraction(2) ** pair[1]
+
+
+@st.composite
+def _stop_tests(draw):
+    """(t, r, tol) for one stop test: tol a positive p-bit pair; r zero,
+    negative, at least 1, just below 1 or anywhere in (0, 1), a pair or
+    its mpf, or an mpf infinity or nan; t zero, anywhere, far above or
+    below tol, or within one ulp of the threshold tol (1 - r)/r."""
+    p = draw(st.sampled_from((53, 64, 256)))
+    tol = (draw(st.integers(1, (1 << p) - 1)), draw(st.integers(-700, 60)))
+    kind = draw(st.sampled_from(("zero", "negative", "one_or_more", "below_one",
+                                 "inside", "special")))
+    if kind == "special":
+        return (1, 0), draw(st.sampled_from((mp.inf, -mp.inf, mp.nan))), tol
+    b = draw(st.integers(1, 2 * p))
+    if kind == "zero":
+        r = (0, draw(st.integers(-5, 5)))
+    elif kind == "negative":
+        r = (-draw(st.integers(1, 1 << p)), -draw(st.integers(0, 2 * p)))
+    elif kind == "one_or_more":
+        r = ((1 << b) + draw(st.integers(0, 1 << (p + 2))), -b)
+    elif kind == "below_one":
+        r = ((1 << b) - draw(st.integers(1, 3)), -b)
+    else:
+        r = (draw(st.integers(1, (1 << p) - 1)), -p - draw(st.integers(0, 3 * p)))
+    sign = draw(st.sampled_from((1, -1)))
+    where = draw(st.sampled_from(("zero", "any", "far", "threshold")))
+    if where == "threshold" and 0 < _exact(r) < 1:
+        edge = _exact(tol) * (1 - _exact(r)) / _exact(r)
+        e = edge.numerator.bit_length() - edge.denominator.bit_length() - p
+        t = (sign * (round(edge / Fraction(2) ** e) + draw(st.integers(-1, 1))), e)
+    elif where == "zero":
+        t = (0, draw(st.integers(-5, 5)))
+    else:
+        gap = draw(st.integers(p + 10, 4000)) * draw(st.sampled_from((1, -1)))
+        e = tol[1] + (gap if where == "far" else draw(st.integers(-p, p)))
+        t = (sign * draw(st.integers(1, (1 << p) - 1)), e)
+    if draw(st.booleans()):
+        r = to_mpf(r)
+    return t, r, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stop_tests())
+def test_stop_test_is_exact(case):
+    """sum_with_tail stops after t exactly when 0 <= r < 1 and
+    |t| r < tol (1 - r), compared in Fraction; the second term, taken only
+    when it does not stop, certifies at once."""
+    t, r, tol = case
+    taken = []
+
+    def terms():
+        for x in (t, (0, 0)):
+            taken.append(x)
+            yield x
+
+    with mp.workprec(256):
+        sum_with_tail(terms(), lambda k: (0 if k else r), to_mpf(tol), limit=0)
+        finite = mp.isfinite(r) if isinstance(r, mpf) else True
+    want = False
+    if finite:
+        rv = _exact(from_mpf(r) if isinstance(r, mpf) else r)
+        want = 0 <= rv < 1 and abs(_exact(t)) * rv < _exact(tol) * (1 - rv)
+    assert len(taken) == (1 if want else 2)
 
 
 # ----------------------------------------------------------------------
@@ -288,12 +366,13 @@ def _assert_near(val, ref, prec):
 
 
 def _assert_zeta_q_matches_oracle(s, q0, prec):
-    """Where zeta_q sums the direct series (q0 <= 1/2, every negative q0
-    included), its value and term count are the oracle's bit for bit.  For
-    q0 > 1/2 the direct series still is the oracle's sum, and zeta_q, which
-    sums the Clausen series there, agrees with it within _assert_near."""
+    """Where zeta_q sums the direct series (-1/2 <= q0 <= 1/2), its value
+    and term count are the oracle's bit for bit.  Elsewhere the direct
+    series still is the oracle's sum, bit for bit, and zeta_q, which sums
+    the Clausen series for q0 > 1/2 and the base change for q0 < -1/2,
+    agrees with it within _assert_near."""
     ref, ref_taken = series_oracle.zeta_q(s, q0, prec)
-    if q0 <= Fraction(1, 2):
+    if abs(q0) <= Fraction(1, 2):
         assert _zeta_q_and_taken(s, q0, prec) == (ref._mpf_, ref_taken)
         return
     val, taken, _ = _gated_zeta_q_sum(s, q0, prec)
@@ -322,23 +401,25 @@ def test_zeta_q_matches_mpf_oracle_anywhere(q0, s, prec):
 @pytest.mark.parametrize("s", (1, 2, 4, 7))
 def test_clausen_ratio_bound_holds(s, q0):
     """T_(j+1) <= r_j T_j on the first 60 terms, r_j decreasing; and r_j
-    bounds the weight ratio k^(s-1) q^(kj) of each pair with min m+1,
-    m = j+1, to its image with min m, so of the worst pair of each kind:
-    (m+1, m+1) -> (m, m+1) and (m+2, m+1) -> (m+2, m).  Exactly, up to
-    the rounding of q0 and of the bound at the working precision."""
+    is at least the exact bound ((m+1)/m)^(s-1) q^(m+1), m = j+1, at the
+    dyadic q the sum runs on, and within 2^-50 of it.  That bound covers
+    the weight ratio of each pair with min m+1 to its image with min m, so
+    of the worst pair of each kind: (m+1, m+1) -> (m, m+1) and
+    (m+2, m+1) -> (m+2, m).  Every comparison is exact, in Fraction."""
     with mp.workprec(working_prec(256)):
-        terms, bound, limit = _zeta_q_clausen(s, mpf(q0.numerator) / q0.denominator)
-        ts = [to_mpf(t) for _, t in zip(range(61), terms)]
-        rs = [bound(j) for j in range(60)]
-        slack = 1 + Fraction(1, 2 ** (mp.prec - 16))
+        qm = mpf(q0.numerator) / q0.denominator
+        terms, bound, limit = _zeta_q_clausen(s, qm)
+        ts = [_exact(t) for _, t in zip(range(61), terms)]
+        rs = [_exact(bound(j)) for j in range(60)]
+        assert [_exact(bound(j)) for j in (5, 5, 0, 59)] == [rs[5], rs[5], rs[0], rs[59]]
+    q = _exact(from_mpf(qm))
     assert limit == 0 and all(t > 0 for t in ts)
     assert all(a > b for a, b in zip(rs, rs[1:]))
     for j, r in enumerate(rs):
         assert ts[j + 1] <= r * ts[j]
         m = j + 1
-        worst = max(Fraction(m + 1, m) ** (s - 1) * q0 ** (m + 1), q0 ** (m + 2))
-        man, exp = from_mpf(r)
-        assert worst <= man * Fraction(2) ** exp * slack
+        exact = Fraction(m + 1, m) ** (s - 1) * q ** (m + 1)
+        assert max(exact, q ** (m + 2)) <= r <= exact * (1 + Fraction(1, 2 ** 50))
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,6 +465,46 @@ def test_clausen_route_takes_few_terms():
     # the direct series takes 10 664 terms here
     _, taken = _zeta_q_and_taken(3, Fraction(9816, 10007), 256)
     assert taken <= 150
+
+
+# (s, q0): (mantissa, exponent, terms taken) of zeta_q(s, q0, 256), all
+# positive, as the Clausen route gave them with an mpf stop test and an
+# mpf ratio bound
+_NEAR_ONE_PINS = {
+    (1, NEAR_ONE[0]): (0xe3bb203f2cd07f9d010f34129fb07b1bfae5dd05d89980a029f1ff4b813a5f584dbc987f, -281, 73),
+    (2, NEAR_ONE[0]): (0xa942bf259541b1a3698ea8568d6e86b144f99cfc7535a4fbe0012c8787c63f1fcdbd8315, -277, 74),
+    (3, NEAR_ONE[0]): (0x70aaa51c02b1b35ccf2ee8f1be7a0b2f240fd28d38ddb2d2d713c3ed1173d6754b818025, -271, 74),
+    (4, NEAR_ONE[0]): (0x44948c5e730e7a0b950561160fe158e73372ac1ec41bce153d3bd635e4ac3a09093de9d5, -264, 75),
+    (5, NEAR_ONE[0]): (0x7671b06428df74df3044fed0a233e9b23e22d1c5b7b8b80019f5e759d202018377f13621, -258, 76),
+    (6, NEAR_ONE[0]): (0x82edc43279dd435ad6b67bc1e74561c11f56988fccfde44998dc997c6790eaf95ac0713d, -251, 77),
+    (1, NEAR_ONE[1]): (0x759055e59eba8e67c49475a58c3e83ff6c26c42b102fbc6d0b50c0383ef38dfe50b5aad9, -279, 98),
+    (2, NEAR_ONE[1]): (0x899b0d157f26f42084d636b233085984b29a1c75a2657954b597047ac8d944d0896fb0bb, -275, 99),
+    (3, NEAR_ONE[1]): (0xa40528c05c8d1a63e1d43694c0546b52827703fb43ecd13f8d27ba21d85f1feb7fdb443d, -269, 100),
+    (4, NEAR_ONE[1]): (0x59ce825bb09b8cbc03e76d406ee2dcf55b3d6475066ec5b6316bf8577c69133fc75f76d3, -261, 101),
+    (5, NEAR_ONE[1]): (0x8b85a2d58b158b3bfc32664c245cf28e5ec45516ec3a5952d348d0e4d964d61456506cb3, -254, 102),
+    (6, NEAR_ONE[1]): (0x22af0113ae93e5d83ba02528a8fe60fdeeb21ca33be7c2e50ce3de1f2cb63e333d31fc4f, -244, 104),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_NEAR_ONE_PINS), ids=str)
+def test_zeta_q_near_one_pinned(key):
+    s, q0 = key
+    (sign, man, exp, _), taken = _zeta_q_and_taken(s, q0, 256)
+    assert (sign, man, exp, taken) == (0, *_NEAR_ONE_PINS[key])
+
+
+@pytest.mark.parametrize("prec", (64, 256))
+@pytest.mark.parametrize("q0", (Fraction(-9, 10), Fraction(-99, 100)), ids=str)
+@pytest.mark.parametrize("s", range(1, 7))
+def test_zeta_q_base_change_matches_direct_series(s, q0, prec):
+    """The base change route of zeta_q at q0 < -1/2 against the direct
+    series at q0 (the kernel, not the oracle): each certifies its tail to
+    2^-(prec+8), so they may differ by 2^-(prec+7), plus their rounding,
+    which no certificate covers yet and is allowed 2^-prec relative."""
+    direct, _, _ = _gated_zeta_q_sum(s, q0, prec)
+    val = zeta_q(s, q0, prec)
+    with mp.workprec(2 * working_prec(prec)):
+        assert abs(val - direct) <= mpf(2) ** -(prec + 7) + mpf(2) ** -prec * abs(direct)
 
 
 def test_working_prec_adds_guard_and_scale():
