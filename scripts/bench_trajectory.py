@@ -8,7 +8,8 @@ For each workload of perfbench/run.py it makes one untraced run per seed,
 with the run length of BENCHMARK.json, and one traced run on the first
 seed; the runs are perfbench/report.py's bench_run, imported read-only.
 The file holds, per workload, the median and quartiles of every
-end-to-end metric with the seeds and each run's value, whether every run
+end-to-end metric, its spread (report.py's spread: the interquartile
+range over the median), the seeds and each run's value, whether every run
 was correct and how many claims failed, and the traced run's counts:
 UPoly and Kronecker products, divexact calls, terms summed by
 sum_with_tail and QFrac reductions.  These counts are the same for a seed
@@ -17,9 +18,10 @@ the commit and a hash of src/, the host (cores, Python, mpmath and its
 backend) and the run length.
 
 With --parent, a second checkout (an earlier commit, say) is run the
-same way, seed by seed in alternating order (the parent first on even
-seeds), and the file gets its numbers under "parent" with, per metric,
-the number of seeds where this checkout read lower.  Each run pins two
+same way, seed by seed in alternating order (the parent first on the
+first, third, fifth, ... seed), and the file gets its numbers under
+"parent" with, per metric, the number of seeds where this checkout read
+lower.  Each run pins two
 CPUs, so nothing else should run beside it.
 """
 
@@ -90,7 +92,8 @@ class Side:
             "commit": commit(self.root), "src_sha256": self.src_sha256,
             "correct": self.correct, "failed_claims": self.failed,
             "run_s": {"median": statistics.median(self.run_s), "max": max(self.run_s)},
-            "metrics": {name: dict(quartiles(v), unit=units[name], values=v)
+            "metrics": {name: dict(quartiles(v), spread=self.report.spread(v),
+                                   unit=units[name], values=v)
                         for name, v in self.values.items()},
             "counts": {name: traced["metrics"][name]["value"] for name in COUNTS},
         }

@@ -211,15 +211,23 @@ def _predicted_terms(t: tuple, tol: tuple, limit) -> float:
     of ratio limit, started at t, takes to fall below tol.  Term ratios
     fall to limit from above, so this underestimates a sum's length unless
     its terms fall faster than its bound says; the sixteenth leaves room
-    for that.  Zero when |t| is already below tol or limit is not in
-    (0, 1), and inf when 1 - limit is below the smallest float."""
+    for that.  The margin is empirical: over tier-1's sums the unshrunk
+    prediction was at most 1.024 times the terms taken.  Zero when |t| is
+    already below tol or limit is not in (0, 1), and inf when 1 - limit is
+    below the smallest float.  -log2(limit) is taken from limit's dyadic
+    value when limit <= 1/2 and from 1 - limit above, so it keeps its
+    relative accuracy at both ends of (0, 1)."""
     if not t[0] or tol[0] <= 0 or not 0 < limit < 1:
         return 0.0
     bits = log2(abs(t[0])) + t[1] - log2(tol[0]) - tol[1]
     if bits <= 0:
         return 0.0
-    gap = float(1 - mpf(limit))     # 1 - limit at the working precision
-    return bits * log(2) / -log1p(-gap) / 16 if gap else inf
+    if limit > 0.5:     # 1 - limit at the working precision
+        rate = -log1p(-float(1 - mpf(limit))) / log(2)
+    else:
+        m, e = _dyadic(limit)
+        rate = -(log2(m) + e)
+    return bits / rate / 16 if rate else inf
 
 
 def sum_with_tail(terms, ratio_bound, tol, *, limit):

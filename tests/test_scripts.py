@@ -55,7 +55,8 @@ def test_bench_trajectory_writes_the_file(tmp_path, monkeypatch):
             record = {"provenance": {"src_sha256": root}, "run_s": 8.0}
             return result, record
 
-        return SimpleNamespace(bench_run=bench_run, WORKLOADS=("near-one",),
+        return SimpleNamespace(bench_run=bench_run, spread=lambda v: len(v),
+                               WORKLOADS=("near-one",),
                                END_TO_END=(("wall_s", "s"), ("peak_rss_mb", "MB")),
                                parse_seeds=lambda text: [1, 2, 3, 4, 5])
 
@@ -68,6 +69,7 @@ def test_bench_trajectory_writes_the_file(tmp_path, monkeypatch):
     wall = row["metrics"]["wall_s"]
     assert row["seeds"] == [1, 2, 3, 4, 5] and wall["unit"] == "s"
     assert (wall["q1"], wall["median"], wall["q3"]) == pytest.approx((0.15, 0.3, 0.45))
+    assert wall["spread"] == 5
     assert row["parent"]["metrics"]["wall_s"]["median"] == pytest.approx(0.8)
     assert row["pairs_lower"] == {"wall_s": 5, "peak_rss_mb": 0}
     assert row["counts"] == {name: 7 for name in script.COUNTS}

@@ -38,7 +38,8 @@ from qzeta.series import (
     working_prec,
 )
 from qzeta.upoly import UPoly
-from qzeta.zeta3 import _w_kernel
+from qzeta.eisenstein import eisenstein_value
+from qzeta.zeta3 import _w_kernel, qball_numeric, qbgn_numeric
 import series_oracle
 from series_replay import NEAR_ONE, q0s
 
@@ -110,6 +111,57 @@ def test_max_terms_exhaustion(monkeypatch):
         with pytest.raises(PrecisionError, match=r"within 500 terms: .* about 2\.27e\+06"):
             sum_with_tail(powers(r), lambda k: r, mpf(2) ** -50, limit=r)
     assert taken == 1
+
+
+@pytest.mark.parametrize("predicted", (499, 501))
+def test_max_terms_prediction_edge(monkeypatch, predicted):
+    """The prediction refuses only past MAX_TERMS sixteenths: a bound of
+    limit l predicting 499 (resp. 501) times 16 terms from the first, on
+    terms that fall at l^20, certifies in fewer than 500 terms (resp. is
+    refused before its second term)."""
+    monkeypatch.setattr(series, "MAX_TERMS", 500)
+    taken = 0
+
+    def powers(rho):
+        nonlocal taken
+        for k in range(10 ** 6):
+            taken += 1
+            yield from_mpf(rho ** k)
+
+    with mp.workprec(working_prec(64)):
+        lim = mpf(2) ** (mpf(-50) / (16 * predicted))   # log2(tol) / log2(lim) = 16 predicted
+        if predicted < 500:
+            sum_with_tail(powers(lim ** 20), lambda k: lim, mpf(2) ** -50, limit=lim)
+            assert 1 < taken < 500
+        else:
+            with pytest.raises(PrecisionError, match="within 500 terms"):
+                sum_with_tail(powers(lim ** 20), lambda k: lim, mpf(2) ** -50, limit=lim)
+            assert taken == 1
+
+
+_TINY = Fraction(1, 10 ** 20)
+# _mpf_ of sums whose ratio bound's limit is below 1e-16 while their first
+# term is above tol, as the sums gave them before the early refusal
+_TINY_LIMIT_PINS = {
+    "zeta_q(2, 10^-20)": (lambda: zeta_q(2, _TINY), (
+        0, 0x179ca10c9242235d5e2fb4012e5953f31985edbd1711562e212e47c6f7b6655d592c582b, -351)),
+    "zeta_q(3, -10^-20)": (lambda: zeta_q(3, -_TINY), (
+        1, 0x2f394219248446ba76aecf647f5436832b1e471491422aa626f94876be4696ed9be77651, -352)),
+    "qball(2, 10^-7)": (lambda: qball_numeric(2, Fraction(1, 10 ** 7)), (
+        0, 0x1a53fc11ae5a5b2696035eb2f5974243f7c71b03b1c734018aa5ab4fc59d547132c6d907451, -506)),
+    "qbgn(2, 10^-20)": (lambda: qbgn_numeric(2, _TINY), (
+        0, 0x42646a6fe9631f9d63f948cf623197fa88db7501e067023149e2e9285be050b6a708a44f67, -892)),
+    "eisenstein(2, 10^-20)": (lambda: eisenstein_value(2, _TINY), (
+        0, 0x200000000000000588b5bef2478049e833339a26d1bca4338bb3dca01bba3361e6779a8d, -285)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_LIMIT_PINS))
+def test_tiny_limit_sums_pinned(name):
+    """A limit near 0 must not trip the prediction: 1 - limit is 1.0 in a
+    float there, and the sum still certifies, bit for bit."""
+    call, pinned = _TINY_LIMIT_PINS[name]
+    assert call()._mpf_[:3] == pinned
 
 
 def test_max_terms_caps_the_terms_taken(monkeypatch):
