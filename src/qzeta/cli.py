@@ -163,13 +163,14 @@ def _pretty_lines(report, prefix=""):
 
 
 # ----------------------------------------------------------------------
-# Subcommand implementations.  Each returns (exit_code, report, csv_rows).
+# Subcommand implementations.  Each returns (exit_code, report, csv_rows);
+# main adds the command's name to the report.
 
 def _cmd_linform(args):
     rep = linear_form_report(Params(args.A, args.r, args.n, args.eps),
                              parse_rat(args.q), args.prec)
     ok_res = bool(rep["residual"] < mpf(10) ** (-args.tol))
-    rep.update(command="linform", tol_exponent=args.tol, residual_pass=ok_res)
+    rep.update(tol_exponent=args.tol, residual_pass=ok_res)
     code = EXIT_PASS if (ok_res and rep["denominator_pass"]) else EXIT_FAIL
     return code, rep, None
 
@@ -182,8 +183,7 @@ def _gap_exit(gap, max_gap) -> int:
 def _cmd_slope_s(args):
     q0 = parse_rat(args.q)
     est = slope_S(args.A, args.r, args.eps, q0, _parse_nrange(args.n), args.prec)
-    rep = {**est.to_json(), "command": "slope-S"}
-    return _gap_exit(est.rel_gap, args.max_gap), rep, list(est.to_csv_rows())
+    return _gap_exit(est.rel_gap, args.max_gap), est.to_json(), list(est.to_csv_rows())
 
 
 def _cmd_slope_p(args):
@@ -191,8 +191,7 @@ def _cmd_slope_p(args):
     est = slope_P(args.A, args.r, args.eps, q0, _parse_nrange(args.n),
                   args.prec, margin=args.margin)
     violations = est.extras["violations"]
-    rep = {**est.to_json(), "command": "slope-P", "margin": args.margin,
-           "violations": violations}
+    rep = {**est.to_json(), "margin": args.margin, "violations": violations}
     return (EXIT_PASS if not violations else EXIT_FAIL), rep, list(est.to_csv_rows())
 
 
@@ -201,15 +200,14 @@ def _cmd_slope_d(args):
     est = slope_D(args.A, args.r, q0, _parse_nrange(args.n), args.prec)
     tgt = mpf(est.target)
     last_gap = abs(mpf(est.last) - tgt) / abs(tgt)
-    rep = {**est.to_json(), "command": "slope-D", "last_gap": last_gap}
+    rep = {**est.to_json(), "last_gap": last_gap}
     return _gap_exit(last_gap, args.max_gap), rep, list(est.to_csv_rows())
 
 
 def _cmd_delta(args):
     val = delta(args.A, args.r, args.prec)
-    best_r, best_val = delta_best_r(args.A)
+    best_r, best_val = delta_best_r(args.A, args.prec)
     rep = {
-        "command": "delta",
         "A": args.A, "r": args.r,
         "delta": val,
         "exceeds_one": bool(val > 1),
@@ -224,7 +222,6 @@ def _cmd_delta_const(args):
     grid = delta_constant_grid_max(args.prec)
     diff = abs(const - grid)
     rep = {
-        "command": "delta-const",
         "closed_form": const,
         "maximizer": ustar,
         "grid_max": grid,
@@ -236,7 +233,6 @@ def _cmd_delta_const(args):
 
 def _cmd_zeta3(args):
     rep = zeta3_report(args.n, parse_rat(args.q), args.prec)
-    rep["command"] = "zeta3"
     tol = mpf(10) ** (-args.tol)
     ok = rep["diff"] < tol and rep.get("residual", 0) < tol
     return (EXIT_PASS if ok else EXIT_FAIL), rep, None
@@ -246,15 +242,13 @@ def _cmd_eisenstein(args):
     try:
         expr = express_in_E4_E6(args.weight, n_solve=args.solve, n_verify=args.verify)
     except InconsistentSystemError as exc:
-        rep = {"command": "eisenstein", "weight": args.weight, "error": str(exc)}
-        return EXIT_FAIL, rep, None
-    return EXIT_PASS, {**expr, "command": "eisenstein"}, None
+        return EXIT_FAIL, {"weight": args.weight, "error": str(exc)}, None
+    return EXIT_PASS, expr, None
 
 
 def _cmd_denom_probe(args):
     rows = denominator_probe(args.A, args.r, _parse_nrange(args.n))
     rep = {
-        "command": "denom-probe",
         "A": args.A, "r": args.r,
         "rows": rows,
     }
@@ -273,13 +267,56 @@ def _cmd_denom_probe(args):
 
 
 # ----------------------------------------------------------------------
+# The command line as data.  _OPTIONS declares each option once, as its
+# flag and its add_argument keywords; a flag that means two things (--n a
+# point or a range, --max-gap on the fit or on the last point) has two
+# entries.  _COMMANDS gives each command's name, help, handler and
+# options, in that order; every command also takes _COMMON.
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prec", type=integer, default=None,
-                   help=f"working precision in bits (default: env QZETA_PREC, else {DEFAULT_PREC})")
-    p.add_argument("--format", choices=("json", "csv", "pretty"),
-                   default="json")
-    p.add_argument("--out", default=None, help="write output to this path")
+_REQUIRED_INT = {"type": integer, "required": True}
+_OPTIONS = {
+    "A": ("--A", _REQUIRED_INT),
+    "r": ("--r", _REQUIRED_INT),
+    "n": ("--n", _REQUIRED_INT),
+    "n-range": ("--n", {"required": True, "help": "range a..b"}),
+    "eps": ("--eps", {"type": integer, "default": 1, "choices": (0, 1)}),
+    "q": ("--q", {"required": True, "help": "exact rational, e.g. 1/3"}),
+    "tol": ("--tol", {"type": integer, "default": 40, "help": "pass iff residual < 10^-tol"}),
+    "fit-gap": ("--max-gap", {
+        "help": "fail (exit 1) if |fitted-target|/|target| exceeds this"}),
+    "last-gap": ("--max-gap", {
+        "help": "fail (exit 1) if the last-point relative gap exceeds this"}),
+    "margin": ("--margin", {"default": "0.02"}),
+    "weight": ("--weight", _REQUIRED_INT),
+    "solve": ("--solve", {"type": integer,
+                          "help": "coefficients used for the solve (default: basis size)"}),
+    "verify": ("--verify", {"type": integer,
+                            "help": "verify through this coefficient (default: solve+40)"}),
+    "prec": ("--prec", {"type": integer, "help": "working precision in bits "
+                        f"(default: env QZETA_PREC, else {DEFAULT_PREC})"}),
+    "format": ("--format", {"choices": ("json", "csv", "pretty"), "default": "json"}),
+    "out": ("--out", {"help": "write output to this path"}),
+}
+_COMMON = ("prec", "format", "out")
+
+_COMMANDS = (
+    ("linform", "point identity + integrality at one (A,r,n,eps,q)", _cmd_linform,
+     ("A", "r", "n", "eps", "q", "tol")),
+    ("slope-S", "growth rate of the symmetrized series", _cmd_slope_s,
+     ("A", "r", "eps", "q", "n-range", "fit-gap")),
+    ("slope-P", "growth bound for the coefficient polynomials", _cmd_slope_p,
+     ("A", "r", "eps", "q", "n-range", "margin")),
+    ("slope-D", "growth rate of the clearing denominator", _cmd_slope_d,
+     ("A", "r", "q", "n-range", "last-gap")),
+    ("delta", "dimension bound delta(A, r)", _cmd_delta, ("A", "r")),
+    ("delta-const", "asymptotic constant sup_r delta/sqrt(A)", _cmd_delta_const, ()),
+    ("zeta3", "weight-3 series pair and exact decomposition", _cmd_zeta3,
+     ("n", "q", "tol")),
+    ("eisenstein", "expand E_weight over the E_4/E_6 basis", _cmd_eisenstein,
+     ("weight", "solve", "verify")),
+    ("denom-probe", "denominator sharpness / reduced-power probe", _cmd_denom_probe,
+     ("A", "r", "n-range")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,81 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and certified-numeric verification of linear "
                     "forms in q-zeta values.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("linform", help="point identity + integrality at one (A,r,n,eps,q)")
-    p.add_argument("--A", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
-    p.add_argument("--q", required=True, help="exact rational, e.g. 1/3")
-    p.add_argument("--tol", type=integer, default=40, help="pass iff residual < 10^-tol")
-    _add_common(p)
-    p.set_defaults(func=_cmd_linform)
-
-    p = sub.add_parser("slope-S", help="growth rate of the symmetrized series")
-    p.add_argument("--A", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
-    p.add_argument("--q", required=True)
-    p.add_argument("--n", required=True, help="range a..b")
-    p.add_argument("--max-gap", default=None,
-                   help="fail (exit 1) if |fitted-target|/|target| exceeds this")
-    _add_common(p)
-    p.set_defaults(func=_cmd_slope_s)
-
-    p = sub.add_parser("slope-P", help="growth bound for the coefficient polynomials")
-    p.add_argument("--A", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.add_argument("--eps", type=integer, default=1, choices=(0, 1))
-    p.add_argument("--q", required=True)
-    p.add_argument("--n", required=True, help="range a..b")
-    p.add_argument("--margin", default="0.02")
-    _add_common(p)
-    p.set_defaults(func=_cmd_slope_p)
-
-    p = sub.add_parser("slope-D", help="growth rate of the clearing denominator")
-    p.add_argument("--A", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--n", required=True, help="range a..b")
-    p.add_argument("--max-gap", default=None,
-                   help="fail (exit 1) if the last-point relative gap exceeds this")
-    _add_common(p)
-    p.set_defaults(func=_cmd_slope_d)
-
-    p = sub.add_parser("delta", help="dimension bound delta(A, r)")
-    p.add_argument("--A", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("delta-const", help="asymptotic constant sup_r delta/sqrt(A)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_delta_const)
-
-    p = sub.add_parser("zeta3", help="weight-3 series pair and exact decomposition")
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--tol", type=integer, default=40)
-    _add_common(p)
-    p.set_defaults(func=_cmd_zeta3)
-
-    p = sub.add_parser("eisenstein", help="expand E_weight over the E_4/E_6 basis")
-    p.add_argument("--weight", type=integer, required=True)
-    p.add_argument("--solve", type=integer, default=None,
-                   help="coefficients used for the solve (default: basis size)")
-    p.add_argument("--verify", type=integer, default=None,
-                   help="verify through this coefficient (default: solve+40)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_eisenstein)
-
-    p = sub.add_parser("denom-probe", help="denominator sharpness / reduced-power probe")
-    p.add_argument("--A", type=integer, required=True)
-    p.add_argument("--r", type=integer, required=True)
-    p.add_argument("--n", required=True, help="range a..b")
-    _add_common(p)
-    p.set_defaults(func=_cmd_denom_probe)
-
+    for name, help_text, handler, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for key in options + _COMMON:
+            flag, keywords = _OPTIONS[key]
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return ap
 
 
@@ -401,6 +369,7 @@ def main(argv=None) -> int:
             if text is not None:
                 setattr(args, opt, _limit(text, "--" + opt.replace("_", "-")))
         code, report, csv_rows = args.func(args)
+        report["command"] = args.command
         _emit(report, args.format, args.out, csv_rows)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -183,13 +183,9 @@ def kernel_symmetry_check(params: Params) -> bool:
 
 
 def d_symmetry_check(params: Params) -> bool:
-    """Exact pole symmetry d_{s, n-j}(q) = d_{s, j}(1/q) for all s, j."""
-    rows, pref, n = partial_fractions(params), params.prefactor_u, params.n
-    for j in range(n + 1):
-        for s in range(1, params.A + 1):
-            if not rows[n - j][s].shift_u(pref) == rows[j][s].shift_u(pref).subst_inv():
-                return False
-    return True
+    """Exact pole symmetry d_{s, n-j}(q) = d_{s, j}(1/q) for all s, j: the
+    z-reciprocity of every P_s, which is this identity for one s."""
+    return all(p_reciprocity_check(params, s) for s in range(1, params.A + 1))
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +204,7 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
     """Exact z-reciprocity z^n q^(-n) P_s(1/z; 1/q) = P_s(z; q), 1 <= s <= A.
 
     Coefficientwise: q^(-n) * c_{n-i}(1/q) = c_i(q) for the z-coefficients
-    c_j of P_s."""
+    c_j = d_{s,j} q^(-j) of P_s, that is d_{s,n-i}(1/q) = d_{s,i}(q)."""
     coeffs = P_z(params, s)
     n = params.n
     return all(coeffs[n - i].subst_inv().shift_u(-2 * n) == coeffs[i]

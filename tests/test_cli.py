@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -254,6 +255,58 @@ def test_float_options_take_ascii_decimals(text):
     else:
         with pytest.raises(ValueError, match="must be >= 0"):
             cli._limit(text, "--margin")
+
+
+def test_delta_prec_reaches_best_delta(capsys):
+    """--prec sets the precision of best_delta too, so at (12, 2), where r
+    = 2 is the best r, the two fields print the same value."""
+    code, out, _ = run(capsys, "delta", "--A", "12", "--r", "2", "--prec", "16")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["best_r"] == 2
+    assert rep["best_delta"] == rep["delta"]
+
+
+# the options each command must keep, in order: (flag, dest, required,
+# default, choices, type)
+_INT, _FORMATS = "integer", ("json", "csv", "pretty")
+_COMMON_OPTIONS = [("--prec", "prec", False, None, None, _INT),
+                   ("--format", "format", False, "json", _FORMATS, None),
+                   ("--out", "out", False, None, None, None)]
+_A_R = [("--A", "A", True, None, None, _INT), ("--r", "r", True, None, None, _INT)]
+_EPS = ("--eps", "eps", False, 1, (0, 1), _INT)
+_Q = ("--q", "q", True, None, None, None)
+_N_RANGE = ("--n", "n", True, None, None, None)
+_TOL = ("--tol", "tol", False, 40, None, _INT)
+_MAX_GAP = ("--max-gap", "max_gap", False, None, None, None)
+PARSER_RECORD = {
+    "linform": _A_R + [("--n", "n", True, None, None, _INT), _EPS, _Q, _TOL],
+    "slope-S": _A_R + [_EPS, _Q, _N_RANGE, _MAX_GAP],
+    "slope-P": _A_R + [_EPS, _Q, _N_RANGE, ("--margin", "margin", False, "0.02", None, None)],
+    "slope-D": _A_R + [_Q, _N_RANGE, _MAX_GAP],
+    "delta": _A_R,
+    "delta-const": [],
+    "zeta3": [("--n", "n", True, None, None, _INT), _Q, _TOL],
+    "eisenstein": [("--weight", "weight", True, None, None, _INT),
+                   ("--solve", "solve", False, None, None, _INT),
+                   ("--verify", "verify", False, None, None, _INT)],
+    "denom-probe": _A_R + [_N_RANGE],
+}
+
+
+def _declared_options(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.option_strings[0], a.dest, a.required, a.default, a.choices,
+                    getattr(a.type, "__name__", a.type))
+                   for a in p._actions if a.option_strings != ["-h", "--help"]]
+            for name, p in sub.choices.items()}
+
+
+def test_parser_keeps_every_option():
+    declared = _declared_options(cli.build_parser())
+    assert list(declared) == list(PARSER_RECORD)
+    for name, options in PARSER_RECORD.items():
+        assert declared[name] == options + _COMMON_OPTIONS, name
 
 
 # ----------------------------------------------------------------------

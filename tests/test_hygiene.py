@@ -15,7 +15,8 @@ module passes map(from_mpf, ...) to sum_with_tail: a certified sum builds
 its terms as kernel pairs.  No module multiplies by a UPoly.q_power(...)
 or UPoly.u_power(...) built in place: a product by a monomial is a
 shift_u.  The two exact rings of series expose the same public members,
-and those are the names the protocol comment in series.py lists.
+and those are the names the protocol comment in series.py lists.  The
+public names that only tests read are exactly TEST_ONLY.
 """
 
 import ast
@@ -338,6 +339,59 @@ def test_checker_flags_dead_methods():
         "k.used(), k.size, K.referenced\n")
     assert dead_methods({"lib.py": lib}, [lib, caller]) == [
         ("lib.py", "K", "dead"), ("lib.py", "K", "_dead_private"), ("lib.py", "Inner", "gone")]
+
+
+# The public names that no module of the package, no script and no bench
+# module reads: only tests call them.  Each is to become a registered
+# claim or go (ROADMAP item 6); a new name here needs a caller instead.
+TEST_ONLY = {"D_n", "S_tilde_numeric", "ball_matches_symmetrized", "bgn_slope", "d_poly",
+             "qbinomial", "transform_check", "verify_delta_recombination",
+             "zetaq_even_consistency"}
+
+
+def outside_reads(trees, bench_trees) -> set:
+    """The names trees read, where a module-level function or class does
+    not read itself, plus every string constant of bench_trees: the bench
+    calls and wraps the package's functions by name."""
+    read = set()
+    for tree in trees:
+        for node in tree.body:
+            defs = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            read |= _read(node) - ({node.name} if defs else set())
+    for tree in bench_trees:
+        read |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return read
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_test_only_public_names():
+    public = set().union(*(_exported(_parse(path)) for path in MODULES))
+    bench = [_parse(path) for path in CALLERS if path.parent.name == "perfbench"]
+    only_tests = public - outside_reads([_parse(path) for path in CALLERS], bench)
+    assert only_tests == TEST_ONLY
+    tests = set().union(*(_read(_parse(path)) for path in (ROOT / "tests").glob("test_*.py")))
+    assert TEST_ONLY <= tests
+
+
+def test_checker_reads_outside_names():
+    lib = ast.parse(
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "def used(): pass\n"
+        "def by_name(): pass\n"
+        "class Node:\n"
+        "    def copy(self):\n"
+        "        return Node()\n"
+        "def g():\n"
+        "    return used()\n")
+    bench = ast.parse("getattr(lib, 'by_name')()\n")
+    read = outside_reads([lib, bench], [bench])
+    assert {"used", "by_name"} <= read
+    assert not {"fact", "Node"} & read
 
 
 def protocol_names(source: str) -> set:

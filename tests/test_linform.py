@@ -109,6 +109,20 @@ def test_p_reciprocity_small(A, r, n):
         assert p_reciprocity_check(p, s), s
 
 
+@pytest.mark.parametrize("A,r,n,j", [(4, 1, 2, 0), (6, 2, 3, 2)])
+def test_symmetry_checks_catch_a_perturbed_entry(monkeypatch, A, r, n, j):
+    """d_{A,j} multiplied by q breaks the pole symmetry at s = A only: the
+    z-reciprocity of P_A fails, that of every other P_s holds, and so
+    d_symmetry_check fails."""
+    p = Params(A, r, n)
+    rows = [dict(row) for row in partial_fractions(p)]
+    assert not rows[j][A].is_zero()
+    rows[j][A] = rows[j][A].shift_u(2)
+    monkeypatch.setattr(linform, "partial_fractions", lambda params: rows)
+    assert [p_reciprocity_check(p, s) for s in range(1, A + 1)] == [True] * (A - 1) + [False]
+    assert not d_symmetry_check(p)
+
+
 def test_p1_vanishes_at_one():
     for n in range(0, 6):
         assert p1_at_one_check(Params(4, 1, n))
@@ -470,6 +484,16 @@ def test_identity_residual_refuses_in_bounded_time(sign, capsys):
     assert main(["linform", "--A", "4", "--r", "1", "--n", "1", f"--q={q0}"]) == 3
     assert time.perf_counter() - start < 1
     assert "within 1000000 terms" in capsys.readouterr().err
+
+
+def test_kernel_series_refuses_in_bounded_time():
+    # the first term predicts about 1.07 10^7 terms; a quarter of that is
+    # past the cap, so the sum is refused before its second term instead
+    # of running about 30 s to the cap
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="within 1000000 terms: .* about 2\\.67e\\+06"):
+        S_eps_hat_numeric(Params(4, 1, 1, 1), 1 - Fraction(1, 10 ** 5))
+    assert time.perf_counter() - start < 1
 
 
 def test_transform_check_small():

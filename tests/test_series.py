@@ -105,18 +105,18 @@ def test_max_terms_exhaustion(monkeypatch):
 
     with mp.workprec(working_prec(64)):
         # decreasing terms with a valid bound r < 1, but certifying the
-        # tail to 2^-50 takes about 3.6 * 10^7 terms, a sixteenth of which
+        # tail to 2^-50 takes about 3.6 * 10^7 terms, a quarter of which
         # is predicted from the first term and refused before the second
         r = 1 - mpf(2) ** -20
-        with pytest.raises(PrecisionError, match=r"within 500 terms: .* about 2\.27e\+06"):
+        with pytest.raises(PrecisionError, match=r"within 500 terms: .* about 9\.09e\+06"):
             sum_with_tail(powers(r), lambda k: r, mpf(2) ** -50, limit=r)
     assert taken == 1
 
 
 @pytest.mark.parametrize("predicted", (499, 501))
 def test_max_terms_prediction_edge(monkeypatch, predicted):
-    """The prediction refuses only past MAX_TERMS sixteenths: a bound of
-    limit l predicting 499 (resp. 501) times 16 terms from the first, on
+    """The prediction refuses only past MAX_TERMS quarters: a bound of
+    limit l predicting 499 (resp. 501) times 4 terms from the first, on
     terms that fall at l^20, certifies in fewer than 500 terms (resp. is
     refused before its second term)."""
     monkeypatch.setattr(series, "MAX_TERMS", 500)
@@ -129,7 +129,7 @@ def test_max_terms_prediction_edge(monkeypatch, predicted):
             yield from_mpf(rho ** k)
 
     with mp.workprec(working_prec(64)):
-        lim = mpf(2) ** (mpf(-50) / (16 * predicted))   # log2(tol) / log2(lim) = 16 predicted
+        lim = mpf(2) ** (mpf(-50) / (4 * predicted))    # log2(tol) / log2(lim) = 4 predicted
         if predicted < 500:
             sum_with_tail(powers(lim ** 20), lambda k: lim, mpf(2) ** -50, limit=lim)
             assert 1 < taken < 500
@@ -175,8 +175,9 @@ def test_max_terms_caps_the_terms_taken(monkeypatch):
             yield (1, 0)
 
     with mp.workprec(working_prec(64)):
+        # tol 2^-8 at limit 1/2 predicts 8/4 = 2 terms, so the cap stops it
         with pytest.raises(PrecisionError, match="after 5 terms"):
-            sum_with_tail(endless(), lambda k: 0.5, mpf(2) ** -50, limit=0.5)
+            sum_with_tail(endless(), lambda k: 0.5, mpf(2) ** -8, limit=0.5)
     assert taken == 5
 
 
