@@ -73,8 +73,6 @@ __all__ = [
     "S_eps_numeric",
     "S_eps_hat_numeric",
     "S_tilde_numeric",
-    "S_z_numeric",
-    "transform_check",
     "identity_residual",
     "D_exponent",
     "D_n",
@@ -214,9 +212,12 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
 def p1_at_one_check(params: Params) -> bool:
     """Exact vanishing P_1(1; q) = sum_j d_{1,j} q^(-j) = 0, summed over
     the hat rows (the normalizing monomial does not change whether it
-    vanishes)."""
-    sums = UPolyRing.pole_sums(partial_fractions(params), params.n, params.A)
-    return sums.at_one(1).is_zero()
+    vanishes).  Once _assemble_eps has summed the table, it reads P_1(1)
+    from the table's memo instead of summing column 1 again."""
+    rows = partial_fractions(params)
+    if rows.sums is not None:
+        return rows.sums[0][1].is_zero()
+    return UPolyRing.pole_sums(rows, params.n, params.A).at_one(1).is_zero()
 
 
 # perfbench/tracer.py labels _assemble_eps calls by this name.
@@ -528,17 +529,8 @@ def _rho_hat_terms(A: int, r: int, n: int, qp: _QPowers):
 
 def _rho_envelope(A: int, r: int, n: int, qm):
     """(env, lead): env(k) is a decreasing-in-k bound on |rho_{k+1}/rho_k|,
-    valid for the whole tail, and lead its k -> oo limit.  For |q| < 1 each
-    factor of env after lead is >= 1; for q > 1 the kernel's degree gap is
-    negative, and the terms decay with the reciprocal powers of q."""
-    if qm > 1:
-        lead = mp.power(qm, (A - 2 * r) * n // 2 + 2 + n + 2 * r * n - (n + 1) * (A + 1))
-
-        def env(k: int):
-            return (lead / (1 - mp.power(qm, -(k - r * n)))
-                    / (1 - mp.power(qm, -(k + n + 1))) ** (A + 1))
-
-        return env, lead
+    valid for the whole tail, and lead its k -> oo limit; each factor of
+    env after lead is >= 1."""
     aq = abs(qm)
     lead = aq ** ((A - 2 * r) * n // 2 + 1)
 
@@ -550,13 +542,13 @@ def _rho_envelope(A: int, r: int, n: int, qm):
 
 
 def _kernel_series(A: int, r: int, n: int, qv: Fraction, prec: int, *,
-                   mono: int = 0, z: Fraction | None = None, bracket=(0, 0, 0)) -> mpf:
-    """sum_{k > rn} q^k R_hat(q^k) f_k at q = qv, its tail certified to
-    2^-(prec+8).  f_k is given as data: each term is _rho_hat_terms' pair
-    times, in this order, q^(mono k) (mono >= 0), q^(-(A-2r)n/4) z^(-k) for
-    a rational z > 0, and 1 + sign q^(ak+b) for bracket = (a, b, sign) with
-    sign = +-1 (0: no bracket).  The ratio bound is _rho_envelope's times
-    |q|^mono, 1/z and, for a > 0, (1 + |q|^(a(k+1)+b))/(1 - |q|^(ak+b))."""
+                   mono: int = 0, bracket=(0, 0, 0)) -> mpf:
+    """sum_{k > rn} q^k R_hat(q^k) f_k at q = qv, 0 < |qv| < 1, its tail
+    certified to 2^-(prec+8).  f_k is given as data: each term is
+    _rho_hat_terms' pair times, in this order, q^(mono k) (mono >= 0) and
+    1 + sign q^(ak+b) for bracket = (a, b, sign) with sign = +-1 (0: no
+    bracket).  The ratio bound is _rho_envelope's times |q|^mono and, for
+    a > 0, (1 + |q|^(a(k+1)+b))/(1 - |q|^(ak+b))."""
     with mp.workprec(working_prec(prec)):
         if bracket == (0, 0, -1):
             return mpf(0)  # the bracket 1 - q^0 vanishes identically
@@ -567,21 +559,12 @@ def _kernel_series(A: int, r: int, n: int, qv: Fraction, prec: int, *,
         qp = _QPowers(qm)
         env, lead = _rho_envelope(A, r, n, qm)
         scale = aq ** mono
-        if z:
-            zi = mpf(z.denominator) / z.numerator
-            scale *= zi
-            # exact quarter-power monomial q^(-(A-2r)n/4)
-            fac, zpair = from_mpf(mp.power(qm, -mpf((A - 2 * r) * n) / 4)), from_mpf(zi)
 
         def terms():
             p = qp.prec
-            zk = ppow(zpair, r * n + 1, p) if z else None
             for k, t in _rho_hat_terms(A, r, n, qp):
                 if mono:
                     t = pmul(t, qp.get(mono * k), p)
-                if z:
-                    t = pmul(pmul(t, fac, p), zk, p)
-                    zk = pmul(zk, zpair, p)
                 if sign:
                     t = pmul(t, (padd if sign > 0 else psub)(PONE, qp.get(a * k + b), p), p)
                 yield t
@@ -642,35 +625,6 @@ def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> m
         raise DivergenceError(
             f"alternative series needs (A-2r)n/2 + A/2 - 1 >= 1, got {gap}")
     return _kernel_series(A, r, n, q0, prec, mono=A // 2 - 2, bracket=(2, n, -1))
-
-
-def S_z_numeric(params: Params, qv: Fraction, zv: Fraction,
-                prec: int = DEFAULT_PREC) -> mpf:
-    """sum_{k > rn} q^k R(q^k; q) z^(-k) for positive rational q and z.
-
-    q > 1 is allowed: the terms still decay geometrically because the
-    kernel's degree gap is negative; the tail bound switches to the
-    q > 1 envelope in that case.  Used by the base-inversion transform
-    check, where one side naturally sums at base 1/q.
-    """
-    qv, zv = Fraction(qv), Fraction(zv)
-    if qv <= 0 or qv == 1 or zv <= 0:
-        raise ValueError("need rational q > 0, q != 1, z > 0")
-    return _kernel_series(params.A, params.r, params.n, qv, prec, z=zv)
-
-
-def transform_check(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
-    """|S(1; 1/q) - q^(An/2) S(q^(2-A); q)|: base inversion swaps the
-    argument by q^(2-A).  Returns the residual (should be ~0)."""
-    A, n = params.A, params.n
-    q0 = _check_q0(q0)
-    if q0 <= 0:
-        raise ValueError("transform check needs q0 > 0")
-    lhs = S_z_numeric(params, 1 / q0, Fraction(1), prec)
-    rhs = S_z_numeric(params, q0, q0 ** (2 - A), prec)
-    with mp.workprec(working_prec(prec)):
-        qm = mpf(q0.numerator) / q0.denominator
-        return +abs(lhs - mp.power(qm, A * n // 2) * rhs)
 
 
 # ----------------------------------------------------------------------

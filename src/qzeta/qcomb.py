@@ -1,6 +1,6 @@
 """Exact q-combinatorics: cyclotomic polynomials, q-Pochhammer symbols,
-Gaussian binomials, Stirling numbers, Bernoulli numbers, and fractions
-whose denominators are tracked as products of cyclotomic polynomials.
+Stirling numbers, Bernoulli numbers, and fractions whose denominators
+are tracked as products of cyclotomic polynomials.
 
 The fraction type QFrac is the workhorse of the whole package.  Partial
 fraction coefficients, the combined form coefficients and the various
@@ -27,9 +27,7 @@ __all__ = [
     "alpha_weight",
     "bernoulli",
     "cyclotomic",
-    "d_poly",
     "divisor_power_sum",
-    "qbinomial",
     "qpoch",
     "stirling_first",
 ]
@@ -156,13 +154,6 @@ def _phi_product(key: tuple) -> UPoly:
     return got
 
 
-def d_poly(n: int) -> UPoly:
-    """d_n(q) = prod_{l=1}^{n} Phi_l(q)."""
-    if n < 0:
-        raise ValueError("d_n needs n >= 0")
-    return _phi_product(tuple((l, 1) for l in range(1, n + 1)))
-
-
 @lru_cache(maxsize=None)
 def totient(l: int) -> int:
     """Euler's phi(l), the degree of Phi_l; 0 for l <= 0."""
@@ -173,7 +164,7 @@ def totient(l: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# q-Pochhammer and Gaussian binomials.
+# q-Pochhammer.
 
 def qpoch(a: UPoly, n: int) -> UPoly:
     """(a; q)_n = prod_{i=0}^{n-1} (1 - a q^i), exactly."""
@@ -185,19 +176,6 @@ def qpoch(a: UPoly, n: int) -> UPoly:
         out = out * (UPoly.one() - cur)
         cur = cur.shift_u(2)
     return out
-
-
-@lru_cache(maxsize=None)
-def qbinomial(m: int, k: int) -> UPoly:
-    """Gaussian binomial [m choose k]_q, an integer polynomial in q."""
-    if k < 0 or k > m:
-        return UPoly.zero()
-    if k == 0 or k == m:
-        return UPoly.one()
-    # Pascal recurrence [m k] = [m-1 k-1] + q^k [m-1 k]
-    val = qbinomial(m - 1, k - 1) + qbinomial(m - 1, k).shift_u(2 * k)
-    assert val.coefficients_integral(), "Gaussian binomial must have integer coefficients"
-    return val
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from qzeta.linform import (
     S_eps_hat_numeric,
     S_eps_numeric,
     S_tilde_numeric,
-    S_z_numeric,
     _hat_kernel,
     d_symmetry_check,
     denominator_check,
@@ -34,7 +33,6 @@ from qzeta.linform import (
     p_reciprocity_check,
     partial_fractions,
     reconstruction_check,
-    transform_check,
     zeta_q,
 )
 from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
@@ -127,6 +125,22 @@ def test_p1_vanishes_at_one():
     for n in range(0, 6):
         assert p1_at_one_check(Params(4, 1, n))
     assert p1_at_one_check(Params(6, 2, 3))
+
+
+def test_p1_at_one_reads_the_assembled_sums(monkeypatch):
+    # denominator_check sums the table once for its forms; P_1(1) is then
+    # read from that memo, with no second pole-sum pass
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pole-sum pass was started")
+
+    linform._pf_table.cache_clear()
+    linform._p_eps_hat.cache_clear()
+    for n in (1, 3):
+        params = Params(4, 1, n)
+        assert denominator_check(params)["pass"]
+        with monkeypatch.context() as m:
+            m.setattr(UPolyRing, "pole_sums", staticmethod(no_pass))
+            assert p1_at_one_check(params)
 
 
 def test_symbolic_and_specialized_coefficients_agree():
@@ -307,26 +321,19 @@ def _ref_rho_hat(A, r, n, k, qp):
     return val / pole ** A
 
 
-def _ref_terms(kind, A, r, n, eps, qv, zv):
-    """The per-term generators of S_eps_hat_numeric ("eps"),
-    S_tilde_numeric ("tilde") and S_z_numeric ("z")."""
+def _ref_terms(kind, A, r, n, eps, qv):
+    """The per-term generators of S_eps_hat_numeric ("eps") and
+    S_tilde_numeric ("tilde")."""
     qm = mpf(qv.numerator) / qv.denominator
     qp = series_oracle.QPowers(qm)
     k = r * n + 1
-    if kind == "z":
-        pref = mp.power(qm, -mpf((A - 2 * r) * n) / 4)
-        zi = mpf(zv.denominator) / zv.numerator
-        zk = zi ** k
     while True:
         if kind == "eps":
             br = 1 + (-1) ** eps * qp.get((A // 2 - 1) * (n + 2 * k))
             yield _ref_rho_hat(A, r, n, k, qp) * br
-        elif kind == "tilde":
+        else:
             extra = qp.get(k * (A // 2 - 2))
             yield _ref_rho_hat(A, r, n, k, qp) * extra * (1 - qp.get(2 * k + n))
-        else:
-            yield _ref_rho_hat(A, r, n, k, qp) * pref * zk
-            zk *= zi
         k += 1
 
 
@@ -335,12 +342,10 @@ MEMO_PARAMS = ([(4, 1, n) for n in range(4)] + [(6, 1, n) for n in range(2)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(("eps", "tilde", "z", "zinv")), st.sampled_from(MEMO_PARAMS),
+@given(st.sampled_from(("eps", "tilde")), st.sampled_from(MEMO_PARAMS),
        st.sampled_from((0, 1)), q0s(), st.sampled_from((64, 160)))
 @example("eps", (4, 1, 3), 1, NEAR_ONE[1], 160)
 @example("tilde", (6, 1, 1), 0, NEAR_ONE[0], 64)
-@example("z", (6, 2, 1), 0, NEAR_ONE[0], 64)
-@example("zinv", (4, 1, 2), 0, NEAR_ONE[1], 64)
 @example("eps", (2, 1, 3), 0, NEAR_ONE[1], 64)
 @example("eps", (2, 1, 1), 1, Fraction(1, 3), 64)
 def test_memoized_kernel_terms_are_bit_identical(kind, akn, eps, q0, prec):
@@ -348,17 +353,10 @@ def test_memoized_kernel_terms_are_bit_identical(kind, akn, eps, q0, prec):
     assume(kind != "tilde" or A > 2)  # the alternative series diverges at A = 2
     p = Params(A, r, n, eps)
     if kind == "eps":
-        qv, zv = q0, None
         call = lambda: S_eps_hat_numeric(p, q0, prec)
-    elif kind == "tilde":
-        qv, zv = q0, None
+    else:
         call = lambda: S_tilde_numeric(p, q0, prec)
-    else:  # the two sums of transform_check
-        q0 = abs(q0)
-        qv, zv = (q0, q0 ** (2 - A)) if kind == "z" else (1 / q0, Fraction(1))
-        call = lambda: S_z_numeric(p, qv, zv, prec)
-    ref_kind = "z" if kind == "zinv" else kind
-    runs = replayed(linform, call, lambda: _ref_terms(ref_kind, A, r, n, eps, qv, zv))
+    runs = replayed(linform, call, lambda: _ref_terms(kind, A, r, n, eps, q0))
     if kind == "eps" and A == 2 and eps == 1:  # the bracket 1 - q^0: no sum is taken
         assert runs == [] and call() == 0
     else:
@@ -371,7 +369,7 @@ def test_kernel_memos_stay_a_window_near_one():
     with recorded_memos(linform) as memos:
         got, ref = replayed(
             linform, lambda: S_eps_hat_numeric(Params(A, r, n, 0), q0),
-            lambda: _ref_terms("eps", A, r, n, 0, q0, None))
+            lambda: _ref_terms("eps", A, r, n, 0, q0))
     assert got == ref
     assert got[1] > 1000  # terms taken
     assert len(memos) == 2  # 1 - q^m and the numerator pairs
@@ -427,8 +425,7 @@ def test_series_reject_invalid_prec(prec, monkeypatch):
     calls = [lambda: zeta_q(3, half, prec), lambda: zeta_q(3, Fraction(0), prec),
              lambda: S_eps_hat_numeric(Params(4, 1, 1), half, prec),
              lambda: S_eps_hat_numeric(Params(2, 1, 1, 1), half, prec),
-             lambda: S_tilde_numeric(Params(4, 1, 1), half, prec),
-             lambda: S_z_numeric(Params(4, 1, 1), half, Fraction(1), prec)]
+             lambda: S_tilde_numeric(Params(4, 1, 1), half, prec)]
     for call in calls:
         with pytest.raises(ValueError, match=f"need prec >= 1, got {prec}"):
             call()
@@ -496,17 +493,9 @@ def test_kernel_series_refuses_in_bounded_time():
     assert time.perf_counter() - start < 1
 
 
-def test_transform_check_small():
-    q0 = Fraction(1, 3)
-    for A, r, n in ((4, 1, 1), (4, 1, 2)):
-        res = transform_check(Params(A, r, n), q0, 160)
-        assert res < mpf(2) ** -120
-
-
 def test_d_exponent_and_clearing_polynomial():
     # D_n = (A-1)! u^(2E) d_n(1/q)^A: u-monomial times an integral part
     from math import factorial
-    from qzeta.qcomb import d_poly
     for A, r, n in ((4, 1, 3), (6, 1, 2), (6, 2, 4)):
         ex = D_exponent(A, r, n)
         assert (2 * ex).denominator == 1
@@ -514,7 +503,8 @@ def test_d_exponent_and_clearing_polynomial():
         core = poly.shift_u(-int(2 * ex))
         assert core.only_even_exponents()
         assert core.coefficients_integral()
-        assert core == UPoly.const(factorial(A - 1)) * d_poly(n).subst_inv() ** A
+        d_n = PhiProduct(dict.fromkeys(range(1, n + 1), 1)).expand()
+        assert core == UPoly.const(factorial(A - 1)) * d_n.subst_inv() ** A
 
 
 @pytest.mark.parametrize("A,r,n", [(4, 1, 1), (4, 1, 3), (6, 2, 2)])

@@ -1,5 +1,5 @@
-"""q-combinatorics: cyclotomic polynomials, q-binomials, Pochhammer
-products, Stirling/Bernoulli tables, and the Phi-product fraction field."""
+"""q-combinatorics: cyclotomic polynomials, Pochhammer products,
+Stirling/Bernoulli tables, and the Phi-product fraction field."""
 
 import math
 import os
@@ -20,26 +20,12 @@ from qzeta.qcomb import (
     alpha_weight,
     bernoulli,
     cyclotomic,
-    d_poly,
     divisor_power_sum,
-    qbinomial,
     qpoch,
     stirling_first,
     totient,
 )
 from qzeta.upoly import UPoly
-
-
-def test_qbinomial_4_2():
-    assert qbinomial(4, 2) == UPoly({0: 1, 2: 1, 4: 2, 6: 1, 8: 1})
-
-
-def test_qbinomial_symmetry_and_specialization():
-    for m in range(8):
-        for k in range(m + 1):
-            p = qbinomial(m, k)
-            assert p == qbinomial(m, m - k)
-            assert p.eval_fraction(Fraction(1)) == math.comb(m, k)
 
 
 def test_cyclotomic_product_is_q_power_minus_one():
@@ -84,12 +70,14 @@ def test_cyclotomic_palindromic_above_one():
 
 
 def test_d_poly_is_cyclotomic_product():
+    # d_n = prod_{l<=n} Phi_l, as the denominator checks expand it
     for n in range(0, 20):
         expect = UPoly.one()
         for l in range(1, n + 1):
             expect = expect * cyclotomic(l)
-        assert d_poly(n) == expect
-        assert d_poly(n).max_exp() == 2 * sum(totient(l) for l in range(1, n + 1))
+        d_n = PhiProduct(dict.fromkeys(range(1, n + 1), 1)).expand()
+        assert d_n == expect
+        assert d_n.max_exp() == 2 * sum(totient(l) for l in range(1, n + 1))
 
 
 def test_qpoch_both_bases():

@@ -573,8 +573,6 @@ _PREC_CALLS = {
     "S_eps_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
     "S_eps_hat_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
     "S_tilde_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
-    "S_z_numeric": {"params": Params(4, 1, 1), "qv": _HALF, "zv": Fraction(1)},
-    "transform_check": {"params": Params(4, 1, 1), "q0": _THIRD},
     "identity_residual": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
     "linear_form_report": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
     "delta": {"A": 4, "r": 1},
