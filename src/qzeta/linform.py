@@ -35,7 +35,6 @@ from .qcomb import PhiProduct, QFrac, alpha_weight, qpoch
 from .series import (
     DEFAULT_PREC,
     PONE,
-    DivergenceError,
     FactorMemo,
     FractionRing,
     Kernel,
@@ -72,7 +71,6 @@ __all__ = [
     "zeta_q",
     "S_eps_numeric",
     "S_eps_hat_numeric",
-    "S_tilde_numeric",
     "identity_residual",
     "D_exponent",
     "D_n",
@@ -527,71 +525,45 @@ def _rho_hat_terms(A: int, r: int, n: int, qp: _QPowers):
         k += 1
 
 
-def _rho_envelope(A: int, r: int, n: int, qm):
-    """(env, lead): env(k) is a decreasing-in-k bound on |rho_{k+1}/rho_k|,
-    valid for the whole tail, and lead its k -> oo limit; each factor of
-    env after lead is >= 1."""
-    aq = abs(qm)
-    lead = aq ** ((A - 2 * r) * n // 2 + 1)
+def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
+    """The symmetrized kernel series, integer-power normalization:
 
-    def env(k: int):
-        return (lead * (1 + aq ** (k + n + 1 + r * n)) / (1 - aq ** (k - r * n))
-                * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** (A + 1))
+        sum_{k > rn} q^k R_hat(q^k) (1 + (-1)^eps q^((A/2-1)(n+2k))),
 
-    return env, lead
-
-
-def _kernel_series(A: int, r: int, n: int, qv: Fraction, prec: int, *,
-                   mono: int = 0, bracket=(0, 0, 0)) -> mpf:
-    """sum_{k > rn} q^k R_hat(q^k) f_k at q = qv, 0 < |qv| < 1, its tail
-    certified to 2^-(prec+8).  f_k is given as data: each term is
-    _rho_hat_terms' pair times, in this order, q^(mono k) (mono >= 0) and
-    1 + sign q^(ak+b) for bracket = (a, b, sign) with sign = +-1 (0: no
-    bracket).  The ratio bound is _rho_envelope's times |q|^mono and, for
-    a > 0, (1 + |q|^(a(k+1)+b))/(1 - |q|^(ak+b))."""
+    its tail certified to 2^-(prec+8).  Each term is _rho_hat_terms' pair
+    times the bracket.  Valid for any rational 0 < |q0| < 1 (negative q0
+    included).  At A = 2 the bracket is 1 +- q^0, and each term is still
+    multiplied by it: doubling the finished sum would change the stop test.
+    """
+    A, r, n, eps = params.A, params.r, params.n, params.eps
+    q0 = _check_q0(q0)
     with mp.workprec(working_prec(prec)):
-        if bracket == (0, 0, -1):
+        if A == 2 and eps:
             return mpf(0)  # the bracket 1 - q^0 vanishes identically
-        a, b, sign = bracket
+        a, b = A - 2, (A // 2 - 1) * n   # the bracket's exponent ak + b
         tol = mpf(2) ** (-(prec + 8))
-        qm = mpf(qv.numerator) / qv.denominator
+        qm = mpf(q0.numerator) / q0.denominator
         aq = abs(qm)
         qp = _QPowers(qm)
-        env, lead = _rho_envelope(A, r, n, qm)
-        scale = aq ** mono
+        lead = aq ** ((A - 2 * r) * n // 2 + 1)
 
         def terms():
             p = qp.prec
             for k, t in _rho_hat_terms(A, r, n, qp):
-                if mono:
-                    t = pmul(t, qp.get(mono * k), p)
-                if sign:
-                    t = pmul(t, (padd if sign > 0 else psub)(PONE, qp.get(a * k + b), p), p)
-                yield t
+                yield pmul(t, (psub if eps else padd)(PONE, qp.get(a * k + b), p), p)
 
         def bound(i):
+            # a decreasing-in-k bound on |rho_{k+1}/rho_k|, valid for the
+            # whole tail, with limit lead (each factor after lead is >= 1),
+            # times for a > 0 the bracket's (1 + |q|^(a(k+1)+b))/(1 - |q|^(ak+b))
             k = r * n + 1 + i
-            bk = env(k) * scale
+            bk = (lead * (1 + aq ** (k + n + 1 + r * n)) / (1 - aq ** (k - r * n))
+                  * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** (A + 1))
             if a:
                 bk *= (1 + aq ** (a * (k + 1) + b)) / (1 - aq ** (a * k + b))
             return bk
 
-        return +sum_with_tail(terms(), bound, tol, limit=lead * scale)
-
-
-def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
-    """The symmetrized kernel series, integer-power normalization:
-
-        sum_{k > rn} q^k R_hat(q^k) (1 + (-1)^eps q^((A/2-1)(n+2k))).
-
-    Valid for any rational 0 < |q0| < 1 (negative q0 included).  At A = 2
-    the bracket is 1 +- q^0, and each term is still multiplied by it:
-    doubling the finished sum would change the stop test.
-    """
-    A, r, n, eps = params.A, params.r, params.n, params.eps
-    half = A // 2 - 1
-    return _kernel_series(A, r, n, _check_q0(q0), prec,
-                          bracket=(2 * half, half * n, -1 if eps else 1))
+        return +sum_with_tail(terms(), bound, tol, limit=lead)
 
 
 def S_eps_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
@@ -606,25 +578,6 @@ def S_eps_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf
     with mp.workprec(working_prec(prec)):
         qm = mpf(q0.numerator) / q0.denominator
         return +(mp.power(qm, mpf(ex.numerator) / ex.denominator) * hat)
-
-
-def S_tilde_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
-    """The alternative very-well-poised series (integer q-powers only):
-
-        (q;q)_n^(A-2r) sum_{k>rn} (1 - q^(2k+n))
-            (q^(k-rn);q)_rn (q^(k+n+1);q)_rn / (q^k;q)_{n+1}^A
-            q^(k((A-2r)n/2 + A/2 - 1)).
-
-    Termwise it is rho_hat(k) * q^(k(A/2-2)) * (1 - q^(2k+n)).  It
-    diverges at A = 2, the only case with A/2 - 2 < 0.
-    """
-    A, r, n = params.A, params.r, params.n
-    q0 = _check_q0(q0)
-    gap = (A - 2 * r) * n // 2 + A // 2 - 1
-    if gap < 1:
-        raise DivergenceError(
-            f"alternative series needs (A-2r)n/2 + A/2 - 1 >= 1, got {gap}")
-    return _kernel_series(A, r, n, q0, prec, mono=A // 2 - 2, bracket=(2, n, -1))
 
 
 # ----------------------------------------------------------------------

@@ -212,8 +212,10 @@ def _predicted_terms(t: tuple, tol: tuple, limit) -> float:
     fall to limit from above, so this underestimates a sum's length unless
     its terms fall faster than its bound says.  The margin is empirical:
     over the certified sums of tier-1 and the benchmark's claims, the
-    unshrunk prediction was at most 1.54 times the terms taken
-    (S_tilde_numeric at limit 0.871); 4 is the least power of two at least
+    unshrunk prediction was at most 1.40 times the terms taken
+    (qball_numeric at n = 4, q0 = 9816/10007, limit 0.908; 1.08 over the
+    claims alone).  It was 1.54 on an alternative kernel series since
+    removed, at limit 0.871, and 4 is the least power of two at least
     twice that.  Zero when |t| is below tol or limit is not in (0, 1), inf
     when log2(limit) underflows a float.  mpmath's log of the exact limit
     adds the guard bits a limit near 1 needs, so 53 bits suffice there."""

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .asymptotics import SlopeEstimate, _make_estimate, _slope_ns, log_abs_fraction
+from .asymptotics import log_abs_fraction
 from .linform import Params, S_eps_hat_numeric, _check_q0, _cleared, _inv_clearer, zeta_q
 from .qcomb import QFrac, cyclotomic
 from .series import (
@@ -58,7 +58,6 @@ from .series import (
 __all__ = [
     "Zeta3Kernel",
     "ball_matches_symmetrized",
-    "bgn_slope",
     "classical_ball",
     "dbar_probe",
     "qball_numeric",
@@ -75,8 +74,14 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Exact order-2 partial fractions of W_n(T) = (q^-n T;q)_n^2/(T;q)_{n+1}^2.
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def _w_kernel(n: int) -> Kernel:
     """The numerator (q^(-n) T; q)_n^2 of W_n, by its linear factors."""
+    _check_n(n)
     return Kernel(exps=tuple(i - n for i in range(n)) * 2)
 
 
@@ -146,11 +151,6 @@ def zeta3_form_values(n: int, q0: Fraction):
 
 # ----------------------------------------------------------------------
 # Numeric series with certified tails.
-
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-
 
 def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
     """The ball-type series; terms for k <= n vanish identically."""
@@ -389,32 +389,6 @@ def dbar_probe(n_values, q0=Fraction(1, 2)) -> dict:
             "target_times_L": target_x * L,
             "all_m": sorted({r["m"] for r in rows}),
         }
-
-
-# ----------------------------------------------------------------------
-# Growth of the derivative series itself (the obstruction to applying
-# the irrationality criterion: its slope tends to 0).
-
-def bgn_slope(n_range, q0=Fraction(1, 2), prec: int = DEFAULT_PREC) -> SlopeEstimate:
-    """(1/n^2) log |log q * (A_n zeta_q(3) - B_n)| at q = q0, target 0."""
-    ns = _slope_ns(n_range)
-    q0 = _check_q0(q0)
-    if q0 < 0:
-        raise ValueError("needs q0 in (0, 1): log q appears unsquared")
-    pts = []
-    with mp.workprec(working_prec(prec)):
-        logq = mp.log(mpf(q0.numerator) / q0.denominator)
-        for n in sorted(ns):
-            a_val, b_val = zeta3_form_values(n, q0)
-            scale = max(_frac_bits(a_val), _frac_bits(b_val))
-            with mp.workprec(working_prec(prec, scale)):
-                z3s = zeta_q(3, q0, prec + scale)
-                v = (mpf(a_val.numerator) / a_val.denominator * z3s
-                     - mpf(b_val.numerator) / b_val.denominator) * logq
-            if v == 0:
-                continue
-            pts.append((n, mp.log(abs(v)) / n**2))
-    return _make_estimate(f"weight-3 series slope (q={q0})", pts, mpf(0))
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qzeta import linform
@@ -21,7 +21,6 @@ from qzeta.linform import (
     Params,
     S_eps_hat_numeric,
     S_eps_numeric,
-    S_tilde_numeric,
     _hat_kernel,
     d_symmetry_check,
     denominator_check,
@@ -321,19 +320,14 @@ def _ref_rho_hat(A, r, n, k, qp):
     return val / pole ** A
 
 
-def _ref_terms(kind, A, r, n, eps, qv):
-    """The per-term generators of S_eps_hat_numeric ("eps") and
-    S_tilde_numeric ("tilde")."""
+def _ref_terms(A, r, n, eps, qv):
+    """The per-term generator of S_eps_hat_numeric."""
     qm = mpf(qv.numerator) / qv.denominator
     qp = series_oracle.QPowers(qm)
     k = r * n + 1
     while True:
-        if kind == "eps":
-            br = 1 + (-1) ** eps * qp.get((A // 2 - 1) * (n + 2 * k))
-            yield _ref_rho_hat(A, r, n, k, qp) * br
-        else:
-            extra = qp.get(k * (A // 2 - 2))
-            yield _ref_rho_hat(A, r, n, k, qp) * extra * (1 - qp.get(2 * k + n))
+        br = 1 + (-1) ** eps * qp.get((A // 2 - 1) * (n + 2 * k))
+        yield _ref_rho_hat(A, r, n, k, qp) * br
         k += 1
 
 
@@ -342,22 +336,17 @@ MEMO_PARAMS = ([(4, 1, n) for n in range(4)] + [(6, 1, n) for n in range(2)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(("eps", "tilde")), st.sampled_from(MEMO_PARAMS),
-       st.sampled_from((0, 1)), q0s(), st.sampled_from((64, 160)))
-@example("eps", (4, 1, 3), 1, NEAR_ONE[1], 160)
-@example("tilde", (6, 1, 1), 0, NEAR_ONE[0], 64)
-@example("eps", (2, 1, 3), 0, NEAR_ONE[1], 64)
-@example("eps", (2, 1, 1), 1, Fraction(1, 3), 64)
-def test_memoized_kernel_terms_are_bit_identical(kind, akn, eps, q0, prec):
+@given(st.sampled_from(MEMO_PARAMS), st.sampled_from((0, 1)), q0s(),
+       st.sampled_from((64, 160)))
+@example((4, 1, 3), 1, NEAR_ONE[1], 160)
+@example((2, 1, 3), 0, NEAR_ONE[1], 64)
+@example((2, 1, 1), 1, Fraction(1, 3), 64)
+def test_memoized_kernel_terms_are_bit_identical(akn, eps, q0, prec):
     A, r, n = akn
-    assume(kind != "tilde" or A > 2)  # the alternative series diverges at A = 2
     p = Params(A, r, n, eps)
-    if kind == "eps":
-        call = lambda: S_eps_hat_numeric(p, q0, prec)
-    else:
-        call = lambda: S_tilde_numeric(p, q0, prec)
-    runs = replayed(linform, call, lambda: _ref_terms(kind, A, r, n, eps, q0))
-    if kind == "eps" and A == 2 and eps == 1:  # the bracket 1 - q^0: no sum is taken
+    call = lambda: S_eps_hat_numeric(p, q0, prec)
+    runs = replayed(linform, call, lambda: _ref_terms(A, r, n, eps, q0))
+    if A == 2 and eps == 1:  # the bracket 1 - q^0: no sum is taken
         assert runs == [] and call() == 0
     else:
         got, ref = runs
@@ -369,7 +358,7 @@ def test_kernel_memos_stay_a_window_near_one():
     with recorded_memos(linform) as memos:
         got, ref = replayed(
             linform, lambda: S_eps_hat_numeric(Params(A, r, n, 0), q0),
-            lambda: _ref_terms("eps", A, r, n, 0, q0))
+            lambda: _ref_terms(A, r, n, 0, q0))
     assert got == ref
     assert got[1] > 1000  # terms taken
     assert len(memos) == 2  # 1 - q^m and the numerator pairs
@@ -394,20 +383,9 @@ def test_s_numeric_rejects_fractional_monomial_at_negative_q():
     S_eps_hat_numeric(p, Fraction(-1, 2), 96)
 
 
-def test_s_tilde_equals_hat_series():
-    # the very-well-poised rearrangement agrees with the defining series
-    q0 = Fraction(1, 3)
-    with mp.workprec(working_prec(160)):
-        for n in range(0, 4):
-            p = Params(4, 1, n, 1)
-            a = S_eps_hat_numeric(p, q0, 160)
-            b = S_tilde_numeric(p, q0, 160)
-            assert abs(a - b) < mpf(2) ** -120, n
-
-
 def test_series_reject_q0_zero():
     with pytest.raises(ValueError, match="0 < \\|q0\\| < 1"):
-        S_tilde_numeric(Params(4, 1, 1), Fraction(0))
+        S_eps_hat_numeric(Params(4, 1, 1), Fraction(0))
     with pytest.raises(ValueError, match="0 < \\|q0\\| < 1"):
         identity_residual(Params(4, 1, 1), Fraction(0))
     assert zeta_q(3, Fraction(0)) == 0
@@ -424,8 +402,7 @@ def test_series_reject_invalid_prec(prec, monkeypatch):
     half = Fraction(1, 2)
     calls = [lambda: zeta_q(3, half, prec), lambda: zeta_q(3, Fraction(0), prec),
              lambda: S_eps_hat_numeric(Params(4, 1, 1), half, prec),
-             lambda: S_eps_hat_numeric(Params(2, 1, 1, 1), half, prec),
-             lambda: S_tilde_numeric(Params(4, 1, 1), half, prec)]
+             lambda: S_eps_hat_numeric(Params(2, 1, 1, 1), half, prec)]
     for call in calls:
         with pytest.raises(ValueError, match=f"need prec >= 1, got {prec}"):
             call()

@@ -572,7 +572,6 @@ _PREC_CALLS = {
     "zeta_q": {"s": 3, "q0": _HALF},
     "S_eps_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
     "S_eps_hat_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
-    "S_tilde_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
     "identity_residual": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
     "linear_form_report": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
     "delta": {"A": 4, "r": 1},
@@ -587,7 +586,6 @@ _PREC_CALLS = {
     "ball_matches_symmetrized": {"n": 1, "q0": _HALF},
     "zeta3_identity_residual": {"n": 2, "q0": _THIRD},
     "zeta3_report": {"n": 1, "q0": _THIRD},
-    "bgn_slope": {"n_range": range(1, 4)},
     "classical_ball": {"n": 1},
     "eisenstein_value": {"s": 2, "q0": _HALF},
     "zetaq_even_consistency": {},

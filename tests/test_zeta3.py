@@ -8,10 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qzeta import zeta3
-from qzeta.linform import zeta_q
+from qzeta.linform import P_eps_hat, Params, zeta_q
 from qzeta.zeta3 import (
     ball_matches_symmetrized,
-    bgn_slope,
     classical_ball,
     dbar_probe,
     qball_numeric,
@@ -27,6 +26,7 @@ from qzeta.series import PrecisionError, from_mpf, to_mpf
 from qzeta.zeta3 import _bracket_factors, _w_log_deriv_bracket
 import point_oracle
 from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
+from test_exact_digest import _fields
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +80,19 @@ def test_form_values_match_fraction_reference(n, q0):
 @given(st.integers(0, 3), q0s())
 def test_form_values_match_fraction_reference_anywhere(n, q0):
     assert zeta3_form_values(n, q0) == point_oracle.zeta3_form_values(n, q0)
+
+
+def test_weight3_form_is_the_a4_symmetrized_form():
+    """A_n = q^(-n(n+1)) P_3^[1](4,1,n) and B_n = -q^(-n(n+1)) P_0^[1](4,1,n),
+    exactly: the weight-3 forms are those of (4, 1, eps = 1) without
+    their q^(n(n+1)) monomial."""
+    for n in range(11):
+        ps = P_eps_hat(Params(4, 1, n, 1))
+        assert set(ps) == {0, 3}
+        shift = -2 * n * (n + 1)    # u = q^(1/2)
+        a_n, b_n = zeta3_form(n)
+        assert _fields(a_n) == _fields(ps[3].shift_u(shift)), n
+        assert _fields(b_n) == _fields(-ps[0].shift_u(shift)), n
 
 
 # ----------------------------------------------------------------------
@@ -271,22 +284,6 @@ def test_dbar_probe_rejects_q0_outside_unit_disc(q0):
         dbar_probe(range(1, 3), q0)
 
 
-def test_bgn_slope_tends_to_zero():
-    est = bgn_slope(range(4, 25, 2), Fraction(1, 2), 96)
-    assert est.target == 0
-    assert abs(est.fitted) < 0.05
-
-
-def test_bgn_slope_rejects_negative_q():
-    with pytest.raises(ValueError):
-        bgn_slope(range(2, 6), Fraction(-1, 2))
-
-
-def test_bgn_slope_rejects_n_below_one():
-    with pytest.raises(ValueError, match=r"^slope needs n >= 1, got -3$"):
-        bgn_slope(range(-3, 3), Fraction(1, 2))
-
-
 # ----------------------------------------------------------------------
 # input validation and reporting
 
@@ -296,6 +293,20 @@ def test_series_reject_bad_q(q0):
         qball_numeric(1, q0)
     with pytest.raises(ValueError):
         qbgn_numeric(1, q0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta3_form(-1),
+    lambda: zeta3_form_values(-1, Fraction(1, 3)),
+    lambda: dbar_probe([-1]),
+    lambda: zeta3_partial_fractions(-1),
+    lambda: zeta3_reconstruction_check(-1),
+], ids=["form", "form_values", "dbar_probe", "partial_fractions", "reconstruction_check"])
+def test_weight3_entry_points_reject_negative_n(call):
+    # unchecked, the first three raised IndexError, the partial fractions
+    # came out empty and the reconstruction check reported a failed proof
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        call()
 
 
 @pytest.mark.parametrize("prec", (0, -50))
