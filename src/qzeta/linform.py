@@ -35,7 +35,6 @@ from .qcomb import PhiProduct, QFrac, alpha_weight, qpoch
 from .series import (
     DEFAULT_PREC,
     PONE,
-    FactorMemo,
     FractionRing,
     Kernel,
     PrecisionError,
@@ -472,57 +471,72 @@ def _mul_up(x: tuple, y: tuple) -> tuple:
     return (m, e) if n <= 0 else (-(-m >> n), e + n)
 
 
-class _QPowers:
-    """Lazily grown table of integer powers q0^e, e >= 0, as kernel pairs
-    at the precision of its creation, each the previous one times q0."""
+def _kernel_terms(A: int, r: int, n: int, eps: int, q: tuple, p: int):
+    """The terms of S_eps_hat_numeric at q, a kernel pair of at most p
+    bits: for k = rn+1, rn+2, ... the integer-power kernel summand times
+    the bracket, by direct product,
 
-    def __init__(self, qm):
-        self.qm = from_mpf(qm)
-        self.prec = mp.prec
-        self.p = [PONE]
-
-    def get(self, e: int):
-        while len(self.p) <= e:
-            self.p.append(pmul(self.p[-1], self.qm, self.prec))
-        return self.p[e]
-
-
-def _rho_hat_terms(A: int, r: int, n: int, qp: _QPowers):
-    """(k, q^k R_hat(q^k)) for k = rn+1, rn+2, ...: the integer-power
-    kernel summand by direct product,
-
-        q^(k((A-2r)n/2+1)) prod_{i=1..n} (1 - q^i)^(A-2r)
+        q^(k lead) prod_{i=1..n} (1 - q^i)^(A-2r)
             prod_{i<rn} (1 - q^(k-rn+i)) (1 - q^(k+n+1+i))
-            / (prod_{i<=n} (1 - q^(k+i)))^A,
+            / (prod_{i<=n} (1 - q^(k+i)))^A  (1 +- q^(ak+b)),
 
-    multiplied in that order.  The k-free powers (1 - q^i)^(A-2r) are
-    computed once, and the factors that depend on k only through a shift,
-    1 - q^m and the numerator pair (1 - q^m)(1 - q^(m+n+1+rn)), come from
-    per-sum memos; each is the pair the product would compute in place, so
-    every term is bit-identical to building it from scratch.  Terms are
-    kernel pairs at qp's precision.
-    """
-    p = qp.prec
-    rn = r * n
-    lead = (A - 2 * r) * n // 2 + 1
-    poch = [ppow(psub(PONE, qp.get(i), p), A - 2 * r, p) for i in range(1, n + 1)]
-    omq = FactorMemo(lambda m: psub(PONE, qp.get(m), p))
-    pair = FactorMemo(lambda m: pmul(omq(m), omq(m + n + 1 + rn), p))
+    lead = (A-2r)n/2 + 1, a = A - 2 and b = (A/2-1)n, multiplied in that
+    order and each product rounded in place as pmul rounds it; the pole
+    product starts at 1 - q^k, which the product by one would leave as it
+    is.  q^e is a running product of q.  The k-free powers (1 - q^i)^(A-2r)
+    are computed once, and so is each 1 - q^m and each numerator pair
+    (1 - q^m)(1 - q^(m+n+1+rn)): om holds 1 - q^m for m = k..k+n+rn+1 and
+    num the powers, then the pairs m = k-rn..k-1, and both slide with k.
+    So every term is the pair that building it from scratch gives."""
+    rn, lead, a, b = r * n, (A - 2 * r) * n // 2 + 1, A - 2, (A // 2 - 1) * n
+    qm, qe = q
+    pw = [PONE]     # pw[e] = q^e
+
+    def power(top):
+        m, e = pw[-1]
+        for _ in range(top + 1 - len(pw)):
+            m, e = m * qm, e + qe
+            d = m.bit_length() - p
+            if d > 0:
+                h = m >> d - 1
+                m = (h + 1) >> 1 if h & 1 and (h & 2 or m & (1 << d - 1) - 1) else h >> 1
+                e += d
+            pw.append((m, e))
+        return pw[top]
+
     k = rn + 1
+    num = [ppow(psub(PONE, power(i), p), A - 2 * r, p) for i in range(1, n + 1)]
+    num += [pmul(psub(PONE, power(m), p), psub(PONE, power(m + n + 1 + rn), p), p)
+            for m in range(1, k)]
+    om = [psub(PONE, power(m), p) for m in range(k, k + n + rn + 2)]
+    sign = -1 if eps else 1
     while True:
-        val = qp.get(k * lead)
-        for f in poch:
-            val = pmul(val, f, p)
-        for m in range(k - rn, k):
-            val = pmul(val, pair(m), p)
-        pole = PONE
-        for m in range(k, k + n + 1):
-            pole = pmul(pole, omq(m), p)
-        yield k, pdiv(val, ppow(pole, A, p), p)
-        # term k+1 reads pair(k+1-rn..k) and omq(k..k+n+rn+1)
-        pair.drop_below(k + 1 - rn)
-        omq.drop_below(k)
+        power(max(k * lead, a * k + b, k + n + rn + 2))
+        vm, ve = pw[k * lead]
+        for fm, fe in num:
+            vm, ve = vm * fm, ve + fe
+            d = vm.bit_length() - p
+            if d > 0:
+                h = vm >> d - 1
+                vm = (h + 1) >> 1 if h & 1 and (h & 2 or vm & (1 << d - 1) - 1) else h >> 1
+                ve += d
+        pm, pe = om[0]
+        for fm, fe in om[1:n + 1]:
+            pm, pe = pm * fm, pe + fe
+            d = pm.bit_length() - p
+            if d > 0:
+                h = pm >> d - 1
+                pm = (h + 1) >> 1 if h & 1 and (h & 2 or pm & (1 << d - 1) - 1) else h >> 1
+                pe += d
+        bm, be = pw[a * k + b]
+        yield pmul(pdiv((vm, ve), ppow((pm, pe), A, p), p), padd(PONE, (sign * bm, be), p), p)
+        if rn:
+            del num[n]
+            num.append(pmul(om[0], om[n + 1 + rn], p))
+        del om[0]
         k += 1
+        bm, be = pw[k + n + rn + 1]
+        om.append(padd(PONE, (-bm, be), p))
 
 
 def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
@@ -530,9 +544,8 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
 
         sum_{k > rn} q^k R_hat(q^k) (1 + (-1)^eps q^((A/2-1)(n+2k))),
 
-    its tail certified to 2^-(prec+8).  Each term is _rho_hat_terms' pair
-    times the bracket.  Valid for any rational 0 < |q0| < 1 (negative q0
-    included).  At A = 2 the bracket is 1 +- q^0, and each term is still
+    its tail certified to 2^-(prec+8); _kernel_terms gives the terms.
+    Valid for any rational 0 < |q0| < 1 (negative q0 included).  At A = 2 the bracket is 1 +- q^0, and each term is still
     multiplied by it: doubling the finished sum would change the stop test.
     """
     A, r, n, eps = params.A, params.r, params.n, params.eps
@@ -544,13 +557,7 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
         tol = mpf(2) ** (-(prec + 8))
         qm = mpf(q0.numerator) / q0.denominator
         aq = abs(qm)
-        qp = _QPowers(qm)
         lead = aq ** ((A - 2 * r) * n // 2 + 1)
-
-        def terms():
-            p = qp.prec
-            for k, t in _rho_hat_terms(A, r, n, qp):
-                yield pmul(t, (psub if eps else padd)(PONE, qp.get(a * k + b), p), p)
 
         def bound(i):
             # a decreasing-in-k bound on |rho_{k+1}/rho_k|, valid for the
@@ -563,7 +570,8 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
                 bk *= (1 + aq ** (a * (k + 1) + b)) / (1 - aq ** (a * k + b))
             return bk
 
-        return +sum_with_tail(terms(), bound, tol, limit=lead)
+        return +sum_with_tail(_kernel_terms(A, r, n, eps, from_mpf(qm), mp.prec),
+                              bound, tol, limit=lead)
 
 
 def S_eps_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:

@@ -14,12 +14,12 @@ mpmath rounds each of these operations correctly to nearest-even too, so
 on inputs of at most p bits both give the same value: a term, a partial
 sum and the returned mpf are what mpf arithmetic gives, bit for bit.
 ppow is not a correctly rounded step in mpmath (its powers above 1000
-bits round in one direction), so it calls mpmath's own mpf_pow_int.  The
-kernel saves the wrapping of every operation in an mpf object and the
-trailing-zero normalization of its mantissa.  The stop test of a sum is
-no rounded operation at all: it compares integers exactly, so it can part
-from an mpf test only where the tail estimate lies within a few ulps of
-the tolerance.
+bits truncate every product before one last rounding), so it ports
+mpmath's mpf_pow_int step for step.  The kernel saves the wrapping of
+every operation in an mpf object and the trailing-zero normalization of
+its mantissa.  The stop test of a sum is no rounded operation at all: it
+compares integers exactly, so it can part from an mpf test only where
+the tail estimate lies within a few ulps of the tolerance.
 
 The exact half is one T-polynomial product (tmul) that is deliberately
 generic, a kernel numerator given by its factors (Kernel), and one
@@ -56,6 +56,7 @@ __all__ = [
 DEFAULT_PREC = 256
 GUARD_BITS = 32
 MAX_TERMS = 1000000     # the most terms a certified sum takes
+REPREDICT = (1 << 10, 1 << 14, 1 << 18)     # the terms that predict again
 
 
 class DivergenceError(ExactArithError):
@@ -143,8 +144,13 @@ def psub(x: tuple, y: tuple, p: int) -> tuple:
 
 
 def pmul(x: tuple, y: tuple, p: int) -> tuple:
-    """x y."""
-    return _round(x[0] * y[0], x[1] + y[1], p)
+    """x y, rounded in place as _round rounds it."""
+    m, e = x[0] * y[0], x[1] + y[1]
+    n = m.bit_length() - p
+    if n <= 0:
+        return m, e
+    h = m >> n - 1
+    return (h + 1) >> 1 if h & 1 and (h & 2 or m & (1 << n - 1) - 1) else h >> 1, e + n
 
 
 def pmul_int(x: tuple, k: int, p: int) -> tuple:
@@ -168,9 +174,43 @@ def pdiv(x: tuple, y: tuple, p: int) -> tuple:
 
 
 def ppow(x: tuple, k: int, p: int) -> tuple:
-    """x^k for an int k, as mpmath's mpf_pow_int computes it."""
-    sign, man, exp, _ = mpf_pow_int(from_man_exp(*x), k, p, round_nearest)
-    return (-man if sign else man), exp
+    """x^k for an int k, as mpmath's mpf_pow_int computes it with
+    round_nearest.  With x's mantissa made odd, a square or a power of
+    fewer than 1000 bits is the exact power rounded once.  Past that,
+    binary powering truncates every product to its top w = p + 4 bits(k)
+    + 4 bits, and the result is rounded to nearest: truncating a mantissa
+    keeps the same top bits whatever its trailing zeros, so only the
+    branch needs the odd mantissa.  k < 0 calls mpf_pow_int itself."""
+    m, e = x
+    if k < 0:
+        sign, man, exp, _ = mpf_pow_int(from_man_exp(m, e), k, p, round_nearest)
+        return (-man if sign else man), exp
+    if not k:
+        return PONE
+    if m:
+        tz = (m & -m).bit_length() - 1
+        m, e = m >> tz, e + tz
+    if k <= 2 or abs(m).bit_length() * k < 1000:
+        return _round(m ** k, e * k, p)
+    neg, m = m < 0 and k & 1, abs(m)
+    w = p + 4 * k.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if k & 1:
+            pm, pe = pm * m, pe + e
+            d = pm.bit_length() - w
+            if d > 0:
+                pm, pe = pm >> d, pe + d
+            k -= 1
+            if not k:
+                break
+        m, e = m * m, e + e
+        d = m.bit_length() - w
+        if d > 0:
+            m, e = m >> d, e + d
+        k >>= 1
+    pm, pe = _round(pm, pe, p)
+    return (-pm if neg else pm), pe
 
 
 def _dyadic(x):
@@ -216,9 +256,14 @@ def _predicted_terms(t: tuple, tol: tuple, limit) -> float:
     (qball_numeric at n = 4, q0 = 9816/10007, limit 0.908; 1.08 over the
     claims alone).  It was 1.54 on an alternative kernel series since
     removed, at limit 0.871, and 4 is the least power of two at least
-    twice that.  Zero when |t| is below tol or limit is not in (0, 1), inf
-    when log2(limit) underflows a float.  mpmath's log of the exact limit
-    adds the guard bits a limit near 1 needs, so 53 bits suffice there."""
+    twice that.  From term 2^10 on, k plus the unshrunk prediction from
+    term k was at most 0.992 times the terms taken over the same sums (179
+    of tier-1's and 270 of the claims' reach 2^10, 22 reach 2^14, none
+    2^18), so sum_with_tail predicts again there with half the margin, 2
+    the least power of two at least twice 0.992.  Zero when |t| is below
+    tol or limit is not in (0, 1), inf when log2(limit) underflows a
+    float.  mpmath's log of the exact limit adds the guard bits a limit
+    near 1 needs, so 53 bits suffice there."""
     if not t[0] or tol[0] <= 0 or not 0 < limit < 1:
         return 0.0
     bits = log2(abs(t[0])) + t[1] - log2(tol[0]) - tol[1]
@@ -248,8 +293,9 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit):
     with r_k evaluated on every term.  limit >= 1 raises DivergenceError
     before any term is taken: the bound can never certify a tail.  When
     the first term predicts more than MAX_TERMS terms (_predicted_terms),
-    PrecisionError is raised before the second; MAX_TERMS terms taken
-    without a stop raise it too.
+    PrecisionError is raised before the second, and so it is when term k
+    in REPREDICT predicts more than MAX_TERMS - k at half the margin;
+    MAX_TERMS terms taken without a stop raise it too.
     """
     if limit >= 1:
         raise DivergenceError(f"ratio bound limit {float(limit):.6g} >= 1; "
@@ -266,11 +312,11 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit):
     for k, t in enumerate(terms):
         total = padd(total, t, p)
         man, exp = t
-        if not k:
-            predicted = _predicted_terms(t, exact_tol, limit)
+        if not k or k in REPREDICT:
+            predicted = (2 if k else 1) * _predicted_terms(t, exact_tol, limit) + k
             if predicted > MAX_TERMS:
                 raise PrecisionError(
-                    f"no certified tail within {MAX_TERMS} terms: from the first term, "
+                    f"no certified tail within {MAX_TERMS} terms: from term {k}, "
                     f"the ratio bound's limit 1 - {float(1 - mpf(limit)):.3g} predicts "
                     f"about {predicted:.3g}")
         if gate is None or _less(abs(man), exp - gate[1], gate[0]):

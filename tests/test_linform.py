@@ -3,6 +3,7 @@ series, and the exact denominator machinery."""
 
 import json
 import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -35,11 +36,19 @@ from qzeta.linform import (
     zeta_q,
 )
 from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
-from qzeta.series import DivergenceError, FractionRing, PrecisionError, UPolyRing, working_prec
+from qzeta.series import (
+    DEFAULT_PREC,
+    DivergenceError,
+    FractionRing,
+    PrecisionError,
+    UPolyRing,
+    from_mpf,
+    working_prec,
+)
 from qzeta.upoly import UPoly
 import point_oracle
 import series_oracle
-from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
+from series_replay import NEAR_ONE, q0s, replayed
 
 SMALL = [(4, 1, 0), (4, 1, 1), (4, 1, 3), (6, 1, 2), (6, 2, 2), (2, 1, 2)]
 
@@ -339,6 +348,8 @@ MEMO_PARAMS = ([(4, 1, n) for n in range(4)] + [(6, 1, n) for n in range(2)]
 @given(st.sampled_from(MEMO_PARAMS), st.sampled_from((0, 1)), q0s(),
        st.sampled_from((64, 160)))
 @example((4, 1, 3), 1, NEAR_ONE[1], 160)
+@example((4, 1, 3), 1, NEAR_ONE[1], 288)       # the pole^4 past 1000 bits
+@example((6, 2, 1), 0, Fraction(-1, 3), 411)
 @example((2, 1, 3), 0, NEAR_ONE[1], 64)
 @example((2, 1, 1), 1, Fraction(1, 3), 64)
 def test_memoized_kernel_terms_are_bit_identical(akn, eps, q0, prec):
@@ -354,15 +365,24 @@ def test_memoized_kernel_terms_are_bit_identical(akn, eps, q0, prec):
 
 
 def test_kernel_memos_stay_a_window_near_one():
+    """The 1 - q^m and numerator-pair storage of the kernel terms slides
+    with k: past 1000 terms, every container the generator holds but the
+    largest, the power chain, has at most n + rn + 2 entries."""
     A, r, n, q0 = 4, 1, 3, NEAR_ONE[1]
-    with recorded_memos(linform) as memos:
-        got, ref = replayed(
-            linform, lambda: S_eps_hat_numeric(Params(A, r, n, 0), q0),
-            lambda: _ref_terms(A, r, n, 0, q0))
+    got, ref = replayed(
+        linform, lambda: S_eps_hat_numeric(Params(A, r, n, 0), q0),
+        lambda: _ref_terms(A, r, n, 0, q0))
     assert got == ref
     assert got[1] > 1000  # terms taken
-    assert len(memos) == 2  # 1 - q^m and the numerator pairs
-    assert all(len(m) <= n + r * n + 2 for m in memos)
+    with mp.workprec(working_prec(DEFAULT_PREC)):
+        q = from_mpf(mpf(q0.numerator) / q0.denominator)
+        terms = linform._kernel_terms(A, r, n, 0, q, mp.prec)
+        for _ in range(got[1]):
+            next(terms)
+    sizes = sorted(len(v) for v in terms.gi_frame.f_locals.values()
+                   if isinstance(v, (list, dict, deque)))
+    assert sizes[-1] > got[1]  # q^e up to e = 4k
+    assert sizes[-2] <= n + r * n + 2
 
 
 def test_s_numeric_normalizations():

@@ -8,6 +8,7 @@ from functools import lru_cache
 from math import comb
 
 import inspect
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,6 +138,27 @@ def test_max_terms_prediction_edge(monkeypatch, predicted):
             with pytest.raises(PrecisionError, match="within 500 terms"):
                 sum_with_tail(powers(lim ** 20), lambda k: lim, mpf(2) ** -50, limit=lim)
             assert taken == 1
+
+
+def test_long_sum_is_refused_at_a_later_term():
+    """A sum predicted at 2.2 10^6 terms passes its first term's check (a
+    quarter of that is below MAX_TERMS) and is refused at term 2^10, where
+    2^10 plus half its remaining length is above it, not at the cap."""
+    taken = 0
+
+    def powers(r):
+        nonlocal taken
+        for k in range(10 ** 7):
+            taken += 1
+            yield from_mpf(r ** k)
+
+    with mp.workprec(working_prec(64)):
+        r = mpf(2) ** (mpf(-50) / 2200000)
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match=r"from term 1024, .* about 1\.1e\+06"):
+            sum_with_tail(powers(r), lambda k: r, mpf(2) ** -50, limit=r)
+        assert time.perf_counter() - start < 1
+    assert taken == 1025
 
 
 _TINY = Fraction(1, 10 ** 20)
@@ -380,7 +402,7 @@ def test_kernel_rounds_ties_to_even():
 
 
 @settings(max_examples=100, deadline=None)
-@given(_kernel_operands(), st.integers(-3, 7))
+@given(_kernel_operands(), st.integers(-3, 7) | st.sampled_from((8, 12, 33, 64)))
 def test_kernel_power_is_mpmaths(operands, k):
     p, x, _ = operands
     if not x[0] and k < 0:
