@@ -348,8 +348,8 @@ MEMO_PARAMS = ([(4, 1, n) for n in range(4)] + [(6, 1, n) for n in range(2)]
 @given(st.sampled_from(MEMO_PARAMS), st.sampled_from((0, 1)), q0s(),
        st.sampled_from((64, 160)))
 @example((4, 1, 3), 1, NEAR_ONE[1], 160)
-@example((4, 1, 3), 1, NEAR_ONE[1], 288)       # the pole^4 past 1000 bits
-@example((6, 2, 1), 0, Fraction(-1, 3), 411)
+@example((4, 1, 3), 1, NEAR_ONE[1], 288)   # pole powers past 1000 bits: ppow
+@example((6, 2, 1), 0, Fraction(-1, 3), 411)  # truncates, then rounds once
 @example((2, 1, 3), 0, NEAR_ONE[1], 64)
 @example((2, 1, 1), 1, Fraction(1, 3), 64)
 def test_memoized_kernel_terms_are_bit_identical(akn, eps, q0, prec):
