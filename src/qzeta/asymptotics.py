@@ -7,6 +7,10 @@ The same three limits recombine into the dimension bound delta(A, r),
 which is also computed in exact rational arithmetic in 1/pi^2 so the
 recombination can be checked with zero tolerance.
 
+numpy is imported inside fit_limit, not here: it is the one numpy call of
+the package, only the slope commands reach it, and importing numpy is
+most of the time `import qzeta.cli` would otherwise take.
+
 Conventions: q0 is an exact rational with 0 < |q0| < 1; L denotes
 log|1/q0|; all slope targets are linear in L.
 """
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .linform import (
@@ -66,7 +69,13 @@ def fit_limit(points) -> float:
 
     Fitted on the largest third of the points (the small-n region is
     dominated by unmodeled corrections).  Returns the intercept L.
+
+    numpy is imported here, on the first fit, so that importing the
+    package and every command but slope-S, slope-P and slope-D never load
+    it (about 0.1 s of a cold start).
     """
+    import numpy as np
+
     pts = sorted(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit")
@@ -327,10 +336,41 @@ def delta_asymptotic_constant(prec: int = DEFAULT_PREC):
         return const, u_star
 
 
+def _first_argmax(f, last: int) -> int:
+    """The first i in 0..last where f(i) is largest, for an f that
+    increases strictly up to its largest value and falls strictly after
+    it, two equal values at the top allowed: a discrete ternary search,
+    then the first max over the last interval widened by 2 on each side.
+    When f(i) < f(j), i < j, the first argmax lies above i; otherwise it
+    lies below j.  So the search alone finds the full scan's index; the
+    widened window is a margin for a value near the top that rounding
+    puts out of order."""
+    lo, hi = 0, last
+    while hi - lo > 2:
+        third = (hi - lo) // 3
+        if f(lo + third) < f(hi - third):
+            lo += third + 1
+        else:
+            hi -= third + 1
+    return max(range(max(lo - 2, 0), min(hi + 2, last) + 1), key=f)
+
+
 def delta_constant_grid_max(prec: int = DEFAULT_PREC) -> mpf:
-    """Independent numeric maximization of f(u) = 4u/(24/pi^2 + 2 + 8u^2):
-    a scan of 4000 steps over [0.05, 4] then at most 200 golden-section
-    steps.  Oracle for the closed form."""
+    """Independent numeric maximization of f(u) = 4u/(c + 8u^2),
+    c = 24/pi^2 + 2: the best of 4001 grid points u_i over [0.05, 4],
+    then at most 200 golden-section steps between its neighbours.
+    Oracle for the closed form.
+
+    The grid point is the first maximum of a full scan, found by
+    _first_argmax in about 50 evaluations of f.  f is strictly unimodal:
+    f'(u) = 4(c - 8u^2)/(c + 8u^2)^2 is positive below u* = sqrt(c/8) and
+    negative above it, so the exact f(u_i) rise strictly to the grid point
+    left of u* and fall strictly from the one right of it.  Two adjacent
+    values other than that pair differ by at least about |f''(u*)| h^2/2
+    = 3e-7 (h the grid step), and f is evaluated at 33 bits or more
+    (working_prec(1)), so their rounded values keep that order and only
+    the pair around u* can come out equal or swapped: the search returns
+    the scan's index."""
     with mp.workprec(working_prec(prec)):
         pi2 = mp.pi**2
         c = 24 / pi2 + 2
@@ -341,7 +381,7 @@ def delta_constant_grid_max(prec: int = DEFAULT_PREC) -> mpf:
         grid = 4000
         lo_m = mpf(0.05)
         step = (mpf(4) - lo_m) / grid
-        best_i = max(range(grid + 1), key=lambda i: f(lo_m + i * step))
+        best_i = _first_argmax(lambda i: f(lo_m + i * step), grid)
         a = lo_m + max(best_i - 1, 0) * step
         b = lo_m + min(best_i + 1, grid) * step
         invphi = (mp.sqrt(5) - 1) / 2

@@ -46,7 +46,6 @@ from .series import (
     pf_extract,
     pf_reconstruct,
     pmul,
-    pmul_int,
     ppow,
     psub,
     sum_with_tail,
@@ -368,17 +367,64 @@ def _zeta_q_series(s: int, qm):
     (1+|q0|^k)/(1-|q0|^(k+1)), which decreases in k to |q0|, so it is a
     valid geometric bound for the whole tail.  k^(s-1) is an exact int.
     The terms are kernel pairs at the precision of the first one taken.
+
+    One fused loop builds term k as pdiv(pmul_int(q^k, k^(s-1)), 1 - q^k)
+    with q^k = pmul(q^(k-1), q), each step rounded inline by the rule of
+    its kernel operation, so every term is that expression's pair, bit for
+    bit.  1 - q^k is padd(1, -q^k): 1 has exponent 0 above q^k's, and
+    once q^k lies below 2^-(p+1), more than p + 4 bits under 1, it is
+    replaced by the sticky bit -sign(q^k) 2^-(p+2).
     """
     aq = abs(qm)
 
     def terms():
         p = mp.prec
-        q = from_mpf(qm)
-        qk = PONE
+        qmant, qexp = from_mpf(qm)
+        m, e = 1, 0     # q^k
         k = 1
         while True:
-            qk = pmul(qk, q, p)
-            yield pdiv(pmul_int(qk, k ** (s - 1), p), psub(PONE, qk, p), p)
+            # q^k = q^(k-1) q, rounded as pmul rounds it
+            m, e = m * qmant, e + qexp
+            d = m.bit_length() - p
+            if d > 0:
+                h = m >> d - 1
+                m = (h + 1) >> 1 if h & 1 and (h & 2 or m & (1 << d - 1) - 1) else h >> 1
+                e += d
+            # k^(s-1) q^k, as pmul_int
+            nm, ne = m * k ** (s - 1), e
+            d = nm.bit_length() - p
+            if d > 0:
+                h = nm >> d - 1
+                nm = (h + 1) >> 1 if h & 1 and (h & 2 or nm & (1 << d - 1) - 1) else h >> 1
+                ne += d
+            # 1 - q^k, as padd(PONE, (-m, e)): e < 0, so no swap
+            off, dm, de = -e, -m, e
+            if off > p + 4 and e + m.bit_length() <= -p - 1:
+                off, dm, de = p + 2, (-1 if m > 0 else 1), -p - 2
+            dm += 1 << off
+            d = dm.bit_length() - p
+            if d > 0:
+                h = dm >> d - 1
+                dm = (h + 1) >> 1 if h & 1 and (h & 2 or dm & (1 << d - 1) - 1) else h >> 1
+                de += d
+            # the quotient, as pdiv: 1 - q^k > 0, so the sign is q^k's
+            neg = nm < 0
+            extra = p + 1 - nm.bit_length() + dm.bit_length()
+            if extra < 0:
+                extra = 0
+            quo, rem = divmod(-nm << extra if neg else nm << extra, dm)
+            if rem:
+                quo = (quo << 1) | 1
+                extra += 1
+            if neg:
+                quo = -quo
+            te = ne - de - extra
+            d = quo.bit_length() - p
+            if d > 0:
+                h = quo >> d - 1
+                quo = (h + 1) >> 1 if h & 1 and (h & 2 or quo & (1 << d - 1) - 1) else h >> 1
+                te += d
+            yield quo, te
             k += 1
 
     def bound(i):

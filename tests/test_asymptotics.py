@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from qzeta.asymptotics import (
     SlopeEstimate,
+    _first_argmax,
     delta,
     delta_asymptotic_constant,
     delta_best_r,
@@ -21,6 +22,7 @@ from qzeta.asymptotics import (
     verify_delta_recombination,
 )
 from qzeta.linform import D_n, Params
+from qzeta.series import working_prec
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +107,58 @@ def test_delta_asymptotic_constant_closed_form_vs_grid():
         # stationarity: f(u*) equals the constant
         f = 4 * u_star / (c + 8 * u_star**2)
         assert abs(f - const) < 1e-15
+
+
+def _scan_grid_max(prec):
+    """delta_constant_grid_max with its grid point found by the full
+    4001-point scan: (scan index, _first_argmax's index, value)."""
+    with mp.workprec(working_prec(prec)):
+        c = 24 / mp.pi**2 + 2
+
+        def f(u):
+            return 4 * u / (c + 8 * u * u)
+
+        lo_m = mpf(0.05)
+        step = (mpf(4) - lo_m) / 4000
+        on_grid = lambda i: f(lo_m + i * step)  # noqa: E731
+        best_i = max(range(4001), key=on_grid)
+        a = lo_m + max(best_i - 1, 0) * step
+        b = lo_m + min(best_i + 1, 4000) * step
+        invphi = (mp.sqrt(5) - 1) / 2
+        c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
+        f1, f2 = f(c1), f(c2)
+        for _ in range(200):
+            if f1 < f2:
+                a, c1, f1 = c1, c2, f2
+                c2 = a + invphi * (b - a)
+                f2 = f(c2)
+            else:
+                b, c2, f2 = c2, c1, f1
+                c1 = b - invphi * (b - a)
+                f1 = f(c1)
+            if b - a < mpf(2) ** (-prec // 2):
+                break
+        return best_i, _first_argmax(on_grid, 4000), f((a + b) / 2)
+
+
+@pytest.mark.parametrize("prec", (16, 53, 96, 256, 1024))
+def test_grid_max_search_matches_the_full_scan(prec):
+    scan_i, search_i, value = _scan_grid_max(prec)
+    assert search_i == scan_i
+    assert delta_constant_grid_max(prec)._mpf_ == value._mpf_
+
+
+def test_first_argmax_on_small_unimodal_lists():
+    """Every peak position of every length up to 12, with and without a
+    tie at the top: the first index of the largest value."""
+    for size in range(1, 13):
+        for top in range(size):
+            rise_fall = [-abs(i - top) for i in range(size)]
+            lists = [rise_fall]
+            if top + 1 < size:
+                lists.append(rise_fall[:top + 1] + [0] + rise_fall[top + 1:-1])
+            for vals in lists:
+                assert _first_argmax(vals.__getitem__, size - 1) == top, vals
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,15 @@ its terms as kernel pairs.  No module multiplies by a UPoly.q_power(...)
 or UPoly.u_power(...) built in place: a product by a monomial is a
 shift_u.  The two exact rings of series expose the same public members,
 and those are the names the protocol comment in series.py lists.  The
-public names that only tests read are exactly TEST_ONLY.
+public names that only tests read are exactly TEST_ONLY.  numpy is loaded
+only by asymptotics.fit_limit, not by importing the package or the CLI.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -422,3 +426,26 @@ def test_checker_reads_protocol_names():
               "\n"
               "#     later(x)                -- not in the block\n")
     assert protocol_names(source) == {"one", "zero", "qpow", "pole_sums"}
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import qzeta, qzeta.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qzeta.cli.main(["delta", "--A", "12", "--r", "2"]) == 0
+print("numpy" in sys.modules)
+qzeta.asymptotics.fit_limit([(n, 1 / n) for n in range(1, 7)])
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_loaded_only_by_the_fit():
+    """A fresh interpreter imports qzeta and qzeta.cli and runs a command
+    that fits no slope without loading numpy (about 0.1 s of a cold
+    start); its first fit_limit call loads it."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

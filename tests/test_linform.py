@@ -23,6 +23,7 @@ from qzeta.linform import (
     S_eps_hat_numeric,
     S_eps_numeric,
     _hat_kernel,
+    _zeta_q_series,
     d_symmetry_check,
     denominator_check,
     denominator_probe,
@@ -38,11 +39,16 @@ from qzeta.linform import (
 from qzeta.qcomb import PhiProduct, QFrac, divisor_power_sum
 from qzeta.series import (
     DEFAULT_PREC,
+    PONE,
     DivergenceError,
     FractionRing,
     PrecisionError,
     UPolyRing,
     from_mpf,
+    pdiv,
+    pmul,
+    pmul_int,
+    psub,
     working_prec,
 )
 from qzeta.upoly import UPoly
@@ -241,6 +247,40 @@ def test_zeta_q_negative_base():
     with mp.workprec(working_prec(128)):
         val = zeta_q(3, q0, 128)
         assert abs(val - mpf(approx.numerator) / approx.denominator) < mpf(2) ** -60
+
+
+def _ref_zeta_q_terms(s, qm):
+    """The terms of _zeta_q_series by the kernel operations, with q^k."""
+    p = mp.prec
+    q = from_mpf(qm)
+    qk = PONE
+    k = 1
+    while True:
+        qk = pmul(qk, q, p)
+        yield pdiv(pmul_int(qk, k ** (s - 1), p), psub(PONE, qk, p), p), qk
+        k += 1
+
+
+@pytest.mark.parametrize("prec", (64, 256, 411))
+@pytest.mark.parametrize("q0", [sign * q for q in (Fraction(1, 3), Fraction(222, 499),
+                                                   Fraction(1, 2), Fraction(1, 10 ** 20))
+                                for sign in (1, -1)], ids=str)
+def test_fused_zeta_q_terms_are_bit_identical(q0, prec):
+    """Term by term, the same pair as pdiv(pmul_int(q^k, k^(s-1)),
+    psub(1, q^k)), past the stop of any sum at prec.  At |q0| = 10^-20
+    q^k falls below 2^-(p+1) from k = 2 or 7 on, where padd replaces it
+    by a sticky bit."""
+    qm = mpf(q0.numerator) / q0.denominator
+    with mp.workprec(prec):
+        for s in range(1, 7):
+            terms, _, _ = _zeta_q_series(s, qm)
+            sticky = False
+            for got, (want, (qkm, qke)) in zip(terms, _ref_zeta_q_terms(s, qm)):
+                assert got == want, (s, qkm, qke)
+                sticky |= qke + qkm.bit_length() <= -prec - 1 and -qke > prec + 4
+                if want[1] + want[0].bit_length() < -prec - 16:
+                    break
+            assert sticky or abs(q0) > Fraction(1, 10 ** 20)
 
 
 def _divisor_sums(e: int, size: int) -> list:
