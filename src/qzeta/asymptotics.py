@@ -17,7 +17,6 @@ log|1/q0|; all slope targets are linear in L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -31,7 +30,7 @@ from .linform import (
     _check_q0,
 )
 from .qcomb import cyclotomic
-from .series import DEFAULT_PREC, PrecisionError, working_prec
+from .series import DEFAULT_PREC, PrecisionError, Record, working_prec
 
 __all__ = [
     "SlopeEstimate",
@@ -87,24 +86,19 @@ def fit_limit(points) -> float:
     return float(coef[0])
 
 
-@dataclass(frozen=True)
-class SlopeEstimate:
+class SlopeEstimate(Record):
     """Empirical (1/n^2) log-growth against a closed-form target.
 
     points are (n, value) with strictly increasing n; `fitted` is the
     extrapolated limit, `last` the raw final point; the relative gap is
-    |fitted - target| / |target| (None when the target vanishes).
+    |fitted - target| / |target| (None when the target vanishes);
+    `extras` is None or a dict of what the estimator adds.
     """
 
-    label: str
-    points: tuple
-    target: object
-    fitted: object
-    last: object
-    rel_gap: object
-    extras: dict | None = None
+    __slots__ = ("label", "points", "target", "fitted", "last", "rel_gap", "extras")
+    _defaults = (None,)
 
-    def __post_init__(self):
+    def _check(self):
         ns = [n for n, _ in self.points]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("points must be strictly increasing in n")

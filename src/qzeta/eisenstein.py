@@ -15,7 +15,6 @@ through the certified sum zeta_q(2s, q0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,7 +22,7 @@ from mpmath import mp, mpf
 
 from .linform import _check_q0, zeta_q
 from .qcomb import bernoulli, divisor_power_sum
-from .series import DEFAULT_PREC, tmul, working_prec
+from .series import DEFAULT_PREC, Record, tmul, working_prec
 
 __all__ = [
     "InconsistentSystemError",
@@ -42,14 +41,12 @@ class InconsistentSystemError(Exception):
     """A weight-graded expansion failed to lie in the E_4/E_6 span."""
 
 
-@dataclass(frozen=True)
-class QExpansion:
+class QExpansion(Record):
     """Truncated q-expansion c_0 + c_1 q + ... + c_N q^N of pure weight."""
 
-    weight: int
-    coeffs: tuple
+    __slots__ = ("weight", "coeffs")
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "coeffs",
                            tuple(Fraction(c) for c in self.coeffs))
 

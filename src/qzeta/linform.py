@@ -24,7 +24,6 @@ objects restore the monomial as a u-power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -38,6 +37,7 @@ from .series import (
     FractionRing,
     Kernel,
     PrecisionError,
+    Record,
     UPolyRing,
     from_mpf,
     linear_product,
@@ -81,17 +81,14 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Parameters.
 
-@dataclass(frozen=True)
-class Params:
+class Params(Record):
     """Kernel parameters: pole order A (even), well-poising offset r with
     1 <= r <= A/2, pole count n+1, and the symmetrization sign eps."""
 
-    A: int
-    r: int
-    n: int
-    eps: int = 1
+    __slots__ = ("A", "r", "n", "eps")
+    _defaults = (1,)
 
-    def __post_init__(self):
+    def _check(self):
         if self.A < 2 or self.A % 2 != 0:
             raise ValueError(f"A must be an even integer >= 2, got {self.A}")
         if not 1 <= self.r <= self.A // 2:
@@ -591,8 +588,9 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
         sum_{k > rn} q^k R_hat(q^k) (1 + (-1)^eps q^((A/2-1)(n+2k))),
 
     its tail certified to 2^-(prec+8); _kernel_terms gives the terms.
-    Valid for any rational 0 < |q0| < 1 (negative q0 included).  At A = 2 the bracket is 1 +- q^0, and each term is still
-    multiplied by it: doubling the finished sum would change the stop test.
+    Valid for any rational 0 < |q0| < 1 (negative q0 included).  At A = 2
+    the bracket is 1 +- q^0, and each term is still multiplied by it:
+    doubling the finished sum would change the stop test.
     """
     A, r, n, eps = params.A, params.r, params.n, params.eps
     q0 = _check_q0(q0)

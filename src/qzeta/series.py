@@ -32,7 +32,6 @@ Taylor coefficients at T = 0, serve the linear-form and weight-3 kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, inf, isfinite, lcm, log2, prod
@@ -387,6 +386,66 @@ def tmul(a: list, b: list, order: int | None = None) -> list:
 
 
 # ----------------------------------------------------------------------
+# Frozen records.  A dataclass would do, but importing dataclasses loads
+# inspect, ast and dis, which a cold `import qzeta.cli` never needs.
+
+class Record:
+    """A frozen value with named fields: its __slots__, in order.
+
+    The constructor takes the fields by position or keyword; _defaults
+    gives the values of the last len(_defaults) fields, as a function's
+    __defaults__ does.  _check then validates the record (and may
+    normalize a field with object.__setattr__).  Records compare equal
+    when they have the same type and equal fields, hash as the tuple of
+    their fields, print as Name(field=value, ...) and pickle and copy
+    through the constructor."""
+
+    __slots__ = ()
+    _defaults = ()
+
+    def __init__(self, *args, **kwargs):
+        names, defaults = self.__slots__, self._defaults
+        values = dict(zip(names[len(names) - len(defaults):], defaults))
+        values.update(zip(names, args))
+        if len(args) > len(names) or kwargs.keys() - names[len(args):]:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        values.update(kwargs)
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{type(self).__name__}() missing {', '.join(missing)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self):
+        """Raise ValueError on invalid fields; nothing to check here."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+# ----------------------------------------------------------------------
 # Kernel numerators, given by their factors.
 
 def linear_product(exps) -> list:
@@ -400,8 +459,7 @@ def linear_product(exps) -> list:
     return coeffs
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     """The numerator of a kernel, by its factors:
 
         prod_{(m, k) in scalar} (1 - q^m)^k * T^shift * prod_{e in exps} (1 - q^e T),
@@ -410,9 +468,8 @@ class Kernel:
     factor to each pole and never expands the product; dense() does, for
     the identities that compare polynomials."""
 
-    scalar: tuple = ()
-    shift: int = 0
-    exps: tuple = ()
+    __slots__ = ("scalar", "shift", "exps")
+    _defaults = ((), 0, ())
 
     def dense(self) -> list:
         """The dense T-coefficients, UPoly entries."""

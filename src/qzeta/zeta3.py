@@ -23,7 +23,6 @@ clearing A_n and B_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,6 +39,7 @@ from .series import (
     FractionRing,
     Kernel,
     PrecisionError,
+    Record,
     UPolyRing,
     from_mpf,
     padd,
@@ -85,14 +85,12 @@ def _w_kernel(n: int) -> Kernel:
     return Kernel(exps=tuple(i - n for i in range(n)) * 2)
 
 
-@dataclass(frozen=True)
-class Zeta3Kernel:
+class Zeta3Kernel(Record):
     """Order-2 partial fractions of W_n as pf_extract returns them:
     rows[j] = {1: b_j, 2: a_j} with W_n(T) = sum_j a_j/(1 - q^j T)^2
     + b_j/(1 - q^j T), exact QFrac entries."""
 
-    n: int
-    rows: tuple
+    __slots__ = ("n", "rows")
 
     def residue_sum(self) -> QFrac:
         """sum_j b_j q^(-j), the negated residue at infinity; must be 0."""

@@ -17,7 +17,8 @@ or UPoly.u_power(...) built in place: a product by a monomial is a
 shift_u.  The two exact rings of series expose the same public members,
 and those are the names the protocol comment in series.py lists.  The
 public names that only tests read are exactly TEST_ONLY.  numpy is loaded
-only by asymptotics.fit_limit, not by importing the package or the CLI.
+only by asymptotics.fit_limit, not by importing the package or the CLI,
+and importing them loads neither dataclasses nor inspect.
 """
 
 import ast
@@ -439,13 +440,29 @@ print("numpy" in sys.modules)
 """
 
 
+def _run_fresh(code: str) -> str:
+    """The output of code run by a fresh interpreter with the package on
+    its path."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_numpy_is_loaded_only_by_the_fit():
     """A fresh interpreter imports qzeta and qzeta.cli and runs a command
     that fits no slope without loading numpy (about 0.1 s of a cold
     start); its first fit_limit call loads it."""
-    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
-                          text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert _run_fresh(NUMPY_PROBE).split() == ["False", "True"]
+
+
+def test_import_loads_neither_numpy_nor_dataclasses():
+    """Importing qzeta and qzeta.cli loads none of numpy, dataclasses and
+    inspect (which dataclasses imports, with ast and dis): the records
+    are series.Record, and each module is a measurable share of a cold
+    start."""
+    code = ("import sys, qzeta, qzeta.cli\n"
+            "print(sorted({'numpy', 'dataclasses', 'inspect'} & sys.modules.keys()))")
+    assert _run_fresh(code).strip() == "[]"
