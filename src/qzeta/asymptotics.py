@@ -352,8 +352,10 @@ def _first_argmax(f, last: int) -> int:
 def delta_constant_grid_max(prec: int = DEFAULT_PREC) -> mpf:
     """Independent numeric maximization of f(u) = 4u/(c + 8u^2),
     c = 24/pi^2 + 2: the best of 4001 grid points u_i over [0.05, 4],
-    then at most 200 golden-section steps between its neighbours.
-    Oracle for the closed form.
+    then at most 200 golden-section steps between its neighbours, which
+    stop once they are less than 2^(-max(prec, 53)//2) apart: a width of
+    2^(-prec//2) at prec 16 leaves f(u) 3e-8 below the maximum.  Oracle
+    for the closed form.
 
     The grid point is the first maximum of a full scan, found by
     _first_argmax in about 50 evaluations of f.  f is strictly unimodal:
@@ -391,7 +393,7 @@ def delta_constant_grid_max(prec: int = DEFAULT_PREC) -> mpf:
                 b, c2, f2 = c2, c1, f1
                 c1 = b - invphi * (b - a)
                 f1 = f(c1)
-            if b - a < mpf(2) ** (-prec // 2):
+            if b - a < mpf(2) ** (-max(prec, 53) // 2):
                 break
         u = (a + b) / 2
         return f(u)

@@ -330,40 +330,6 @@ def sum_with_tail(terms, ratio_bound, tol, *, limit):
     return to_mpf(total)
 
 
-class FactorMemo:
-    """Per-sum memo of a factor f(m) that depends on the summation index
-    only through the exponent m.
-
-    memo(m) computes f(m) on first use and returns the stored value after
-    that, so a term built from memo values is bit-identical to one that
-    calls f in place.  drop_below(m) forgets every key below m: a sum whose
-    terms read a sliding window of exponents keeps O(window) values, not
-    O(terms).
-    """
-
-    __slots__ = ("f", "vals", "low")
-
-    def __init__(self, f):
-        self.f = f
-        self.vals = {}
-        self.low = None
-
-    def __call__(self, m: int):
-        v = self.vals.get(m)
-        if v is None:
-            v = self.vals[m] = self.f(m)
-        return v
-
-    def __len__(self) -> int:
-        return len(self.vals)
-
-    def drop_below(self, m: int) -> None:
-        low = min(self.vals, default=m) if self.low is None else self.low
-        for j in range(low, m):
-            self.vals.pop(j, None)
-        self.low = max(low, m)
-
-
 # ----------------------------------------------------------------------
 # Dense T-polynomials over a generic coefficient ring: ascending
 # coefficient lists whose entries support + - * and integer scalars.

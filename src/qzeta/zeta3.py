@@ -35,7 +35,6 @@ from .series import (
     DEFAULT_PREC,
     MAX_TERMS,
     PONE,
-    FactorMemo,
     FractionRing,
     Kernel,
     PrecisionError,
@@ -163,25 +162,6 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
         for i in range(1, n + 1):
             poch = pmul(poch, psub(PONE, ppow(q, i, p), p), p)
 
-        # factors shifted with k, each computed once per sum
-        omq = FactorMemo(lambda m: psub(PONE, ppow(q, m, p), p))
-        pair = FactorMemo(lambda m: pmul(omq(m), omq(m + 2 * n + 1), p))
-
-        def terms():
-            k = n + 1
-            while True:
-                t = pmul(psub(PONE, ppow(q, 2 * k + n, p), p), ppow(q, k * (n + 1), p), p)
-                for m in range(k - n, k):
-                    t = pmul(t, pair(m), p)  # (1 - q^(k-n+i)) (1 - q^(1+k+n+i))
-                den = PONE
-                for m in range(k, k + n + 1):
-                    den = pmul(den, omq(m), p)
-                yield pdiv(t, ppow(den, 4, p), p)
-                # term k+1 reads pair(k+1-n..k) and omq(k..k+2n+1)
-                pair.drop_below(k + 1 - n)
-                omq.drop_below(k)
-                k += 1
-
         def ratio(idx):
             k = n + 1 + idx
             r = (aq ** (n + 1)
@@ -192,39 +172,76 @@ def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
             return math.nextafter(float(r), math.inf)
 
         return to_mpf(ppow(poch, 2, p)) * sum_with_tail(
-            terms(), ratio, mpf(2) ** (-prec - 1), limit=aq ** (n + 1))
+            _ball_terms(n, q, p), ratio, mpf(2) ** (-prec - 1), limit=aq ** (n + 1))
 
 
-def _bracket_factors(q: tuple, p: int) -> FactorMemo:
-    """Per-sum memo m -> (q^m, (1 - q^m)^2, 2 q^m/(1 - q^m)), kernel pairs
-    at p bits, the factors of _w_log_deriv_bracket at the exponent m."""
-    def factors(m):
-        qm = ppow(q, m, p)
-        f = psub(PONE, qm, p)
-        return qm, pmul(f, f, p), pdiv(pmul_int(qm, 2, p), f, p)
+def _ball_terms(n: int, q: tuple, p: int):
+    """The terms of qball_numeric's k-sum at q, kernel pairs at p bits, for
+    k = n+1, n+2, ...: (1 - q^(2k+n)) q^(k(n+1)) times the numerator pairs,
+    over the fourth power of the pole product.  om holds 1 - q^m for
+    m = k..k+2n+1 and pair the pairs (1 - q^m)(1 - q^(m+2n+1)) for
+    m = k-n..k-1; both slide with k, and each factor is built once by the
+    operations that building it per term would use."""
+    def one_minus(m):   # 1 - q^m
+        return psub(PONE, ppow(q, m, p), p)
 
-    return FactorMemo(factors)
+    k = n + 1
+    om = [one_minus(m) for m in range(k, k + 2 * n + 2)]
+    pair = [pmul(one_minus(m), one_minus(m + 2 * n + 1), p) for m in range(1, k)]
+    while True:
+        t = pmul(one_minus(2 * k + n), ppow(q, k * (n + 1), p), p)
+        for f in pair:
+            t = pmul(t, f, p)  # (1 - q^(k-n+i)) (1 - q^(1+k+n+i))
+        den = PONE
+        for f in om[:n + 1]:
+            den = pmul(den, f, p)
+        yield pdiv(t, ppow(den, 4, p), p)
+        if n:
+            del pair[0]
+            pair.append(pmul(om[0], om[2 * n + 1], p))
+        del om[0]
+        k += 1
+        om.append(one_minus(k + 2 * n + 1))
 
 
-def _w_log_deriv_bracket(n: int, k: int, memo: FactorMemo, p: int):
+def _bracket_factor(q: tuple, m: int, p: int):
+    """(q^m, (1 - q^m)^2, 2 q^m/(1 - q^m)), kernel pairs at p bits, the
+    factors of _w_log_deriv_bracket at the exponent m."""
+    qm = ppow(q, m, p)
+    f = psub(PONE, qm, p)
+    return qm, pmul(f, f, p), pdiv(pmul_int(qm, 2, p), f, p)
+
+
+def _w_log_deriv_bracket(n: int, window: list, p: int):
     """W_n(q^k) and the bracket 1 + T W'/W at T = q^k, k > n, kernel pairs
     at p bits.
 
     W'/W = -2 sum_{i<n} q^(i-n)/(1 - q^(i-n) T) + 2 sum_{i<=n} q^i/(1 - q^i T);
-    each accumulated term below already carries the factor T = q^k.  memo
-    is a _bracket_factors(q, p) shared by the terms of one sum; it reads the
-    exponents k-n..k+n."""
+    each accumulated term below already carries the factor T = q^k.  window
+    holds _bracket_factor(q, m, p) for the exponents m = k-n..k+n."""
     w = PONE
     s = (0, 0)
-    for m in range(k - n, k):
-        _, ff, g = memo(m)
+    for _, ff, g in window[:n]:
         w = pmul(w, ff, p)
         s = psub(s, g, p)
-    for m in range(k, k + n + 1):
-        _, ff, g = memo(m)
+    for _, ff, g in window[n:]:
         w = pdiv(w, ff, p)
         s = padd(s, g, p)
     return w, padd(PONE, s, p)
+
+
+def _bgn_terms(n: int, q: tuple, p: int):
+    """The terms q^k W_n(q^k) [1 + q^k (W'/W)(q^k)] of _bgn_sum at q, kernel
+    pairs at p bits, for k = n+1, n+2, ...; window holds the 2n+1 factor
+    triples m = k-n..k+n and slides with k."""
+    k = n + 1
+    window = [_bracket_factor(q, m, p) for m in range(1, 2 * n + 2)]
+    while True:
+        w, br = _w_log_deriv_bracket(n, window, p)
+        yield pmul(pmul(window[n][0], w, p), br, p)  # window[n][0] is q^k
+        del window[0]
+        k += 1
+        window.append(_bracket_factor(q, k + n, p))
 
 
 def qbgn_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
@@ -247,16 +264,6 @@ def _bgn_sum(n: int, q0: Fraction, prec: int) -> mpf:
         q = mpf(q0.numerator) / q0.denominator
         aq = abs(q)
 
-        memo = _bracket_factors(from_mpf(q), p)
-
-        def terms():
-            k = n + 1
-            while True:
-                w, br = _w_log_deriv_bracket(n, k, memo, p)
-                yield pmul(pmul(memo(k)[0], w, p), br, p)  # memo(k)[0] is q^k
-                memo.drop_below(k + 1 - n)
-                k += 1
-
         def bracket_bound(k):
             g = 2 * aq ** k * (n / (aq ** n * (1 - aq ** (k - n)))
                                + (n + 1) / (1 - aq ** k))
@@ -273,7 +280,8 @@ def _bgn_sum(n: int, q0: Fraction, prec: int) -> mpf:
                  * (1 + g1) / (1 - g0))
             return math.nextafter(float(r), math.inf)
 
-        return sum_with_tail(terms(), ratio, mpf(2) ** (-prec - 1), limit=aq)
+        return sum_with_tail(_bgn_terms(n, from_mpf(q), p), ratio,
+                             mpf(2) ** (-prec - 1), limit=aq)
 
 
 def ball_matches_symmetrized(n: int, q0, prec: int = DEFAULT_PREC) -> dict:

@@ -1,14 +1,13 @@
 """Helpers for checking the certified series term by term: replay one
-sum over reference terms, record the factor memos a sum creates, and
-draw rational points q0."""
+sum over reference terms, read the factor windows a term generator
+holds, and draw rational points q0."""
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from qzeta.series import FactorMemo, from_mpf
+from qzeta.series import from_mpf
 
 NEAR_ONE = (Fraction(9666, 10007), Fraction(9816, 10007))
 
@@ -53,19 +52,7 @@ def replayed(module, call, ref_terms):
     return runs
 
 
-@contextmanager
-def recorded_memos(module):
-    """Within the block, every FactorMemo that module creates is appended
-    to the yielded list."""
-    memos = []
-
-    class Recorded(FactorMemo):
-        __slots__ = ()
-
-        def __init__(self, f):
-            super().__init__(f)
-            memos.append(self)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "FactorMemo", Recorded)
-        yield memos
+def window_sizes(gen):
+    """The sizes of the lists a suspended term generator's frame holds,
+    ascending: the factor windows of a sum that slides them with k."""
+    return sorted(len(v) for v in gen.gi_frame.f_locals.values() if isinstance(v, list))

@@ -136,7 +136,7 @@ def _scan_grid_max(prec):
                 b, c2, f2 = c2, c1, f1
                 c1 = b - invphi * (b - a)
                 f1 = f(c1)
-            if b - a < mpf(2) ** (-prec // 2):
+            if b - a < mpf(2) ** (-max(prec, 53) // 2):
                 break
         return best_i, _first_argmax(on_grid, 4000), f((a + b) / 2)
 

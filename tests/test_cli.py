@@ -168,6 +168,13 @@ def test_delta_const(capsys):
     assert rep["closed_form"].startswith("0.335891809")
 
 
+@pytest.mark.parametrize("prec", ["16", "20", "24", "32"])
+def test_delta_const_passes_at_low_prec(capsys, prec):
+    code, out, _ = run(capsys, "delta-const", "--prec", prec)
+    assert code == 0
+    assert json.loads(out)["closed_form"].startswith("0.335891809")
+
+
 def test_zeta3(capsys):
     code, out, _ = run(capsys, "zeta3", "--n", "2", "--q", "1/3")
     assert code == 0

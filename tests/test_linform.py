@@ -3,7 +3,6 @@ series, and the exact denominator machinery."""
 
 import json
 import time
-from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -54,7 +53,7 @@ from qzeta.series import (
 from qzeta.upoly import UPoly
 import point_oracle
 import series_oracle
-from series_replay import NEAR_ONE, q0s, replayed
+from series_replay import NEAR_ONE, q0s, replayed, window_sizes
 
 SMALL = [(4, 1, 0), (4, 1, 1), (4, 1, 3), (6, 1, 2), (6, 2, 2), (2, 1, 2)]
 
@@ -419,8 +418,7 @@ def test_kernel_memos_stay_a_window_near_one():
         terms = linform._kernel_terms(A, r, n, 0, q, mp.prec)
         for _ in range(got[1]):
             next(terms)
-    sizes = sorted(len(v) for v in terms.gi_frame.f_locals.values()
-                   if isinstance(v, (list, dict, deque)))
+    sizes = window_sizes(terms)
     assert sizes[-1] > got[1]  # q^e up to e = 4k
     assert sizes[-2] <= n + r * n + 2
 

@@ -22,10 +22,10 @@ from qzeta.zeta3 import (
     zeta3_reconstruction_check,
     zeta3_report,
 )
-from qzeta.series import PrecisionError, from_mpf, to_mpf
-from qzeta.zeta3 import _bracket_factors, _w_log_deriv_bracket
+from qzeta.series import PrecisionError, from_mpf, to_mpf, working_prec
+from qzeta.zeta3 import _ball_terms, _bgn_terms, _bracket_factor, _w_log_deriv_bracket
 import point_oracle
-from series_replay import NEAR_ONE, q0s, recorded_memos, replayed
+from series_replay import NEAR_ONE, q0s, replayed, window_sizes
 from test_exact_digest import _fields
 
 
@@ -145,8 +145,8 @@ def test_log_derivative_bracket_finite_difference():
             return num / den
 
         t0 = q ** k
-        w, br = map(to_mpf, _w_log_deriv_bracket(
-            n, k, _bracket_factors(from_mpf(q), mp.prec), mp.prec))
+        window = [_bracket_factor(from_mpf(q), m, mp.prec) for m in range(k - n, k + n + 1)]
+        w, br = map(to_mpf, _w_log_deriv_bracket(n, window, mp.prec))
         assert abs(w - w_at(t0)) < mpf(2) ** -230
         h = mpf(2) ** -60
         wp = (w_at(t0 * (1 + h)) - w_at(t0 * (1 - h))) / (2 * h * t0)
@@ -192,8 +192,8 @@ def _ref_bgn_terms(n, q):
         k += 1
 
 
-SERIES = {"ball": (qball_numeric, _ref_ball_terms),
-          "bgn": (qbgn_numeric, _ref_bgn_terms)}
+SERIES = {"ball": (qball_numeric, _ref_ball_terms, _ball_terms),
+          "bgn": (qbgn_numeric, _ref_bgn_terms, _bgn_terms)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,7 +204,7 @@ SERIES = {"ball": (qball_numeric, _ref_ball_terms),
 @example("bgn", 0, NEAR_ONE[0], 128)
 @example("bgn", 6, NEAR_ONE[1], 64)
 def test_memoized_series_terms_are_bit_identical(kind, n, q0, prec):
-    fn, ref = SERIES[kind]
+    fn, ref, _ = SERIES[kind]
     got, want = replayed(
         zeta3, lambda: fn(n, q0, prec),
         lambda: ref(n, mpf(q0.numerator) / q0.denominator))
@@ -213,14 +213,50 @@ def test_memoized_series_terms_are_bit_identical(kind, n, q0, prec):
 
 @pytest.mark.parametrize("kind", SERIES)
 def test_series_memos_stay_a_window_near_one(kind):
+    """Past 300 terms, every list the term generator holds has at most
+    2n + 2 entries: the factor windows slide with k."""
     n, q0 = 4, NEAR_ONE[1]
-    fn, ref = SERIES[kind]
-    with recorded_memos(zeta3) as memos:
-        got, want = replayed(zeta3, lambda: fn(n, q0, 64),
-                             lambda: ref(n, mpf(q0.numerator) / q0.denominator))
+    fn, ref, gen = SERIES[kind]
+    got, want = replayed(zeta3, lambda: fn(n, q0, 64),
+                         lambda: ref(n, mpf(q0.numerator) / q0.denominator))
     assert got == want
     assert got[1] > 300  # terms taken
-    assert memos and all(len(m) <= 2 * n + 2 for m in memos)
+    with mp.workprec(working_prec(64, 4 * n)):
+        terms = gen(n, from_mpf(mpf(q0.numerator) / q0.denominator), mp.prec)
+        for _ in range(got[1]):
+            next(terms)
+    sizes = window_sizes(terms)
+    assert sizes and sizes[-1] <= 2 * n + 2
+
+
+# Recorded before the factor windows became sliding lists: the value's
+# _mpf_ and the terms taken, past the n <= 2 of the numeric digest.
+WEIGHT3_PINS = [
+    ("ball", 4, Fraction(9816, 10007), 64,
+     (0, 2710925764229921811310248983856791, -117, 112), 488),
+    ("bgn", 4, Fraction(9816, 10007), 64,
+     (0, 1355462882114960904142481426713205, -116, 111), 2539),
+    ("ball", 8, Fraction(1, 3), 256,
+     (0, 576459181150703984161622550598793212169737938959414894527025490122787076062402058650728604087179,
+      -449, 319), 10),
+    ("bgn", 8, Fraction(1, 3), 256,
+     (0, 144114795287675996040405637649698303042434514206429807864447968129730517155823822421032119041889,
+      -447, 317), 154),
+    ("ball", 6, Fraction(-1, 3), 160,
+     (1, 119734886438487015373760228014159507823855722396110196018459564671, -293, 217), 8),
+    ("bgn", 6, Fraction(-1, 3), 160,
+     (1, 29933721609621753843440057050589983215358274262968894408293253477, -291, 215), 95),
+]
+
+
+@pytest.mark.parametrize("kind,n,q0,prec,mpf_,taken", WEIGHT3_PINS)
+def test_weight3_values_and_terms_taken_are_pinned(kind, n, q0, prec, mpf_, taken):
+    fn, ref, _ = SERIES[kind]
+    vals = []
+    got, want = replayed(zeta3, lambda: vals.append(fn(n, q0, prec)),
+                         lambda: ref(n, mpf(q0.numerator) / q0.denominator))
+    assert (vals[0]._mpf_, got[1]) == (mpf_, taken)
+    assert got == want
 
 
 # ----------------------------------------------------------------------
