@@ -21,8 +21,10 @@ With --parent, a second checkout (an earlier commit, say) is run the
 same way, seed by seed in alternating order (the parent first on the
 first, third, fifth, ... seed), and the file gets its numbers under
 "parent" with, per metric, the number of seeds where this checkout read
-lower.  Each run pins two
-CPUs, so nothing else should run beside it.
+lower, and the per-pair ratio (this checkout over the parent, same seed)
+of every end-to-end metric and of raw_wall_s (the run record's sum of
+the fastest unscaled claim latencies), as its median and quartiles.
+Each run pins two CPUs, so nothing else should run beside it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ class Side:
     def __init__(self, root: str):
         self.root, self.report = root, load_report(root)
         self.values, self.run_s, self.failed, self.correct = {}, [], 0, True
+        self.raw_wall_s = []
         self.src_sha256 = None
 
     def run(self, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -83,6 +86,7 @@ class Side:
         self.src_sha256 = record["provenance"]["src_sha256"]
         if not trace:
             self.run_s.append(record["run_s"])
+            self.raw_wall_s.append(record["raw_wall_s"])
             for name, metric in result["metrics"].items():
                 self.values.setdefault(name, []).append(metric["value"])
         return result
@@ -92,6 +96,7 @@ class Side:
             "commit": commit(self.root), "src_sha256": self.src_sha256,
             "correct": self.correct, "failed_claims": self.failed,
             "run_s": {"median": statistics.median(self.run_s), "max": max(self.run_s)},
+            "raw_wall_s": dict(quartiles(self.raw_wall_s), values=self.raw_wall_s),
             "metrics": {name: dict(quartiles(v), spread=self.report.spread(v),
                                    unit=units[name], values=v)
                         for name, v in self.values.items()},
@@ -111,9 +116,13 @@ def bench_workload(workload, seeds, seconds, roots) -> dict:
     units = dict(sides[0].report.END_TO_END)
     out = dict(sides[0].summary(traced[0], units), seeds=seeds, traced_seed=seeds[0])
     if len(sides) > 1:
-        out["parent"] = sides[1].summary(traced[1], units)
-        out["pairs_lower"] = {name: sum(a < b for a, b in zip(v, sides[1].values[name]))
-                              for name, v in sides[0].values.items()}
+        change, parent = sides
+        out["parent"] = parent.summary(traced[1], units)
+        out["pairs_lower"] = {name: sum(a < b for a, b in zip(v, parent.values[name]))
+                              for name, v in change.values.items()}
+        mine, theirs = (dict(side.values, raw_wall_s=side.raw_wall_s) for side in sides)
+        out["pair_ratio"] = {name: quartiles([a / b for a, b in zip(v, theirs[name])])
+                             for name, v in mine.items()}
     return out
 
 

@@ -71,13 +71,15 @@ def fit_limit(points) -> float:
 
     numpy is imported here, on the first fit, so that importing the
     package and every command but slope-S, slope-P and slope-D never load
-    it (about 0.1 s of a cold start).
+    it (about 0.1 s of a cold start).  The point count is tested first,
+    here as well as in _slope_ns: slope_P drops an n whose values all
+    vanish.
     """
-    import numpy as np
-
     pts = sorted(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit")
+    import numpy as np
+
     tail = pts[-max(3, len(pts) // 3):]
     ns = np.array([float(n) for n, _ in tail])
     ys = np.array([float(v) for _, v in tail])
@@ -122,11 +124,14 @@ class SlopeEstimate(Record):
 
 
 def _slope_ns(n_range) -> list:
-    """The n of a slope range, checked before any work: every n >= 1."""
+    """The n of a slope range, checked before any work: every n >= 1, and
+    at least the 3 that fit_limit needs."""
     ns = list(n_range)
     low = min(ns, default=1)
     if low < 1:
         raise ValueError(f"slope needs n >= 1, got {low}")
+    if len(ns) < 3:
+        raise ValueError("need at least 3 points to fit")
     return ns
 
 

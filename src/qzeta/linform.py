@@ -162,7 +162,7 @@ def kernel_symmetry_check(params: Params) -> bool:
     built from its own formula (base 1/q and argument q^n T, with
     (1/q; 1/q)_n = (q^-n; q)_n), the right side is the kernel numerator
     that the partial fractions expand, with the normalizing monomial
-    restored."""
+    restored.  UPoly is canonical, so == decides each equality."""
     A, r, n = params.A, params.r, params.n
     coeffs = linear_product([n + i for i in range(1, r * n + 1)]
                             + [n - i for i in range(n + 1, n + r * n + 1)])
@@ -170,7 +170,7 @@ def kernel_symmetry_check(params: Params) -> bool:
         (A - 2 * r) * n // 2 + n * n * (A - 2 * r))
     lhs = [UPoly.zero()] * ((A - 2 * r) * n // 2) + [pre * c for c in coeffs]
     rhs = [c.shift_u(params.prefactor_u) for c in _hat_kernel(A, r, n).dense()]
-    return len(lhs) == len(rhs) and all((a - b).is_zero() for a, b in zip(lhs, rhs))
+    return lhs == rhs
 
 
 def d_symmetry_check(params: Params) -> bool:
@@ -195,11 +195,38 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
     """Exact z-reciprocity z^n q^(-n) P_s(1/z; 1/q) = P_s(z; q), 1 <= s <= A.
 
     Coefficientwise: q^(-n) * c_{n-i}(1/q) = c_i(q) for the z-coefficients
-    c_j = d_{s,j} q^(-j) of P_s, that is d_{s,n-i}(1/q) = d_{s,i}(q)."""
+    c_j = d_{s,j} q^(-j) of P_s, that is d_{s,n-i}(1/q) = d_{s,i}(q).
+
+    The check reads the fields of P_s's reduced coefficients and builds
+    no QFrac or UPoly of its own.  It relies on one condition: a reduced
+    QFrac num / prod Phi_l^e_l is canonical (the Phi_l are irreducible,
+    none divides a reduced numerator, and a UPoly is canonical), so two
+    reduced QFracs are equal exactly when their fields are.  Since
+    Phi_1(1/q) = -q^(-1) Phi_1(q) and Phi_l(1/q) = q^(-phi(l)) Phi_l(q)
+    for l >= 2, q^(-n) a(1/q) for a = c_{n-i} = x / prod Phi_l^e_l is the
+    reduced QFrac over the same denominator whose numerator has x's
+    coefficients reversed, negated when e_1 is odd, from the u-power
+    -(x.lo + 2(len(x.v) - 1)) + 2 deg - 2n up, deg = sum_l phi(l) e_l:
+    the fields a.subst_inv().shift_u(-2n) would build.  c_i must have
+    exactly these fields, or both must be zero.  The map a -> q^(-n) a(1/q)
+    is an involution, so the pairs with i <= n/2 decide the rest.
+    """
     coeffs = P_z(params, s)
     n = params.n
-    return all(coeffs[n - i].subst_inv().shift_u(-2 * n) == coeffs[i]
-               for i in range(n + 1))
+    for i in range(n // 2 + 1):
+        a, b = coeffs[n - i], coeffs[i]
+        x, y = a.num, b.num
+        if not x.v:
+            if y.v:
+                return False
+            continue
+        e = a.den.e
+        if (e != b.den.e or x.den != y.den or len(x.v) != len(y.v)
+                or y.lo != -(x.lo + 2 * (len(x.v) - 1)) + 2 * a.den.degree_q() - 2 * n):
+            return False
+        if y.v != (x.v[::-1] if e.get(1, 0) % 2 == 0 else [-c for c in reversed(x.v)]):
+            return False
+    return True
 
 
 def p1_at_one_check(params: Params) -> bool:

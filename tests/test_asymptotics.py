@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from qzeta import asymptotics
 from qzeta.asymptotics import (
     SlopeEstimate,
     _first_argmax,
@@ -174,6 +175,20 @@ def test_fit_limit_recovers_synthetic_model():
 def test_fit_limit_requires_three_points():
     with pytest.raises(ValueError):
         fit_limit([(1, 0.0), (2, 0.0)])
+
+
+def test_short_slope_ranges_are_rejected_before_any_work(monkeypatch):
+    """A range of two n is refused before any series or table is built."""
+    def no_work(*args):
+        raise AssertionError("a short range did work")
+
+    monkeypatch.setattr(asymptotics, "P_eps_values_hat", no_work)
+    monkeypatch.setattr(asymptotics, "S_eps_numeric", no_work)
+    for call in (lambda ns: slope_S(4, 1, 1, Fraction(1, 2), ns),
+                 lambda ns: slope_P(4, 1, 0, Fraction(1, 2), ns),
+                 lambda ns: slope_D(4, 1, Fraction(1, 2), ns)):
+        with pytest.raises(ValueError, match="need at least 3 points to fit"):
+            call(range(39, 41))
 
 
 def test_log_abs_fraction():

@@ -120,18 +120,93 @@ def test_p_reciprocity_small(A, r, n):
         assert p_reciprocity_check(p, s), s
 
 
+def _reciprocity_by_subst_inv(params, s):
+    """p_reciprocity_check as q -> 1/q substitution and QFrac equality."""
+    coeffs = P_z(params, s)
+    n = params.n
+    return all(coeffs[n - i].subst_inv().shift_u(-2 * n) == coeffs[i] for i in range(n + 1))
+
+
+def test_p_reciprocity_fields_match_subst_inv():
+    """The verdict read off the canonical fields is the substitution's, on
+    every table with n <= 3 of seven (A, r) pairs, and on the n = 4 tables
+    of the exact-grid bench; some of their denominators carry an odd power
+    of Phi_1, whose sign rule the fields must follow."""
+    cases = [(A, r, n) for A, r in ((2, 1), (4, 1), (4, 2), (6, 1), (6, 2), (6, 3), (8, 2))
+             for n in range(4)] + [(4, 1, 4), (6, 1, 4), (6, 2, 4)]
+    t0 = time.perf_counter()
+    odd_phi1 = 0
+    for A, r, n in cases:
+        p = Params(A, r, n)
+        for s in range(1, A + 1):
+            assert p_reciprocity_check(p, s) == _reciprocity_by_subst_inv(p, s), (A, r, n, s)
+            odd_phi1 += sum(c.den.e.get(1, 0) % 2 for c in P_z(p, s))
+    assert odd_phi1 > 0
+    assert time.perf_counter() - t0 < 3.0
+
+
+PERTURBATIONS = {
+    "times q": lambda d: d.shift_u(2),
+    "negated": lambda d: -d,
+    "Phi_2 exponent raised": lambda d: QFrac(d.num, d.den.mul(PhiProduct({2: 1}))).reduced(),
+    "scaled by 1/7": lambda d: d * Fraction(1, 7),
+    "zero": lambda d: QFrac.zero(),
+}
+
+
 @pytest.mark.parametrize("A,r,n,j", [(4, 1, 2, 0), (6, 2, 3, 2)])
 def test_symmetry_checks_catch_a_perturbed_entry(monkeypatch, A, r, n, j):
-    """d_{A,j} multiplied by q breaks the pole symmetry at s = A only: the
+    """d_{A,j} multiplied by q, negated, divided by Phi_2, scaled by 1/7
+    or set to zero breaks the pole symmetry at s = A only: the
     z-reciprocity of P_A fails, that of every other P_s holds, and so
-    d_symmetry_check fails."""
+    d_symmetry_check fails.  The substitution agrees.  Scaling by 1/7
+    changes only the numerator's denominator."""
     p = Params(A, r, n)
+    table = partial_fractions(p)
+    entry = table[j][A]
+    assert not entry.is_zero() and entry.num.den == 1
+    assert (entry * Fraction(1, 7)).num.v == entry.num.v
+    for how, perturb in PERTURBATIONS.items():
+        rows = [dict(row) for row in table]
+        rows[j][A] = perturb(entry)
+        assert rows[j][A] != entry, how
+        monkeypatch.setattr(linform, "partial_fractions", lambda params: rows)
+        want = [True] * (A - 1) + [False]
+        assert [p_reciprocity_check(p, s) for s in range(1, A + 1)] == want, how
+        assert [_reciprocity_by_subst_inv(p, s) for s in range(1, A + 1)] == want, how
+        assert not d_symmetry_check(p), how
+
+
+def test_p_reciprocity_reads_the_denominator(monkeypatch):
+    """d_{2,0} of (4, 1, 2) over Phi_1^4 in place of Phi_1^2 Phi_2^2:
+    the denominator's degree, its Phi_1 parity and the numerator all stay,
+    so only the comparison of the denominators' exponents sees the change."""
+    p = Params(4, 1, 2)
     rows = [dict(row) for row in partial_fractions(p)]
-    assert not rows[j][A].is_zero()
-    rows[j][A] = rows[j][A].shift_u(2)
+    entry = rows[0][2]
+    assert entry.den == PhiProduct({1: 2, 2: 2})
+    moved = QFrac(entry.num, PhiProduct({1: 4}))
+    assert moved.reduced().den == moved.den
+    rows[0][2] = moved
     monkeypatch.setattr(linform, "partial_fractions", lambda params: rows)
-    assert [p_reciprocity_check(p, s) for s in range(1, A + 1)] == [True] * (A - 1) + [False]
-    assert not d_symmetry_check(p)
+    want = [s != 2 for s in range(1, 5)]
+    assert [p_reciprocity_check(p, s) for s in range(1, 5)] == want
+    assert [_reciprocity_by_subst_inv(p, s) for s in range(1, 5)] == want
+
+
+def test_kernel_symmetry_check_catches_a_moved_factor(monkeypatch):
+    """The kernel with its last linear factor 1 - q^(n+rn) T moved to
+    1 - q^(n+rn+1) T is not symmetric under q -> 1/q, T -> q^n T."""
+    real = linform._hat_kernel
+
+    def moved(A, r, n):
+        k = real(A, r, n)
+        return type(k)(k.scalar, k.shift, k.exps[:-1] + (k.exps[-1] + 1,))
+
+    p = Params(4, 1, 2)
+    assert kernel_symmetry_check(p)
+    monkeypatch.setattr(linform, "_hat_kernel", moved)
+    assert not kernel_symmetry_check(p)
 
 
 def test_p1_vanishes_at_one():
