@@ -26,7 +26,7 @@ from .linform import (
     D_exponent,
     Params,
     P_eps_values_hat,
-    S_eps_numeric,
+    S_eps_hat_numeric,
     _check_q0,
 )
 from .qcomb import cyclotomic
@@ -160,12 +160,16 @@ def slope_S(A: int, r: int, eps: int, q0: Fraction, n_range,
     target = -Fraction(r * (A - 2 * r), 2) * _log_inv_q(q0)
     pts = []
     with mp.workprec(working_prec(prec)):
+        log_q = log_abs_fraction(q0)
         for n in ns:
-            v = S_eps_numeric(Params(A, r, n, eps), q0, prec)
+            v = S_eps_hat_numeric(Params(A, r, n, eps), q0, prec)
             if v == 0:
                 raise PrecisionError(f"series value vanished at n={n}; "
                                      "raise the working precision")
-            pts.append((n, mp.log(abs(v)) / n**2))
+            # S_n = q0^(-(A-2r)n/4) times the hat value: log |S_n| needs
+            # no root of a negative q0
+            lv = mp.log(abs(v)) - Fraction((A - 2 * r) * n, 4) * log_q
+            pts.append((n, lv / n**2))
     return _make_estimate(f"S[{eps}] slope (A={A}, r={r}, q={q0})",
                           pts, target)
 

@@ -67,7 +67,6 @@ __all__ = [
     "P_eps_hat",
     "P_eps_values_hat",
     "zeta_q",
-    "S_eps_numeric",
     "S_eps_hat_numeric",
     "identity_residual",
     "D_exponent",
@@ -643,20 +642,6 @@ def S_eps_hat_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) ->
 
         return +sum_with_tail(_kernel_terms(A, r, n, eps, from_mpf(qm), mp.prec),
                               bound, tol, limit=lead)
-
-
-def S_eps_numeric(params: Params, q0: Fraction, prec: int = DEFAULT_PREC) -> mpf:
-    """True normalization q0^(-(A-2r)n/4) * hat series; q0 > 0 only
-    (the monomial is a genuine quarter/half power in general)."""
-    q0 = _check_q0(q0)
-    ex = Fraction(-(params.A - 2 * params.r) * params.n, 4)
-    if q0 <= 0 and ex.denominator != 1:
-        raise ValueError("negative q0 with fractional normalizing exponent; "
-                         "use S_eps_hat_numeric")
-    hat = S_eps_hat_numeric(params, q0, prec)
-    with mp.workprec(working_prec(prec)):
-        qm = mpf(q0.numerator) / q0.denominator
-        return +(mp.power(qm, mpf(ex.numerator) / ex.denominator) * hat)
 
 
 # ----------------------------------------------------------------------

@@ -250,16 +250,16 @@ def _predicted_terms(t: tuple, tol: tuple, limit) -> float:
     of ratio limit, started at t, takes to fall below tol.  Term ratios
     fall to limit from above, so this underestimates a sum's length unless
     its terms fall faster than its bound says.  The margin is empirical:
-    over the certified sums of tier-1 and the benchmark's claims, the
-    unshrunk prediction was at most 1.40 times the terms taken
-    (qball_numeric at n = 4, q0 = 9816/10007, limit 0.908; 1.08 over the
-    claims alone).  It was 1.54 on an alternative kernel series since
-    removed, at limit 0.871, and 4 is the least power of two at least
-    twice that.  From term 2^10 on, k plus the unshrunk prediction from
-    term k was at most 0.992 times the terms taken over the same sums (179
-    of tier-1's and 270 of the claims' reach 2^10, 22 reach 2^14, none
-    2^18), so sum_with_tail predicts again there with half the margin, 2
-    the least power of two at least twice 0.992.  Zero when |t| is below
+    over the certified sums of tier-1 and the benchmark's claims (seeds
+    1-3), the unshrunk prediction was at most 1.66 times the terms taken
+    (S_eps_hat_numeric at (4, 1, 4, 1), the ball-type series, at q0 =
+    9816/10007 and prec 64, limit 0.908; 1.06 over the claims alone), and
+    4 is the least power of two at least twice that.  From term 2^10 on,
+    k plus the unshrunk prediction from term k was at most 0.990 times the
+    terms taken over the same sums (52 of tier-1's and 3 per seed of the
+    claims' reach 2^10, one 2^14, none 2^18), so sum_with_tail predicts
+    again there with half the margin, 2 the least power of two at least
+    twice 0.990.  Zero when |t| is below
     tol or limit is not in (0, 1), inf when log2(limit) underflows a
     float.  mpmath's log of the exact limit adds the guard bits a limit
     near 1 needs, so 53 bits suffice there."""

@@ -1,12 +1,15 @@
 """The weight-3 case study: two q-deformations of the classical
 irrationality series for zeta(3) and their exact linear-form structure.
 
-Two series are implemented independently and compared numerically:
+Two series are compared numerically:
 
   * ball-type:  (q;q)_n^2 sum_{k>n} (1 - q^(2k+n)) (q^(k-n);q)_n
-                (q^(1+k+n);q)_n / (q^k;q)_{n+1}^4 q^(k(n+1))
+                (q^(1+k+n);q)_n / (q^k;q)_{n+1}^4 q^(k(n+1)),
+    the symmetrized kernel series of (A, r, eps) = (4, 1, 1), which
+    linform.S_eps_hat_numeric sums;
   * derivative-type:  q^(n(n+1))/log q * sum_{k>n} d/dk [q^k W_n(q^k)],
                 W_n(T) = (q^(-n) T;q)_n^2 / (T;q)_{n+1}^2,
+    summed here, independently of the kernel series,
 
 where the k-derivative is evaluated analytically through logarithmic
 differentiation in T (chain rule with dT/dk = log q * T), so the log q
@@ -50,13 +53,11 @@ from .series import (
     ppow,
     psub,
     sum_with_tail,
-    to_mpf,
     working_prec,
 )
 
 __all__ = [
     "Zeta3Kernel",
-    "ball_matches_symmetrized",
     "classical_ball",
     "dbar_probe",
     "qball_numeric",
@@ -150,58 +151,10 @@ def zeta3_form_values(n: int, q0: Fraction):
 # Numeric series with certified tails.
 
 def qball_numeric(n: int, q0, prec: int = DEFAULT_PREC) -> mpf:
-    """The ball-type series; terms for k <= n vanish identically."""
-    _check_n(n)
-    q0 = _check_q0(q0)
-    with mp.workprec(working_prec(prec, 4 * n)):
-        p = mp.prec
-        qm = mpf(q0.numerator) / q0.denominator
-        aq = abs(qm)
-        q = from_mpf(qm)
-        poch = PONE   # (q;q)_n
-        for i in range(1, n + 1):
-            poch = pmul(poch, psub(PONE, ppow(q, i, p), p), p)
-
-        def ratio(idx):
-            k = n + 1 + idx
-            r = (aq ** (n + 1)
-                 * (1 + aq ** (2 * k + n + 2)) / (1 - aq ** (2 * k + n))
-                 * (1 + aq ** (k + 1)) / (1 - aq ** (k - n))
-                 * (1 + aq ** (k + 2 * n + 1)) / (1 - aq ** (k + n + 1))
-                 * ((1 + aq ** k) / (1 - aq ** (k + n + 1))) ** 4)
-            return math.nextafter(float(r), math.inf)
-
-        return to_mpf(ppow(poch, 2, p)) * sum_with_tail(
-            _ball_terms(n, q, p), ratio, mpf(2) ** (-prec - 1), limit=aq ** (n + 1))
-
-
-def _ball_terms(n: int, q: tuple, p: int):
-    """The terms of qball_numeric's k-sum at q, kernel pairs at p bits, for
-    k = n+1, n+2, ...: (1 - q^(2k+n)) q^(k(n+1)) times the numerator pairs,
-    over the fourth power of the pole product.  om holds 1 - q^m for
-    m = k..k+2n+1 and pair the pairs (1 - q^m)(1 - q^(m+2n+1)) for
-    m = k-n..k-1; both slide with k, and each factor is built once by the
-    operations that building it per term would use."""
-    def one_minus(m):   # 1 - q^m
-        return psub(PONE, ppow(q, m, p), p)
-
-    k = n + 1
-    om = [one_minus(m) for m in range(k, k + 2 * n + 2)]
-    pair = [pmul(one_minus(m), one_minus(m + 2 * n + 1), p) for m in range(1, k)]
-    while True:
-        t = pmul(one_minus(2 * k + n), ppow(q, k * (n + 1), p), p)
-        for f in pair:
-            t = pmul(t, f, p)  # (1 - q^(k-n+i)) (1 - q^(1+k+n+i))
-        den = PONE
-        for f in om[:n + 1]:
-            den = pmul(den, f, p)
-        yield pdiv(t, ppow(den, 4, p), p)
-        if n:
-            del pair[0]
-            pair.append(pmul(om[0], om[2 * n + 1], p))
-        del om[0]
-        k += 1
-        om.append(one_minus(k + 2 * n + 1))
+    """The ball-type series of the module docstring.  Its summand is the
+    (4, 1) integer-power kernel summand times the bracket 1 - q^(2k+n), so
+    it is S_eps_hat_numeric(Params(4, 1, n, 1), q0, prec), bit for bit."""
+    return S_eps_hat_numeric(Params(4, 1, n, 1), q0, prec)
 
 
 def _bracket_factor(q: tuple, m: int, p: int):
@@ -282,24 +235,6 @@ def _bgn_sum(n: int, q0: Fraction, prec: int) -> mpf:
 
         return sum_with_tail(_bgn_terms(n, from_mpf(q), p), ratio,
                              mpf(2) ** (-prec - 1), limit=aq)
-
-
-def ball_matches_symmetrized(n: int, q0, prec: int = DEFAULT_PREC) -> dict:
-    """Dual-route check: the ball-type series coincides termwise with the
-    integer-power symmetrized series at (A, r) = (4, 1), eps = 1 — that
-    is, with q^(n/2) times the monomial-normalized one.  Returns both
-    values and the residual."""
-    q0 = _check_q0(q0)
-    ball = qball_numeric(n, q0, prec)
-    sym = S_eps_hat_numeric(Params(4, 1, n, 1), q0, prec)
-    return {
-        "n": n,
-        "q0": q0,
-        "ball": ball,
-        "symmetrized_hat": sym,
-        "monomial_q_exponent": Fraction(n, 2),
-        "residual": abs(ball - sym),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from qzeta.eisenstein import (
     express_in_E4_E6,
 )
 from qzeta.linform import (
+    P_eps_hat,
     Params,
     d_symmetry_check,
     denominator_check,
@@ -34,10 +35,10 @@ from qzeta.linform import (
     reconstruction_check,
 )
 from qzeta.zeta3 import (
-    ball_matches_symmetrized,
     dbar_probe,
     qball_numeric,
     qbgn_numeric,
+    zeta3_form,
     zeta3_identity_residual,
     zeta3_partial_fractions,
 )
@@ -127,8 +128,15 @@ def test_07_series_pair_agreement():
             ball = qball_numeric(n, q0, 160)
             bgn = qbgn_numeric(n, q0, 160)
             assert abs(ball - bgn) < TOL40, (n, q0)
-            sym = ball_matches_symmetrized(n, q0, 160)
-            assert sym["residual"] < TOL40, (n, q0)
+    # the weight-3 forms are those of (4, 1, eps = 1), exactly:
+    # (q^(n(n+1)) A_n, -q^(n(n+1)) B_n) = (P_3^[1], P_0^[1]), u = q^(1/2)
+    for n in range(9):
+        a_n, b_n = zeta3_form(n)
+        ps = P_eps_hat(Params(4, 1, n, 1))
+        assert set(ps) == {0, 3}, n
+        shift = 2 * n * (n + 1)
+        assert a_n.shift_u(shift) == ps[3], n
+        assert -b_n.shift_u(shift) == ps[0], n
 
 
 def test_08_weight3_decomposition_and_clearing():

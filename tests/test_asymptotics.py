@@ -183,7 +183,7 @@ def test_short_slope_ranges_are_rejected_before_any_work(monkeypatch):
         raise AssertionError("a short range did work")
 
     monkeypatch.setattr(asymptotics, "P_eps_values_hat", no_work)
-    monkeypatch.setattr(asymptotics, "S_eps_numeric", no_work)
+    monkeypatch.setattr(asymptotics, "S_eps_hat_numeric", no_work)
     for call in (lambda ns: slope_S(4, 1, 1, Fraction(1, 2), ns),
                  lambda ns: slope_P(4, 1, 0, Fraction(1, 2), ns),
                  lambda ns: slope_D(4, 1, Fraction(1, 2), ns)):
@@ -224,6 +224,18 @@ def test_slope_S_short_range_approaches_target():
 def test_slope_S_rejects_degenerate_target():
     with pytest.raises(ValueError):
         slope_S(4, 2, 1, Fraction(1, 2), range(2, 6))
+
+
+def test_slope_S_takes_odd_n_at_negative_q():
+    """log |S_n| = log |S_hat_n| - ((A-2r)n/4) log |q0| needs no root of
+    q0 < 0: odd n give points at q0 = -1/2, and the even-n points keep the
+    17-digit strings they had when S_n was the monomial times the hat value
+    and only even n were accepted."""
+    est = slope_S(4, 1, 1, Fraction(-1, 2), range(2, 9))
+    assert [n for n, _ in est.points] == list(range(2, 9))
+    assert {n: mp.nstr(v, 17) for n, v in est.points if n % 2 == 0} == {
+        2: "-1.4242950594131168", 4: "-0.97107071744504862",
+        6: "-0.87091302203119928", 8: "-0.82514216949185177"}
 
 
 def test_slope_P_mechanics():

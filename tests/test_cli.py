@@ -240,6 +240,11 @@ def test_slope_s_max_gap(capsys):
     code, out, _ = run(capsys, "slope-S", "--A", "4", "--r", "1",
                        "--q", "1/2", "--n", "2..14", "--max-gap", "0.0001")
     assert code == 1
+    # odd n at negative q: |S_n| needs no root of q0
+    code, out, _ = run(capsys, "slope-S", "--A", "4", "--r", "1",
+                       "--q", "-1/2", "--n", "2..6")
+    assert code == 0
+    assert [n for n, _ in json.loads(out)["points"]] == [2, 3, 4, 5, 6]
     # slope-D shares the rule, on its last-point gap
     code, out, _ = run(capsys, "slope-D", "--A", "4", "--r", "1",
                        "--q", "1/2", "--n", "1..6", "--max-gap", "0.0001")

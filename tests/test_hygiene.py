@@ -349,8 +349,7 @@ def test_checker_flags_dead_methods():
 # The public names that no module of the package, no script and no bench
 # module reads: only tests call them.  Each is to become a registered
 # claim or go (ROADMAP item 6); a new name here needs a caller instead.
-TEST_ONLY = {"D_n", "ball_matches_symmetrized", "verify_delta_recombination",
-             "zetaq_even_consistency"}
+TEST_ONLY = {"D_n", "verify_delta_recombination", "zetaq_even_consistency"}
 
 
 def outside_reads(trees, bench_trees) -> set:

@@ -20,7 +20,6 @@ from qzeta.linform import (
     P_z,
     Params,
     S_eps_hat_numeric,
-    S_eps_numeric,
     _hat_kernel,
     _zeta_q_series,
     d_symmetry_check,
@@ -466,6 +465,8 @@ MEMO_PARAMS = ([(4, 1, n) for n in range(4)] + [(6, 1, n) for n in range(2)]
 @example((6, 2, 1), 0, Fraction(-1, 3), 411)  # truncates, then rounds once
 @example((2, 1, 3), 0, NEAR_ONE[1], 64)
 @example((2, 1, 1), 1, Fraction(1, 3), 64)
+@example((4, 1, 6), 1, NEAR_ONE[0], 128)  # the ball-type series
+@example((4, 1, 1), 1, NEAR_ONE[1], 64)
 def test_memoized_kernel_terms_are_bit_identical(akn, eps, q0, prec):
     A, r, n = akn
     p = Params(A, r, n, eps)
@@ -496,24 +497,6 @@ def test_kernel_memos_stay_a_window_near_one():
     sizes = window_sizes(terms)
     assert sizes[-1] > got[1]  # q^e up to e = 4k
     assert sizes[-2] <= n + r * n + 2
-
-
-def test_s_numeric_normalizations():
-    # plain = q0^(-(A-2r)n/4) * hat for integer exponent
-    p = Params(4, 1, 2)          # exponent (A-2r)n/4 = 1
-    q0 = Fraction(1, 2)
-    with mp.workprec(working_prec(128)):
-        hat = S_eps_hat_numeric(p, q0, 128)
-        plain = S_eps_numeric(p, q0, 128)
-        assert abs(plain - 2 * hat) < abs(hat) * mpf(2) ** -100
-
-
-def test_s_numeric_rejects_fractional_monomial_at_negative_q():
-    p = Params(4, 1, 1)          # exponent 1/2: genuine square root
-    with pytest.raises(ValueError):
-        S_eps_numeric(p, Fraction(-1, 2), 96)
-    # hat version is fine at negative q0
-    S_eps_hat_numeric(p, Fraction(-1, 2), 96)
 
 
 def test_series_reject_q0_zero():

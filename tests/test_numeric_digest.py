@@ -9,7 +9,9 @@ sum_with_tail while computing it.  The values are
     eps, at q0 in {1/3, -1/3, 9/10};
   * zeta_q for s <= 4 at q0 in {1/3, -1/3, 9/10, -9/10}, which covers its
     direct, Clausen-grouped and base-change routes;
-  * qball_numeric and qbgn_numeric for n <= 2 at q0 = 1/3;
+  * qball_numeric and qbgn_numeric for n <= 2 at q0 = 1/3 (qball_numeric
+    is S_eps_hat_numeric at (4, 1, n, 1), so its six entries repeat those
+    of the first grid);
 
 each at prec 64 and 160, 224 values in all.  The digest was recorded
 under mpmath 1.3.0 on its python backend (no gmpy2); another mpmath or
@@ -30,7 +32,7 @@ PRECS = (64, 160)
 KERNEL_Q0 = (Fraction(1, 3), Fraction(-1, 3), Fraction(9, 10))
 ZETA_Q0 = KERNEL_Q0 + (Fraction(-9, 10),)
 
-DIGEST = "67f9b04406ebbe8ba5da5c818cac9ff3b06a11720c8f00dd5ee77f5bbbb0528d"
+DIGEST = "e8305e08d3e2fad4c1b1a0fca0458806e8f31a6269e4989d40d433ebb8b54de3"
 
 
 def calls() -> list:

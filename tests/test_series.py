@@ -162,14 +162,15 @@ def test_long_sum_is_refused_at_a_later_term():
 
 _TINY = Fraction(1, 10 ** 20)
 # _mpf_ of sums whose ratio bound's limit is below 1e-16 while their first
-# term is above tol, as the sums gave them before the early refusal
+# term is above tol, as the sums gave them before the early refusal; qball's
+# is that of S_eps_hat_numeric(Params(4, 1, 2, 1), 10^-7), the series it is
 _TINY_LIMIT_PINS = {
     "zeta_q(2, 10^-20)": (lambda: zeta_q(2, _TINY), (
         0, 0x179ca10c9242235d5e2fb4012e5953f31985edbd1711562e212e47c6f7b6655d592c582b, -351)),
     "zeta_q(3, -10^-20)": (lambda: zeta_q(3, -_TINY), (
         1, 0x2f394219248446ba76aecf647f5436832b1e471491422aa626f94876be4696ed9be77651, -352)),
     "qball(2, 10^-7)": (lambda: qball_numeric(2, Fraction(1, 10 ** 7)), (
-        0, 0x1a53fc11ae5a5b2696035eb2f5974243f7c71b03b1c734018aa5ab4fc59d547132c6d907451, -506)),
+        0, 0x1a53fc11ae5a5b2696035eb2f5974243f7c71b03b1c734018aa5ab4fc59d547132c6d907, -494)),
     "qbgn(2, 10^-20)": (lambda: qbgn_numeric(2, _TINY), (
         0, 0x42646a6fe9631f9d63f948cf623197fa88db7501e067023149e2e9285be050b6a708a44f67, -892)),
     "eisenstein(2, 10^-20)": (lambda: eisenstein_value(2, _TINY), (
@@ -591,7 +592,6 @@ _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 _PREC_CALLS = {
     "working_prec": {},
     "zeta_q": {"s": 3, "q0": _HALF},
-    "S_eps_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
     "S_eps_hat_numeric": {"params": Params(4, 1, 1), "q0": _HALF},
     "identity_residual": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
     "linear_form_report": {"params": Params(4, 1, 2, 1), "q0": _THIRD},
@@ -604,7 +604,6 @@ _PREC_CALLS = {
     "slope_D": {"A": 4, "r": 1, "q0": _HALF, "n_range": range(1, 4)},
     "qball_numeric": {"n": 1, "q0": _HALF},
     "qbgn_numeric": {"n": 1, "q0": _HALF},
-    "ball_matches_symmetrized": {"n": 1, "q0": _HALF},
     "zeta3_identity_residual": {"n": 2, "q0": _THIRD},
     "zeta3_report": {"n": 1, "q0": _THIRD},
     "classical_ball": {"n": 1},

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qzeta import zeta3
-from qzeta.linform import P_eps_hat, Params, zeta_q
+from qzeta import linform, zeta3
+from qzeta.linform import P_eps_hat, Params, S_eps_hat_numeric, zeta_q
 from qzeta.zeta3 import (
-    ball_matches_symmetrized,
     classical_ball,
     dbar_probe,
     qball_numeric,
@@ -23,10 +22,11 @@ from qzeta.zeta3 import (
     zeta3_report,
 )
 from qzeta.series import PrecisionError, from_mpf, to_mpf, working_prec
-from qzeta.zeta3 import _ball_terms, _bgn_terms, _bracket_factor, _w_log_deriv_bracket
+from qzeta.zeta3 import _bgn_terms, _bracket_factor, _w_log_deriv_bracket
 import point_oracle
 from series_replay import NEAR_ONE, q0s, replayed, window_sizes
 from test_exact_digest import _fields
+from test_linform import _ref_terms
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +116,34 @@ def test_series_at_n0_equal_zeta_q3():
         assert abs(qbgn_numeric(0, q0, 160) - z3) < mpf(2) ** -150
 
 
+def _ref_ball_terms(n, q):
+    """The ball-type summand per k, without its (q;q)_n^2."""
+    k = n + 1
+    while True:
+        t = (1 - q ** (2 * k + n)) * q ** (k * (n + 1))
+        for i in range(n):
+            t *= (1 - q ** (k - n + i)) * (1 - q ** (1 + k + n + i))
+        den = mpf(1)
+        for i in range(n + 1):
+            den *= 1 - q ** (k + i)
+        yield t / den ** 4
+        k += 1
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_ball_matches_symmetrized_series(n):
-    out = ball_matches_symmetrized(n, Fraction(1, 2), 128)
-    assert out["residual"] < mpf(2) ** (-100)
-    assert out["monomial_q_exponent"] == Fraction(n, 2)
+    """qball_numeric is the (4, 1, eps = 1) kernel series bit for bit, and
+    that sum matches the ball-type summand of the module docstring, summed
+    directly over 300 terms (their ratio tends to q^(n+1))."""
+    for q0 in (Fraction(1, 2), Fraction(-1, 3)):
+        ball = qball_numeric(n, q0, 128)
+        assert ball._mpf_ == S_eps_hat_numeric(Params(4, 1, n, 1), q0, 128)._mpf_
+        with mp.workprec(256):
+            q = mpf(q0.numerator) / q0.denominator
+            terms = _ref_ball_terms(n, q)
+            direct = mp.fprod(1 - q ** i for i in range(1, n + 1)) ** 2 * mp.fsum(
+                next(terms) for _ in range(300))
+            assert abs(ball - direct) < mpf(2) ** -100, (n, q0)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -155,20 +178,8 @@ def test_log_derivative_bracket_finite_difference():
 
 
 # ----------------------------------------------------------------------
-# The memoized summands against the per-term products they replace.
-
-def _ref_ball_terms(n, q):
-    k = n + 1
-    while True:
-        t = (1 - q ** (2 * k + n)) * q ** (k * (n + 1))
-        for i in range(n):
-            t *= (1 - q ** (k - n + i)) * (1 - q ** (1 + k + n + i))
-        den = mpf(1)
-        for i in range(n + 1):
-            den *= 1 - q ** (k + i)
-        yield t / den ** 4
-        k += 1
-
+# The memoized derivative-type summands against the per-term products
+# they replace.
 
 def _ref_bracket(n, q, k):
     w = mpf(1)
@@ -192,69 +203,65 @@ def _ref_bgn_terms(n, q):
         k += 1
 
 
-SERIES = {"ball": (qball_numeric, _ref_ball_terms, _ball_terms),
-          "bgn": (qbgn_numeric, _ref_bgn_terms, _bgn_terms)}
+def _ref_bgn_at(n, q0):
+    return _ref_bgn_terms(n, mpf(q0.numerator) / q0.denominator)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(sorted(SERIES)), st.integers(min_value=0, max_value=6),
-       q0s(), st.sampled_from((64, 128)))
-@example("ball", 6, NEAR_ONE[0], 128)
-@example("ball", 1, NEAR_ONE[1], 64)
-@example("bgn", 0, NEAR_ONE[0], 128)
-@example("bgn", 6, NEAR_ONE[1], 64)
-def test_memoized_series_terms_are_bit_identical(kind, n, q0, prec):
-    fn, ref, _ = SERIES[kind]
-    got, want = replayed(
-        zeta3, lambda: fn(n, q0, prec),
-        lambda: ref(n, mpf(q0.numerator) / q0.denominator))
+@given(st.integers(min_value=0, max_value=6), q0s(), st.sampled_from((64, 128)))
+@example(0, NEAR_ONE[0], 128)
+@example(6, NEAR_ONE[1], 64)
+def test_memoized_series_terms_are_bit_identical(n, q0, prec):
+    got, want = replayed(zeta3, lambda: qbgn_numeric(n, q0, prec),
+                         lambda: _ref_bgn_at(n, q0))
     assert got == want
 
 
-@pytest.mark.parametrize("kind", SERIES)
-def test_series_memos_stay_a_window_near_one(kind):
-    """Past 300 terms, every list the term generator holds has at most
-    2n + 2 entries: the factor windows slide with k."""
+def test_series_memos_stay_a_window_near_one():
+    """Past 300 terms, every list the derivative-type term generator holds
+    has at most 2n + 2 entries: the factor windows slide with k."""
     n, q0 = 4, NEAR_ONE[1]
-    fn, ref, gen = SERIES[kind]
-    got, want = replayed(zeta3, lambda: fn(n, q0, 64),
-                         lambda: ref(n, mpf(q0.numerator) / q0.denominator))
+    got, want = replayed(zeta3, lambda: qbgn_numeric(n, q0, 64), lambda: _ref_bgn_at(n, q0))
     assert got == want
     assert got[1] > 300  # terms taken
     with mp.workprec(working_prec(64, 4 * n)):
-        terms = gen(n, from_mpf(mpf(q0.numerator) / q0.denominator), mp.prec)
+        terms = _bgn_terms(n, from_mpf(mpf(q0.numerator) / q0.denominator), mp.prec)
         for _ in range(got[1]):
             next(terms)
     sizes = window_sizes(terms)
     assert sizes and sizes[-1] <= 2 * n + 2
 
 
-# Recorded before the factor windows became sliding lists: the value's
-# _mpf_ and the terms taken, past the n <= 2 of the numeric digest.
+# The _mpf_ and terms taken of both series past the n <= 2 of the numeric
+# digest.  The bgn rows were recorded before its factor windows became
+# sliding lists, the ball rows from S_eps_hat_numeric(Params(4, 1, n, 1)):
+# each kind replays through the module that sums it, over its per-term
+# reference.
 WEIGHT3_PINS = [
     ("ball", 4, Fraction(9816, 10007), 64,
-     (0, 2710925764229921811310248983856791, -117, 112), 488),
+     (0, 41365444400480984669397505247, -101, 96), 282),
     ("bgn", 4, Fraction(9816, 10007), 64,
      (0, 1355462882114960904142481426713205, -116, 111), 2539),
     ("ball", 8, Fraction(1, 3), 256,
-     (0, 576459181150703984161622550598793212169737938959414894527025490122787076062402058650728604087179,
-      -449, 319), 10),
+     (0, 268434724375002078787247906717841146592860081679846576660417714213387610419840579224177,
+      -418, 288), 10),
     ("bgn", 8, Fraction(1, 3), 256,
      (0, 144114795287675996040405637649698303042434514206429807864447968129730517155823822421032119041889,
       -447, 317), 154),
     ("ball", 6, Fraction(-1, 3), 160,
-     (1, 119734886438487015373760228014159507823855722396110196018459564671, -293, 217), 8),
+     (1, 3568377686693877439908988124205052336053243239383487523757, -268, 192), 9),
     ("bgn", 6, Fraction(-1, 3), 160,
      (1, 29933721609621753843440057050589983215358274262968894408293253477, -291, 215), 95),
 ]
+SERIES = {"ball": (qball_numeric, linform, lambda n, q0: _ref_terms(4, 1, n, 1, q0)),
+          "bgn": (qbgn_numeric, zeta3, _ref_bgn_at)}
 
 
 @pytest.mark.parametrize("kind,n,q0,prec,mpf_,taken", WEIGHT3_PINS)
 def test_weight3_values_and_terms_taken_are_pinned(kind, n, q0, prec, mpf_, taken):
-    fn, ref, _ = SERIES[kind]
+    fn, module, ref = SERIES[kind]
     vals = []
-    got, want = replayed(zeta3, lambda: vals.append(fn(n, q0, prec)),
-                         lambda: ref(n, mpf(q0.numerator) / q0.denominator))
+    got, want = replayed(module, lambda: vals.append(fn(n, q0, prec)), lambda: ref(n, q0))
     assert (vals[0]._mpf_, got[1]) == (mpf_, taken)
     assert got == want
 
