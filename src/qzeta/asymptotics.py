@@ -218,8 +218,7 @@ def slope_D(A: int, r: int, q0: Fraction, n_range,
     """(1/n^2) log |D_n(q0)| against (3A/pi^2 + A/8 + r^2/2) L.
 
     Evaluated through the factored form — log (A-1)! + E log|q0| +
-    A sum_l log |Phi_l(1/q0)| — so no huge polynomial is expanded.  The
-    standalone d_n slope against (3/pi^2) L rides along in extras.
+    A sum_l log |Phi_l(1/q0)| — so no huge polynomial is expanded.
     """
     ns = _slope_ns(n_range)
     Params(A, r, 0)  # validates (A, r)
@@ -228,12 +227,10 @@ def slope_D(A: int, r: int, q0: Fraction, n_range,
     with mp.workprec(working_prec(prec)):
         pi2 = mp.pi**2
         target = (3 * A / pi2 + mpf(A) / 8 + mpf(r * r) / 2) * L
-        d_target = 3 / pi2 * L
         logfac = mp.log(mpf(factorial(A - 1)))
         logq = log_abs_fraction(q0)
         qinv = 1 / q0
         pts = []
-        d_pts = []
         acc = mpf(0)  # log |d_n(1/q0)| accumulated over cyclotomic factors
         n_prev = 0
         for n in sorted(ns):
@@ -244,10 +241,7 @@ def slope_D(A: int, r: int, q0: Fraction, n_range,
             val = (logfac + mpf(e.numerator) / e.denominator * logq
                    + A * acc)
             pts.append((n, val / n**2))
-            d_pts.append((n, acc / n**2))
-    d_est = _make_estimate(f"d_n slope (q={q0})", d_pts, d_target)
-    return _make_estimate(f"D_n slope (A={A}, r={r}, q={q0})", pts, target,
-                          extras={"dn_estimate": d_est})
+    return _make_estimate(f"D_n slope (A={A}, r={r}, q={q0})", pts, target)
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,6 @@ __all__ = [
     "d_symmetry_check",
     "p_reciprocity_check",
     "p1_at_one_check",
-    "P_z",
     "P_eps",
     "P_eps_hat",
     "P_eps_values_hat",
@@ -181,39 +180,36 @@ def d_symmetry_check(params: Params) -> bool:
 # ----------------------------------------------------------------------
 # The z-polynomials P_s(z) and the symmetrized coefficients P_s^[eps].
 
-def P_z(params: Params, s: int) -> list:
-    """Coefficient list (in z) of P_s(z), QFrac entries, monomial included:
-    P_s(z) = sum_j d_{s,j} q^(-j) z^j, degree n, for 1 <= s <= A."""
+def p_reciprocity_check(params: Params, s: int) -> bool:
+    """Exact z-reciprocity z^n q^(-n) P_s(1/z; 1/q) = P_s(z; q), 1 <= s <= A,
+    for P_s(z) = sum_j c_j z^j, c_j = d_{s,j} q^(-j).
+
+    Coefficientwise: q^(-n) * c_{n-i}(1/q) = c_i(q), that is
+    d_{s,n-i}(1/q) = d_{s,i}(q) for d_{s,j} = rows[j][s] u^prefactor_u,
+    read on the hat rows of partial_fractions.
+
+    The check reads the fields of the reduced rows and builds no QFrac or
+    UPoly of its own.  It relies on one condition: a reduced QFrac
+    num / prod Phi_l^e_l is canonical (the Phi_l are irreducible, none
+    divides a reduced numerator, and a UPoly is canonical), so two
+    reduced QFracs are equal exactly when their fields are.  Since
+    Phi_1(1/q) = -q^(-1) Phi_1(q) and Phi_l(1/q) = q^(-phi(l)) Phi_l(q)
+    for l >= 2, a(1/q) for a = x / prod Phi_l^e_l is the reduced QFrac
+    over the same denominator whose numerator has x's coefficients
+    reversed, negated when e_1 is odd, from the u-power
+    -(x.lo + 2(len(x.v) - 1)) + 2 deg up, deg = sum_l phi(l) e_l.  With
+    the u-shifts prefactor_u - 2j of c_j on both sides, n and i cancel:
+    the hat row Y = rows[i][s] must have the fields of X = rows[n-i][s]
+    so transformed, its lowest power moved by -2 prefactor_u, or both
+    must be zero.  The map is an involution, so the pairs with i <= n/2
+    decide the rest.
+    """
     if not 1 <= s <= params.A:
         raise ValueError(f"s must be in 1..{params.A}, got {s}")
     rows = partial_fractions(params)
-    return [rows[j][s].shift_u(params.prefactor_u - 2 * j) for j in range(params.n + 1)]
-
-
-def p_reciprocity_check(params: Params, s: int) -> bool:
-    """Exact z-reciprocity z^n q^(-n) P_s(1/z; 1/q) = P_s(z; q), 1 <= s <= A.
-
-    Coefficientwise: q^(-n) * c_{n-i}(1/q) = c_i(q) for the z-coefficients
-    c_j = d_{s,j} q^(-j) of P_s, that is d_{s,n-i}(1/q) = d_{s,i}(q).
-
-    The check reads the fields of P_s's reduced coefficients and builds
-    no QFrac or UPoly of its own.  It relies on one condition: a reduced
-    QFrac num / prod Phi_l^e_l is canonical (the Phi_l are irreducible,
-    none divides a reduced numerator, and a UPoly is canonical), so two
-    reduced QFracs are equal exactly when their fields are.  Since
-    Phi_1(1/q) = -q^(-1) Phi_1(q) and Phi_l(1/q) = q^(-phi(l)) Phi_l(q)
-    for l >= 2, q^(-n) a(1/q) for a = c_{n-i} = x / prod Phi_l^e_l is the
-    reduced QFrac over the same denominator whose numerator has x's
-    coefficients reversed, negated when e_1 is odd, from the u-power
-    -(x.lo + 2(len(x.v) - 1)) + 2 deg - 2n up, deg = sum_l phi(l) e_l:
-    the fields a.subst_inv().shift_u(-2n) would build.  c_i must have
-    exactly these fields, or both must be zero.  The map a -> q^(-n) a(1/q)
-    is an involution, so the pairs with i <= n/2 decide the rest.
-    """
-    coeffs = P_z(params, s)
-    n = params.n
+    n, pu = params.n, params.prefactor_u
     for i in range(n // 2 + 1):
-        a, b = coeffs[n - i], coeffs[i]
+        a, b = rows[n - i][s], rows[i][s]
         x, y = a.num, b.num
         if not x.v:
             if y.v:
@@ -221,7 +217,7 @@ def p_reciprocity_check(params: Params, s: int) -> bool:
             continue
         e = a.den.e
         if (e != b.den.e or x.den != y.den or len(x.v) != len(y.v)
-                or y.lo != -(x.lo + 2 * (len(x.v) - 1)) + 2 * a.den.degree_q() - 2 * n):
+                or y.lo != -(x.lo + 2 * (len(x.v) - 1)) + 2 * a.den.degree_q() - 2 * pu):
             return False
         if y.v != (x.v[::-1] if e.get(1, 0) % 2 == 0 else [-c for c in reversed(x.v)]):
             return False

@@ -259,11 +259,8 @@ def test_slope_D_points_match_polynomial_evaluation():
             assert abs(v - log_abs_fraction(a + b / 2) / n**2) < mpf(2) ** -100
 
 
-def test_slope_D_carries_dn_estimate():
+def test_slope_D_target():
     est = slope_D(6, 2, Fraction(1, 2), range(2, 12))
-    inner = est.extras["dn_estimate"]
-    assert isinstance(inner, SlopeEstimate)
     with mp.workprec(80):
-        assert abs(inner.target - 3 / mp.pi**2 * mp.log(2)) < 1e-15
         assert abs(est.target - (18 / mp.pi**2 + mpf(6) / 8 + 2) * mp.log(2)) \
             < 1e-15

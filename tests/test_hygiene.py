@@ -16,7 +16,8 @@ its terms as kernel pairs.  No module multiplies by a UPoly.q_power(...)
 or UPoly.u_power(...) built in place: a product by a monomial is a
 shift_u.  The two exact rings of series expose the same public members,
 and those are the names the protocol comment in series.py lists.  The
-public names that only tests read are exactly TEST_ONLY.  numpy is loaded
+public names that only tests read are exactly TEST_ONLY, and every
+script under scripts/ is named by a test.  numpy is loaded
 only by asymptotics.fit_limit, not by importing the package or the CLI,
 and importing them loads neither dataclasses nor inspect.
 """
@@ -349,7 +350,9 @@ def test_checker_flags_dead_methods():
 # The public names that no module of the package, no script and no bench
 # module reads: only tests call them.  Each is to become a registered
 # claim or go (ROADMAP item 6); a new name here needs a caller instead.
-TEST_ONLY = {"D_n", "verify_delta_recombination", "zetaq_even_consistency"}
+# classical_ball is the classical series that test_zeta3's q -> 1
+# degeneration tests compare the q-series against.
+TEST_ONLY = {"D_n", "classical_ball", "verify_delta_recombination", "zetaq_even_consistency"}
 
 
 def outside_reads(trees, bench_trees) -> set:
@@ -378,6 +381,16 @@ def test_test_only_public_names():
     assert only_tests == TEST_ONLY
     tests = set().union(*(_read(_parse(path)) for path in (ROOT / "tests").glob("test_*.py")))
     assert TEST_ONLY <= tests
+
+
+def test_every_script_is_tested():
+    """Each scripts/*.py is named by some other test module, so a script
+    no test runs cannot come back unnoticed."""
+    others = [path for path in (ROOT / "tests").glob("test_*.py") if path.name != "test_hygiene.py"]
+    tests = "".join(path.read_text(encoding="utf-8") for path in others)
+    untested = [path.name for path in sorted((ROOT / "scripts").glob("*.py"))
+                if path.name not in tests]
+    assert not untested, untested
 
 
 def test_checker_reads_outside_names():

@@ -17,7 +17,6 @@ from qzeta.linform import (
     P_eps,
     P_eps_hat,
     P_eps_values_hat,
-    P_z,
     Params,
     S_eps_hat_numeric,
     _hat_kernel,
@@ -119,11 +118,29 @@ def test_p_reciprocity_small(A, r, n):
         assert p_reciprocity_check(p, s), s
 
 
+def _z_coefficients(params, s):
+    """The z-coefficients c_j = d_{s,j} q^(-j) of P_s(z), monomial included,
+    from the rows the tests below may monkeypatch into linform."""
+    rows = linform.partial_fractions(params)
+    return [rows[j][s].shift_u(params.prefactor_u - 2 * j) for j in range(params.n + 1)]
+
+
 def _reciprocity_by_subst_inv(params, s):
     """p_reciprocity_check as q -> 1/q substitution and QFrac equality."""
-    coeffs = P_z(params, s)
+    coeffs = _z_coefficients(params, s)
     n = params.n
     return all(coeffs[n - i].subst_inv().shift_u(-2 * n) == coeffs[i] for i in range(n + 1))
+
+
+@pytest.mark.parametrize("s", [0, 5])
+def test_p_reciprocity_rejects_s_outside_1_to_A(s, monkeypatch):
+    """s outside 1..A raises before any partial-fraction row is read."""
+    def no_rows(params):
+        raise AssertionError("partial_fractions was read")
+
+    monkeypatch.setattr(linform, "partial_fractions", no_rows)
+    with pytest.raises(ValueError, match=f"s must be in 1..4, got {s}"):
+        p_reciprocity_check(Params(4, 1, 2), s)
 
 
 def test_p_reciprocity_fields_match_subst_inv():
@@ -139,7 +156,7 @@ def test_p_reciprocity_fields_match_subst_inv():
         p = Params(A, r, n)
         for s in range(1, A + 1):
             assert p_reciprocity_check(p, s) == _reciprocity_by_subst_inv(p, s), (A, r, n, s)
-            odd_phi1 += sum(c.den.e.get(1, 0) % 2 for c in P_z(p, s))
+            odd_phi1 += sum(c.den.e.get(1, 0) % 2 for c in _z_coefficients(p, s))
     assert odd_phi1 > 0
     assert time.perf_counter() - t0 < 3.0
 
