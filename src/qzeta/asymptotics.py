@@ -182,10 +182,14 @@ def slope_P(A: int, r: int, eps: int, q0: Fraction, n_range,
     The tracked curve is the per-n maximum over s (s = 0 and the parity
     family); `extras` carries the per-(n, s) samples and any bound
     violations beyond `margin` (expected none; the fitted limit is
-    expected to approach the bound from below).
+    expected to approach the bound from below).  A = 2 with eps = 1 is
+    excluded: P_0^[1] vanishes there and no odd s lies in 2..A, so there
+    is no point to fit.
     """
     ns = _slope_ns(n_range)
     q0 = Fraction(q0)
+    if A == 2 and eps == 1:
+        raise ValueError("A = 2, eps = 1 excluded: every P_s^[1] is 0 there")
     bound = Fraction(A + 4 * r * r, 8) * _log_inv_q(q0)
     pts = []
     samples = {}

@@ -4,9 +4,10 @@ Every verification in the library is exposed as a subcommand with
 machine-readable output (json, csv, or pretty text).  q is always an
 exact rational string like "1/3" (decimals are rejected; a negative one
 may follow --q as a separate word, "--q -1/2"), n-ranges are
-written "a..b", and the default working precision comes from the
-QZETA_PREC environment variable when set.  Every integer, in an option,
-a range or QZETA_PREC, is signed ASCII decimal digits and nothing else.
+written "a..b", and the seven commands that compute at a working
+precision take it as --prec (bits; the exact eisenstein and denom-probe
+have none).  Every integer, in an option or a range, is signed ASCII
+decimal digits and nothing else.
 
 Exit codes: 0 = pass, 1 = a verification failed, 2 = invalid input,
 3 = precision exhausted.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -75,22 +75,6 @@ def _limit(text: str, name: str) -> float:
     if not limit >= 0:  # NaN compares false
         raise ValueError(f"{name} must be >= 0, got {limit}")
     return limit
-
-
-def _env_prec() -> int:
-    """The working precision when --prec is absent: QZETA_PREC if set."""
-    text = os.environ.get("QZETA_PREC")
-    if text is None:
-        return DEFAULT_PREC
-    try:
-        prec = integer(text)
-    except ValueError:
-        prec = 0
-    if prec < 16:
-        raise ValueError(f"QZETA_PREC must be an integer >= 16, got {text!r}")
-    if prec > _MAX_PREC:
-        raise ValueError(f"QZETA_PREC must be between 16 and {_MAX_PREC}, got {text!r}")
-    return prec
 
 
 _NRANGE = re.compile(rf"({_INT.pattern})(?:\.\.({_INT.pattern}))?")
@@ -292,26 +276,26 @@ _OPTIONS = {
                           "help": "coefficients used for the solve (default: basis size)"}),
     "verify": ("--verify", {"type": integer,
                             "help": "verify through this coefficient (default: solve+40)"}),
-    "prec": ("--prec", {"type": integer, "help": "working precision in bits "
-                        f"(default: env QZETA_PREC, else {DEFAULT_PREC})"}),
+    "prec": ("--prec", {"type": integer, "default": DEFAULT_PREC,
+                        "help": f"working precision in bits (default: {DEFAULT_PREC})"}),
     "format": ("--format", {"choices": ("json", "csv", "pretty"), "default": "json"}),
     "out": ("--out", {"help": "write output to this path"}),
 }
-_COMMON = ("prec", "format", "out")
+_COMMON = ("format", "out")
 
 _COMMANDS = (
     ("linform", "point identity + integrality at one (A,r,n,eps,q)", _cmd_linform,
-     ("A", "r", "n", "eps", "q", "tol")),
+     ("A", "r", "n", "eps", "q", "tol", "prec")),
     ("slope-S", "growth rate of the symmetrized series", _cmd_slope_s,
-     ("A", "r", "eps", "q", "n-range", "fit-gap")),
+     ("A", "r", "eps", "q", "n-range", "fit-gap", "prec")),
     ("slope-P", "growth bound for the coefficient polynomials", _cmd_slope_p,
-     ("A", "r", "eps", "q", "n-range", "margin")),
+     ("A", "r", "eps", "q", "n-range", "margin", "prec")),
     ("slope-D", "growth rate of the clearing denominator", _cmd_slope_d,
-     ("A", "r", "q", "n-range", "last-gap")),
-    ("delta", "dimension bound delta(A, r)", _cmd_delta, ("A", "r")),
-    ("delta-const", "asymptotic constant sup_r delta/sqrt(A)", _cmd_delta_const, ()),
+     ("A", "r", "q", "n-range", "last-gap", "prec")),
+    ("delta", "dimension bound delta(A, r)", _cmd_delta, ("A", "r", "prec")),
+    ("delta-const", "asymptotic constant sup_r delta/sqrt(A)", _cmd_delta_const, ("prec",)),
     ("zeta3", "weight-3 series pair and exact decomposition", _cmd_zeta3,
-     ("n", "q", "tol")),
+     ("n", "q", "tol", "prec")),
     ("eisenstein", "expand E_weight over the E_4/E_6 basis", _cmd_eisenstein,
      ("weight", "solve", "verify")),
     ("denom-probe", "denominator sharpness / reduced-power probe", _cmd_denom_probe,
@@ -356,11 +340,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_join_negative_q(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if args.prec is None:
-            args.prec = _env_prec()
-        elif args.prec < 16:
+        prec = getattr(args, "prec", DEFAULT_PREC)
+        if prec < 16:
             raise ValueError("--prec must be >= 16")
-        elif args.prec > _MAX_PREC:
+        if prec > _MAX_PREC:
             raise ValueError(f"--prec must be between 16 and {_MAX_PREC}")
         if getattr(args, "tol", 1) < 1:
             raise ValueError(f"--tol must be >= 1, got {args.tol}")

@@ -22,7 +22,7 @@ from qzeta.asymptotics import (
     slope_S,
     verify_delta_recombination,
 )
-from qzeta.linform import D_n, Params
+from qzeta.linform import D_n, P_eps_values_hat, Params
 from qzeta.series import working_prec
 
 
@@ -224,6 +224,16 @@ def test_slope_S_short_range_approaches_target():
 def test_slope_S_rejects_degenerate_target():
     with pytest.raises(ValueError):
         slope_S(4, 2, 1, Fraction(1, 2), range(2, 6))
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-1, 3)])
+def test_slope_P_rejects_the_vanishing_form(q0):
+    """At A = 2, eps = 1 every P_s^[1] is 0 (P_0 vanishes, and no odd s
+    lies in 2..A), so slope_P says so instead of finding too few points."""
+    assert all(P_eps_values_hat(2, 1, n, 1, q0) == (0, ()) for n in range(1, 11))
+    with pytest.raises(ValueError, match="A = 2, eps = 1 excluded: every P_s"):
+        slope_P(2, 1, 1, q0, range(1, 5))
+    assert slope_P(2, 1, 0, q0, range(1, 5)).points
 
 
 def test_slope_S_takes_odd_n_at_negative_q():

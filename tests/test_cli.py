@@ -214,6 +214,21 @@ def test_denom_probe_invalid_inputs(capsys):
     assert err == "invalid input: A must be an even integer >= 2, got 5\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("eisenstein", "--weight", "12", "--prec", "64"),
+    ("denom-probe", "--A", "4", "--r", "1", "--n", "1..2", "--prec", "64"),
+], ids=lambda argv: argv[0])
+def test_exact_commands_reject_prec(capsys, argv):
+    """The two exact commands read no working precision, so --prec is an
+    unknown flag there, as any other."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments: --prec 64" in err
+
+
 def test_denom_probe_csv(capsys):
     code, out, _ = run(capsys, "denom-probe", "--A", "4", "--r", "1",
                        "--n", "1..2", "--format", "csv")
@@ -282,8 +297,7 @@ def test_delta_prec_reaches_best_delta(capsys):
 # the options each command must keep, in order: (flag, dest, required,
 # default, choices, type)
 _INT, _FORMATS = "integer", ("json", "csv", "pretty")
-_COMMON_OPTIONS = [("--prec", "prec", False, None, None, _INT),
-                   ("--format", "format", False, "json", _FORMATS, None),
+_COMMON_OPTIONS = [("--format", "format", False, "json", _FORMATS, None),
                    ("--out", "out", False, None, None, None)]
 _A_R = [("--A", "A", True, None, None, _INT), ("--r", "r", True, None, None, _INT)]
 _EPS = ("--eps", "eps", False, 1, (0, 1), _INT)
@@ -291,14 +305,16 @@ _Q = ("--q", "q", True, None, None, None)
 _N_RANGE = ("--n", "n", True, None, None, None)
 _TOL = ("--tol", "tol", False, 40, None, _INT)
 _MAX_GAP = ("--max-gap", "max_gap", False, None, None, None)
+_PREC = ("--prec", "prec", False, 256, None, _INT)
 PARSER_RECORD = {
-    "linform": _A_R + [("--n", "n", True, None, None, _INT), _EPS, _Q, _TOL],
-    "slope-S": _A_R + [_EPS, _Q, _N_RANGE, _MAX_GAP],
-    "slope-P": _A_R + [_EPS, _Q, _N_RANGE, ("--margin", "margin", False, "0.02", None, None)],
-    "slope-D": _A_R + [_Q, _N_RANGE, _MAX_GAP],
-    "delta": _A_R,
-    "delta-const": [],
-    "zeta3": [("--n", "n", True, None, None, _INT), _Q, _TOL],
+    "linform": _A_R + [("--n", "n", True, None, None, _INT), _EPS, _Q, _TOL, _PREC],
+    "slope-S": _A_R + [_EPS, _Q, _N_RANGE, _MAX_GAP, _PREC],
+    "slope-P": _A_R + [_EPS, _Q, _N_RANGE, ("--margin", "margin", False, "0.02", None, None),
+                       _PREC],
+    "slope-D": _A_R + [_Q, _N_RANGE, _MAX_GAP, _PREC],
+    "delta": _A_R + [_PREC],
+    "delta-const": [_PREC],
+    "zeta3": [("--n", "n", True, None, None, _INT), _Q, _TOL, _PREC],
     "eisenstein": [("--weight", "weight", True, None, None, _INT),
                    ("--solve", "solve", False, None, None, _INT),
                    ("--verify", "verify", False, None, None, _INT)],
@@ -322,7 +338,7 @@ def test_parser_keeps_every_option():
 
 
 # ----------------------------------------------------------------------
-# formats and environment
+# formats
 
 def test_csv_format(capsys):
     code, out, _ = run(capsys, "slope-D", "--A", "4", "--r", "1",
@@ -384,14 +400,6 @@ def test_out_file(tmp_path, capsys):
     assert rep["delta"].startswith("1.08")
 
 
-def test_prec_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("QZETA_PREC", "77")
-    code, out, _ = run(capsys, "linform", "--A", "4", "--r", "1", "--n", "1",
-                       "--q", "1/2", "--tol", "10")
-    assert code == 0
-    assert json.loads(out)["prec"] == 77
-
-
 def test_out_unwritable_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "delta", "--A", "12", "--r", "2",
@@ -399,15 +407,6 @@ def test_out_unwritable_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == f"invalid input: cannot write {path}: No such file or directory"
-
-
-@pytest.mark.parametrize("value", ["abc", "8", "2_56", "\u0662\u0665\u0666"])
-def test_prec_env_invalid_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("QZETA_PREC", value)
-    code, out, err = run(capsys, "delta", "--A", "12", "--r", "2")
-    assert code == 2
-    assert out == ""
-    assert err.strip() == f"invalid input: QZETA_PREC must be an integer >= 16, got {value!r}"
 
 
 @pytest.mark.parametrize("argv,text", [
@@ -431,22 +430,6 @@ def test_integer_options_are_ascii_digits(capsys, argv, text):
     assert f"invalid integer value: {text!r}" in err
 
 
-def test_prec_env_above_maximum_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("QZETA_PREC", "99999999999")
-    code, out, err = run(capsys, "delta-const")
-    assert code == 2
-    assert out == ""
-    assert err.strip() == ("invalid input: QZETA_PREC must be between 16 and 1048576, "
-                           "got '99999999999'")
-
-
-def test_prec_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("QZETA_PREC", "abc")
-    code, out, _ = run(capsys, "delta", "--A", "12", "--r", "2", "--prec", "64")
-    assert code == 0
-    assert json.loads(out)["exceeds_one"] is True
-
-
 # ----------------------------------------------------------------------
 # README commands against the recorded benchmark output
 
@@ -459,9 +442,18 @@ def _readme_commands():
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
-def test_readme_commands_match_golden(monkeypatch, capsys, argv):
-    monkeypatch.delenv("QZETA_PREC", raising=False)
+def test_readme_commands_match_golden(capsys, argv):
     want = (ROOT / "perfbench" / "golden" / f"{argv[0]}.out").read_text(encoding="ascii")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("value", ["64", "abc"])
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_ignore_the_environment(monkeypatch, capsys, argv, value):
+    """A QZETA_PREC in the environment, an integer or not, moves no
+    command off its golden bytes: the working precision is --prec or its
+    default, nothing else."""
+    monkeypatch.setenv("QZETA_PREC", value)
+    test_readme_commands_match_golden(capsys, argv)

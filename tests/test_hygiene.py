@@ -14,10 +14,12 @@ script under scripts/ and no module of perfbench/ reads its name.  No
 module passes map(from_mpf, ...) to sum_with_tail: a certified sum builds
 its terms as kernel pairs.  No module multiplies by a UPoly.q_power(...)
 or UPoly.u_power(...) built in place: a product by a monomial is a
-shift_u.  The two exact rings of series expose the same public members,
-and those are the names the protocol comment in series.py lists.  The
-public names that only tests read are exactly TEST_ONLY, and every
-script under scripts/ is named by a test.  numpy is loaded
+shift_u.  No module reads the process environment.  Every option a
+command of cli._COMMANDS declares is read by its handler.  The two exact
+rings of series expose the same public members, and those are the names
+the protocol comment in series.py lists.  The public names that only
+tests read, directly or through each other, are exactly TEST_ONLY, and
+every script under scripts/ is named by a test.  numpy is loaded
 only by asymptotics.fit_limit, not by importing the package or the CLI,
 and importing them loads neither dataclasses nor inspect.
 """
@@ -182,6 +184,18 @@ def converted_sums(tree) -> list:
                     for arg in call.args + [kw.value for kw in call.keywords])]
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree) -> list:
+    """The line of each read of the process environment: os.environ,
+    os.getenv or their bytes forms, as an attribute or an imported name."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT)
+                  or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                      and any(alias.name in _ENVIRONMENT for alias in node.names)))
+
+
 def _is_monomial(node) -> bool:
     """Whether node builds UPoly.q_power(...) or UPoly.u_power(...)."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -218,6 +232,8 @@ def test_no_unused_locals_or_imports(path):
                  for line in converted_sums(tree)]
     problems += [f"line {line}: a product by a monomial should be shift_u"
                  for line in monomial_products(tree)]
+    problems += [f"line {line}: reads the process environment"
+                 for line in environment_reads(tree)]
     assert not problems, problems
 
 
@@ -288,6 +304,19 @@ def test_checker_flags_monomial_products():
     assert monomial_products(tree) == [2, 4, 7, 9]
 
 
+def test_checker_flags_environment_reads():
+    tree = ast.parse(
+        "import os\n"
+        "from os import environ, path\n"
+        "def f(name):\n"
+        "    a = os.environ.get(name)\n"
+        "    b = os.getenv(name, '1')\n"
+        "    c = os.path.join(name, 'x')\n"
+        "    d = os.environb\n"
+        "    return environ[name], a, b, c, d\n")
+    assert environment_reads(tree) == [2, 4, 5, 7]
+
+
 def test_no_dead_definitions():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in MODULES}
@@ -347,27 +376,81 @@ def test_checker_flags_dead_methods():
         ("lib.py", "K", "dead"), ("lib.py", "K", "_dead_private"), ("lib.py", "Inner", "gone")]
 
 
+def unread_options(tree, rows) -> list:
+    """(command, key) for each option a command row declares that its
+    handler, a module-level function of tree, never reads as args.<dest>.
+    rows are (command, handler name, {key: flag}); format and out are
+    exempt, as main reads them for every command."""
+    handlers = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = []
+    for command, handler, options in rows:
+        read = {node.attr for node in ast.walk(handlers[handler])
+                if isinstance(node, ast.Attribute) and _name(node.value) == "args"}
+        found += [(command, key) for key, flag in options.items()
+                  if key not in ("format", "out") and flag.lstrip("-").replace("-", "_") not in read]
+    return found
+
+
+def test_every_option_is_read():
+    """A command takes no option that its handler ignores."""
+    from qzeta import cli
+
+    rows = [(name, handler.__name__, {key: cli._OPTIONS[key][0] for key in keys + cli._COMMON})
+            for name, _, handler, keys in cli._COMMANDS]
+    assert unread_options(_parse(SRC / "cli.py"), rows) == []
+
+
+def test_checker_flags_unread_options():
+    tree = ast.parse(
+        "def _cmd_a(args):\n"
+        "    return args.A + args.max_gap\n"
+        "def _cmd_b(args):\n"
+        "    return other.prec, args\n")
+    rows = [("a", "_cmd_a", {"A": "--A", "fit-gap": "--max-gap", "prec": "--prec",
+                             "out": "--out"}),
+            ("b", "_cmd_b", {"prec": "--prec", "format": "--format"})]
+    assert unread_options(tree, rows) == [("a", "prec"), ("b", "prec")]
+
+
 # The public names that no module of the package, no script and no bench
-# module reads: only tests call them.  Each is to become a registered
-# claim or go (ROADMAP item 6); a new name here needs a caller instead.
-# classical_ball is the classical series that test_zeta3's q -> 1
-# degeneration tests compare the q-series against.
-TEST_ONLY = {"D_n", "classical_ball", "verify_delta_recombination", "zetaq_even_consistency"}
+# module reads, other than through each other: only tests call them.  Each
+# is to become a registered claim or go (ROADMAP item 6); a new name here
+# needs a caller instead.  classical_ball is the classical series that
+# test_zeta3's q -> 1 degeneration tests compare the q-series against;
+# delta_exact_pair, eisenstein_value and zetaq_even_in_basis are read only
+# by verify_delta_recombination and zetaq_even_consistency.
+TEST_ONLY = {"D_n", "classical_ball", "delta_exact_pair", "eisenstein_value",
+             "verify_delta_recombination", "zetaq_even_consistency", "zetaq_even_in_basis"}
 
 
-def outside_reads(trees, bench_trees) -> set:
+def outside_reads(trees, bench_trees, silent=frozenset()) -> set:
     """The names trees read, where a module-level function or class does
-    not read itself, plus every string constant of bench_trees: the bench
-    calls and wraps the package's functions by name."""
+    not read itself and one named in silent reads nothing, plus every
+    string constant of bench_trees: the bench calls and wraps the
+    package's functions by name."""
     read = set()
     for tree in trees:
         for node in tree.body:
             defs = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            read |= _read(node) - ({node.name} if defs else set())
+            if not (defs and node.name in silent):
+                read |= _read(node) - ({node.name} if defs else set())
     for tree in bench_trees:
         read |= {node.value for node in ast.walk(tree)
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     return read
+
+
+def only_tested(public, trees, bench_trees) -> set:
+    """The names of public that outside_reads does not find when the ones
+    found so far read nothing: a name that only test-only names read is
+    test-only too."""
+    found = set()
+    while True:
+        more = public - outside_reads(trees, bench_trees, found)
+        if more == found:
+            return found
+        found = more
 
 
 def _parse(path):
@@ -377,7 +460,7 @@ def _parse(path):
 def test_test_only_public_names():
     public = set().union(*(_exported(_parse(path)) for path in MODULES))
     bench = [_parse(path) for path in CALLERS if path.parent.name == "perfbench"]
-    only_tests = public - outside_reads([_parse(path) for path in CALLERS], bench)
+    only_tests = only_tested(public, [_parse(path) for path in CALLERS], bench)
     assert only_tests == TEST_ONLY
     tests = set().union(*(_read(_parse(path)) for path in (ROOT / "tests").glob("test_*.py")))
     assert TEST_ONLY <= tests
@@ -408,6 +491,20 @@ def test_checker_reads_outside_names():
     read = outside_reads([lib, bench], [bench])
     assert {"used", "by_name"} <= read
     assert not {"fact", "Node"} & read
+
+
+def test_checker_finds_test_only_names_transitively():
+    lib = ast.parse(
+        "def deep(): pass\n"
+        "def helper():\n"
+        "    return deep()\n"
+        "def check():\n"
+        "    return helper()\n"
+        "def used(): pass\n"
+        "COMMANDS = (used,)\n")
+    public = {"deep", "helper", "check", "used"}
+    assert public - outside_reads([lib], []) == {"check"}
+    assert only_tested(public, [lib], []) == {"deep", "helper", "check"}
 
 
 def protocol_names(source: str) -> set:

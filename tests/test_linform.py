@@ -712,9 +712,8 @@ def test_pole_sums_built_once_for_both_eps(monkeypatch):
     assert builds == ["symbolic", "point"]
 
 
-def test_linear_form_report_json(monkeypatch, capsys):
+def test_linear_form_report_json(capsys):
     """`qzeta linform` prints the library report plus its verdict fields."""
-    monkeypatch.delenv("QZETA_PREC", raising=False)
     q0 = Fraction(1, 3)
     rep = linear_form_report(Params(4, 1, 2, 1), q0, 256)
     assert main(["linform", "--A", "4", "--r", "1", "--n", "2", "--q", "1/3"]) == 0
