@@ -388,7 +388,8 @@ def unread_options(tree, rows) -> list:
         read = {node.attr for node in ast.walk(handlers[handler])
                 if isinstance(node, ast.Attribute) and _name(node.value) == "args"}
         found += [(command, key) for key, flag in options.items()
-                  if key not in ("format", "out") and flag.lstrip("-").replace("-", "_") not in read]
+                  if key not in ("format", "out")
+                  and flag.lstrip("-").replace("-", "_") not in read]
     return found
 
 
